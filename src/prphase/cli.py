@@ -20,6 +20,7 @@ import argparse
 import logging
 import os
 import sys
+from dataclasses import fields
 from importlib import resources
 from typing import Optional
 
@@ -77,6 +78,8 @@ def _describe(cfg: SimConfig) -> str:
         f"bulk densities   gas {cfg.c_gas}  liquid {cfg.c_liq} mol/m^3",
         f"density window   [{cfg.c_m}, {cfg.c_M}] mol/m^3",
         f"lambda           {'minimal (computed at run time)' if cfg.lam is None else cfg.lam}",
+        "solver           " + " ".join(f"{f.name}={getattr(cfg.solver, f.name)}"
+                                       for f in fields(cfg.solver) if f.name != "tau"),
         f"initial          {cfg.initial.kind}",
         f"output           {cfg.output.directory} (snapshots every {cfg.output.snapshot_every}, "
         f"formats {list(cfg.output.formats)})",

@@ -22,7 +22,9 @@ A run file looks like::
     output: {directory: out, snapshot_every: 50, formats: [txt]}
 
 The domain is the square [-L_half, L_half]^2, so square cells require
-N == M.  Every applied default is recorded in ``SimConfig.provenance`` so
+N == M.  ``tau`` and the ``solver`` table build one ``solver.SolverConfig``,
+whose fields, defaults and range rules define that part of the schema.
+Every applied default is recorded in ``SimConfig.provenance`` so
 ``prphase check`` can show exactly what a run will use.
 """
 
@@ -30,13 +32,14 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass, field, fields
+from typing import List, Optional, Tuple, get_type_hints
 
 import yaml
 
 from .eos import R_DEFAULT, Substance, get_substance, load_substance
-from .errors import ConfigError
+from .errors import ConfigError, ParameterError
+from .solver import SolverConfig
 
 _INITIAL_KINDS = ("square_droplet", "disk", "uniform", "from_file")
 _FORMATS = ("txt", "csv")
@@ -59,17 +62,6 @@ class InitialCondition:
 
 
 @dataclass(frozen=True)
-class SolverOptions:
-    cg_rel_tol: float = 1e-10
-    cg_max_iter: Optional[int] = None
-    preconditioner: str = "diagonal"
-    mobility: float = 1.0
-    on_violation: str = "continue"
-    energy_slack_rel: float = 1e-8
-    bounds_slack_rel: float = 1e-10
-
-
-@dataclass(frozen=True)
 class OutputOptions:
     directory: str = "out"
     snapshot_every: int = 50
@@ -83,17 +75,20 @@ class SimConfig:
     vartheta0: float
     R: float
     grid: GridConfig
-    tau: float
     n_steps: int
     c_gas: float
     c_liq: float
     bounds_factors: Tuple[float, float]
     lam: Optional[float]
     initial: InitialCondition
-    solver: SolverOptions
+    solver: SolverConfig
     output: OutputOptions
     source_path: Optional[str] = None
     provenance: Tuple[str, ...] = field(default_factory=tuple)
+
+    @property
+    def tau(self) -> float:
+        return self.solver.tau
 
     @property
     def c_m(self) -> float:
@@ -250,7 +245,7 @@ def load_config(path: str) -> SimConfig:
     L_half = _as_positive(_require(grid_raw, "L_half", "grid."), "grid.L_half")
     grid = GridConfig(N=N, M=M, L_half=L_half)
 
-    tau = _as_positive(_require(raw, "tau", ""), "tau")
+    tau = _as_float(_require(raw, "tau", ""), "tau")
     n_steps = _as_int(_require(raw, "n_steps", ""), "n_steps")
     if n_steps < 0:
         raise ConfigError(f"n_steps: must be nonnegative, got {n_steps}")
@@ -284,43 +279,27 @@ def load_config(path: str) -> SimConfig:
     solver_raw = raw.get("solver", {}) or {}
     if not isinstance(solver_raw, dict):
         raise ConfigError("solver: expected a table")
-    solver_defaults = SolverOptions()
-    unknown = sorted(set(solver_raw) - {
-        "cg_rel_tol", "cg_max_iter", "preconditioner", "mobility",
-        "on_violation", "energy_slack_rel", "bounds_slack_rel",
-    })
+    knobs = [f for f in fields(SolverConfig) if f.name != "tau"]
+    unknown = sorted(set(solver_raw) - {f.name for f in knobs})
     if unknown:
         raise ConfigError(f"solver: unknown keys {unknown}")
+    # Only YAML types are coerced here; SolverConfig owns the range rules.
+    hints = get_type_hints(SolverConfig)
     sol_kwargs = {}
-    for key, default in (
-        ("cg_rel_tol", solver_defaults.cg_rel_tol),
-        ("mobility", solver_defaults.mobility),
-        ("energy_slack_rel", solver_defaults.energy_slack_rel),
-        ("bounds_slack_rel", solver_defaults.bounds_slack_rel),
-    ):
-        if key in solver_raw:
-            sol_kwargs[key] = _as_positive(solver_raw[key], f"solver.{key}")
-        else:
-            sol_kwargs[key] = default
-            provenance.append(f"solver.{key}: default {default}")
-    if solver_raw.get("cg_max_iter") is not None:
-        sol_kwargs["cg_max_iter"] = _as_int(solver_raw["cg_max_iter"], "solver.cg_max_iter")
-        if sol_kwargs["cg_max_iter"] < 1:
-            raise ConfigError(f"solver.cg_max_iter: must be >= 1, got {sol_kwargs['cg_max_iter']}")
-    else:
-        sol_kwargs["cg_max_iter"] = None
-        provenance.append("solver.cg_max_iter: default 10 * N * M")
-    for key, allowed in (("preconditioner", ("diagonal", "none")),
-                         ("on_violation", ("continue", "abort"))):
-        if key in solver_raw:
-            value = solver_raw[key]
-            if value not in allowed:
-                raise ConfigError(f"solver.{key}: expected one of {allowed}, got {value!r}")
-            sol_kwargs[key] = value
-        else:
-            sol_kwargs[key] = getattr(solver_defaults, key)
-            provenance.append(f"solver.{key}: default {getattr(solver_defaults, key)}")
-    solver = SolverOptions(**sol_kwargs)
+    for f in knobs:
+        if f.name not in solver_raw:
+            provenance.append(f"solver.{f.name}: default {f.default}")
+            continue
+        value = solver_raw[f.name]
+        if hints[f.name] is float:
+            value = _as_float(value, f"solver.{f.name}")
+        elif hints[f.name] == Optional[int] and value is not None:
+            value = _as_int(value, f"solver.{f.name}")
+        sol_kwargs[f.name] = value
+    try:
+        solver = SolverConfig(tau=tau, **sol_kwargs)
+    except ParameterError as exc:
+        raise ConfigError(f"{'' if exc.key == 'tau' else 'solver.'}{exc}") from None
 
     output_raw = raw.get("output", {}) or {}
     if not isinstance(output_raw, dict):
@@ -350,8 +329,8 @@ def load_config(path: str) -> SimConfig:
                            formats=tuple(formats_raw))
 
     return SimConfig(
-        substance=substance, T=T, vartheta0=vartheta0, R=R, grid=grid, tau=tau,
-        n_steps=n_steps, c_gas=c_gas, c_liq=c_liq, bounds_factors=bf, lam=lam,
-        initial=initial, solver=solver, output=output,
+        substance=substance, T=T, vartheta0=vartheta0, R=R, grid=grid, n_steps=n_steps,
+        c_gas=c_gas, c_liq=c_liq, bounds_factors=bf, lam=lam, initial=initial,
+        solver=solver, output=output,
         source_path=os.path.abspath(path), provenance=tuple(provenance),
     )

@@ -134,23 +134,6 @@ def admissible_interval(
     return AdmissibleInterval(mu_lower=float(mu_lower), mu_upper=float(mu_upper))
 
 
-def a_priori_multiplier_bounds(
-    c_t: float, ef: EfParams, p: EosParams, g: Grid2D, n_samples: int = 20000
-) -> AdmissibleInterval:
-    """Sharper per-run bounds using the mean density c_t/|Omega|.
-
-        nu(c_M)*c_t/|Omega| - max s_r  <=  mu_e  <=  nu(c_m)*c_t/|Omega| - min s_r
-
-    (nu is decreasing, so nu(c_M) and nu(c_m) are its extremes on the window.)
-    """
-    cs = np.linspace(ef.c_m, ef.c_M, n_samples)
-    sr_vals = np.asarray(s_r(cs, ef, p))
-    mean_c = c_t / g.area
-    lo = float(nu(ef.c_M, ef, p)) * mean_c - float(np.max(sr_vals))
-    hi = float(nu(ef.c_m, ef, p)) * mean_c - float(np.min(sr_vals))
-    return AdmissibleInterval(mu_lower=lo, mu_upper=hi)
-
-
 def shape_anisotropy(c: np.ndarray, g: Grid2D, threshold: float) -> float:
     """Deviation of the region {c > threshold} from a centered disk.
 

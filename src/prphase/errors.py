@@ -11,7 +11,17 @@ class PrPhaseError(Exception):
 
 
 class ParameterError(PrPhaseError):
-    """A physical or model parameter is invalid (non-finite, wrong sign, ...)."""
+    """A physical or model parameter is invalid (non-finite, wrong sign, ...).
+
+    Attributes
+    ----------
+    key : str or None
+        Name of the offending parameter, when the raiser knows it.
+    """
+
+    def __init__(self, message: str, key=None):
+        super().__init__(message)
+        self.key = key
 
 
 class ConfigError(PrPhaseError):

@@ -1,11 +1,16 @@
 """End-to-end experiment driver: build the initial field, march the
 stepper, and write series/snapshot/summary artifacts.
 
+``solver.run`` computes the target mass, the multiplier interval and the
+energy of every state, the initial one included; this module writes them
+out from the step reports and recomputes none of them.  Snapshot 0 and the
+initial shape metric are taken before the march starts.
+
 Artifacts (all plain text, written under the configured output directory):
 
-  series.csv          one row per step with energy, multiplier and solver
-                      statistics; step 0 carries the initial energies and
-                      ``nan`` in the solver columns.
+  series.csv          one row per step report with energy, multiplier and
+                      solver statistics; step 0 carries the initial energies
+                      and ``nan`` in the multiplier and residual columns.
   snapshot_XXXXXX.txt the cell field at step XXXXXX: ``# key value`` header
                       lines (N, M, h, x0, y0, step, time) followed by one
                       value per line in row-major order.  Values are written
@@ -33,8 +38,8 @@ from .config import SimConfig
 from .ef import EfParams, scheme_coefficients
 from .eos import derive_eos_params
 from .errors import ConfigError, ParameterError
-from .grid import Grid2D, inner
-from .solver import SolverConfig, StepReport
+from .grid import Grid2D
+from .solver import StepReport
 
 log = logging.getLogger(__name__)
 
@@ -141,7 +146,14 @@ def write_matrix_csv(path: str, c: np.ndarray) -> None:
             fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
-def _series_row(values) -> str:
+def _series_row(report: StepReport, tau: float) -> str:
+    e = report.breakdown
+    values = (
+        report.step_index, report.step_index * tau, e.total, e.bulk, e.gradient,
+        report.mu_e, report.interval.mu_lower, report.interval.mu_upper,
+        report.c_min, report.c_max, report.mass,
+        report.cg_iters_1 + report.cg_iters_2, max(report.residual_1, report.residual_2),
+    )
     return ",".join(repr(float(v)) for v in values) + "\n"
 
 
@@ -167,16 +179,6 @@ def run_experiment(cfg: SimConfig, output_dir: Optional[str] = None) -> int:
     p = derive_eos_params(cfg.substance, cfg.T, vartheta0=cfg.vartheta0, R=cfg.R)
     ef = EfParams.for_window(cfg.c_m, cfg.c_M, p, lam=cfg.lam)
     g = make_grid(cfg)
-    scfg = SolverConfig(
-        tau=cfg.tau,
-        cg_rel_tol=cfg.solver.cg_rel_tol,
-        cg_max_iter=cfg.solver.cg_max_iter,
-        preconditioner=cfg.solver.preconditioner,
-        mobility=cfg.solver.mobility,
-        on_violation=cfg.solver.on_violation,
-        energy_slack_rel=cfg.solver.energy_slack_rel,
-        bounds_slack_rel=cfg.solver.bounds_slack_rel,
-    )
 
     for line in cfg.provenance:
         log.info("config default applied - %s", line)
@@ -188,12 +190,8 @@ def run_experiment(cfg: SimConfig, output_dir: Optional[str] = None) -> int:
     c0 = build_initial(cfg, g)
     # The stepper's window handling is configurable mid-run, but a bad
     # initial state is a setup mistake: fail as a domain error up front.
-    scheme_coefficients(c0, ef, p,
-                        bounds_slack=scfg.bounds_slack_rel * max(abs(ef.c_m), abs(ef.c_M)))
-    ones = np.ones(g.cell_shape())
-    c_t = inner(c0, ones, g)
-    interval = diagnostics.admissible_interval(ef, p)
-    energy0 = diagnostics.discrete_energy(c0, p, p.kappa, g)
+    slack = cfg.solver.bounds_slack_rel * max(abs(ef.c_m), abs(ef.c_M))
+    scheme_coefficients(c0, ef, p, bounds_slack=slack)
     threshold = 0.5 * (cfg.c_gas + cfg.c_liq)
 
     def snapshot_paths(step: int):
@@ -213,24 +211,15 @@ def run_experiment(cfg: SimConfig, output_dir: Optional[str] = None) -> int:
     series_path = os.path.join(out_dir, "series.csv")
     series = open(series_path, "w", encoding="utf-8")
     series.write(",".join(SERIES_COLUMNS) + "\n")
-    nan = float("nan")
-    series.write(_series_row([
-        0, 0.0, energy0.total, energy0.bulk, energy0.gradient, nan,
-        interval.mu_lower, interval.mu_upper, float(np.min(c0)), float(np.max(c0)),
-        c_t, 0, nan,
-    ]))
 
-    state = {"violations": 0, "last_step": 0, "max_mass_drift": 0.0}
+    # ``initial`` holds the step-0 report: target mass, interval, energy.
+    state = {"violations": 0, "max_mass_drift": 0.0, "initial": None}
 
     def observer(c: np.ndarray, report: StepReport) -> None:
-        breakdown = diagnostics.discrete_energy(c, p, p.kappa, g)
-        series.write(_series_row([
-            report.step_index, report.step_index * cfg.tau, breakdown.total,
-            breakdown.bulk, breakdown.gradient, report.mu_e, interval.mu_lower,
-            interval.mu_upper, report.c_min, report.c_max, report.mass,
-            report.cg_iters_1 + report.cg_iters_2,
-            max(report.residual_1, report.residual_2),
-        ]))
+        series.write(_series_row(report, cfg.tau))
+        if report.step_index == 0:
+            state["initial"] = report
+            return
         if not report.all_ok:
             state["violations"] += 1
             log.warning(
@@ -238,16 +227,16 @@ def run_experiment(cfg: SimConfig, output_dir: Optional[str] = None) -> int:
                 report.step_index, report.admissibility_ok, report.bounds_ok,
                 report.energy_decreased,
             )
+        c_t = state["initial"].mass
         drift = abs(report.mass - c_t) / abs(c_t)
         state["max_mass_drift"] = max(state["max_mass_drift"], drift)
-        state["last_step"] = report.step_index
         if report.step_index == 1:
             aniso["step_1"] = _safe_anisotropy(c, g, threshold)
         if report.step_index % cfg.output.snapshot_every == 0:
             emit_snapshot(c, report.step_index)
 
     try:
-        c_final, reports = solver.run(c0, cfg.n_steps, ef, p, scfg, g, observer=observer)
+        c_final, reports = solver.run(c0, cfg.n_steps, ef, p, cfg.solver, g, observer=observer)
     finally:
         series.close()
 
@@ -257,7 +246,8 @@ def run_experiment(cfg: SimConfig, output_dir: Optional[str] = None) -> int:
 
     mass_ok = state["max_mass_drift"] <= 1e-8
     exit_code = 0 if (state["violations"] == 0 and mass_ok) else 5
-    final_energy = reports[-1].energy if reports else energy0.total
+    initial = state["initial"]
+    final_energy = reports[-1].energy if reports else initial.energy
     summary = {
         "substance": cfg.substance.name,
         "T": cfg.T,
@@ -266,11 +256,11 @@ def run_experiment(cfg: SimConfig, output_dir: Optional[str] = None) -> int:
         "n_steps": cfg.n_steps,
         "lambda": ef.lam,
         "density_window": [ef.c_m, ef.c_M],
-        "mu_interval": [interval.mu_lower, interval.mu_upper],
-        "target_total_moles": c_t,
+        "mu_interval": [initial.interval.mu_lower, initial.interval.mu_upper],
+        "target_total_moles": initial.mass,
         "max_mass_drift_rel": state["max_mass_drift"],
         "mass_conserved": mass_ok,
-        "initial_energy": energy0.total,
+        "initial_energy": initial.energy,
         "final_energy": final_energy,
         "invariant_violations": state["violations"],
         "all_steps_admissible": all(r.admissibility_ok for r in reports),
@@ -284,6 +274,6 @@ def run_experiment(cfg: SimConfig, output_dir: Optional[str] = None) -> int:
         fh.write("\n")
     log.info(
         "finished %d steps: F from %.6e to %.6e J, %d violations, exit %d",
-        cfg.n_steps, energy0.total, final_energy, state["violations"], exit_code,
+        cfg.n_steps, initial.energy, final_energy, state["violations"], exit_code,
     )
     return exit_code

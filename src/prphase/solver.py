@@ -31,7 +31,7 @@ import numpy as np
 from . import diagnostics
 from .ef import EfParams, SchemeCoefficients, scheme_coefficients
 from .eos import EosParams
-from .errors import BoundsViolationError, ConvergenceError, InvariantViolation, ParameterError
+from .errors import ConvergenceError, InvariantViolation, ParameterError
 from .grid import Grid2D, discrete_laplacian, inner
 
 log = logging.getLogger(__name__)
@@ -67,24 +67,23 @@ class SolverConfig:
     bounds_slack_rel: float = 1e-10
 
     def __post_init__(self):
-        if not (math.isfinite(self.tau) and self.tau > 0):
-            raise ParameterError(f"tau must be finite and positive, got {self.tau!r}")
-        if not (0.0 < self.cg_rel_tol < 1.0):
-            raise ParameterError(f"cg_rel_tol must lie in (0, 1), got {self.cg_rel_tol!r}")
-        if self.cg_max_iter is not None and self.cg_max_iter < 1:
-            raise ParameterError(f"cg_max_iter must be >= 1, got {self.cg_max_iter!r}")
-        if self.preconditioner not in _PRECONDITIONERS:
-            raise ParameterError(
-                f"preconditioner must be one of {_PRECONDITIONERS}, got {self.preconditioner!r}"
-            )
-        if not (math.isfinite(self.mobility) and self.mobility > 0):
-            raise ParameterError(f"mobility must be finite and positive, got {self.mobility!r}")
-        if self.on_violation not in _VIOLATION_MODES:
-            raise ParameterError(
-                f"on_violation must be one of {_VIOLATION_MODES}, got {self.on_violation!r}"
-            )
-        if not (self.energy_slack_rel >= 0 and self.bounds_slack_rel >= 0):
-            raise ParameterError("invariant slacks must be nonnegative")
+        # ParameterError.key names the field; the config loader maps it to a YAML key.
+        rules = (
+            ("tau", math.isfinite(self.tau) and self.tau > 0, "must be finite and positive"),
+            ("cg_rel_tol", 0.0 < self.cg_rel_tol < 1.0, "must be positive and below 1"),
+            ("cg_max_iter", self.cg_max_iter is None or self.cg_max_iter >= 1, "must be >= 1"),
+            ("preconditioner", self.preconditioner in _PRECONDITIONERS,
+             f"must be one of {_PRECONDITIONERS}"),
+            ("mobility", math.isfinite(self.mobility) and self.mobility > 0,
+             "must be finite and positive"),
+            ("on_violation", self.on_violation in _VIOLATION_MODES,
+             f"must be one of {_VIOLATION_MODES}"),
+            ("energy_slack_rel", self.energy_slack_rel >= 0, "must be nonnegative"),
+            ("bounds_slack_rel", self.bounds_slack_rel >= 0, "must be nonnegative"),
+        )
+        for key, ok, rule in rules:
+            if not ok:
+                raise ParameterError(f"{key}: {rule}, got {getattr(self, key)!r}", key=key)
 
     def tau_eff(self) -> float:
         return self.tau * self.mobility
@@ -95,11 +94,16 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class StepReport:
-    """Per-step record of the solve and the invariant checks."""
+    """Per-step record of the solve and the invariant checks.
+
+    Step 0 describes the initial state: ``nan`` multiplier and residuals,
+    zero iterations, and only the window check is made.
+    """
 
     step_index: int
     mu_e: float
-    energy: float
+    breakdown: diagnostics.EnergyBreakdown
+    interval: diagnostics.AdmissibleInterval
     c_min: float
     c_max: float
     mass: float
@@ -110,6 +114,11 @@ class StepReport:
     admissibility_ok: bool
     bounds_ok: bool
     energy_decreased: bool
+
+    @property
+    def energy(self) -> float:
+        """Total discrete energy in J."""
+        return self.breakdown.total
 
     @property
     def all_ok(self) -> bool:
@@ -203,119 +212,6 @@ def solve_spd(
     )
 
 
-def _check_window(c: np.ndarray, ef: EfParams, cfg: SolverConfig) -> Tuple[bool, float]:
-    slack = cfg.bounds_slack_rel * max(abs(ef.c_m), abs(ef.c_M))
-    ok = bool(np.min(c) >= ef.c_m - slack and np.max(c) <= ef.c_M + slack)
-    return ok, slack
-
-
-def _advance(
-    c_old: np.ndarray,
-    ef: EfParams,
-    p: EosParams,
-    cfg: SolverConfig,
-    g: Grid2D,
-    step_index: int,
-    c_t: float,
-    interval: "diagnostics.AdmissibleInterval",
-    energy_slack: float,
-    prev_energy: float,
-    warm1: Optional[np.ndarray],
-    warm2: Optional[np.ndarray],
-):
-    """One step; returns (c_new, report, y1, y2) with y1/y2 kept for warm starts."""
-    ok_in, slack = _check_window(c_old, ef, cfg)
-    if not ok_in and cfg.on_violation == "abort":
-        # Re-raise with the offending cell identified.
-        scheme_coefficients(c_old, ef, p, bounds_slack=slack)
-    coeffs = scheme_coefficients(c_old, ef, p, bounds_slack=np.inf if not ok_in else slack)
-    if not ok_in:
-        warnings.warn(
-            f"step {step_index}: previous state leaves the density window "
-            f"[{ef.c_m}, {ef.c_M}]; continuing as configured",
-            stacklevel=2,
-        )
-
-    tau_eff = cfg.tau_eff()
-    ones = np.ones(g.cell_shape())
-    rhs1 = c_old / tau_eff + coeffs.s_r
-    y1, it1, res1 = solve_spd(rhs1, coeffs, cfg, p.kappa, g, x0=warm1)
-    y2, it2, res2 = solve_spd(ones, coeffs, cfg, p.kappa, g, x0=warm2)
-
-    s2 = inner(y2, ones, g)
-    if not s2 > 0.0:
-        raise ConvergenceError(f"degenerate multiplier denominator <A^-1 1, 1> = {s2}")
-    mu_e = (c_t - inner(y1, ones, g)) / s2
-    c_new = y1 + mu_e * y2
-
-    mass = inner(c_new, ones, g)
-    energy = diagnostics.discrete_energy(c_new, p, p.kappa, g).total
-    bounds_ok, _ = _check_window(c_new, ef, cfg)
-    admissibility_ok = bool(interval.mu_lower <= mu_e <= interval.mu_upper)
-    energy_decreased = bool(energy <= prev_energy + energy_slack)
-
-    report = StepReport(
-        step_index=step_index,
-        mu_e=float(mu_e),
-        energy=float(energy),
-        c_min=float(np.min(c_new)),
-        c_max=float(np.max(c_new)),
-        mass=float(mass),
-        cg_iters_1=it1,
-        cg_iters_2=it2,
-        residual_1=float(res1),
-        residual_2=float(res2),
-        admissibility_ok=admissibility_ok,
-        bounds_ok=bounds_ok,
-        energy_decreased=energy_decreased,
-    )
-    if cfg.on_violation == "abort" and not report.all_ok:
-        raise InvariantViolation(
-            f"step {step_index}: invariant check failed "
-            f"(admissibility={admissibility_ok}, bounds={bounds_ok}, "
-            f"dissipation={energy_decreased})"
-        )
-    return c_new, report, y1, y2
-
-
-def step(
-    c_old: np.ndarray,
-    ef: EfParams,
-    p: EosParams,
-    cfg: SolverConfig,
-    g: Grid2D,
-    c_t: Optional[float] = None,
-    interval: Optional["diagnostics.AdmissibleInterval"] = None,
-    prev_energy: Optional[float] = None,
-    energy_baseline: Optional[float] = None,
-) -> Tuple[np.ndarray, StepReport]:
-    """Advance one step of size cfg.tau.
-
-    ``c_t`` (target total moles), the admissible multiplier ``interval``,
-    and the previous energy may be passed in to avoid recomputation inside
-    loops; each defaults to the value implied by ``c_old``.  The dissipation
-    check allows energy_slack_rel * |energy_baseline| of increase, with the
-    baseline defaulting to the previous energy.
-    """
-    c_old = np.asarray(c_old, dtype=float)
-    if c_old.shape != g.cell_shape():
-        raise ParameterError(f"step: expected cell shape {g.cell_shape()}, got {c_old.shape}")
-    ones = np.ones(g.cell_shape())
-    if c_t is None:
-        c_t = inner(c_old, ones, g)
-    if interval is None:
-        interval = diagnostics.admissible_interval(ef, p)
-    if prev_energy is None:
-        prev_energy = diagnostics.discrete_energy(c_old, p, p.kappa, g).total
-    if energy_baseline is None:
-        energy_baseline = prev_energy
-    energy_slack = cfg.energy_slack_rel * abs(energy_baseline)
-    c_new, report, _, _ = _advance(
-        c_old, ef, p, cfg, g, 0, c_t, interval, energy_slack, prev_energy, None, None
-    )
-    return c_new, report
-
-
 def run(
     c0: np.ndarray,
     n_steps: int,
@@ -325,38 +221,92 @@ def run(
     g: Grid2D,
     observer: Optional[Callable[[np.ndarray, StepReport], None]] = None,
 ) -> Tuple[np.ndarray, List[StepReport]]:
-    """March ``n_steps`` steps from ``c0``.
+    """March ``n_steps`` steps from ``c0``; returns (final field, reports 1..n).
 
-    The target mass, admissible interval and energy slack are fixed once
-    from the initial state; each linear solve is warm-started from the
-    previous step.  ``observer(c, report)`` is called after every step.
+    The target mass, admissible interval and initial energy are computed
+    once from ``c0``; the dissipation check allows energy_slack_rel times
+    the initial energy of increase.  Each linear solve is warm-started from
+    the previous step.  ``observer(c, report)`` sees the initial state as
+    step 0 (``nan`` multiplier and residuals, zero iterations) and then
+    every step.
     """
     if n_steps < 0:
         raise ParameterError(f"n_steps must be nonnegative, got {n_steps}")
     c = np.array(c0, dtype=float, copy=True)
     if c.shape != g.cell_shape():
         raise ParameterError(f"run: expected cell shape {g.cell_shape()}, got {c.shape}")
-    ones = np.ones(g.cell_shape())
-    c_t = inner(c, ones, g)
     interval = diagnostics.admissible_interval(ef, p)
     if interval.empty:
         raise ParameterError(
             f"admissible multiplier interval is empty for this window: "
             f"[{interval.mu_lower}, {interval.mu_upper}]"
         )
-    energy0 = diagnostics.discrete_energy(c, p, p.kappa, g).total
-    energy_slack = cfg.energy_slack_rel * abs(energy0)
+    ones = np.ones(g.cell_shape())
+    c_t = inner(c, ones, g)
+    slack = cfg.bounds_slack_rel * max(abs(ef.c_m), abs(ef.c_M))
+    c_min, c_max = float(np.min(c)), float(np.max(c))
+    nan = float("nan")
+    report = StepReport(
+        step_index=0, mu_e=nan, breakdown=diagnostics.discrete_energy(c, p, p.kappa, g),
+        interval=interval, c_min=c_min, c_max=c_max, mass=float(c_t),
+        cg_iters_1=0, cg_iters_2=0, residual_1=nan, residual_2=nan,
+        admissibility_ok=True,
+        bounds_ok=bool(c_min >= ef.c_m - slack and c_max <= ef.c_M + slack),
+        energy_decreased=True,
+    )
+    energy_slack = cfg.energy_slack_rel * abs(report.energy)
+    if observer is not None:
+        observer(c, report)
 
+    tau_eff = cfg.tau_eff()
     reports: List[StepReport] = []
-    prev_energy = energy0
-    warm1: Optional[np.ndarray] = None
-    warm2: Optional[np.ndarray] = None
+    y1: Optional[np.ndarray] = None
+    y2: Optional[np.ndarray] = None
     for n in range(1, n_steps + 1):
-        c, report, warm1, warm2 = _advance(
-            c, ef, p, cfg, g, n, c_t, interval, energy_slack, prev_energy, warm1, warm2
+        # A state outside the window raises here, naming the offending
+        # cell, unless the run is configured to continue past it.
+        keep_going = not report.bounds_ok and cfg.on_violation == "continue"
+        coeffs = scheme_coefficients(c, ef, p, bounds_slack=np.inf if keep_going else slack)
+        if keep_going:
+            warnings.warn(
+                f"step {n}: previous state leaves the density window "
+                f"[{ef.c_m}, {ef.c_M}]; continuing as configured",
+                stacklevel=2,
+            )
+        # y1/y2 are kept as the next step's warm starts.
+        y1, it1, res1 = solve_spd(c / tau_eff + coeffs.s_r, coeffs, cfg, p.kappa, g, x0=y1)
+        y2, it2, res2 = solve_spd(ones, coeffs, cfg, p.kappa, g, x0=y2)
+        s2 = inner(y2, ones, g)
+        if not s2 > 0.0:
+            raise ConvergenceError(f"degenerate multiplier denominator <A^-1 1, 1> = {s2}")
+        mu_e = float((c_t - inner(y1, ones, g)) / s2)
+        c = y1 + mu_e * y2
+
+        breakdown = diagnostics.discrete_energy(c, p, p.kappa, g)
+        c_min, c_max = float(np.min(c)), float(np.max(c))
+        report = StepReport(
+            step_index=n, mu_e=mu_e, breakdown=breakdown, interval=interval,
+            c_min=c_min, c_max=c_max, mass=float(inner(c, ones, g)),
+            cg_iters_1=it1, cg_iters_2=it2, residual_1=float(res1), residual_2=float(res2),
+            admissibility_ok=interval.contains(mu_e),
+            bounds_ok=bool(c_min >= ef.c_m - slack and c_max <= ef.c_M + slack),
+            energy_decreased=bool(breakdown.total <= report.energy + energy_slack),
         )
-        prev_energy = report.energy
+        if cfg.on_violation == "abort" and not report.all_ok:
+            raise InvariantViolation(
+                f"step {n}: invariant check failed "
+                f"(admissibility={report.admissibility_ok}, bounds={report.bounds_ok}, "
+                f"dissipation={report.energy_decreased})"
+            )
         reports.append(report)
         if observer is not None:
             observer(c, report)
     return c, reports
+
+
+def step(
+    c_old: np.ndarray, ef: EfParams, p: EosParams, cfg: SolverConfig, g: Grid2D
+) -> Tuple[np.ndarray, StepReport]:
+    """Advance one step of size cfg.tau: the first step of ``run`` from ``c_old``."""
+    c_new, reports = run(c_old, 1, ef, p, cfg, g)
+    return c_new, reports[0]

@@ -14,6 +14,8 @@ import yaml
 
 import prphase
 from prphase.cli import main
+from prphase.config import load_config
+from prphase.experiment import run_experiment
 
 from conftest import C_GAS, C_LIQ
 
@@ -48,6 +50,7 @@ class TestCheck:
         assert "100 x 100" in out
         assert "density window" in out
         assert "defaults applied" in out
+        assert "cg_rel_tol=1e-10" in out
 
     def test_file_path(self, tmp_path, capsys):
         path = write_config(tmp_path, tiny_dict())
@@ -84,6 +87,26 @@ class TestRun:
 
         assert (out / "snapshot_000000.txt").exists()  # initial state
         assert (out / "snapshot_000005.txt").exists()  # final, off-cadence
+
+    def test_one_energy_evaluation_per_step(self, tmp_path, monkeypatch):
+        # the march evaluates the energy of each state once and the multiplier
+        # interval once per run; the experiment recomputes neither
+        counts = {"discrete_energy": 0, "admissible_interval": 0}
+        for name in counts:
+            original = getattr(prphase.diagnostics, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            for module in list(sys.modules.values()):
+                if (getattr(module, "__name__", "").startswith("prphase")
+                        and vars(module).get(name) is original):
+                    monkeypatch.setattr(module, name, counted)
+        n_steps = 5
+        cfg = load_config(write_config(tmp_path, tiny_dict(n_steps=n_steps)))
+        assert run_experiment(cfg, str(tmp_path / "out")) == 0
+        assert counts == {"discrete_energy": n_steps + 1, "admissible_interval": 1}
 
     def test_snapshot_cadence_and_csv(self, tmp_path):
         d = tiny_dict(n_steps=4,

@@ -163,10 +163,15 @@ class TestLoadConfig:
         ({"cg_rel_tol": -1.0}, "positive"),
         ({"cg_max_iter": 0}, "cg_max_iter"),
         ({"petsc": True}, "unknown keys"),
+        ({"cg_rel_tol": 2.0}, "solver.cg_rel_tol"),
     ])
     def test_solver_validation(self, tmp_path, solver, msg):
         with pytest.raises(ConfigError, match=msg):
             load_config(write_config(tmp_path, base_dict(solver=solver)))
+
+    def test_zero_energy_slack_loads(self, tmp_path):
+        cfg = load_config(write_config(tmp_path, base_dict(solver={"energy_slack_rel": 0.0})))
+        assert cfg.solver.energy_slack_rel == 0.0
 
     @pytest.mark.parametrize("output,msg", [
         ({"formats": ["hdf5"]}, "unknown format"),

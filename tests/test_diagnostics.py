@@ -6,15 +6,11 @@ from prphase import (
     EfParams,
     Grid2D,
     ParameterError,
-    SolverConfig,
     admissible_interval,
     bulk_free_energy,
     discrete_energy,
-    inner,
     shape_anisotropy,
-    step,
 )
-from prphase.diagnostics import a_priori_multiplier_bounds
 from prphase.ef import nu, s_r
 
 import oracles
@@ -136,26 +132,6 @@ class TestAdmissibleInterval:
     def test_sample_count_validated(self, nc4, window):
         with pytest.raises(ParameterError, match="n_samples"):
             admissible_interval(window, nc4, n_samples=1)
-
-
-class TestAPrioriBounds:
-    def test_contains_uniform_fixed_point_multiplier(self, nc4, window):
-        from prphase import bulk_chemical_potential
-
-        g = Grid2D(nx=4, ny=4, h=0.5)
-        for c_bar in (300.0, 2000.0, 9000.0):
-            c_t = c_bar * g.area
-            iv = a_priori_multiplier_bounds(c_t, window, nc4, g)
-            assert iv.contains(float(bulk_chemical_potential(c_bar, nc4)))
-
-    def test_contains_actual_step_multiplier(self, nc4, window):
-        g = Grid2D(nx=8, ny=8, h=3.0e-8 / 8)
-        c0 = np.full(g.cell_shape(), C_GAS)
-        c0[2:6, 2:6] = C_LIQ
-        c_t = inner(c0, np.ones(g.cell_shape()), g)
-        _, report = step(c0, window, nc4, SolverConfig(tau=1e10), g)
-        iv = a_priori_multiplier_bounds(c_t, window, nc4, g)
-        assert iv.contains(report.mu_e)
 
 
 def indicator_grid(n=64):

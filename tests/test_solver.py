@@ -273,7 +273,7 @@ class TestRun:
         g, c0, cfg = droplet_setup
         seen = []
         run(c0, 5, window, nc4, cfg, g, observer=lambda c, rep: seen.append(rep.step_index))
-        assert seen == [1, 2, 3, 4, 5]
+        assert seen == [0, 1, 2, 3, 4, 5]
 
     def test_deterministic_reruns(self, nc4, window, droplet_setup, marched):
         g, c0, cfg = droplet_setup
