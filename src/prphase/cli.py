@@ -36,7 +36,7 @@ from .errors import (
     InvariantViolation,
     ParameterError,
 )
-from .experiment import run_experiment
+from .experiment import build_initial, run_experiment
 
 log = logging.getLogger(__name__)
 
@@ -68,19 +68,20 @@ def _cmd_run(args) -> int:
     return run_experiment(cfg, output_dir=args.output_dir)
 
 
-def _describe(cfg: SimConfig) -> str:
+def _describe(cfg: SimConfig, c0) -> str:
+    g, w = cfg.grid, cfg.window
     lines = [
         f"substance        {cfg.substance.name} "
         f"(Tc={cfg.substance.T_c} K, Pc={cfg.substance.P_c} Pa, omega={cfg.substance.omega})",
-        f"temperature      {cfg.T} K",
-        f"grid             {cfg.grid.N} x {cfg.grid.M} cells on [-{cfg.grid.L_half}, {cfg.grid.L_half}]^2 m",
+        f"temperature      {cfg.eos.T} K",
+        f"grid             {g.nx} x {g.ny} cells on [{g.x0}, {-g.x0}]^2 m",
         f"time step        {cfg.tau} s  x {cfg.n_steps} steps",
         f"bulk densities   gas {cfg.c_gas}  liquid {cfg.c_liq} mol/m^3",
-        f"density window   [{cfg.c_m}, {cfg.c_M}] mol/m^3",
-        f"lambda           {'minimal (computed at run time)' if cfg.lam is None else cfg.lam}",
+        f"density window   [{w.c_m}, {w.c_M}] mol/m^3",
+        f"lambda           {w.lam} (minimal {minimal_lambda(w.epsilon_0)})",
         "solver           " + " ".join(f"{f.name}={getattr(cfg.solver, f.name)}"
                                        for f in fields(cfg.solver) if f.name != "tau"),
-        f"initial          {cfg.initial.kind}",
+        f"initial          {cfg.initial.kind}, density in [{c0.min()}, {c0.max()}] mol/m^3",
         f"output           {cfg.output.directory} (snapshots every {cfg.output.snapshot_every}, "
         f"formats {list(cfg.output.formats)})",
     ]
@@ -92,8 +93,9 @@ def _describe(cfg: SimConfig) -> str:
 
 def _cmd_check(args) -> int:
     cfg = load_config(_resolve_config_arg(args.config))
+    c0 = build_initial(cfg)
     print(f"config OK: {cfg.source_path}")
-    print(_describe(cfg))
+    print(_describe(cfg, c0))
     return EXIT_OK
 
 

@@ -21,35 +21,42 @@ A run file looks like::
              energy_slack_rel: 1.0e-8, bounds_slack_rel: 1.0e-10}
     output: {directory: out, snapshot_every: 50, formats: [txt]}
 
-The domain is the square [-L_half, L_half]^2, so square cells require
-N == M.  ``tau`` and the ``solver`` table build one ``solver.SolverConfig``,
-whose fields, defaults and range rules define that part of the schema.
-Every applied default is recorded in ``SimConfig.provenance`` so
-``prphase check`` can show exactly what a run will use.
+``load_config`` builds the run's model from its own types: the constants
+(``eos.derive_eos_params``), the window and shift (``ef.EfParams.for_window``),
+the mesh of the square [-L_half, L_half]^2 (``grid.Grid2D``), one
+``solver.SolverConfig`` from ``tau`` and the ``solver`` table, and one
+``OutputOptions``; the fields and defaults of the last two define their
+tables.  Each type owns its rules.  The loader coerces YAML types, rejects
+unknown and missing keys, checks what concerns the file itself (N == M,
+c_gas < c_liq, a window holding both) and reports a ``ParameterError`` as a
+``ConfigError`` naming the key.  Every applied default is recorded in
+``SimConfig.provenance`` so ``prphase check`` can show exactly what a run
+will use.  ``experiment.build_initial`` builds the initial field and checks
+it against the window.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from typing import List, Optional, Tuple, get_type_hints
 
 import yaml
 
-from .eos import R_DEFAULT, Substance, get_substance, load_substance
+from .ef import EfParams
+from .eos import (EosParams, Substance, derive_eos_params, get_substance, load_substance,
+                  substance_from_table)
 from .errors import ConfigError, ParameterError
+from .grid import Grid2D
 from .solver import SolverConfig
 
-_INITIAL_KINDS = ("square_droplet", "disk", "uniform", "from_file")
+#: Initial-condition kinds and the one parameter each takes.
+_INITIAL_KINDS = {"square_droplet": "half_side", "disk": "radius", "uniform": "value",
+                  "from_file": "path"}
 _FORMATS = ("txt", "csv")
-
-
-@dataclass(frozen=True)
-class GridConfig:
-    N: int
-    M: int
-    L_half: float
 
 
 @dataclass(frozen=True)
@@ -63,23 +70,36 @@ class InitialCondition:
 
 @dataclass(frozen=True)
 class OutputOptions:
+    """Artifact settings: snapshots every ``snapshot_every`` steps (step 0 and
+    the last step always) in each of ``formats``, under ``directory``."""
+
     directory: str = "out"
     snapshot_every: int = 50
     formats: Tuple[str, ...] = ("txt",)
+
+    def __post_init__(self):
+        # ParameterError.key names the field; the config loader maps it to a YAML key.
+        rules = (
+            ("snapshot_every", self.snapshot_every >= 1, "must be >= 1"),
+            ("formats", len(self.formats) > 0, f"expected a nonempty list from {_FORMATS}"),
+            ("formats", all(fmt in _FORMATS for fmt in self.formats),
+             f"unknown format; expected from {_FORMATS}"),
+        )
+        for key, ok, rule in rules:
+            if not ok:
+                raise ParameterError(f"{key}: {rule}, got {getattr(self, key)!r}", key=key)
 
 
 @dataclass(frozen=True)
 class SimConfig:
     substance: Substance
-    T: float
-    vartheta0: float
-    R: float
-    grid: GridConfig
+    eos: EosParams
+    grid: Grid2D
     n_steps: int
     c_gas: float
     c_liq: float
     bounds_factors: Tuple[float, float]
-    lam: Optional[float]
+    window: EfParams
     initial: InitialCondition
     solver: SolverConfig
     output: OutputOptions
@@ -89,14 +109,6 @@ class SimConfig:
     @property
     def tau(self) -> float:
         return self.solver.tau
-
-    @property
-    def c_m(self) -> float:
-        return self.bounds_factors[0] * self.c_gas
-
-    @property
-    def c_M(self) -> float:
-        return self.bounds_factors[1] * self.c_liq
 
 
 def _require(table: dict, key: str, context: str):
@@ -133,6 +145,53 @@ def _as_int(value, key: str) -> int:
     return value
 
 
+def _coerce(value, hint, key: str):
+    """Convert a YAML value to a dataclass field's type; ranges are the type's business."""
+    if hint is float:
+        return _as_float(value, key)
+    if hint is int or (hint == Optional[int] and value is not None):
+        return _as_int(value, key)
+    if hint is str:
+        return str(value)
+    if hint == Tuple[str, ...]:
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{key}: expected a list, got {value!r}")
+        return tuple(value)
+    return value
+
+
+@contextmanager
+def _config_error(prefix=""):
+    """Report a ParameterError as a ConfigError starting with ``prefix``, or
+    with ``prefix[exc.key]`` when ``prefix`` is a mapping."""
+    try:
+        yield
+    except ParameterError as exc:
+        start = prefix.get(exc.key, "") if isinstance(prefix, dict) else prefix
+        raise ConfigError(f"{start}{exc}") from None
+
+
+def _load_table(raw: dict, name: str, cls, provenance: List[str], **fixed):
+    """Build ``cls`` from the ``fixed`` fields and the YAML table ``name``,
+    whose keys are the other fields; each default applied goes to ``provenance``."""
+    table = raw.get(name, {}) or {}
+    if not isinstance(table, dict):
+        raise ConfigError(f"{name}: expected a table")
+    knobs = [f for f in fields(cls) if f.name not in fixed]
+    unknown = sorted(set(table) - {f.name for f in knobs})
+    if unknown:
+        raise ConfigError(f"{name}: unknown keys {unknown}")
+    hints = get_type_hints(cls)
+    kwargs = dict(fixed)
+    for f in knobs:
+        if f.name in table:
+            kwargs[f.name] = _coerce(table[f.name], hints[f.name], f"{name}.{f.name}")
+        else:
+            provenance.append(f"{name}.{f.name}: default {f.default!r}")
+    with _config_error({f.name: f"{name}." for f in knobs}):
+        return cls(**kwargs)
+
+
 def _resolve_substance(raw, base_dir: str, provenance: List[str]) -> Substance:
     if raw is None:
         provenance.append("substance: default preset nC4")
@@ -146,57 +205,40 @@ def _resolve_substance(raw, base_dir: str, provenance: List[str]) -> Substance:
         except Exception as exc:
             raise ConfigError(f"substance: {raw!r} is neither a preset nor a readable file ({exc})") from exc
     if isinstance(raw, dict):
-        for key in ("name", "Tc_K", "Pc_bar", "omega"):
-            _require(raw, key, "substance.")
-        return Substance(
-            name=str(raw["name"]),
-            T_c=_as_positive(raw["Tc_K"], "substance.Tc_K"),
-            P_c=_as_positive(raw["Pc_bar"], "substance.Pc_bar") * 1.0e5,
-            omega=_as_float(raw["omega"], "substance.omega"),
-        )
+        with _config_error():
+            return substance_from_table(raw, "substance")
     raise ConfigError(f"substance: expected a name, path, or table, got {type(raw).__name__}")
 
 
-def _parse_initial(raw, grid: GridConfig) -> InitialCondition:
+def _parse_initial(raw, L_half: float) -> InitialCondition:
     if not isinstance(raw, dict) or len(raw) != 1:
         raise ConfigError(
-            f"initial_condition: expected exactly one of {_INITIAL_KINDS} as a one-entry table"
+            f"initial_condition: expected exactly one of {tuple(_INITIAL_KINDS)} as a one-entry table"
         )
     kind, params = next(iter(raw.items()))
     if kind not in _INITIAL_KINDS:
-        raise ConfigError(f"initial_condition: unknown kind {kind!r}; expected one of {_INITIAL_KINDS}")
+        raise ConfigError(f"initial_condition: unknown kind {kind!r}; "
+                          f"expected one of {tuple(_INITIAL_KINDS)}")
     params = params or {}
     if not isinstance(params, dict):
         raise ConfigError(f"initial_condition.{kind}: expected a table of parameters")
 
-    if kind == "square_droplet":
-        half = _as_positive(_require(params, "half_side", f"initial_condition.{kind}."),
-                            "initial_condition.square_droplet.half_side")
-        if half > grid.L_half:
-            raise ConfigError(
-                f"initial_condition.square_droplet.half_side: droplet (half side {half}) "
-                f"exceeds the domain half width {grid.L_half}"
-            )
-        return InitialCondition(kind=kind, half_side=half)
-    if kind == "disk":
-        radius = _as_positive(_require(params, "radius", f"initial_condition.{kind}."),
-                              "initial_condition.disk.radius")
-        if radius > grid.L_half:
-            raise ConfigError(
-                f"initial_condition.disk.radius: droplet (radius {radius}) "
-                f"exceeds the domain half width {grid.L_half}"
-            )
-        return InitialCondition(kind=kind, radius=radius)
-    if kind == "uniform":
-        value = _as_positive(_require(params, "value", f"initial_condition.{kind}."),
-                             "initial_condition.uniform.value")
-        return InitialCondition(kind=kind, value=value)
-    path = str(_require(params, "path", f"initial_condition.{kind}."))
-    return InitialCondition(kind=kind, path=path)
+    name = _INITIAL_KINDS[kind]
+    value = _require(params, name, f"initial_condition.{kind}.")
+    if kind == "from_file":
+        return InitialCondition(kind=kind, path=str(value))
+    key = f"initial_condition.{kind}.{name}"
+    value = _as_positive(value, key)
+    if kind != "uniform" and value > L_half:
+        raise ConfigError(
+            f"{key}: droplet ({name.replace('_', ' ')} {value}) "
+            f"exceeds the domain half width {L_half}"
+        )
+    return InitialCondition(kind=kind, **{name: value})
 
 
 def load_config(path: str) -> SimConfig:
-    """Parse and validate a YAML run file; error messages name the bad key."""
+    """Parse a YAML run file and build the run's model; errors name the bad key."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = yaml.safe_load(fh)
@@ -222,13 +264,16 @@ def load_config(path: str) -> SimConfig:
         raise ConfigError(f"unknown config keys: {unknown}")
 
     substance = _resolve_substance(raw.get("substance"), base_dir, provenance)
-    T = _as_positive(_require(raw, "T", ""), "T")
-    vartheta0 = _as_float(raw.get("vartheta0", 0.0), "vartheta0")
-    if "vartheta0" not in raw:
-        provenance.append("vartheta0: default 0.0")
-    R = _as_positive(raw.get("R", R_DEFAULT), "R")
-    if "R" not in raw:
-        provenance.append(f"R: default {R_DEFAULT}")
+    T = _as_float(_require(raw, "T", ""), "T")
+    eos_defaults = inspect.signature(derive_eos_params).parameters
+    eos_kwargs = {}
+    for key in ("vartheta0", "R"):
+        if key in raw:
+            eos_kwargs[key] = _as_float(raw[key], key)
+        else:
+            provenance.append(f"{key}: default {eos_defaults[key].default!r}")
+    with _config_error():
+        eos = derive_eos_params(substance, T, **eos_kwargs)
 
     grid_raw = _require(raw, "grid", "")
     if not isinstance(grid_raw, dict):
@@ -242,8 +287,9 @@ def load_config(path: str) -> SimConfig:
             f"grid.N/grid.M: the domain is the square [-L_half, L_half]^2, so square "
             f"cells require N == M; got N={N}, M={M}"
         )
-    L_half = _as_positive(_require(grid_raw, "L_half", "grid."), "grid.L_half")
-    grid = GridConfig(N=N, M=M, L_half=L_half)
+    L_half = _as_float(_require(grid_raw, "L_half", "grid."), "grid.L_half")
+    with _config_error("grid.L_half: "):
+        grid = Grid2D(nx=N, ny=M, h=2.0 * L_half / N, x0=-L_half, y0=-L_half)
 
     tau = _as_float(_require(raw, "tau", ""), "tau")
     n_steps = _as_int(_require(raw, "n_steps", ""), "n_steps")
@@ -265,72 +311,22 @@ def load_config(path: str) -> SimConfig:
             f"bounds_factors: window must contain both bulk densities "
             f"(need factor0 <= 1 <= factor1), got {list(bf)}"
         )
-    if bf[0] * c_gas >= bf[1] * c_liq:
-        raise ConfigError(f"bounds_factors: window is inverted for these densities: {list(bf)}")
 
     lam = raw.get("lambda")
     if lam is None:
         provenance.append("lambda: default minimal admissible shift")
     else:
-        lam = _as_positive(lam, "lambda")
+        lam = _as_float(lam, "lambda")
+    with _config_error({"lam": "lambda: ", "window": "c_liq/bounds_factors: "}):
+        window = EfParams.for_window(bf[0] * c_gas, bf[1] * c_liq, eos, lam=lam)
 
-    initial = _parse_initial(_require(raw, "initial_condition", ""), grid)
-
-    solver_raw = raw.get("solver", {}) or {}
-    if not isinstance(solver_raw, dict):
-        raise ConfigError("solver: expected a table")
-    knobs = [f for f in fields(SolverConfig) if f.name != "tau"]
-    unknown = sorted(set(solver_raw) - {f.name for f in knobs})
-    if unknown:
-        raise ConfigError(f"solver: unknown keys {unknown}")
-    # Only YAML types are coerced here; SolverConfig owns the range rules.
-    hints = get_type_hints(SolverConfig)
-    sol_kwargs = {}
-    for f in knobs:
-        if f.name not in solver_raw:
-            provenance.append(f"solver.{f.name}: default {f.default}")
-            continue
-        value = solver_raw[f.name]
-        if hints[f.name] is float:
-            value = _as_float(value, f"solver.{f.name}")
-        elif hints[f.name] == Optional[int] and value is not None:
-            value = _as_int(value, f"solver.{f.name}")
-        sol_kwargs[f.name] = value
-    try:
-        solver = SolverConfig(tau=tau, **sol_kwargs)
-    except ParameterError as exc:
-        raise ConfigError(f"{'' if exc.key == 'tau' else 'solver.'}{exc}") from None
-
-    output_raw = raw.get("output", {}) or {}
-    if not isinstance(output_raw, dict):
-        raise ConfigError("output: expected a table")
-    unknown = sorted(set(output_raw) - {"directory", "snapshot_every", "formats"})
-    if unknown:
-        raise ConfigError(f"output: unknown keys {unknown}")
-    out_defaults = OutputOptions()
-    directory = str(output_raw.get("directory", out_defaults.directory))
-    if "directory" not in output_raw:
-        provenance.append(f"output.directory: default {out_defaults.directory!r}")
-    snapshot_every = output_raw.get("snapshot_every", out_defaults.snapshot_every)
-    snapshot_every = _as_int(snapshot_every, "output.snapshot_every")
-    if snapshot_every < 1:
-        raise ConfigError(f"output.snapshot_every: must be >= 1, got {snapshot_every}")
-    if "snapshot_every" not in output_raw:
-        provenance.append(f"output.snapshot_every: default {out_defaults.snapshot_every}")
-    formats_raw = output_raw.get("formats", list(out_defaults.formats))
-    if "formats" not in output_raw:
-        provenance.append(f"output.formats: default {list(out_defaults.formats)}")
-    if not isinstance(formats_raw, (list, tuple)) or not formats_raw:
-        raise ConfigError(f"output.formats: expected a nonempty list from {_FORMATS}")
-    for fmt in formats_raw:
-        if fmt not in _FORMATS:
-            raise ConfigError(f"output.formats: unknown format {fmt!r}; expected from {_FORMATS}")
-    output = OutputOptions(directory=directory, snapshot_every=snapshot_every,
-                           formats=tuple(formats_raw))
+    initial = _parse_initial(_require(raw, "initial_condition", ""), L_half)
+    solver = _load_table(raw, "solver", SolverConfig, provenance, tau=tau)
+    output = _load_table(raw, "output", OutputOptions, provenance)
 
     return SimConfig(
-        substance=substance, T=T, vartheta0=vartheta0, R=R, grid=grid, n_steps=n_steps,
-        c_gas=c_gas, c_liq=c_liq, bounds_factors=bf, lam=lam, initial=initial,
+        substance=substance, eos=eos, grid=grid, n_steps=n_steps,
+        c_gas=c_gas, c_liq=c_liq, bounds_factors=bf, window=window, initial=initial,
         solver=solver, output=output,
         source_path=os.path.abspath(path), provenance=tuple(provenance),
     )

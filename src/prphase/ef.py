@@ -75,24 +75,23 @@ class EfParams:
         p: EosParams,
         lam: Optional[float] = None,
     ) -> "EfParams":
-        """Build parameters for the window [c_m, c_M] under the model ``p``."""
-        if not (math.isfinite(c_m) and math.isfinite(c_M)):
-            raise ParameterError(f"density window must be finite, got [{c_m!r}, {c_M!r}]")
-        if not 0.0 < c_m < c_M:
-            raise ParameterError(f"density window needs 0 < c_m < c_M, got [{c_m}, {c_M}]")
+        """Build parameters for the window [c_m, c_M] under the model ``p``.
+
+        A ``ParameterError`` carries ``key`` "window" or "lam".
+        """
+        if not (math.isfinite(c_m) and math.isfinite(c_M) and 0.0 < c_m < c_M):
+            raise ParameterError(f"density window needs finite 0 < c_m < c_M, got [{c_m!r}, {c_M!r}]",
+                                 key="window")
         epsilon_0 = p.beta * c_M
         if epsilon_0 >= 1.0:
-            raise ParameterError(
-                f"window top exceeds the packing limit: beta*c_M = {epsilon_0} >= 1"
-            )
+            raise ParameterError(f"window top exceeds the packing limit: beta*c_M = {epsilon_0} >= 1",
+                                 key="window")
         lam_min = minimal_lambda(epsilon_0)
         if lam is None:
             lam = lam_min
         elif lam < lam_min * (1.0 - 1e-12):
-            raise ParameterError(
-                f"lam = {lam} is below the minimal admissible shift {lam_min}; "
-                "override upward only"
-            )
+            raise ParameterError(f"lam = {lam} is below the minimal admissible shift {lam_min}; "
+                                 "override upward only", key="lam")
         return cls(lam=float(lam), c_m=float(c_m), c_M=float(c_M), epsilon_0=epsilon_0)
 
 
@@ -190,30 +189,34 @@ class SchemeCoefficients:
     s_r: np.ndarray
 
 
+def require_in_window(c: np.ndarray, ef: EfParams, bounds_slack: float, what: str) -> None:
+    """Raise ``BoundsViolationError`` unless ``c`` lies in [c_m, c_M].
+
+    ``bounds_slack`` is an absolute allowance (mol/m^3) for round-off
+    excursions just outside the window; the error names ``what`` and carries
+    the first offending flat cell index and its value.
+    """
+    c = np.asarray(c, dtype=float)
+    bad = (c < ef.c_m - bounds_slack) | (c > ef.c_M + bounds_slack)
+    if np.any(bad):
+        idx = int(np.flatnonzero(bad.ravel())[0])
+        val = float(c.ravel()[idx])
+        raise BoundsViolationError(
+            f"{what}: cell {idx}: density {val} outside the window "
+            f"[{ef.c_m}, {ef.c_M}] (slack {bounds_slack})",
+            cell_index=idx,
+            value=val,
+        )
+
+
 def scheme_coefficients(
     c_old: np.ndarray,
     ef: EfParams,
     p: EosParams,
     bounds_slack: float = 0.0,
 ) -> SchemeCoefficients:
-    """Evaluate nu and s_r at ``c_old``, enforcing the density window.
-
-    ``bounds_slack`` is an absolute allowance (mol/m^3) for round-off
-    excursions just outside [c_m, c_M]; anything beyond it raises
-    ``BoundsViolationError`` carrying the offending flat cell index.
-    """
+    """Evaluate nu and s_r at ``c_old`` after ``require_in_window``."""
     c_old = np.asarray(c_old, dtype=float)
-    lo = ef.c_m - bounds_slack
-    hi = ef.c_M + bounds_slack
-    bad = (c_old < lo) | (c_old > hi)
-    if np.any(bad):
-        idx = int(np.flatnonzero(bad.ravel())[0])
-        val = float(c_old.ravel()[idx])
-        raise BoundsViolationError(
-            f"cell {idx}: density {val} outside the window "
-            f"[{ef.c_m}, {ef.c_M}] (slack {bounds_slack})",
-            cell_index=idx,
-            value=val,
-        )
+    require_in_window(c_old, ef, bounds_slack, "scheme_coefficients")
     return SchemeCoefficients(nu=np.asarray(nu(c_old, ef, p)),
                               s_r=np.asarray(s_r(c_old, ef, p)))

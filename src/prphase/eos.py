@@ -89,12 +89,30 @@ def get_substance(name: str) -> Substance:
     return PRESETS[key]
 
 
+def substance_from_table(table, source: str) -> Substance:
+    """Substance from keys ``name``, ``Tc_K``, ``Pc_bar`` (converted to Pa) and
+    ``omega``, given as numbers or numeric strings; errors name ``source``."""
+    missing = [k for k in ("name", "Tc_K", "Pc_bar", "omega") if k not in table]
+    if missing:
+        raise ParameterError(f"{source}: missing substance keys {missing}")
+
+    def number(key):
+        if isinstance(table[key], bool):
+            raise ValueError(f"{key} = {table[key]!r}")
+        return float(table[key])
+
+    try:
+        return Substance(name=str(table["name"]), T_c=number("Tc_K"),
+                         P_c=number("Pc_bar") * 1.0e5, omega=number("omega"))
+    except (TypeError, ValueError) as exc:
+        raise ParameterError(f"{source}: non-numeric substance value ({exc})") from exc
+
+
 def load_substance(path: str) -> Substance:
     """Load a substance from a plain-text key/value block.
 
-    The file holds one ``key = value`` pair per line with keys ``name``,
-    ``Tc_K``, ``Pc_bar`` and ``omega``; blank lines and ``#`` comments are
-    ignored.  Pressures are given in bar and converted to Pa here.
+    The file holds one ``key = value`` pair per line with the keys of
+    ``substance_from_table``; blank lines and ``#`` comments are ignored.
     """
     fields = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -106,18 +124,7 @@ def load_substance(path: str) -> Substance:
                 raise ParameterError(f"{path}:{lineno}: expected 'key = value', got {raw.rstrip()!r}")
             key, _, value = line.partition("=")
             fields[key.strip()] = value.strip()
-    missing = [k for k in ("name", "Tc_K", "Pc_bar", "omega") if k not in fields]
-    if missing:
-        raise ParameterError(f"{path}: missing substance keys {missing}")
-    try:
-        return Substance(
-            name=fields["name"],
-            T_c=float(fields["Tc_K"]),
-            P_c=float(fields["Pc_bar"]) * 1.0e5,
-            omega=float(fields["omega"]),
-        )
-    except ValueError as exc:
-        raise ParameterError(f"{path}: non-numeric substance value ({exc})") from exc
+    return substance_from_table(fields, path)
 
 
 @dataclass(frozen=True)
@@ -152,18 +159,16 @@ class EosParams:
     kappa: float
 
     def __post_init__(self):
+        # ParameterError.key names the field; the config loader maps it to a YAML key.
         for key in ("T", "R", "vartheta0", "m", "alpha", "beta", "kappa"):
             v = getattr(self, key)
             if not (isinstance(v, (int, float)) and math.isfinite(v)):
-                raise ParameterError(f"EosParams.{key} must be finite, got {v!r}")
-        if self.T <= 0:
-            raise ParameterError(f"EosParams.T must be positive, got {self.T}")
-        if self.R <= 0:
-            raise ParameterError(f"EosParams.R must be positive, got {self.R}")
-        if self.alpha < 0:
-            raise ParameterError(f"EosParams.alpha must be nonnegative, got {self.alpha}")
-        if self.beta <= 0:
-            raise ParameterError(f"EosParams.beta must be positive, got {self.beta}")
+                raise ParameterError(f"{key}: must be finite, got {v!r}", key=key)
+        for key, ok, rule in (("T", self.T > 0, "positive"), ("R", self.R > 0, "positive"),
+                              ("alpha", self.alpha >= 0, "nonnegative"),
+                              ("beta", self.beta > 0, "positive")):
+            if not ok:
+                raise ParameterError(f"{key}: must be {rule}, got {getattr(self, key)!r}", key=key)
 
     @property
     def c_max(self) -> float:
@@ -189,14 +194,11 @@ def derive_eos_params(
     """Evaluate all temperature-dependent model constants.
 
     Warns (without failing) when T >= T_c, where the model has no
-    two-phase region.
+    two-phase region.  ``EosParams`` checks R and vartheta0; T is checked
+    here because it enters sqrt(T/T_c).
     """
     if not (isinstance(T, (int, float)) and math.isfinite(T) and T > 0):
-        raise ParameterError(f"temperature must be finite and positive, got {T!r}")
-    if not (math.isfinite(vartheta0)):
-        raise ParameterError(f"vartheta0 must be finite, got {vartheta0!r}")
-    if not (math.isfinite(R) and R > 0):
-        raise ParameterError(f"R must be finite and positive, got {R!r}")
+        raise ParameterError(f"T: must be finite and positive, got {T!r}", key="T")
     if T >= substance.T_c:
         warnings.warn(
             f"T = {T} K is at or above the critical temperature {substance.T_c} K "

@@ -35,8 +35,7 @@ import numpy as np
 
 from . import diagnostics, solver
 from .config import SimConfig
-from .ef import EfParams, scheme_coefficients
-from .eos import derive_eos_params
+from .ef import require_in_window
 from .errors import ConfigError, ParameterError
 from .grid import Grid2D
 from .solver import StepReport
@@ -52,19 +51,16 @@ SERIES_COLUMNS = (
 OUTPUT_DIR_ENV = "PRPHASE_OUTPUT_DIR"
 
 
-def make_grid(cfg: SimConfig) -> Grid2D:
-    """Mesh for the square domain [-L_half, L_half]^2."""
-    h = 2.0 * cfg.grid.L_half / cfg.grid.N
-    return Grid2D(nx=cfg.grid.N, ny=cfg.grid.M, h=h,
-                  x0=-cfg.grid.L_half, y0=-cfg.grid.L_half)
+def build_initial(cfg: SimConfig) -> np.ndarray:
+    """Initial cell field per the configured initial_condition.
 
-
-def build_initial(cfg: SimConfig, g: Grid2D) -> np.ndarray:
-    """Initial cell field per the configured initial_condition."""
-    ic = cfg.initial
+    Raises ``ConfigError`` for a snapshot that does not fit the grid and
+    ``BoundsViolationError`` for a field outside the density window.
+    """
+    ic, g = cfg.initial, cfg.grid
     if ic.kind == "uniform":
-        return np.full(g.cell_shape(), float(ic.value))
-    if ic.kind == "from_file":
+        c = np.full(g.cell_shape(), float(ic.value))
+    elif ic.kind == "from_file":
         path = ic.path
         if not os.path.isabs(path) and cfg.source_path:
             path = os.path.join(os.path.dirname(cfg.source_path), path)
@@ -79,19 +75,19 @@ def build_initial(cfg: SimConfig, g: Grid2D) -> np.ndarray:
                 f"initial_condition.from_file.path: snapshot spacing {meta['h']} does "
                 f"not match the configured spacing {g.h}"
             )
-        return c
-
-    X, Y = g.cell_centers()
-    cx = g.x0 + 0.5 * g.lx
-    cy = g.y0 + 0.5 * g.ly
-    if ic.kind == "square_droplet":
-        mask = (np.abs(X - cx) <= ic.half_side) & (np.abs(Y - cy) <= ic.half_side)
-    elif ic.kind == "disk":
-        mask = (X - cx) ** 2 + (Y - cy) ** 2 <= ic.radius**2
     else:
-        raise ConfigError(f"initial_condition: unknown kind {ic.kind!r}")
-    c = np.full(g.cell_shape(), cfg.c_gas)
-    c[mask] = cfg.c_liq
+        X, Y = g.cell_centers()
+        cx = g.x0 + 0.5 * g.lx
+        cy = g.y0 + 0.5 * g.ly
+        if ic.kind == "square_droplet":
+            mask = (np.abs(X - cx) <= ic.half_side) & (np.abs(Y - cy) <= ic.half_side)
+        elif ic.kind == "disk":
+            mask = (X - cx) ** 2 + (Y - cy) ** 2 <= ic.radius**2
+        else:
+            raise ConfigError(f"initial_condition: unknown kind {ic.kind!r}")
+        c = np.full(g.cell_shape(), cfg.c_gas)
+        c[mask] = cfg.c_liq
+    require_in_window(c, cfg.window, cfg.solver.bounds_slack(cfg.window), "initial_condition")
     return c
 
 
@@ -173,25 +169,19 @@ def run_experiment(cfg: SimConfig, output_dir: Optional[str] = None) -> int:
     configured directory; the ``PRPHASE_OUTPUT_DIR`` environment variable
     sits between the two in priority.
     """
-    out_dir = output_dir or os.environ.get(OUTPUT_DIR_ENV) or cfg.output.directory
-    os.makedirs(out_dir, exist_ok=True)
-
-    p = derive_eos_params(cfg.substance, cfg.T, vartheta0=cfg.vartheta0, R=cfg.R)
-    ef = EfParams.for_window(cfg.c_m, cfg.c_M, p, lam=cfg.lam)
-    g = make_grid(cfg)
-
+    p, ef, g = cfg.eos, cfg.window, cfg.grid
     for line in cfg.provenance:
         log.info("config default applied - %s", line)
     log.info(
         "run: %s at T=%g K on %dx%d cells, tau=%g s, %d steps, lambda=%g",
-        cfg.substance.name, cfg.T, g.nx, g.ny, cfg.tau, cfg.n_steps, ef.lam,
+        cfg.substance.name, p.T, g.nx, g.ny, cfg.tau, cfg.n_steps, ef.lam,
     )
 
-    c0 = build_initial(cfg, g)
     # The stepper's window handling is configurable mid-run, but a bad
-    # initial state is a setup mistake: fail as a domain error up front.
-    slack = cfg.solver.bounds_slack_rel * max(abs(ef.c_m), abs(ef.c_M))
-    scheme_coefficients(c0, ef, p, bounds_slack=slack)
+    # initial state is a setup mistake: it fails here, before any output.
+    c0 = build_initial(cfg)
+    out_dir = output_dir or os.environ.get(OUTPUT_DIR_ENV) or cfg.output.directory
+    os.makedirs(out_dir, exist_ok=True)
     threshold = 0.5 * (cfg.c_gas + cfg.c_liq)
 
     def snapshot_paths(step: int):
@@ -250,7 +240,7 @@ def run_experiment(cfg: SimConfig, output_dir: Optional[str] = None) -> int:
     final_energy = reports[-1].energy if reports else initial.energy
     summary = {
         "substance": cfg.substance.name,
-        "T": cfg.T,
+        "T": p.T,
         "grid": {"N": g.nx, "M": g.ny, "h": g.h},
         "tau": cfg.tau,
         "n_steps": cfg.n_steps,

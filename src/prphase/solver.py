@@ -91,6 +91,10 @@ class SolverConfig:
     def resolved_max_iter(self, g: Grid2D) -> int:
         return self.cg_max_iter if self.cg_max_iter is not None else 10 * g.ncells
 
+    def bounds_slack(self, ef: EfParams) -> float:
+        """Absolute window allowance in mol/m^3 for the window of ``ef``."""
+        return self.bounds_slack_rel * max(abs(ef.c_m), abs(ef.c_M))
+
 
 @dataclass(frozen=True)
 class StepReport:
@@ -243,7 +247,7 @@ def run(
         )
     ones = np.ones(g.cell_shape())
     c_t = inner(c, ones, g)
-    slack = cfg.bounds_slack_rel * max(abs(ef.c_m), abs(ef.c_M))
+    slack = cfg.bounds_slack(ef)
     c_min, c_max = float(np.min(c)), float(np.max(c))
     nan = float("nan")
     report = StepReport(

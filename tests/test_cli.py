@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -13,9 +14,10 @@ import pytest
 import yaml
 
 import prphase
+from prphase import Grid2D
 from prphase.cli import main
 from prphase.config import load_config
-from prphase.experiment import run_experiment
+from prphase.experiment import run_experiment, write_snapshot
 
 from conftest import C_GAS, C_LIQ
 
@@ -66,6 +68,47 @@ class TestCheck:
         del d["T"]
         assert main(["check", write_config(tmp_path, d)]) == 2
         assert "T: missing" in capsys.readouterr().err
+
+    # Each config passes the loader's own YAML checks but breaks a condition
+    # of the model: the window's packing limit, the minimal shift, an initial
+    # field outside the window, a snapshot of the wrong grid.
+    @pytest.mark.parametrize("overrides,key,code", [
+        ({"c_liq": 13000.0}, "c_liq", 2),
+        ({"lambda": 1.0}, "lambda", 2),
+        ({"initial_condition": {"uniform": {"value": 100.0}}}, "initial_condition", 3),
+        ({"initial_condition": {"from_file": {"path": "snap8.txt"}}},
+         "initial_condition.from_file.path", 2),
+    ], ids=["packing_limit", "lambda_below_minimum", "uniform_below_window",
+            "snapshot_grid_mismatch"])
+    def test_check_rejects_what_run_rejects(self, tmp_path, capsys, overrides, key, code):
+        g8 = Grid2D(nx=8, ny=8, h=3.0e-8 / 8, x0=-1.5e-8, y0=-1.5e-8)
+        write_snapshot(str(tmp_path / "snap8.txt"), [[1000.0] * 8] * 8, g8, 0, 0.0)
+        out = tmp_path / "out"
+        d = tiny_dict(**overrides)
+        d["output"]["directory"] = str(out)
+        path = write_config(tmp_path, d)
+
+        assert main(["check", path]) == code
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
+        assert main(["run", path]) == code
+        assert key in capsys.readouterr().err
+        assert not (out / "series.csv").exists()
+        assert not (out / "snapshot_000000.txt").exists()
+
+    def test_readme_run_file(self, tmp_path, monkeypatch, capsys):
+        # the schema README documents is the one the loader reads
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("## Run files", 1)[1].split("```yaml\n", 1)[1].split("```", 1)[0]
+        path = tmp_path / "readme.yaml"
+        path.write_text(block)
+        monkeypatch.chdir(tmp_path)
+        cfg = load_config(str(path))
+        assert cfg.grid.nx == cfg.grid.ny == 100
+        assert main(["check", str(path)]) == 0
+        assert "config OK" in capsys.readouterr().out
+        assert not (tmp_path / cfg.output.directory).exists()
 
 
 class TestRun:
@@ -140,6 +183,43 @@ class TestRun:
         cfg = write_config(tmp_path, d)
         assert main(["run", cfg, "--output-dir", str(tmp_path / "out")]) == 3
         assert "bounds violation" in capsys.readouterr().err
+
+    # ROADMAP item 4: at h = 3e-10 m a droplet at half the width of a 32x32
+    # box curves too sharply for the default window [0.9 c_gas, 1.1 c_liq].
+    # The multiplier leaves its interval at step 1 and the window is
+    # breached; the run reports both and still writes every artifact.
+    NARROW_WINDOW = {"grid": {"N": 32, "M": 32, "L_half": 4.8e-9},
+                     "initial_condition": {"square_droplet": {"half_side": 2.4e-9}}}
+
+    def test_window_too_narrow_for_droplet(self, tmp_path):
+        cfg = write_config(tmp_path, tiny_dict(**self.NARROW_WINDOW))
+        out = tmp_path / "out"
+        with pytest.warns(UserWarning, match="continuing as configured"):
+            assert main(["run", cfg, "--output-dir", str(out)]) == 5
+
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["exit_code"] == 5
+        assert summary["invariant_violations"] == 5
+        assert summary["all_steps_admissible"] is False
+        assert summary["all_steps_in_bounds"] is False
+        assert summary["energy_monotone"] is True
+        assert summary["mass_conserved"] is True
+
+        with open(out / "series.csv", encoding="utf-8") as fh:
+            step1 = list(csv.DictReader(fh))[1]
+        assert float(step1["step"]) == 1.0
+        assert float(step1["mu_e"]) == pytest.approx(20310.0, rel=1e-4)
+        assert float(step1["mu_upper"]) == pytest.approx(19034.0, rel=1e-4)
+        assert float(step1["mu_e"]) > float(step1["mu_upper"])
+        assert (out / "snapshot_000000.txt").exists()
+        assert (out / "snapshot_000005.txt").exists()
+
+    def test_wider_window_admits_the_same_droplet(self, tmp_path):
+        d = tiny_dict(bounds_factors=[0.9, 1.15], **self.NARROW_WINDOW)
+        out = tmp_path / "out"
+        assert main(["run", write_config(tmp_path, d), "--output-dir", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["invariant_violations"] == 0
 
     def test_bad_config_exits_2(self, tmp_path):
         d = tiny_dict()

@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 import yaml
 
-from prphase import ConfigError, Grid2D
+from prphase import ConfigError, Grid2D, minimal_lambda
 from prphase.config import load_config
 from prphase.experiment import (
     build_initial,
-    make_grid,
     read_snapshot,
     write_matrix_csv,
     write_snapshot,
@@ -42,24 +41,24 @@ def write_config(tmp_path, d, name="run.yaml"):
 class TestPreset:
     def test_loads_and_matches_experiment_setup(self):
         cfg = load_config(PRESET)
-        assert cfg.grid.N == cfg.grid.M == 100
-        assert cfg.grid.L_half == 1.5e-8
-        assert cfg.T == 330.0
+        assert cfg.grid.nx == cfg.grid.ny == 100
+        assert cfg.grid.x0 == cfg.grid.y0 == -1.5e-8
+        assert cfg.eos.T == 330.0
         assert cfg.tau == 1.0e10
         assert cfg.n_steps == 200
         assert cfg.c_gas == 249.1123
         assert cfg.c_liq == 9526.8428
         assert cfg.bounds_factors == (0.9, 1.1)
-        assert cfg.lam is None
+        assert cfg.window.lam == minimal_lambda(cfg.window.epsilon_0)
         assert cfg.initial.kind == "square_droplet"
         assert cfg.initial.half_side == 7.5e-9
         assert cfg.substance.name == "nC4"
-        assert cfg.vartheta0 == 0.0
+        assert cfg.eos.vartheta0 == 0.0
 
     def test_window_properties(self):
         cfg = load_config(PRESET)
-        assert cfg.c_m == pytest.approx(0.9 * cfg.c_gas, rel=1e-15)
-        assert cfg.c_M == pytest.approx(1.1 * cfg.c_liq, rel=1e-15)
+        assert cfg.window.c_m == pytest.approx(0.9 * cfg.c_gas, rel=1e-15)
+        assert cfg.window.c_M == pytest.approx(1.1 * cfg.c_liq, rel=1e-15)
 
     def test_defaults_are_recorded(self):
         # the preset leaves R and some solver knobs to their defaults; each
@@ -74,7 +73,7 @@ class TestPreset:
 class TestLoadConfig:
     def test_minimal_config(self, tmp_path):
         cfg = load_config(write_config(tmp_path, base_dict()))
-        assert cfg.grid.N == 16
+        assert cfg.grid.nx == 16
         assert cfg.solver.cg_rel_tol == 1e-10
         assert cfg.output.formats == ("txt",)
         assert cfg.substance.name == "nC4"
@@ -130,6 +129,11 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="bounds_factors"):
             load_config(write_config(tmp_path, base_dict(bounds_factors=bf)))
 
+    @pytest.mark.parametrize("key,value", [("T", -1.0), ("R", 0.0)])
+    def test_model_constant_validation(self, tmp_path, key, value):
+        with pytest.raises(ConfigError, match=f"^{key}: "):
+            load_config(write_config(tmp_path, base_dict(**{key: value})))
+
     def test_densities_must_be_ordered(self, tmp_path):
         with pytest.raises(ConfigError, match="c_gas < c_liq"):
             load_config(write_config(tmp_path, base_dict(c_gas=1000.0, c_liq=100.0)))
@@ -137,7 +141,7 @@ class TestLoadConfig:
     def test_explicit_shift_accepted(self, tmp_path):
         d = base_dict()
         d["lambda"] = 30.0
-        assert load_config(write_config(tmp_path, d)).lam == 30.0
+        assert load_config(write_config(tmp_path, d)).window.lam == 30.0
 
     def test_negative_shift_rejected(self, tmp_path):
         d = base_dict()
@@ -193,6 +197,16 @@ class TestLoadConfig:
         assert cfg.substance.name == "propane"
         assert cfg.substance.P_c == 42.5e5
 
+    @pytest.mark.parametrize("table,msg", [
+        ({"name": "propane", "Tc_K": 369.8, "omega": 0.152},
+         r"substance: missing substance keys \['Pc_bar'\]"),
+        ({"name": "propane", "Tc_K": True, "Pc_bar": 42.5, "omega": 0.152},
+         "substance: non-numeric substance value"),
+    ])
+    def test_inline_substance_validation(self, tmp_path, table, msg):
+        with pytest.raises(ConfigError, match=msg):
+            load_config(write_config(tmp_path, base_dict(substance=table)))
+
     def test_substance_file_path(self, tmp_path):
         sub = tmp_path / "mine.substance"
         sub.write_text("name = mine\nTc_K = 400.0\nPc_bar = 40.0\nomega = 0.2\n")
@@ -207,7 +221,7 @@ class TestLoadConfig:
 class TestMakeGrid:
     def test_square_domain(self):
         cfg = load_config(PRESET)
-        g = make_grid(cfg)
+        g = cfg.grid
         assert g.nx == g.ny == 100
         assert g.h == pytest.approx(3.0e-10, rel=1e-15)
         assert g.x0 == -1.5e-8 and g.y0 == -1.5e-8
@@ -218,16 +232,16 @@ class TestBuildInitial:
     def test_uniform(self, tmp_path):
         cfg = load_config(write_config(
             tmp_path, base_dict(initial_condition={"uniform": {"value": 500.0}})))
-        g = make_grid(cfg)
-        c = build_initial(cfg, g)
+        g = cfg.grid
+        c = build_initial(cfg)
         assert c.shape == g.cell_shape()
         assert np.all(c == 500.0)
 
     def test_square_droplet_cell_count_100(self):
         # half_side = L_half/2 covers exactly the central 50x50 block
         cfg = load_config(PRESET)
-        g = make_grid(cfg)
-        c = build_initial(cfg, g)
+        g = cfg.grid
+        c = build_initial(cfg)
         assert int(np.sum(c == cfg.c_liq)) == 2500
         assert int(np.sum(c == cfg.c_gas)) == 7500
         assert np.array_equal(c, c.T)  # four-fold symmetric
@@ -236,7 +250,7 @@ class TestBuildInitial:
         d = base_dict(grid={"N": 4, "M": 4, "L_half": 1.0e-8},
                       initial_condition={"square_droplet": {"half_side": 0.5e-8}})
         cfg = load_config(write_config(tmp_path, d))
-        c = build_initial(cfg, make_grid(cfg))
+        c = build_initial(cfg)
         assert int(np.sum(c == cfg.c_liq)) == 4
         assert c[1, 1] == cfg.c_liq and c[0, 0] == cfg.c_gas
 
@@ -244,7 +258,7 @@ class TestBuildInitial:
         d = base_dict(grid={"N": 32, "M": 32, "L_half": 1.0e-8},
                       initial_condition={"disk": {"radius": 0.5e-8}})
         cfg = load_config(write_config(tmp_path, d))
-        c = build_initial(cfg, make_grid(cfg))
+        c = build_initial(cfg)
         n_liq = int(np.sum(c == cfg.c_liq))
         assert 0 < n_liq < c.size
         # area within ~20% of pi r^2 at this resolution
@@ -259,7 +273,7 @@ class TestBuildInitial:
         d = base_dict(grid={"N": 16, "M": 16, "L_half": 1.0e-8},
                       initial_condition={"from_file": {"path": "state.txt"}})
         cfg = load_config(write_config(tmp_path, d))
-        c = build_initial(cfg, make_grid(cfg))
+        c = build_initial(cfg)
         assert np.array_equal(c, field)  # bit-exact through the text format
 
     def test_from_file_shape_mismatch(self, tmp_path, rng):
@@ -270,7 +284,7 @@ class TestBuildInitial:
                       initial_condition={"from_file": {"path": "state.txt"}})
         cfg = load_config(write_config(tmp_path, d))
         with pytest.raises(ConfigError, match="does not match"):
-            build_initial(cfg, make_grid(cfg))
+            build_initial(cfg)
 
 
 class TestSnapshotIO:
