@@ -5,8 +5,8 @@ carry a square-gradient energy.  Time stepping uses an energy-factorized
 semi-implicit scheme: the convex bulk terms are linearized through a
 concave square-root factor so every step dissipates the discrete free
 energy and keeps cell densities inside a prescribed window, at the cost of
-one symmetric positive definite solve (done twice to pin total mass with a
-scalar multiplier).
+one symmetric positive definite solve with two right-hand sides (the
+second pins total mass through a scalar multiplier).
 """
 
 from .diagnostics import (

@@ -25,7 +25,7 @@ from importlib import resources
 from typing import Optional
 
 from . import diagnostics
-from .config import SimConfig, load_config
+from .config import DEFAULT_BOUNDS_FACTORS, SimConfig, load_config
 from .ef import EfParams, minimal_lambda
 from .eos import derive_eos_params, get_substance, load_substance
 from .errors import (
@@ -151,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_props.add_argument("--c-liq", type=float, default=9526.8428,
                          help="bulk liquid density in mol/m^3 "
                               "(default: n-butane coexistence at 330 K)")
-    p_props.add_argument("--bounds-factors", type=float, nargs=2, default=(0.9, 1.1),
+    p_props.add_argument("--bounds-factors", type=float, nargs=2, default=DEFAULT_BOUNDS_FACTORS,
                          metavar=("LOW", "HIGH"),
                          help="density window as multiples of c_gas / c_liq")
     p_props.set_defaults(func=_cmd_props)

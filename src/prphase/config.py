@@ -57,6 +57,8 @@ from .solver import SolverConfig
 _INITIAL_KINDS = {"square_droplet": "half_side", "disk": "radius", "uniform": "value",
                   "from_file": "path"}
 _FORMATS = ("txt", "csv")
+#: Default density window [factor0*c_gas, factor1*c_liq].
+DEFAULT_BOUNDS_FACTORS = (0.9, 1.1)
 
 
 @dataclass(frozen=True)
@@ -152,7 +154,9 @@ def _coerce(value, hint, key: str):
     if hint is int or (hint == Optional[int] and value is not None):
         return _as_int(value, key)
     if hint is str:
-        return str(value)
+        if not isinstance(value, str):
+            raise ConfigError(f"{key}: expected a string, got {value!r}")
+        return value
     if hint == Tuple[str, ...]:
         if not isinstance(value, (list, tuple)):
             raise ConfigError(f"{key}: expected a list, got {value!r}")
@@ -300,9 +304,9 @@ def load_config(path: str) -> SimConfig:
     if c_gas >= c_liq:
         raise ConfigError(f"c_gas/c_liq: need c_gas < c_liq, got {c_gas} >= {c_liq}")
 
-    bf_raw = raw.get("bounds_factors", [0.9, 1.1])
+    bf_raw = raw.get("bounds_factors", DEFAULT_BOUNDS_FACTORS)
     if "bounds_factors" not in raw:
-        provenance.append("bounds_factors: default [0.9, 1.1]")
+        provenance.append(f"bounds_factors: default {list(DEFAULT_BOUNDS_FACTORS)}")
     if not (isinstance(bf_raw, (list, tuple)) and len(bf_raw) == 2):
         raise ConfigError(f"bounds_factors: expected two numbers, got {bf_raw!r}")
     bf = (_as_positive(bf_raw[0], "bounds_factors[0]"), _as_positive(bf_raw[1], "bounds_factors[1]"))

@@ -164,15 +164,23 @@ def nu(c: ArrayLike, ef: EfParams, p: EosParams) -> ArrayLike:
     in 0 < c < 1/beta.
     """
     c = np.asarray(c, dtype=float)
-    _, gp = g_and_gprime(c, ef.lam, p)
-    return p.R * p.T * (1.0 / c + gp * gp)
+    return _nu(c, g_and_gprime(c, ef.lam, p), p)
 
 
 def s_r(c: ArrayLike, ef: EfParams, p: EosParams) -> ArrayLike:
     """Explicit-side source s_r(c) = nu(c)*c - mu_b(c), in closed form (J/mol)."""
     c = np.asarray(c, dtype=float)
+    return _s_r(c, g_and_gprime(c, ef.lam, p), ef, p)
+
+
+def _nu(c: np.ndarray, g_gp, p: EosParams) -> ArrayLike:
+    _, gp = g_gp
+    return p.R * p.T * (1.0 / c + gp * gp)
+
+
+def _s_r(c: np.ndarray, g_gp, ef: EfParams, p: EosParams) -> ArrayLike:
+    g, gp = g_gp
     RT = p.R * p.T
-    g, gp = g_and_gprime(c, ef.lam, p)
     return (
         -p.vartheta0
         - RT * np.log(c)
@@ -215,8 +223,9 @@ def scheme_coefficients(
     p: EosParams,
     bounds_slack: float = 0.0,
 ) -> SchemeCoefficients:
-    """Evaluate nu and s_r at ``c_old`` after ``require_in_window``."""
+    """Evaluate nu and s_r at ``c_old`` after ``require_in_window``, from one G, G'."""
     c_old = np.asarray(c_old, dtype=float)
     require_in_window(c_old, ef, bounds_slack, "scheme_coefficients")
-    return SchemeCoefficients(nu=np.asarray(nu(c_old, ef, p)),
-                              s_r=np.asarray(s_r(c_old, ef, p)))
+    g_gp = g_and_gprime(c_old, ef.lam, p)
+    return SchemeCoefficients(nu=np.asarray(_nu(c_old, g_gp, p)),
+                              s_r=np.asarray(_s_r(c_old, g_gp, ef, p)))

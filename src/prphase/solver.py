@@ -7,15 +7,19 @@ One step solves, for the new cell field c and a scalar mu_e,
 
 where tau_eff = mobility*tau and Lap is the Neumann five-point Laplacian.
 The operator A = I/tau_eff - kappa*Lap + nu is symmetric positive definite,
-so the constrained system is solved by two unconstrained solves:
+so the constrained system is solved by one stacked solve of two
+right-hand sides:
 
-    y1 = A^{-1} (c_old/tau_eff + s_r),   y2 = A^{-1} 1,
+    [y1, y2] = A^{-1} [c_old/tau_eff + s_r, 1],
     mu_e = (c_t - <y1, 1>) / <y2, 1>,    c = y1 + mu_e*y2.
 
 The mass constraint then holds to inner-product round-off regardless of the
-iterative-solver tolerance.  A is applied matrix-free; the linear solves use
-preconditioned conjugate gradients with a diagonal (Jacobi) preconditioner
-that accounts for the reduced stencil at boundary cells.
+iterative-solver tolerance.  A is applied matrix-free by a five-point
+kernel working in place on the (2, ny, nx) stack.  The stack is solved by
+one preconditioned conjugate-gradient iteration with a step length per
+column and a diagonal (Jacobi) preconditioner that accounts for the reduced
+stencil at boundary cells.  Its sums run through ``np.einsum``, not BLAS,
+so a run gives the same bits whatever the number of BLAS threads.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from . import diagnostics
 from .ef import EfParams, SchemeCoefficients, scheme_coefficients
 from .eos import EosParams
 from .errors import ConvergenceError, InvariantViolation, ParameterError
-from .grid import Grid2D, discrete_laplacian, inner
+from .grid import Grid2D, inner
 
 log = logging.getLogger(__name__)
 
@@ -129,23 +133,85 @@ class StepReport:
         return self.admissibility_ok and self.bounds_ok and self.energy_decreased
 
 
+def _neighbour_sum(p: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Sum of the (up to four) in-domain neighbours of each cell, into ``out``.
+
+    ``out`` must be C-contiguous.  The x-neighbours are summed along the
+    flattened rows, one long shifted run per field instead of a short one
+    per row; the row ends, where that run wraps into the adjacent row, are
+    then overwritten with their one in-row neighbour.
+    """
+    if p.shape[-1] == 1:
+        out.fill(0.0)
+    else:
+        flat = p.reshape(p.shape[:-2] + (-1,))
+        np.add(flat[..., 2:], flat[..., :-2], out=out.reshape(flat.shape)[..., 1:-1])
+        out[..., :, 0] = p[..., :, 1]
+        out[..., :, -1] = p[..., :, -2]
+    out[..., :-1, :] += p[..., 1:, :]
+    out[..., 1:, :] += p[..., :-1, :]
+    return out
+
+
+def _stencil(coeffs: SchemeCoefficients, kappa: float, g: Grid2D) -> Tuple[np.ndarray, float]:
+    """(d, k) with A p = p/tau_eff + d*p - k*(sum of neighbours of p).
+
+    k = kappa/h^2 and d = nu + k*(number of in-domain neighbours), so the
+    Neumann condition is the reduced count at boundary cells; at kappa = 0,
+    d is nu bit for bit.
+    """
+    k = kappa / (g.h * g.h)
+    count = np.full(g.cell_shape(), 4.0)
+    count[0, :] -= 1.0
+    count[-1, :] -= 1.0
+    count[:, 0] -= 1.0
+    count[:, -1] -= 1.0
+    return coeffs.nu + k * count, k
+
+
+def _apply(p, d, k, tau_eff, out, scratch):
+    """A p into ``out`` for a field or a stack of fields; ``scratch`` is clobbered."""
+    np.divide(p, tau_eff, out=out)
+    np.multiply(d, p, out=scratch)
+    out += scratch
+    _neighbour_sum(p, scratch)
+    scratch *= k
+    out -= scratch
+    return out
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per-field sums of a*b over the last two axes.
+
+    einsum without ``optimize`` sums in its own loops, not through BLAS, so
+    the result does not depend on the number of BLAS threads.
+    """
+    return np.einsum("...ij,...ij->...", a, b)
+
+
+def _check_cells(a: np.ndarray, g: Grid2D, what: str) -> None:
+    if a.shape[-2:] != g.cell_shape():
+        raise ParameterError(f"{what}: expected a field or a stack of fields of cell shape "
+                             f"{g.cell_shape()}, got {a.shape}")
+
+
 def apply_operator(
     c: np.ndarray, coeffs: SchemeCoefficients, cfg: SolverConfig, kappa: float, g: Grid2D
 ) -> np.ndarray:
-    """A c = c/tau_eff - kappa*Lap(c) + nu*c."""
-    return c / cfg.tau_eff() - kappa * discrete_laplacian(c, g) + coeffs.nu * c
+    """A c = c/tau_eff - kappa*Lap(c) + nu*c for a field or a stack (..., ny, nx)."""
+    c = np.asarray(c, dtype=float)
+    _check_cells(c, g, "apply_operator")
+    d, k = _stencil(coeffs, kappa, g)
+    return _apply(c, d, k, cfg.tau_eff(), np.empty(c.shape), np.empty(c.shape))
 
 
 def operator_diagonal(
     coeffs: SchemeCoefficients, cfg: SolverConfig, kappa: float, g: Grid2D
 ) -> np.ndarray:
     """Exact diagonal of A, with the reduced Laplacian stencil at boundaries."""
-    neighbors = np.full(g.cell_shape(), 4.0)
-    neighbors[0, :] -= 1.0
-    neighbors[-1, :] -= 1.0
-    neighbors[:, 0] -= 1.0
-    neighbors[:, -1] -= 1.0
-    return 1.0 / cfg.tau_eff() + coeffs.nu + kappa * neighbors / (g.h * g.h)
+    d, _ = _stencil(coeffs, kappa, g)
+    d += 1.0 / cfg.tau_eff()
+    return d
 
 
 def solve_spd(
@@ -155,65 +221,105 @@ def solve_spd(
     kappa: float,
     g: Grid2D,
     x0: Optional[np.ndarray] = None,
-) -> Tuple[np.ndarray, int, float]:
-    """Preconditioned conjugate gradients for A x = rhs.
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Preconditioned conjugate gradients for A x = rhs, column by column.
 
-    Returns (x, iterations, ||r||/||rhs||).  Convergence is declared when the
-    unpreconditioned residual norm drops below cg_rel_tol*||rhs||; exceeding
-    the iteration cap raises ``ConvergenceError`` with the residual history
-    attached.  ``x0`` provides a warm start (already-converged starts return
-    immediately with zero iterations).
+    ``rhs`` is a field (ny, nx) or a stack (..., ny, nx) of independent
+    right-hand sides ("columns").  Returns (x, iterations, ||r||/||rhs||),
+    the last two of shape ``rhs.shape[:-2]``.  A column has converged once
+    its unpreconditioned residual norm drops below cg_rel_tol*||rhs||; from
+    then on its step lengths are zero, so its count is the one a solve of
+    that column alone would give.  A column with a zero rhs returns zeros
+    after zero iterations.  Exceeding the iteration cap, or a nonpositive
+    p'Ap on an unconverged column, raises ``ConvergenceError`` with that
+    column's residual history attached.
+
+    ``x0`` is a warm start of the stack's shape; when given, the iteration
+    runs in it, so on return it holds the solution and is the returned x.
     """
     rhs = np.asarray(rhs, dtype=float)
-    b_norm = math.sqrt(inner(rhs, rhs, g))
-    if b_norm == 0.0:
-        return np.zeros(g.cell_shape()), 0, 0.0
+    _check_cells(rhs, g, "solve_spd")
+    if x0 is None:
+        x = np.zeros(rhs.shape)
+    elif not (isinstance(x0, np.ndarray) and x0.shape == rhs.shape and x0.dtype == float):
+        raise ParameterError(f"solve_spd: the warm start must be a float array of shape "
+                             f"{rhs.shape}")
+    else:
+        x = x0
+    b_norm = np.sqrt(_dot(rhs, rhs))
+    blank = b_norm == 0.0
+    x[blank] = 0.0
 
     if cfg.preconditioner == "diagonal":
-        diag = operator_diagonal(coeffs, cfg, kappa, g)
+        inv_diag = 1.0 / operator_diagonal(coeffs, cfg, kappa, g)
     else:
-        diag = np.ones(g.cell_shape())
-
-    if x0 is None:
-        x = np.zeros(g.cell_shape())
-        r = rhs.copy()
-    else:
-        x = np.array(x0, dtype=float, copy=True)
-        r = rhs - apply_operator(x, coeffs, cfg, kappa, g)
+        inv_diag = np.ones(g.cell_shape())
+    r = apply_operator(x, coeffs, cfg, kappa, g)
+    np.subtract(rhs, r, out=r)
+    d, k = _stencil(coeffs, kappa, g)
+    tau_eff = cfg.tau_eff()
 
     tol_abs = cfg.cg_rel_tol * b_norm
     max_iter = cfg.resolved_max_iter(g)
-    history: List[float] = []
+    iters = np.zeros(b_norm.shape, dtype=int)
+    active = ~blank
+    history: List[np.ndarray] = []
 
-    z = r / diag
-    p = z.copy()
-    rz = inner(r, z, g)
-    for k in range(max_iter + 1):
-        res = math.sqrt(inner(r, r, g))
+    scratch = np.multiply(r, inv_diag)  # z, then the stencil's and the updates' scratch
+    p = scratch.copy()
+    Ap = np.empty_like(r)
+    rz = _dot(r, scratch)
+    alpha = np.zeros(b_norm.shape)
+    beta = np.zeros(b_norm.shape)
+    it = 0
+    while True:
+        res = np.sqrt(_dot(r, r))
         history.append(res)
-        if res <= tol_abs:
-            return x, k, res / b_norm
-        if k == max_iter:
-            break
-        Ap = apply_operator(p, coeffs, cfg, kappa, g)
-        pAp = inner(p, Ap, g)
-        if pAp <= 0.0:
+        done = active & (res <= tol_abs)
+        iters[done] = it
+        active &= ~done
+        if not active.any():
+            return x, iters, np.divide(res, b_norm, out=np.zeros(res.shape), where=~blank)
+        if it == max_iter:
+            col = _first(active)
             raise ConvergenceError(
-                f"conjugate gradients lost positive definiteness (p'Ap = {pAp})",
-                residual_history=history,
+                f"conjugate gradients did not reach ||r|| <= {tol_abs[col]:.3e} within "
+                f"{max_iter} iterations (last residual {res[col]:.3e}){_where(col)}",
+                residual_history=[float(h[col]) for h in history],
             )
-        alpha = rz / pAp
-        x = x + alpha * p
-        r = r - alpha * Ap
-        z = r / diag
-        rz_new = inner(r, z, g)
-        p = z + (rz_new / rz) * p
+        _apply(p, d, k, tau_eff, Ap, scratch)
+        pAp = _dot(p, Ap)
+        lost = active & (pAp <= 0.0)
+        if lost.any():
+            col = _first(lost)
+            raise ConvergenceError(
+                f"conjugate gradients lost positive definiteness "
+                f"(p'Ap = {pAp[col]}){_where(col)}",
+                residual_history=[float(h[col]) for h in history],
+            )
+        # Converged columns take zero-length steps: alpha = beta = 0.
+        alpha.fill(0.0)
+        np.divide(rz, pAp, out=alpha, where=active)
+        np.multiply(alpha[..., None, None], p, out=scratch)
+        x += scratch
+        np.multiply(alpha[..., None, None], Ap, out=scratch)
+        r -= scratch
+        np.multiply(r, inv_diag, out=scratch)
+        rz_new = _dot(r, scratch)
+        beta.fill(0.0)
+        np.divide(rz_new, rz, out=beta, where=active)
+        p *= beta[..., None, None]
+        p += scratch
         rz = rz_new
-    raise ConvergenceError(
-        f"conjugate gradients did not reach ||r|| <= {tol_abs:.3e} within "
-        f"{max_iter} iterations (last residual {history[-1]:.3e})",
-        residual_history=history,
-    )
+        it += 1
+
+
+def _first(mask: np.ndarray) -> Tuple[int, ...]:
+    return tuple(int(i) for i in np.argwhere(mask)[0])
+
+
+def _where(col: Tuple[int, ...]) -> str:
+    return f" in column {col}" if col else ""
 
 
 def run(
@@ -229,10 +335,10 @@ def run(
 
     The target mass, admissible interval and initial energy are computed
     once from ``c0``; the dissipation check allows energy_slack_rel times
-    the initial energy of increase.  Each linear solve is warm-started from
-    the previous step.  ``observer(c, report)`` sees the initial state as
-    step 0 (``nan`` multiplier and residuals, zero iterations) and then
-    every step.
+    the initial energy of increase.  The stacked solve of each step is
+    warm-started from the previous step's solutions.  ``observer(c, report)``
+    sees the initial state as step 0 (``nan`` multiplier and residuals, zero
+    iterations) and then every step.
     """
     if n_steps < 0:
         raise ParameterError(f"n_steps must be nonnegative, got {n_steps}")
@@ -245,8 +351,7 @@ def run(
             f"admissible multiplier interval is empty for this window: "
             f"[{interval.mu_lower}, {interval.mu_upper}]"
         )
-    ones = np.ones(g.cell_shape())
-    c_t = inner(c, ones, g)
+    c_t = inner(c, np.ones(g.cell_shape()), g)
     slack = cfg.bounds_slack(ef)
     c_min, c_max = float(np.min(c)), float(np.max(c))
     nan = float("nan")
@@ -264,8 +369,11 @@ def run(
 
     tau_eff = cfg.tau_eff()
     reports: List[StepReport] = []
-    y1: Optional[np.ndarray] = None
-    y2: Optional[np.ndarray] = None
+    # The stacks are made in step 1, after its coefficients: y holds the
+    # solutions y1, y2 and is the next step's warm start; b holds the
+    # right-hand sides, of which the second is 1 throughout.
+    y: Optional[np.ndarray] = None
+    b: Optional[np.ndarray] = None
     for n in range(1, n_steps + 1):
         # A state outside the window raises here, naming the offending
         # cell, unless the run is configured to continue past it.
@@ -277,9 +385,16 @@ def run(
                 f"[{ef.c_m}, {ef.c_M}]; continuing as configured",
                 stacklevel=2,
             )
-        # y1/y2 are kept as the next step's warm starts.
-        y1, it1, res1 = solve_spd(c / tau_eff + coeffs.s_r, coeffs, cfg, p.kappa, g, x0=y1)
-        y2, it2, res2 = solve_spd(ones, coeffs, cfg, p.kappa, g, x0=y2)
+        if y is None:
+            y = np.zeros((2,) + g.cell_shape())
+            b = np.empty_like(y)
+            b[1] = 1.0
+        np.divide(c, tau_eff, out=b[0])
+        b[0] += coeffs.s_r
+        del c  # not needed past the rhs; freeing it lowers the solve's peak memory
+        _, iters, res = solve_spd(b, coeffs, cfg, p.kappa, g, x0=y)
+        y1, y2 = y
+        ones = b[1]
         s2 = inner(y2, ones, g)
         if not s2 > 0.0:
             raise ConvergenceError(f"degenerate multiplier denominator <A^-1 1, 1> = {s2}")
@@ -291,7 +406,8 @@ def run(
         report = StepReport(
             step_index=n, mu_e=mu_e, breakdown=breakdown, interval=interval,
             c_min=c_min, c_max=c_max, mass=float(inner(c, ones, g)),
-            cg_iters_1=it1, cg_iters_2=it2, residual_1=float(res1), residual_2=float(res2),
+            cg_iters_1=int(iters[0]), cg_iters_2=int(iters[1]),
+            residual_1=float(res[0]), residual_2=float(res[1]),
             admissibility_ok=interval.contains(mu_e),
             bounds_ok=bool(c_min >= ef.c_m - slack and c_max <= ef.c_M + slack),
             energy_decreased=bool(breakdown.total <= report.energy + energy_slack),

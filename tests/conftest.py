@@ -1,6 +1,10 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import prphase
 from prphase import EfParams, Grid2D, derive_eos_params, get_substance
 
 C_GAS = 249.1123
@@ -26,3 +30,15 @@ def rng():
 def unit_grid():
     # O(1) spacing keeps round-off comparisons meaningful in operator tests
     return Grid2D(nx=12, ny=9, h=0.5, x0=-1.0, y0=2.0)
+
+
+def prepend_path(env, key, directory):
+    env[key] = os.pathsep.join([str(directory)] + ([env[key]] if env.get(key) else []))
+
+
+def child_env():
+    """Environment in which a child process imports the same `prphase`
+    package as this test process, however pytest was launched."""
+    env = dict(os.environ)
+    prepend_path(env, "PYTHONPATH", Path(prphase.__file__).resolve().parents[1])
+    return env

@@ -1,6 +1,5 @@
 import csv
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -19,7 +18,7 @@ from prphase.cli import main
 from prphase.config import load_config
 from prphase.experiment import run_experiment, write_snapshot
 
-from conftest import C_GAS, C_LIQ
+from conftest import C_GAS, C_LIQ, child_env, prepend_path
 
 
 def tiny_dict(**overrides):
@@ -96,6 +95,18 @@ class TestCheck:
         assert key in capsys.readouterr().err
         assert not (out / "series.csv").exists()
         assert not (out / "snapshot_000000.txt").exists()
+
+    def test_null_output_directory(self, tmp_path, monkeypatch, capsys):
+        # a YAML null is not a directory name, not even the text "None"
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("PRPHASE_OUTPUT_DIR", raising=False)
+        d = tiny_dict()
+        d["output"]["directory"] = None
+        path = write_config(tmp_path, d)
+        for command in ("check", "run"):
+            assert main([command, path]) == 2
+            assert "output.directory: expected a string, got None" in capsys.readouterr().err
+        assert not (tmp_path / "None").exists()
 
     def test_readme_run_file(self, tmp_path, monkeypatch, capsys):
         # the schema README documents is the one the loader reads
@@ -257,6 +268,12 @@ class TestProps:
         assert "lambda" in out and "27.36" in out
         assert "mu range" in out
 
+    def test_default_window(self, capsys):
+        # the loader's default bounds_factors, applied to n-butane at 330 K
+        assert main(["props", "nC4", "--T", "330"]) == 0
+        assert ("  window   [224.20107000000002, 10479.527080000002] mol/m^3 "
+                "(factors 0.9, 1.1)\n") in capsys.readouterr().out
+
     def test_substance_file(self, tmp_path, capsys):
         sub = tmp_path / "x.substance"
         sub.write_text("name = x\nTc_K = 400.0\nPc_bar = 40.0\nomega = 0.2\n")
@@ -279,18 +296,6 @@ class TestProps:
 
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
-
-
-def prepend_path(env, key, directory):
-    env[key] = os.pathsep.join([str(directory)] + ([env[key]] if env.get(key) else []))
-
-
-def child_env():
-    """Environment in which a child process imports the same `prphase`
-    package as this test process, however pytest was launched."""
-    env = dict(os.environ)
-    prepend_path(env, "PYTHONPATH", Path(prphase.__file__).resolve().parents[1])
-    return env
 
 
 def write_console_script(bin_dir, name):

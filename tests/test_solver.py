@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,7 @@ from prphase import (
     SchemeCoefficients,
     SolverConfig,
     bulk_chemical_potential,
+    discrete_laplacian,
     inner,
     norm,
     run,
@@ -17,7 +21,7 @@ from prphase import (
 )
 from prphase.solver import apply_operator, operator_diagonal
 
-from conftest import C_GAS, C_LIQ
+from conftest import C_GAS, C_LIQ, child_env
 
 
 @pytest.fixture
@@ -106,7 +110,7 @@ class TestSolveSpd:
         g, coeffs, cfg, kappa, r = toy
         x_true = r.standard_normal(g.cell_shape())
         rhs = apply_operator(x_true, coeffs, cfg, kappa, g)
-        x, iters, _ = solve_spd(rhs, coeffs, cfg, kappa, g, x0=x_true)
+        x, iters, _ = solve_spd(rhs, coeffs, cfg, kappa, g, x0=x_true.copy())
         assert iters == 0
         assert np.array_equal(x, x_true)
 
@@ -134,6 +138,109 @@ class TestSolveSpd:
             solve_spd(rhs, coeffs, cfg, kappa, g)
         assert len(exc.value.residual_history) == 2
         assert exc.value.residual_history[0] > 0
+
+
+class TestStackedSolve:
+    """Independent columns of a (2, ny, nx) stack solved in one PCG."""
+
+    @pytest.mark.parametrize("ny,nx", [(1, 1), (1, 5), (5, 1), (37, 13)])
+    def test_fused_stencil_matches_staggered_operators(self, ny, nx):
+        g = Grid2D(nx=nx, ny=ny, h=0.5)
+        r = np.random.default_rng(3)
+        coeffs = SchemeCoefficients(nu=r.uniform(1.0, 2.0, size=(ny, nx)),
+                                    s_r=np.zeros((ny, nx)))
+        cfg, kappa = SolverConfig(tau=0.7), 0.2
+        stack = r.standard_normal((2, ny, nx))
+        got = apply_operator(stack, coeffs, cfg, kappa, g)
+        for col, c in zip(got, stack):
+            ref = c / cfg.tau_eff() - kappa * discrete_laplacian(c, g) + coeffs.nu * c
+            assert np.max(np.abs(col - ref)) <= 1e-14 * np.max(np.abs(ref))
+            assert np.array_equal(col, apply_operator(c, coeffs, cfg, kappa, g))
+
+    def test_columns_match_separate_solves(self, toy):
+        g, coeffs, cfg, kappa, r = toy
+        rhs = np.stack([r.standard_normal(g.cell_shape()), np.ones(g.cell_shape())])
+        x, iters, res = solve_spd(rhs, coeffs, cfg, kappa, g)
+        assert iters.shape == res.shape == (2,)
+        for j in range(2):
+            x_j, iters_j, res_j = solve_spd(rhs[j], coeffs, cfg, kappa, g)
+            assert iters[j] == iters_j
+            assert res[j] <= cfg.cg_rel_tol
+            assert np.max(np.abs(x[j] - x_j)) <= 1e-12 * np.max(np.abs(x_j))
+
+    def test_converged_column_is_frozen(self, toy):
+        g, coeffs, cfg, kappa, r = toy
+        x_true = r.standard_normal(g.cell_shape())
+        rhs = np.stack([apply_operator(x_true, coeffs, cfg, kappa, g),
+                        r.standard_normal(g.cell_shape())])
+        x0 = np.stack([x_true, np.zeros(g.cell_shape())])
+        x, iters, _ = solve_spd(rhs, coeffs, cfg, kappa, g, x0=x0)
+        assert x is x0  # the iteration ran in the warm start
+        assert iters[0] == 0 and iters[1] > 0
+        assert x[0].tobytes() == x_true.tobytes()
+
+    def test_zero_column_returns_zeros(self, toy):
+        g, coeffs, cfg, kappa, r = toy
+        rhs = np.stack([np.zeros(g.cell_shape()), r.standard_normal(g.cell_shape())])
+        x0 = r.standard_normal(rhs.shape)
+        x, iters, res = solve_spd(rhs, coeffs, cfg, kappa, g, x0=x0)
+        assert np.all(x[0] == 0) and iters[0] == 0 and res[0] == 0.0
+        assert iters[1] > 0 and res[1] <= cfg.cg_rel_tol
+
+    def test_warm_start_must_match_the_stack(self, toy):
+        g, coeffs, cfg, kappa, r = toy
+        rhs = r.standard_normal((2,) + g.cell_shape())
+        with pytest.raises(ParameterError, match="warm start"):
+            solve_spd(rhs, coeffs, cfg, kappa, g, x0=np.zeros(g.cell_shape()))
+
+    def test_iteration_cap_on_stack_raises_with_history(self, toy):
+        g, coeffs, _, kappa, r = toy
+        cfg = SolverConfig(tau=0.7, cg_rel_tol=1e-14, cg_max_iter=1)
+        rhs = r.standard_normal((2,) + g.cell_shape())
+        with pytest.raises(ConvergenceError, match="within 1 iterations") as exc:
+            solve_spd(rhs, coeffs, cfg, kappa, g)
+        history = exc.value.residual_history
+        assert len(history) == 2
+        assert history[0] == pytest.approx(np.sqrt(np.sum(rhs[0] ** 2)), rel=1e-14)
+
+    def test_indefinite_operator_raises(self, toy):
+        g, _, cfg, kappa, r = toy
+        coeffs = SchemeCoefficients(nu=np.full(g.cell_shape(), -10.0),
+                                    s_r=np.zeros(g.cell_shape()))
+        rhs = r.standard_normal((2,) + g.cell_shape())
+        with pytest.raises(ConvergenceError, match="positive definiteness") as exc:
+            solve_spd(rhs, coeffs, cfg, kappa, g)
+        assert len(exc.value.residual_history) == 1
+
+
+# One 400x400 step of the nc4_droplet physics; prints a digest of the new field.
+_STEP_400 = """
+import hashlib
+from importlib import resources
+import numpy as np
+from prphase import Grid2D, step
+from prphase.config import load_config
+cfg = load_config(str(resources.files("prphase").joinpath("presets", "nc4_droplet.yaml")))
+g = Grid2D(nx=400, ny=400, h=cfg.grid.h)
+c0 = np.full(g.cell_shape(), cfg.c_gas)
+c0[100:300, 100:300] = cfg.c_liq
+c, report = step(c0, cfg.window, cfg.eos, cfg.solver, g)
+print(hashlib.sha256(c.tobytes()).hexdigest(), report.cg_iters_1, report.cg_iters_2)
+"""
+
+
+def test_step_does_not_depend_on_blas_threads():
+    # At 400x400, BLAS dot products change with the thread count; the
+    # solve's reductions must not.
+    digests = []
+    for threads in ("1", "2"):
+        env = child_env()
+        env["OPENBLAS_NUM_THREADS"] = threads
+        proc = subprocess.run([sys.executable, "-c", _STEP_400],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout)
+    assert digests[0] == digests[1]
 
 
 class TestSolverConfig:
