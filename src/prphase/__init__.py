@@ -5,8 +5,8 @@ carry a square-gradient energy.  Time stepping uses an energy-factorized
 semi-implicit scheme: the convex bulk terms are linearized through a
 concave square-root factor so every step dissipates the discrete free
 energy and keeps cell densities inside a prescribed window, at the cost of
-one symmetric positive definite solve with two right-hand sides (the
-second pins total mass through a scalar multiplier).
+one symmetric positive definite solve whose total mass is pinned by a
+scalar multiplier (one projected conjugate-gradient iteration).
 """
 
 from .diagnostics import (
@@ -49,7 +49,7 @@ from .errors import (
     PrPhaseError,
 )
 from .grid import Grid2D, discrete_laplacian, inner, norm
-from .solver import SolverConfig, StepReport, run, solve_spd, step
+from .solver import SolverConfig, StepReport, run, solve_spd
 
 __version__ = "0.1.0"
 
@@ -93,6 +93,5 @@ __all__ = [
     "semi_implicit_potentials",
     "shape_anisotropy",
     "solve_spd",
-    "step",
     "__version__",
 ]

@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .ef import EfParams, nu, s_r
+from .ef import EfParams, _nu, _s_r, g_and_gprime
 from .eos import EosParams, bulk_free_energy
 from .errors import ParameterError
 from .grid import Grid2D, diff_x_c, diff_y_c, inner
@@ -107,6 +107,13 @@ def _refined_extremum(
     return max(coarse, _golden_max(f, float(a), float(b), x_tol))
 
 
+def _nu_and_s_r(c, ef: EfParams, p: EosParams):
+    """nu(c) and s_r(c) from one evaluation of G and G'."""
+    c = np.asarray(c, dtype=float)
+    g_gp = g_and_gprime(c, ef.lam, p)
+    return np.asarray(_nu(c, g_gp, p)), np.asarray(_s_r(c, g_gp, ef, p))
+
+
 def admissible_interval(
     ef: EfParams, p: EosParams, n_samples: int = 20000, rel_tol: float = 1e-10
 ) -> AdmissibleInterval:
@@ -119,15 +126,16 @@ def admissible_interval(
     if n_samples < 2:
         raise ParameterError(f"n_samples must be >= 2, got {n_samples}")
     cs = np.linspace(ef.c_m, ef.c_M, n_samples)
-    nu_vals = np.asarray(nu(cs, ef, p))
-    sr_vals = np.asarray(s_r(cs, ef, p))
+    nu_vals, sr_vals = _nu_and_s_r(cs, ef, p)
     x_tol = rel_tol * (ef.c_M - ef.c_m)
 
     def lower_env(c: float) -> float:
-        return ef.c_m * float(nu(c, ef, p)) - float(s_r(c, ef, p))
+        nu_c, sr_c = _nu_and_s_r(c, ef, p)
+        return ef.c_m * float(nu_c) - float(sr_c)
 
     def upper_env_neg(c: float) -> float:
-        return -(ef.c_M * float(nu(c, ef, p)) - float(s_r(c, ef, p)))
+        nu_c, sr_c = _nu_and_s_r(c, ef, p)
+        return -(ef.c_M * float(nu_c) - float(sr_c))
 
     mu_lower = _refined_extremum(ef.c_m * nu_vals - sr_vals, cs, lower_env, x_tol)
     mu_upper = -_refined_extremum(-(ef.c_M * nu_vals - sr_vals), cs, upper_env_neg, x_tol)

@@ -148,7 +148,7 @@ def _series_row(report: StepReport, tau: float) -> str:
         report.step_index, report.step_index * tau, e.total, e.bulk, e.gradient,
         report.mu_e, report.interval.mu_lower, report.interval.mu_upper,
         report.c_min, report.c_max, report.mass,
-        report.cg_iters_1 + report.cg_iters_2, max(report.residual_1, report.residual_2),
+        report.cg_iters, report.residual,
     )
     return ",".join(repr(float(v)) for v in values) + "\n"
 

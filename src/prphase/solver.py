@@ -6,20 +6,19 @@ One step solves, for the new cell field c and a scalar mu_e,
     <c, 1> = c_t                                       (total moles fixed)
 
 where tau_eff = mobility*tau and Lap is the Neumann five-point Laplacian.
-The operator A = I/tau_eff - kappa*Lap + nu is symmetric positive definite,
-so the constrained system is solved by one stacked solve of two
-right-hand sides:
+The operator A = I/tau_eff - kappa*Lap + nu is symmetric positive definite.
+The constrained system is solved directly by one projected preconditioned
+conjugate-gradient iteration on the fixed-mass set (Gould, Hribar & Nocedal,
+SIAM J. Sci. Comput. 23(4), 2001): it starts from c_old, which already
+holds the target mass, and every search direction has zero sum, so every
+iterate keeps the mass to round-off whatever the solver tolerance.  After
+each residual update the part of r along 1 is moved into mu_e (their
+"residual update"), so mu_e comes out of the same iteration.
 
-    [y1, y2] = A^{-1} [c_old/tau_eff + s_r, 1],
-    mu_e = (c_t - <y1, 1>) / <y2, 1>,    c = y1 + mu_e*y2.
-
-The mass constraint then holds to inner-product round-off regardless of the
-iterative-solver tolerance.  A is applied matrix-free by a five-point
-kernel working in place on the (2, ny, nx) stack.  The stack is solved by
-one preconditioned conjugate-gradient iteration with a step length per
-column and a diagonal (Jacobi) preconditioner that accounts for the reduced
-stencil at boundary cells.  Its sums run through ``np.einsum``, not BLAS,
-so a run gives the same bits whatever the number of BLAS threads.
+A is applied matrix-free by a five-point kernel; the preconditioner is its
+diagonal (Jacobi), which accounts for the reduced stencil at boundary
+cells.  The sums run through ``np.einsum`` and ``np.sum``, not BLAS, so a
+run gives the same bits whatever the number of BLAS threads.
 """
 
 from __future__ import annotations
@@ -49,7 +48,8 @@ class SolverConfig:
     """Tuning knobs for the stepper; only ``tau`` has no default.
 
     tau : time-step size in s.
-    cg_rel_tol : stop conjugate gradients once ||r|| <= cg_rel_tol*||rhs||.
+    cg_rel_tol : stop conjugate gradients once the projected residual has
+        ||r|| <= cg_rel_tol*||rhs||, rhs = c_old/tau_eff + s_r.
     cg_max_iter : iteration cap; ``None`` means 10 * (number of cells).
     preconditioner : "diagonal" (Jacobi) or "none".
     mobility : constant mobility folded into the effective step tau*mobility.
@@ -104,7 +104,7 @@ class SolverConfig:
 class StepReport:
     """Per-step record of the solve and the invariant checks.
 
-    Step 0 describes the initial state: ``nan`` multiplier and residuals,
+    Step 0 describes the initial state: ``nan`` multiplier and residual,
     zero iterations, and only the window check is made.
     """
 
@@ -115,10 +115,8 @@ class StepReport:
     c_min: float
     c_max: float
     mass: float
-    cg_iters_1: int
-    cg_iters_2: int
-    residual_1: float
-    residual_2: float
+    cg_iters: int
+    residual: float
     admissibility_ok: bool
     bounds_ok: bool
     energy_decreased: bool
@@ -137,19 +135,19 @@ def _neighbour_sum(p: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Sum of the (up to four) in-domain neighbours of each cell, into ``out``.
 
     ``out`` must be C-contiguous.  The x-neighbours are summed along the
-    flattened rows, one long shifted run per field instead of a short one
-    per row; the row ends, where that run wraps into the adjacent row, are
-    then overwritten with their one in-row neighbour.
+    flattened rows, one long shifted run instead of a short one per row;
+    the row ends, where that run wraps into the adjacent row, are then
+    overwritten with their one in-row neighbour.
     """
-    if p.shape[-1] == 1:
+    if p.shape[1] == 1:
         out.fill(0.0)
     else:
-        flat = p.reshape(p.shape[:-2] + (-1,))
-        np.add(flat[..., 2:], flat[..., :-2], out=out.reshape(flat.shape)[..., 1:-1])
-        out[..., :, 0] = p[..., :, 1]
-        out[..., :, -1] = p[..., :, -2]
-    out[..., :-1, :] += p[..., 1:, :]
-    out[..., 1:, :] += p[..., :-1, :]
+        flat = p.ravel()
+        np.add(flat[2:], flat[:-2], out=out.ravel()[1:-1])
+        out[:, 0] = p[:, 1]
+        out[:, -1] = p[:, -2]
+    out[:-1, :] += p[1:, :]
+    out[1:, :] += p[:-1, :]
     return out
 
 
@@ -170,7 +168,7 @@ def _stencil(coeffs: SchemeCoefficients, kappa: float, g: Grid2D) -> Tuple[np.nd
 
 
 def _apply(p, d, k, tau_eff, out, scratch):
-    """A p into ``out`` for a field or a stack of fields; ``scratch`` is clobbered."""
+    """A p into ``out``; ``scratch`` is clobbered."""
     np.divide(p, tau_eff, out=out)
     np.multiply(d, p, out=scratch)
     out += scratch
@@ -180,25 +178,24 @@ def _apply(p, d, k, tau_eff, out, scratch):
     return out
 
 
-def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per-field sums of a*b over the last two axes.
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """Sum of a*b over the cells.
 
     einsum without ``optimize`` sums in its own loops, not through BLAS, so
     the result does not depend on the number of BLAS threads.
     """
-    return np.einsum("...ij,...ij->...", a, b)
+    return float(np.einsum("ij,ij->", a, b))
 
 
 def _check_cells(a: np.ndarray, g: Grid2D, what: str) -> None:
-    if a.shape[-2:] != g.cell_shape():
-        raise ParameterError(f"{what}: expected a field or a stack of fields of cell shape "
-                             f"{g.cell_shape()}, got {a.shape}")
+    if a.shape != g.cell_shape():
+        raise ParameterError(f"{what}: expected cell shape {g.cell_shape()}, got {a.shape}")
 
 
 def apply_operator(
     c: np.ndarray, coeffs: SchemeCoefficients, cfg: SolverConfig, kappa: float, g: Grid2D
 ) -> np.ndarray:
-    """A c = c/tau_eff - kappa*Lap(c) + nu*c for a field or a stack (..., ny, nx)."""
+    """A c = c/tau_eff - kappa*Lap(c) + nu*c."""
     c = np.asarray(c, dtype=float)
     _check_cells(c, g, "apply_operator")
     d, k = _stencil(coeffs, kappa, g)
@@ -220,106 +217,86 @@ def solve_spd(
     cfg: SolverConfig,
     kappa: float,
     g: Grid2D,
-    x0: Optional[np.ndarray] = None,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Preconditioned conjugate gradients for A x = rhs, column by column.
+    x0: np.ndarray,
+) -> Tuple[np.ndarray, float, int, float]:
+    """Projected preconditioned conjugate gradients for the constrained step.
 
-    ``rhs`` is a field (ny, nx) or a stack (..., ny, nx) of independent
-    right-hand sides ("columns").  Returns (x, iterations, ||r||/||rhs||),
-    the last two of shape ``rhs.shape[:-2]``.  A column has converged once
-    its unpreconditioned residual norm drops below cg_rel_tol*||rhs||; from
-    then on its step lengths are zero, so its count is the one a solve of
-    that column alone would give.  A column with a zero rhs returns zeros
-    after zero iterations.  Exceeding the iteration cap, or a nonpositive
-    p'Ap on an unconverged column, raises ``ConvergenceError`` with that
-    column's residual history attached.
+    Solves A x = rhs + mu_e*1 for x and the scalar mu_e, with the mass
+    <x, 1> fixed at that of ``x0``.  The iteration runs in ``x0``, so on
+    return it holds the solution and is the returned x.  Returns
+    (x, mu_e, iterations, ||r||/||rhs||), where r = rhs + mu_e*1 - A x.
 
-    ``x0`` is a warm start of the stack's shape; when given, the iteration
-    runs in it, so on return it holds the solution and is the returned x.
+    With D the preconditioner's diagonal (D = I for "none"), each residual
+    update is followed by the projection r -= sigma*1, mu_e -= sigma with
+    sigma = <D^-1 r, 1>/<D^-1 1, 1>, so z = D^-1 r sums to zero and so does
+    every search direction.  The iteration stops once ||r|| <= cg_rel_tol *
+    ||rhs|| after that projection; the initial state counts as iteration 0.
+    Exceeding the iteration cap, or a nonpositive p'Ap, raises
+    ``ConvergenceError`` with the residual history attached.
     """
     rhs = np.asarray(rhs, dtype=float)
     _check_cells(rhs, g, "solve_spd")
-    if x0 is None:
-        x = np.zeros(rhs.shape)
-    elif not (isinstance(x0, np.ndarray) and x0.shape == rhs.shape and x0.dtype == float):
+    if not (isinstance(x0, np.ndarray) and x0.shape == rhs.shape and x0.dtype == float):
         raise ParameterError(f"solve_spd: the warm start must be a float array of shape "
                              f"{rhs.shape}")
-    else:
-        x = x0
-    b_norm = np.sqrt(_dot(rhs, rhs))
-    blank = b_norm == 0.0
-    x[blank] = 0.0
-
+    x = x0
     if cfg.preconditioner == "diagonal":
         inv_diag = 1.0 / operator_diagonal(coeffs, cfg, kappa, g)
     else:
         inv_diag = np.ones(g.cell_shape())
+    w = inv_diag / np.sum(inv_diag)  # sigma = <w, r>
     r = apply_operator(x, coeffs, cfg, kappa, g)
     np.subtract(rhs, r, out=r)
     d, k = _stencil(coeffs, kappa, g)
     tau_eff = cfg.tau_eff()
 
+    b_norm = math.sqrt(_dot(rhs, rhs))
     tol_abs = cfg.cg_rel_tol * b_norm
     max_iter = cfg.resolved_max_iter(g)
-    iters = np.zeros(b_norm.shape, dtype=int)
-    active = ~blank
-    history: List[np.ndarray] = []
+    history: List[float] = []
 
-    scratch = np.multiply(r, inv_diag)  # z, then the stencil's and the updates' scratch
-    p = scratch.copy()
+    z = np.empty_like(r)  # z, then the stencil's and the updates' scratch
+    p = np.zeros_like(r)
     Ap = np.empty_like(r)
-    rz = _dot(r, scratch)
-    alpha = np.zeros(b_norm.shape)
-    beta = np.zeros(b_norm.shape)
+    # The first residual is about -mu_e*1.  Projecting it once leaves a
+    # round-off part along 1 that is large next to the rest of r, so the
+    # first directions would move the mass; this projection removes it.
+    mu_e = -_dot(w, r)
+    r += mu_e
+    rz = 0.0
     it = 0
     while True:
-        res = np.sqrt(_dot(r, r))
+        sigma = _dot(w, r)
+        r -= sigma
+        mu_e -= sigma
+        res = math.sqrt(_dot(r, r))
         history.append(res)
-        done = active & (res <= tol_abs)
-        iters[done] = it
-        active &= ~done
-        if not active.any():
-            return x, iters, np.divide(res, b_norm, out=np.zeros(res.shape), where=~blank)
+        if res <= tol_abs:
+            return x, mu_e, it, res / b_norm if b_norm > 0.0 else 0.0
         if it == max_iter:
-            col = _first(active)
             raise ConvergenceError(
-                f"conjugate gradients did not reach ||r|| <= {tol_abs[col]:.3e} within "
-                f"{max_iter} iterations (last residual {res[col]:.3e}){_where(col)}",
-                residual_history=[float(h[col]) for h in history],
+                f"conjugate gradients did not reach ||r|| <= {tol_abs:.3e} within "
+                f"{max_iter} iterations (last residual {res:.3e})",
+                residual_history=history,
             )
-        _apply(p, d, k, tau_eff, Ap, scratch)
-        pAp = _dot(p, Ap)
-        lost = active & (pAp <= 0.0)
-        if lost.any():
-            col = _first(lost)
-            raise ConvergenceError(
-                f"conjugate gradients lost positive definiteness "
-                f"(p'Ap = {pAp[col]}){_where(col)}",
-                residual_history=[float(h[col]) for h in history],
-            )
-        # Converged columns take zero-length steps: alpha = beta = 0.
-        alpha.fill(0.0)
-        np.divide(rz, pAp, out=alpha, where=active)
-        np.multiply(alpha[..., None, None], p, out=scratch)
-        x += scratch
-        np.multiply(alpha[..., None, None], Ap, out=scratch)
-        r -= scratch
-        np.multiply(r, inv_diag, out=scratch)
-        rz_new = _dot(r, scratch)
-        beta.fill(0.0)
-        np.divide(rz_new, rz, out=beta, where=active)
-        p *= beta[..., None, None]
-        p += scratch
+        np.multiply(r, inv_diag, out=z)
+        rz_new = _dot(r, z)
+        p *= rz_new / rz if it else 0.0
+        p += z
         rz = rz_new
+        _apply(p, d, k, tau_eff, Ap, z)
+        pAp = _dot(p, Ap)
+        if not pAp > 0.0:
+            raise ConvergenceError(
+                f"conjugate gradients lost positive definiteness (p'Ap = {pAp})",
+                residual_history=history,
+            )
+        alpha = rz / pAp
+        np.multiply(alpha, p, out=z)
+        x += z
+        np.multiply(alpha, Ap, out=z)
+        r -= z
         it += 1
-
-
-def _first(mask: np.ndarray) -> Tuple[int, ...]:
-    return tuple(int(i) for i in np.argwhere(mask)[0])
-
-
-def _where(col: Tuple[int, ...]) -> str:
-    return f" in column {col}" if col else ""
 
 
 def run(
@@ -335,10 +312,11 @@ def run(
 
     The target mass, admissible interval and initial energy are computed
     once from ``c0``; the dissipation check allows energy_slack_rel times
-    the initial energy of increase.  The stacked solve of each step is
-    warm-started from the previous step's solutions.  ``observer(c, report)``
-    sees the initial state as step 0 (``nan`` multiplier and residuals, zero
-    iterations) and then every step.
+    the initial energy of increase.  Each step's solve runs in the march's
+    own field, starting from the previous state.  ``observer(c, report)``
+    sees the initial state as step 0 (``nan`` multiplier and residual, zero
+    iterations) and then every step; ``c`` is overwritten by the next step,
+    so an observer that keeps a state must copy it.
     """
     if n_steps < 0:
         raise ParameterError(f"n_steps must be nonnegative, got {n_steps}")
@@ -351,14 +329,15 @@ def run(
             f"admissible multiplier interval is empty for this window: "
             f"[{interval.mu_lower}, {interval.mu_upper}]"
         )
-    c_t = inner(c, np.ones(g.cell_shape()), g)
+    ones = np.ones(g.cell_shape())
+    c_t = inner(c, ones, g)
     slack = cfg.bounds_slack(ef)
     c_min, c_max = float(np.min(c)), float(np.max(c))
     nan = float("nan")
     report = StepReport(
         step_index=0, mu_e=nan, breakdown=diagnostics.discrete_energy(c, p, p.kappa, g),
         interval=interval, c_min=c_min, c_max=c_max, mass=float(c_t),
-        cg_iters_1=0, cg_iters_2=0, residual_1=nan, residual_2=nan,
+        cg_iters=0, residual=nan,
         admissibility_ok=True,
         bounds_ok=bool(c_min >= ef.c_m - slack and c_max <= ef.c_M + slack),
         energy_decreased=True,
@@ -369,11 +348,6 @@ def run(
 
     tau_eff = cfg.tau_eff()
     reports: List[StepReport] = []
-    # The stacks are made in step 1, after its coefficients: y holds the
-    # solutions y1, y2 and is the next step's warm start; b holds the
-    # right-hand sides, of which the second is 1 throughout.
-    y: Optional[np.ndarray] = None
-    b: Optional[np.ndarray] = None
     for n in range(1, n_steps + 1):
         # A state outside the window raises here, naming the offending
         # cell, unless the run is configured to continue past it.
@@ -385,29 +359,19 @@ def run(
                 f"[{ef.c_m}, {ef.c_M}]; continuing as configured",
                 stacklevel=2,
             )
-        if y is None:
-            y = np.zeros((2,) + g.cell_shape())
-            b = np.empty_like(y)
-            b[1] = 1.0
-        np.divide(c, tau_eff, out=b[0])
-        b[0] += coeffs.s_r
-        del c  # not needed past the rhs; freeing it lowers the solve's peak memory
-        _, iters, res = solve_spd(b, coeffs, cfg, p.kappa, g, x0=y)
-        y1, y2 = y
-        ones = b[1]
-        s2 = inner(y2, ones, g)
-        if not s2 > 0.0:
-            raise ConvergenceError(f"degenerate multiplier denominator <A^-1 1, 1> = {s2}")
-        mu_e = float((c_t - inner(y1, ones, g)) / s2)
-        c = y1 + mu_e * y2
+        b = np.divide(c, tau_eff)
+        b += coeffs.s_r
+        c, mu_e, iters, res = solve_spd(b, coeffs, cfg, p.kappa, g, x0=c)
+        # Kept alive into the next step's coefficients, these three fields
+        # would raise the peak memory from step 2 on.
+        del b, coeffs
 
         breakdown = diagnostics.discrete_energy(c, p, p.kappa, g)
         c_min, c_max = float(np.min(c)), float(np.max(c))
         report = StepReport(
             step_index=n, mu_e=mu_e, breakdown=breakdown, interval=interval,
             c_min=c_min, c_max=c_max, mass=float(inner(c, ones, g)),
-            cg_iters_1=int(iters[0]), cg_iters_2=int(iters[1]),
-            residual_1=float(res[0]), residual_2=float(res[1]),
+            cg_iters=iters, residual=res,
             admissibility_ok=interval.contains(mu_e),
             bounds_ok=bool(c_min >= ef.c_m - slack and c_max <= ef.c_M + slack),
             energy_decreased=bool(breakdown.total <= report.energy + energy_slack),
@@ -423,10 +387,3 @@ def run(
             observer(c, report)
     return c, reports
 
-
-def step(
-    c_old: np.ndarray, ef: EfParams, p: EosParams, cfg: SolverConfig, g: Grid2D
-) -> Tuple[np.ndarray, StepReport]:
-    """Advance one step of size cfg.tau: the first step of ``run`` from ``c_old``."""
-    c_new, reports = run(c_old, 1, ef, p, cfg, g)
-    return c_new, reports[0]

@@ -17,7 +17,6 @@ from prphase import (
     norm,
     run,
     solve_spd,
-    step,
 )
 from prphase.solver import apply_operator, operator_diagonal
 
@@ -45,6 +44,21 @@ def dense_operator(g, coeffs, cfg, kappa):
         e[k] = 1.0
         mat[:, k] = apply_operator(e.reshape(g.cell_shape()), coeffs, cfg, kappa, g).ravel()
     return mat
+
+
+def dense_kkt_solve(g, coeffs, cfg, kappa, rhs, mass):
+    """(x, mu_e) of A x - mu_e*1 = rhs, h^2 <x, 1> = mass, by a dense solve."""
+    n = g.ncells
+    kkt = np.zeros((n + 1, n + 1))
+    kkt[:n, :n] = dense_operator(g, coeffs, cfg, kappa)
+    kkt[:n, n] = -1.0
+    kkt[n, :n] = g.h * g.h
+    sol = np.linalg.solve(kkt, np.append(rhs.ravel(), mass))
+    return sol[:n].reshape(g.cell_shape()), sol[n]
+
+
+def mass(c, g):
+    return inner(c, np.ones(g.cell_shape()), g)
 
 
 class TestOperator:
@@ -76,73 +90,6 @@ class TestOperator:
         got = operator_diagonal(coeffs, cfg, kappa, g).ravel()
         assert np.allclose(got, np.diag(mat), rtol=1e-13, atol=0)
 
-
-class TestSolveSpd:
-    def test_manufactured_solution(self, toy):
-        g, coeffs, cfg, kappa, r = toy
-        x_true = r.standard_normal(g.cell_shape())
-        rhs = apply_operator(x_true, coeffs, cfg, kappa, g)
-        x, iters, res = solve_spd(rhs, coeffs, cfg, kappa, g)
-        assert res <= cfg.cg_rel_tol
-        assert iters > 0
-        assert norm(x - x_true, g) <= 1e-8 * norm(x_true, g)
-
-    def test_matches_dense_solve(self):
-        g = Grid2D(nx=3, ny=3, h=0.5)
-        r = np.random.default_rng(11)
-        coeffs = SchemeCoefficients(
-            nu=r.uniform(1.0, 2.0, size=(3, 3)), s_r=np.zeros((3, 3))
-        )
-        cfg = SolverConfig(tau=0.7, cg_rel_tol=1e-13)
-        kappa = 0.2
-        rhs = r.standard_normal((3, 3))
-        mat = dense_operator(g, coeffs, cfg, kappa)
-        x_direct = np.linalg.solve(mat, rhs.ravel()).reshape(3, 3)
-        x_cg, _, _ = solve_spd(rhs, coeffs, cfg, kappa, g)
-        assert np.max(np.abs(x_cg - x_direct)) <= 1e-8 * np.max(np.abs(x_direct))
-
-    def test_zero_rhs_short_circuits(self, toy):
-        g, coeffs, cfg, kappa, _ = toy
-        x, iters, res = solve_spd(np.zeros(g.cell_shape()), coeffs, cfg, kappa, g)
-        assert np.all(x == 0) and iters == 0 and res == 0.0
-
-    def test_warm_start_at_solution_returns_immediately(self, toy):
-        g, coeffs, cfg, kappa, r = toy
-        x_true = r.standard_normal(g.cell_shape())
-        rhs = apply_operator(x_true, coeffs, cfg, kappa, g)
-        x, iters, _ = solve_spd(rhs, coeffs, cfg, kappa, g, x0=x_true.copy())
-        assert iters == 0
-        assert np.array_equal(x, x_true)
-
-    def test_jacobi_solves_diagonal_system_in_one_iteration(self, toy):
-        g, coeffs, cfg, _, r = toy
-        rhs = r.standard_normal(g.cell_shape())
-        x, iters, _ = solve_spd(rhs, coeffs, cfg, 0.0, g)
-        assert iters == 1
-        diag = 1.0 / cfg.tau_eff() + coeffs.nu
-        assert np.allclose(x, rhs / diag, rtol=1e-12, atol=0)
-
-    def test_unpreconditioned_fallback(self, toy):
-        g, coeffs, _, kappa, r = toy
-        cfg = SolverConfig(tau=0.7, cg_rel_tol=1e-12, preconditioner="none")
-        x_true = r.standard_normal(g.cell_shape())
-        rhs = apply_operator(x_true, coeffs, cfg, kappa, g)
-        x, iters, _ = solve_spd(rhs, coeffs, cfg, kappa, g)
-        assert norm(x - x_true, g) <= 1e-8 * norm(x_true, g)
-
-    def test_iteration_cap_raises_with_history(self, toy):
-        g, coeffs, _, kappa, r = toy
-        cfg = SolverConfig(tau=0.7, cg_rel_tol=1e-14, cg_max_iter=1)
-        rhs = r.standard_normal(g.cell_shape())
-        with pytest.raises(ConvergenceError) as exc:
-            solve_spd(rhs, coeffs, cfg, kappa, g)
-        assert len(exc.value.residual_history) == 2
-        assert exc.value.residual_history[0] > 0
-
-
-class TestStackedSolve:
-    """Independent columns of a (2, ny, nx) stack solved in one PCG."""
-
     @pytest.mark.parametrize("ny,nx", [(1, 1), (1, 5), (5, 1), (37, 13)])
     def test_fused_stencil_matches_staggered_operators(self, ny, nx):
         g = Grid2D(nx=nx, ny=ny, h=0.5)
@@ -150,66 +97,137 @@ class TestStackedSolve:
         coeffs = SchemeCoefficients(nu=r.uniform(1.0, 2.0, size=(ny, nx)),
                                     s_r=np.zeros((ny, nx)))
         cfg, kappa = SolverConfig(tau=0.7), 0.2
-        stack = r.standard_normal((2, ny, nx))
-        got = apply_operator(stack, coeffs, cfg, kappa, g)
-        for col, c in zip(got, stack):
+        for _ in range(2):
+            c = r.standard_normal((ny, nx))
+            got = apply_operator(c, coeffs, cfg, kappa, g)
             ref = c / cfg.tau_eff() - kappa * discrete_laplacian(c, g) + coeffs.nu * c
-            assert np.max(np.abs(col - ref)) <= 1e-14 * np.max(np.abs(ref))
-            assert np.array_equal(col, apply_operator(c, coeffs, cfg, kappa, g))
+            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
-    def test_columns_match_separate_solves(self, toy):
-        g, coeffs, cfg, kappa, r = toy
-        rhs = np.stack([r.standard_normal(g.cell_shape()), np.ones(g.cell_shape())])
-        x, iters, res = solve_spd(rhs, coeffs, cfg, kappa, g)
-        assert iters.shape == res.shape == (2,)
-        for j in range(2):
-            x_j, iters_j, res_j = solve_spd(rhs[j], coeffs, cfg, kappa, g)
-            assert iters[j] == iters_j
-            assert res[j] <= cfg.cg_rel_tol
-            assert np.max(np.abs(x[j] - x_j)) <= 1e-12 * np.max(np.abs(x_j))
 
-    def test_converged_column_is_frozen(self, toy):
+class TestSolveSpd:
+    """The projected solve of A x = rhs + mu_e*1 at the mass of the warm start."""
+
+    def test_manufactured_solution(self, toy):
         g, coeffs, cfg, kappa, r = toy
         x_true = r.standard_normal(g.cell_shape())
-        rhs = np.stack([apply_operator(x_true, coeffs, cfg, kappa, g),
-                        r.standard_normal(g.cell_shape())])
-        x0 = np.stack([x_true, np.zeros(g.cell_shape())])
-        x, iters, _ = solve_spd(rhs, coeffs, cfg, kappa, g, x0=x0)
-        assert x is x0  # the iteration ran in the warm start
-        assert iters[0] == 0 and iters[1] > 0
-        assert x[0].tobytes() == x_true.tobytes()
+        mu_true = 0.37
+        rhs = apply_operator(x_true, coeffs, cfg, kappa, g) - mu_true
+        x0 = np.full(g.cell_shape(), np.mean(x_true))
+        x, mu_e, iters, res = solve_spd(rhs, coeffs, cfg, kappa, g, x0=x0)
+        assert res <= cfg.cg_rel_tol
+        assert iters > 0
+        assert norm(x - x_true, g) <= 1e-8 * norm(x_true, g)
+        assert abs(mu_e - mu_true) <= 1e-8 * abs(mu_true)
 
-    def test_zero_column_returns_zeros(self, toy):
+    def test_matches_dense_solve(self, toy):
+        g8, coeffs8, cfg8, kappa, r = toy
+        g3 = Grid2D(nx=3, ny=3, h=0.5)
+        coeffs3 = SchemeCoefficients(nu=r.uniform(1.0, 2.0, size=(3, 3)), s_r=np.zeros((3, 3)))
+        cfg3 = SolverConfig(tau=0.7, cg_rel_tol=1e-13)
+        for g, coeffs, cfg in ((g3, coeffs3, cfg3), (g8, coeffs8, cfg8)):
+            rhs = r.standard_normal(g.cell_shape())
+            x0 = r.uniform(1.0, 2.0, size=g.cell_shape())
+            x_direct, mu_direct = dense_kkt_solve(g, coeffs, cfg, kappa, rhs, mass(x0, g))
+            x_cg, mu_cg, _, _ = solve_spd(rhs, coeffs, cfg, kappa, g, x0=x0)
+            assert np.max(np.abs(x_cg - x_direct)) <= 1e-8 * np.max(np.abs(x_direct))
+            assert abs(mu_cg - mu_direct) <= 1e-8 * abs(mu_direct)
+
+    def test_zero_rhs_short_circuits(self, toy):
+        g, coeffs, cfg, kappa, _ = toy
+        x, mu_e, iters, res = solve_spd(np.zeros(g.cell_shape()), coeffs, cfg, kappa, g,
+                                        x0=np.zeros(g.cell_shape()))
+        assert np.all(x == 0) and mu_e == 0.0 and iters == 0 and res == 0.0
+
+    def test_warm_start_at_solution_returns_immediately(self, toy):
         g, coeffs, cfg, kappa, r = toy
-        rhs = np.stack([np.zeros(g.cell_shape()), r.standard_normal(g.cell_shape())])
-        x0 = r.standard_normal(rhs.shape)
-        x, iters, res = solve_spd(rhs, coeffs, cfg, kappa, g, x0=x0)
-        assert np.all(x[0] == 0) and iters[0] == 0 and res[0] == 0.0
-        assert iters[1] > 0 and res[1] <= cfg.cg_rel_tol
+        x_true = r.standard_normal(g.cell_shape())
+        rhs = apply_operator(x_true, coeffs, cfg, kappa, g) - 0.37
+        x0 = x_true.copy()
+        x, mu_e, iters, _ = solve_spd(rhs, coeffs, cfg, kappa, g, x0=x0)
+        assert x is x0  # the iteration runs in the warm start
+        assert iters == 0
+        assert np.array_equal(x, x_true)
+        assert abs(mu_e - 0.37) <= 1e-12
 
-    def test_warm_start_must_match_the_stack(self, toy):
+    def test_jacobi_solves_diagonal_system_in_one_iteration(self, toy):
+        g, coeffs, cfg, _, r = toy
+        rhs = r.standard_normal(g.cell_shape())
+        x0 = r.uniform(1.0, 2.0, size=g.cell_shape())
+        m0 = mass(x0, g)
+        x, mu_e, iters, _ = solve_spd(rhs, coeffs, cfg, 0.0, g, x0=x0)
+        assert iters == 1
+        diag = 1.0 / cfg.tau_eff() + coeffs.nu
+        assert np.allclose(x, (rhs + mu_e) / diag, rtol=1e-12, atol=0)
+        assert abs(mass(x, g) - m0) <= 1e-12 * abs(m0)
+
+    def test_unpreconditioned_fallback(self, toy):
         g, coeffs, cfg, kappa, r = toy
-        rhs = r.standard_normal((2,) + g.cell_shape())
-        with pytest.raises(ParameterError, match="warm start"):
-            solve_spd(rhs, coeffs, cfg, kappa, g, x0=np.zeros(g.cell_shape()))
+        plain = SolverConfig(tau=0.7, cg_rel_tol=1e-12, preconditioner="none")
+        rhs = r.standard_normal(g.cell_shape())
+        x0 = r.uniform(1.0, 2.0, size=g.cell_shape())
+        x_jac, mu_jac, _, _ = solve_spd(rhs, coeffs, cfg, kappa, g, x0=x0.copy())
+        x, mu_e, _, res = solve_spd(rhs, coeffs, plain, kappa, g, x0=x0.copy())
+        assert res <= plain.cg_rel_tol
+        assert norm(x - x_jac, g) <= 1e-8 * norm(x_jac, g)
+        assert abs(mu_e - mu_jac) <= 1e-8 * abs(mu_jac)
 
-    def test_iteration_cap_on_stack_raises_with_history(self, toy):
+    def test_iteration_cap_raises_with_history(self, toy):
         g, coeffs, _, kappa, r = toy
         cfg = SolverConfig(tau=0.7, cg_rel_tol=1e-14, cg_max_iter=1)
-        rhs = r.standard_normal((2,) + g.cell_shape())
+        rhs = r.standard_normal(g.cell_shape())
         with pytest.raises(ConvergenceError, match="within 1 iterations") as exc:
-            solve_spd(rhs, coeffs, cfg, kappa, g)
+            solve_spd(rhs, coeffs, cfg, kappa, g, x0=np.zeros(g.cell_shape()))
         history = exc.value.residual_history
         assert len(history) == 2
-        assert history[0] == pytest.approx(np.sqrt(np.sum(rhs[0] ** 2)), rel=1e-14)
+        # From x0 = 0 the first residual is rhs with its D^-1-weighted mean removed.
+        inv_diag = 1.0 / operator_diagonal(coeffs, cfg, kappa, g)
+        r0 = rhs - np.sum(inv_diag * rhs) / np.sum(inv_diag)
+        assert history[0] == pytest.approx(np.sqrt(np.sum(r0**2)), rel=1e-12)
+
+
+class TestProjectedSolve:
+    """Feasibility and failure modes of the projected iteration."""
+
+    @pytest.mark.parametrize("cap", [1, 2, 3, 4, 5])
+    def test_mass_kept_after_every_iteration(self, toy, cap):
+        g, coeffs, _, kappa, r = toy
+        cfg = SolverConfig(tau=0.7, cg_rel_tol=1e-14, cg_max_iter=cap)
+        x0 = r.uniform(1.0, 2.0, size=g.cell_shape())
+        m0 = mass(x0, g)
+        start = x0.copy()
+        with pytest.raises(ConvergenceError) as exc:
+            solve_spd(r.standard_normal(g.cell_shape()), coeffs, cfg, kappa, g, x0=x0)
+        assert len(exc.value.residual_history) == cap + 1
+        assert not np.array_equal(x0, start)  # the capped iterations ran in x0
+        assert abs(mass(x0, g) - m0) <= 1e-12 * abs(m0)
+
+    def test_large_multiplier_keeps_the_mass(self, toy):
+        # The first residual is then about -mu_e*1; a single projection of it
+        # leaves round-off along 1 that moved the mass by ~1e-11 here.
+        g, coeffs, cfg, kappa, r = toy
+        for _ in range(5):
+            x_true = r.uniform(1.0, 2.0, size=g.cell_shape())
+            rhs = apply_operator(x_true, coeffs, cfg, kappa, g) - 1e6
+            x0 = np.full(g.cell_shape(), np.mean(x_true))
+            m0 = mass(x0, g)
+            x, mu_e, _, _ = solve_spd(rhs, coeffs, cfg, kappa, g, x0=x0)
+            assert abs(mu_e - 1e6) <= 1e-12 * 1e6
+            assert abs(mass(x, g) - m0) <= 1e-14 * abs(m0)
+
+    def test_warm_start_must_match_the_field(self, toy):
+        g, coeffs, cfg, kappa, r = toy
+        rhs = r.standard_normal(g.cell_shape())
+        for x0 in (np.zeros((2,) + g.cell_shape()), np.zeros(g.cell_shape(), dtype=int), None):
+            with pytest.raises(ParameterError, match="warm start"):
+                solve_spd(rhs, coeffs, cfg, kappa, g, x0=x0)
 
     def test_indefinite_operator_raises(self, toy):
         g, _, cfg, kappa, r = toy
         coeffs = SchemeCoefficients(nu=np.full(g.cell_shape(), -10.0),
                                     s_r=np.zeros(g.cell_shape()))
-        rhs = r.standard_normal((2,) + g.cell_shape())
+        rhs = r.standard_normal(g.cell_shape())
         with pytest.raises(ConvergenceError, match="positive definiteness") as exc:
-            solve_spd(rhs, coeffs, cfg, kappa, g)
+            solve_spd(rhs, coeffs, cfg, kappa, g, x0=np.ones(g.cell_shape()))
         assert len(exc.value.residual_history) == 1
 
 
@@ -218,14 +236,14 @@ _STEP_400 = """
 import hashlib
 from importlib import resources
 import numpy as np
-from prphase import Grid2D, step
+from prphase import Grid2D, run
 from prphase.config import load_config
 cfg = load_config(str(resources.files("prphase").joinpath("presets", "nc4_droplet.yaml")))
 g = Grid2D(nx=400, ny=400, h=cfg.grid.h)
 c0 = np.full(g.cell_shape(), cfg.c_gas)
 c0[100:300, 100:300] = cfg.c_liq
-c, report = step(c0, cfg.window, cfg.eos, cfg.solver, g)
-print(hashlib.sha256(c.tobytes()).hexdigest(), report.cg_iters_1, report.cg_iters_2)
+c, reports = run(c0, 1, cfg.window, cfg.eos, cfg.solver, g)
+print(hashlib.sha256(c.tobytes()).hexdigest(), reports[0].cg_iters, reports[0].mu_e.hex())
 """
 
 
@@ -284,8 +302,9 @@ class TestStep:
         g, _, cfg = droplet_setup
         c_bar = 2000.0
         c0 = np.full(g.cell_shape(), c_bar)
-        c1, report = step(c0, window, nc4, cfg, g)
+        c1, (report,) = run(c0, 1, window, nc4, cfg, g)
         mu_exact = float(bulk_chemical_potential(c_bar, nc4))
+        assert report.cg_iters == 0
         assert abs(report.mu_e - mu_exact) <= 1e-10 * abs(mu_exact)
         assert np.max(np.abs(c1 - c_bar)) <= 1e-10 * c_bar
         assert report.all_ok
@@ -293,12 +312,12 @@ class TestStep:
     def test_mass_pinned_to_target(self, nc4, window, droplet_setup):
         g, c0, cfg = droplet_setup
         c_t = inner(c0, np.ones(g.cell_shape()), g)
-        _, report = step(c0, window, nc4, cfg, g)
+        _, (report,) = run(c0, 1, window, nc4, cfg, g)
         assert abs(report.mass - c_t) <= 1e-12 * abs(c_t)
 
     def test_report_invariants_on_droplet(self, nc4, window, droplet_setup):
         g, c0, cfg = droplet_setup
-        _, report = step(c0, window, nc4, cfg, g)
+        _, (report,) = run(c0, 1, window, nc4, cfg, g)
         assert report.admissibility_ok
         assert report.bounds_ok
         assert report.energy_decreased
@@ -306,27 +325,27 @@ class TestStep:
 
     def test_mobility_is_a_time_rescaling(self, nc4, window, droplet_setup):
         g, c0, _ = droplet_setup
-        a, _ = step(c0, window, nc4, SolverConfig(tau=2e9, mobility=5.0), g)
-        b, _ = step(c0, window, nc4, SolverConfig(tau=1e10, mobility=1.0), g)
+        a, _ = run(c0, 1, window, nc4, SolverConfig(tau=2e9, mobility=5.0), g)
+        b, _ = run(c0, 1, window, nc4, SolverConfig(tau=1e10, mobility=1.0), g)
         assert np.array_equal(a, b)
 
     def test_shape_mismatch(self, nc4, window, droplet_setup):
         g, _, cfg = droplet_setup
         with pytest.raises(ParameterError, match="shape"):
-            step(np.full((3, 3), 1000.0), window, nc4, cfg, g)
+            run(np.full((3, 3), 1000.0), 1, window, nc4, cfg, g)
 
     def test_out_of_window_state_warns_when_continuing(self, nc4, window, droplet_setup):
         g, _, cfg = droplet_setup
         c_low = np.full(g.cell_shape(), 0.5 * window.c_m)
         with pytest.warns(UserWarning, match="density window"):
-            step(c_low, window, nc4, cfg, g)
+            run(c_low, 1, window, nc4, cfg, g)
 
     def test_out_of_window_state_raises_when_aborting(self, nc4, window, droplet_setup):
         g, _, _ = droplet_setup
         cfg = SolverConfig(tau=1e10, on_violation="abort")
         c_low = np.full(g.cell_shape(), 0.5 * window.c_m)
         with pytest.raises(BoundsViolationError):
-            step(c_low, window, nc4, cfg, g)
+            run(c_low, 1, window, nc4, cfg, g)
 
 
 @pytest.fixture(scope="module")
