@@ -177,6 +177,15 @@ class TestSolveSpd:
         rhs = r.standard_normal(g.cell_shape())
         with pytest.raises(ConvergenceError, match="within 1 iterations") as exc:
             solve_spd(rhs, coeffs, cfg, kappa, g, x0=np.zeros(g.cell_shape()))
+        assert len(exc.value.residual_history) == 2
+        assert exc.value.residual_history[0] > 0
+
+    def test_iteration_cap_history_starts_at_projected_residual(self, toy):
+        g, coeffs, _, kappa, r = toy
+        cfg = SolverConfig(tau=0.7, cg_rel_tol=1e-14, cg_max_iter=1)
+        rhs = r.standard_normal(g.cell_shape())
+        with pytest.raises(ConvergenceError) as exc:
+            solve_spd(rhs, coeffs, cfg, kappa, g, x0=np.zeros(g.cell_shape()))
         history = exc.value.residual_history
         assert len(history) == 2
         # From x0 = 0 the first residual is rhs with its D^-1-weighted mean removed.
