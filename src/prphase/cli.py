@@ -5,6 +5,8 @@
     prphase props <substance> --T <K> [--c-gas X --c-liq Y]
                    [--bounds-factors A B] [--vartheta0 V]
 
+``props`` takes its default bulk densities from the ``nc4_droplet`` preset.
+
 Exit codes: 0 success, 2 configuration/parameter errors, 3 density outside
 the physical or configured domain, 4 linear-solver failure, 5 a runtime
 invariant check failed.
@@ -45,6 +47,9 @@ EXIT_CONFIG = 2
 EXIT_DOMAIN = 3
 EXIT_SOLVER = 4
 EXIT_INVARIANT = 5
+
+#: Shipped preset whose bulk densities are ``props``' defaults.
+DENSITY_PRESET = "nc4_droplet"
 
 
 def _resolve_config_arg(arg: str) -> str:
@@ -108,8 +113,13 @@ def _cmd_props(args) -> int:
     print(f"  beta     {p.beta!r} m^3/mol")
     print(f"  kappa    {p.kappa!r}")
     print(f"  1/beta   {p.c_max!r} mol/m^3 (packing limit)")
+    c_gas, c_liq = args.c_gas, args.c_liq
+    if c_gas is None or c_liq is None:
+        preset = load_config(_resolve_config_arg(DENSITY_PRESET))
+        c_gas = preset.c_gas if c_gas is None else c_gas
+        c_liq = preset.c_liq if c_liq is None else c_liq
     f0, f1 = args.bounds_factors
-    c_m, c_M = f0 * args.c_gas, f1 * args.c_liq
+    c_m, c_M = f0 * c_gas, f1 * c_liq
     ef = EfParams.for_window(c_m, c_M, p)
     interval = diagnostics.admissible_interval(ef, p)
     print(f"  window   [{c_m!r}, {c_M!r}] mol/m^3 (factors {f0}, {f1})")
@@ -145,12 +155,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_props.add_argument("--T", type=float, required=True, help="temperature in K")
     p_props.add_argument("--vartheta0", type=float, default=0.0,
                          help="reference chemical potential offset in J/mol")
-    p_props.add_argument("--c-gas", type=float, default=249.1123,
-                         help="bulk vapour density in mol/m^3 "
-                              "(default: n-butane coexistence at 330 K)")
-    p_props.add_argument("--c-liq", type=float, default=9526.8428,
-                         help="bulk liquid density in mol/m^3 "
-                              "(default: n-butane coexistence at 330 K)")
+    p_props.add_argument("--c-gas", type=float, default=None,
+                         help="bulk vapour density in mol/m^3 (default: that of the "
+                              f"{DENSITY_PRESET} preset, n-butane coexistence at 330 K)")
+    p_props.add_argument("--c-liq", type=float, default=None,
+                         help="bulk liquid density in mol/m^3 (default: that of the "
+                              f"{DENSITY_PRESET} preset, n-butane coexistence at 330 K)")
     p_props.add_argument("--bounds-factors", type=float, nargs=2, default=DEFAULT_BOUNDS_FACTORS,
                          metavar=("LOW", "HIGH"),
                          help="density window as multiples of c_gas / c_liq")

@@ -6,7 +6,12 @@ The discrete free energy of a cell field c is
     F_h(c) = <f_b(c), 1> + (kappa/2) * ( ||diff_x_c c||^2 + ||diff_y_c c||^2 )
 
 with the mesh inner products of ``prphase.grid`` (so the gradient part sums
-interior faces only, consistent with the no-flux boundary).
+interior faces only, consistent with the no-flux boundary).  The gradient
+part is taken from differences of neighbouring cells
+(``grid.gradient_sq_norm``).  ``ef.scheme_coefficients`` returns the same
+energy, bitwise, from the pass that evaluates the scheme's coefficients;
+the time stepper uses that and calls ``discrete_energy`` for the initial
+state only.
 
 The mass-constraint multiplier produced by the stepper provably stays inside
 
@@ -24,21 +29,12 @@ from typing import Callable
 
 import numpy as np
 
-from .ef import EfParams, _nu, _s_r, g_and_gprime
+from .ef import EfParams, EnergyBreakdown, _nu, _s_r, g_and_gprime
 from .eos import EosParams, bulk_free_energy
 from .errors import ParameterError
-from .grid import Grid2D, diff_x_c, diff_y_c, inner
+from .grid import Grid2D, gradient_sq_norm, inner
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-@dataclass(frozen=True)
-class EnergyBreakdown:
-    """Total discrete energy in J and its two contributions."""
-
-    bulk: float
-    gradient: float
-    total: float
 
 
 def discrete_energy(c: np.ndarray, p: EosParams, kappa: float, g: Grid2D) -> EnergyBreakdown:
@@ -49,9 +45,7 @@ def discrete_energy(c: np.ndarray, p: EosParams, kappa: float, g: Grid2D) -> Ene
     fb = bulk_free_energy(c, p).total
     ones = np.ones(g.cell_shape())
     bulk = inner(fb, ones, g)
-    dx = diff_x_c(c, g)
-    dy = diff_y_c(c, g)
-    gradient = 0.5 * kappa * (inner(dx, dx, g) + inner(dy, dy, g))
+    gradient = 0.5 * kappa * gradient_sq_norm(c, g)
     return EnergyBreakdown(bulk=float(bulk), gradient=float(gradient),
                            total=float(bulk + gradient))
 

@@ -26,6 +26,11 @@ stability of the time stepper.  The per-step linear operator uses
 
 which satisfy nu(c)*c - s_r(c) = mu_b(c) identically, so spatially uniform
 states are exact fixed points of the scheme.
+
+``scheme_coefficients`` evaluates both fields of a state together with its
+discrete energy in one in-place pass over the cells, bitwise equal to
+``nu``, ``s_r`` and ``diagnostics.discrete_energy``; the time stepper makes
+one such pass per state.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ import numpy as np
 
 from .eos import EosParams, _SQRT2, _require_admissible
 from .errors import BoundsViolationError, DomainError, ParameterError
+from .grid import Grid2D, gradient_sq_norm
 
 ArrayLike = Union[float, np.ndarray]
 
@@ -190,11 +196,25 @@ def _s_r(c: np.ndarray, g_gp, ef: EfParams, p: EosParams) -> ArrayLike:
 
 
 @dataclass(frozen=True)
+class EnergyBreakdown:
+    """Total discrete energy in J and its two contributions."""
+
+    bulk: float
+    gradient: float
+    total: float
+
+
+@dataclass(frozen=True)
 class SchemeCoefficients:
-    """Frozen per-step coefficient fields evaluated at the previous state."""
+    """Frozen per-step coefficient fields evaluated at the previous state.
+
+    ``energy`` is that state's discrete energy; ``scheme_coefficients``
+    always fills it, coefficients built by hand may leave it out.
+    """
 
     nu: np.ndarray
     s_r: np.ndarray
+    energy: Optional[EnergyBreakdown] = None
 
 
 def require_in_window(c: np.ndarray, ef: EfParams, bounds_slack: float, what: str) -> None:
@@ -221,11 +241,98 @@ def scheme_coefficients(
     c_old: np.ndarray,
     ef: EfParams,
     p: EosParams,
+    g: Grid2D,
     bounds_slack: float = 0.0,
 ) -> SchemeCoefficients:
-    """Evaluate nu and s_r at ``c_old`` after ``require_in_window``, from one G, G'."""
-    c_old = np.asarray(c_old, dtype=float)
-    require_in_window(c_old, ef, bounds_slack, "scheme_coefficients")
-    g_gp = g_and_gprime(c_old, ef.lam, p)
-    return SchemeCoefficients(nu=np.asarray(_nu(c_old, g_gp, p)),
-                              s_r=np.asarray(_s_r(c_old, g_gp, ef, p)))
+    """nu, s_r and the discrete energy (gradient weight p.kappa) of ``c_old``.
+
+    ``require_in_window`` runs first, unless ``bounds_slack`` is infinite
+    (the caller then judges the window itself); a density outside
+    0 < c < 1/beta raises ``DomainError``.  One log(c), one log1p(-beta*c),
+    one attraction log and one sqrt per cell serve all three results, which
+    are computed in place in four scratch fields.  Every field keeps the
+    operation order of ``nu``, ``s_r`` and ``eos.bulk_free_energy``, so the
+    results are bitwise those of ``nu``, ``s_r`` and
+    ``diagnostics.discrete_energy``.
+    """
+    c = np.ascontiguousarray(c_old, dtype=float)
+    if c.shape != g.cell_shape():
+        raise ParameterError(f"scheme_coefficients: expected cell shape {g.cell_shape()}, "
+                             f"got {c.shape}")
+    if bounds_slack != math.inf:
+        require_in_window(c, ef, bounds_slack, "scheme_coefficients")
+    _require_admissible(c, p, "scheme_coefficients")
+    RT = p.R * p.T
+    bc = p.beta * c
+    a = np.log(c)
+    b = np.empty_like(c)
+    nu_f = np.empty_like(c)  # the bulk energy density, G, G'^2, then nu
+    sr = np.multiply(RT, a)
+    np.subtract(-p.vartheta0, sr, out=sr)
+
+    # f_b = c*vartheta0 + c*RT*ln(c) - c*RT*ln(1 - beta*c) + attraction
+    np.multiply(c, p.vartheta0, out=nu_f)
+    np.multiply(c, RT, out=b)
+    b *= a
+    nu_f += b
+    log1m = a  # ln(1 - beta*c); ln(c) is done with
+    np.negative(bc, out=log1m)
+    np.log1p(log1m, out=log1m)
+    np.negative(c, out=b)
+    b *= RT
+    b *= log1m
+    nu_f += b
+    att = np.multiply(1.0 - _SQRT2, bc)  # the attraction log
+    att += 1.0
+    np.multiply(1.0 + _SQRT2, bc, out=b)
+    b += 1.0
+    att /= b
+    np.log(att, out=att)
+    np.multiply(p.alpha, c, out=b)
+    b /= 2.0 * _SQRT2 * p.beta
+    b *= att
+    nu_f += b
+    bulk = float(g.h * g.h * np.sum(nu_f))
+    gradient = 0.5 * p.kappa * gradient_sq_norm(c, g, scratch=b)
+
+    # G and G' as g_and_gprime computes them
+    np.multiply(ef.lam, c, out=nu_f)
+    np.multiply(c, log1m, out=b)
+    nu_f -= b
+    if np.any(nu_f <= 0.0):
+        raise DomainError(
+            f"G^2 must be positive; lam = {ef.lam} is too small for this density range"
+        )
+    np.sqrt(nu_f, out=nu_f)
+    np.subtract(1.0, bc, out=b)
+    np.divide(bc, b, out=b)
+    gp = log1m
+    np.subtract(ef.lam, log1m, out=gp)
+    gp += b
+    np.multiply(2.0, nu_f, out=b)
+    gp /= b
+    b *= gp  # 2*G*G'
+    np.multiply(gp, gp, out=nu_f)
+
+    # s_r = -vartheta0 - RT*ln(c) + RT*(G'^2*c - 2*G*G' + lam) - mu_attraction
+    np.multiply(nu_f, c, out=a)
+    a -= b
+    a += ef.lam
+    a *= RT
+    sr += a
+    att *= p.alpha / (2.0 * _SQRT2 * p.beta)
+    np.multiply(2.0, bc, out=a)
+    a += 1.0
+    np.multiply(bc, bc, out=b)
+    a -= b
+    np.multiply(p.alpha, c, out=b)
+    b /= a
+    att -= b
+    sr -= att
+
+    # nu = RT*(1/c + G'^2)
+    np.divide(1.0, c, out=a)
+    nu_f += a
+    nu_f *= RT
+    return SchemeCoefficients(nu=nu_f, s_r=sr, energy=EnergyBreakdown(
+        bulk=bulk, gradient=gradient, total=float(bulk + gradient)))

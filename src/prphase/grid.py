@@ -13,7 +13,10 @@ Operators:
 
 They are skew-adjoint under the mesh inner products below (a summation-by-
 parts identity), so the composite discrete_laplacian is symmetric negative
-semidefinite with constants as its null space.
+semidefinite with constants as its null space.  The program itself runs
+none of them: the energy takes the gradient's squared norm from
+``gradient_sq_norm``, straight from differences of neighbouring cells and
+bitwise equal to the face-field form, and the solver has its own stencil.
 
 Inner products carry the cell-area weight h^2; for face fields only interior
 faces contribute, matching the zero boundary layers.
@@ -99,6 +102,27 @@ def diff_y_c(c: np.ndarray, g: Grid2D) -> np.ndarray:
     out = np.zeros(g.yface_shape())
     out[1:-1, :] = (c[1:, :] - c[:-1, :]) / g.h
     return out
+
+
+def gradient_sq_norm(c: np.ndarray, g: Grid2D, scratch=None) -> float:
+    """||diff_x_c c||^2 + ||diff_y_c c||^2 under ``inner``, without face fields.
+
+    Each term is h^2 times the sum of ((c_j - c_i)/h)^2 over neighbouring
+    cell pairs, summed as a contiguous array just as ``inner`` sums the
+    interior faces, so the bits match.  ``scratch``, a C-contiguous float
+    array of at least ``g.ncells`` elements, is clobbered; without it one is
+    allocated.
+    """
+    c = _check(c, g.cell_shape(), "gradient_sq_norm")
+    flat = np.empty(g.ncells) if scratch is None else scratch.reshape(-1)
+    total = 0.0
+    for hi, lo in ((c[:, 1:], c[:, :-1]), (c[1:, :], c[:-1, :])):
+        d = flat[:hi.size].reshape(hi.shape)
+        np.subtract(hi, lo, out=d)
+        d /= g.h
+        d *= d
+        total += float(g.h * g.h * np.sum(d))
+    return total
 
 
 def diff_x_u(u: np.ndarray, g: Grid2D) -> np.ndarray:

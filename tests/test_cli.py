@@ -143,24 +143,48 @@ class TestRun:
         assert (out / "snapshot_000005.txt").exists()  # final, off-cadence
 
     def test_one_energy_evaluation_per_step(self, tmp_path, monkeypatch):
-        # the march evaluates the energy of each state once and the multiplier
-        # interval once per run; the experiment recomputes neither
-        counts = {"discrete_energy": 0, "admissible_interval": 0}
-        for name in counts:
-            original = getattr(prphase.diagnostics, name)
+        # the march evaluates each state once, in the pass that also gives the
+        # next step's coefficients; discrete_energy serves the step-0 report
+        # only, the multiplier interval is computed once per run, and the
+        # experiment recomputes none of them
+        events = []
+        homes = {"scheme_coefficients": prphase.ef, "discrete_energy": prphase.diagnostics,
+                 "admissible_interval": prphase.diagnostics}
+        for name, home in homes.items():
+            original = getattr(home, name)
 
             def counted(*args, _name=name, _original=original, **kwargs):
-                counts[_name] += 1
+                events.append(_name)
                 return _original(*args, **kwargs)
 
             for module in list(sys.modules.values()):
                 if (getattr(module, "__name__", "").startswith("prphase")
                         and vars(module).get(name) is original):
                     monkeypatch.setattr(module, name, counted)
+        original_run = prphase.solver.run
+
+        def traced_run(*args, observer, **kwargs):
+            def traced_observer(c, report):
+                events.append(f"observer {report.step_index}")
+                observer(c, report)
+
+            events.append("run")
+            result = original_run(*args, observer=traced_observer, **kwargs)
+            events.append("end of run")
+            return result
+
+        monkeypatch.setattr(prphase.solver, "run", traced_run)
         n_steps = 5
         cfg = load_config(write_config(tmp_path, tiny_dict(n_steps=n_steps)))
         assert run_experiment(cfg, str(tmp_path / "out")) == 0
-        assert counts == {"discrete_energy": n_steps + 1, "admissible_interval": 1}
+        assert {name: events.count(name) for name in homes} == {
+            "scheme_coefficients": n_steps + 1, "discrete_energy": 1, "admissible_interval": 1}
+        passes = [i for i, e in enumerate(events) if e == "scheme_coefficients"]
+        assert events.index("run") < passes[0] and passes[-1] < events.index("end of run")
+        # the benchmark ends set-up at the first pass: step 1's first action,
+        # after the step-0 observer
+        assert events.index("observer 0") < passes[0] < events.index("observer 1")
+        assert events[passes[0] - 1] == "observer 0"
 
     def test_snapshot_cadence_and_csv(self, tmp_path):
         d = tiny_dict(n_steps=4,

@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from prphase import (
     BoundsViolationError,
     DomainError,
     EfParams,
+    Grid2D,
     ParameterError,
+    discrete_energy,
     bulk_chemical_potential,
     bulk_free_energy,
     g_and_gprime,
@@ -21,6 +26,11 @@ import oracles
 from conftest import C_GAS, C_LIQ
 
 FROZEN = oracles.FROZEN
+
+
+def grid_of(c, h=1e-9):
+    """A grid whose cell shape is that of the 2-D field ``c``."""
+    return Grid2D(nx=c.shape[1], ny=c.shape[0], h=h)
 
 
 def rel(a, b):
@@ -172,7 +182,7 @@ class TestSchemeCoefficients:
 
     def test_preserves_field_shape(self, nc4, window):
         c = np.full((4, 5), 1000.0)
-        coeffs = scheme_coefficients(c, window, nc4)
+        coeffs = scheme_coefficients(c, window, nc4, grid_of(c))
         assert coeffs.nu.shape == (4, 5)
         assert coeffs.s_r.shape == (4, 5)
 
@@ -180,24 +190,63 @@ class TestSchemeCoefficients:
         c = np.full((4, 5), 1000.0)
         c[2, 3] = window.c_M * 1.5
         with pytest.raises(BoundsViolationError) as exc:
-            scheme_coefficients(c, window, nc4)
+            scheme_coefficients(c, window, nc4, grid_of(c))
         assert exc.value.cell_index == 2 * 5 + 3
         assert exc.value.value == pytest.approx(window.c_M * 1.5)
 
     def test_below_window_rejected(self, nc4, window):
-        c = np.full(6, window.c_m)
-        c[4] = 0.5 * window.c_m
+        c = np.full((1, 6), window.c_m)
+        c[0, 4] = 0.5 * window.c_m
         with pytest.raises(BoundsViolationError) as exc:
-            scheme_coefficients(c, window, nc4)
+            scheme_coefficients(c, window, nc4, grid_of(c))
         assert exc.value.cell_index == 4
 
     def test_bounds_slack_absorbs_roundoff(self, nc4, window):
         slack = 1e-10 * window.c_M
-        c = np.full(3, window.c_M + 0.5 * slack)
-        coeffs = scheme_coefficients(c, window, nc4, bounds_slack=slack)
+        c = np.full((1, 3), window.c_M + 0.5 * slack)
+        coeffs = scheme_coefficients(c, window, nc4, grid_of(c), bounds_slack=slack)
         assert np.all(np.isfinite(coeffs.nu))
         with pytest.raises(BoundsViolationError):
-            scheme_coefficients(c + slack, window, nc4, bounds_slack=slack)
+            scheme_coefficients(c + slack, window, nc4, grid_of(c), bounds_slack=slack)
+
+
+def draw_grid(data):
+    return Grid2D(nx=data.draw(st.integers(1, 6), label="nx"),
+                  ny=data.draw(st.integers(1, 6), label="ny"),
+                  h=data.draw(st.floats(1e-10, 1.0), label="h"))
+
+
+class TestFusedPass:
+    """scheme_coefficients against the separate evaluators it replaces."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_bitwise_equal_to_separate_evaluators(self, nc4, window, data):
+        g = draw_grid(data)
+        c = data.draw(hnp.arrays(np.float64, g.cell_shape(),
+                                 elements=st.floats(window.c_m, window.c_M)), label="c")
+        coeffs = scheme_coefficients(c, window, nc4, g)
+        assert np.array_equal(coeffs.nu, nu(c, window, nc4))
+        assert np.array_equal(coeffs.s_r, s_r(c, window, nc4))
+        want = discrete_energy(c, nc4, nc4.kappa, g)
+        assert (coeffs.energy.bulk, coeffs.energy.gradient, coeffs.energy.total) == (
+            want.bulk, want.gradient, want.total)
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_nonpositive_cell_raises_domain_error(self, nc4, window, data):
+        g = draw_grid(data)
+        c = np.full(g.cell_shape(), 0.5 * (window.c_m + window.c_M))
+        cell = data.draw(st.integers(0, g.ncells - 1), label="cell")
+        c.ravel()[cell] = data.draw(st.floats(max_value=0.0, allow_infinity=False), label="value")
+        with pytest.raises(DomainError, match="positive"):
+            scheme_coefficients(c, window, nc4, g, bounds_slack=np.inf)
+        with pytest.raises(DomainError):
+            scheme_coefficients(c, window, nc4, g)
+
+    def test_shape_mismatch(self, nc4, window):
+        with pytest.raises(ParameterError, match="shape"):
+            scheme_coefficients(np.full((2, 3), 1000.0), window, nc4, Grid2D(nx=2, ny=3, h=1.0))
 
 
 class TestSemiImplicitPotentials:

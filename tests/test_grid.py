@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from prphase import Grid2D, ParameterError, discrete_laplacian, inner, norm
-from prphase.grid import diff_x_c, diff_x_u, diff_y_c, diff_y_v
+from prphase.grid import diff_x_c, diff_x_u, diff_y_c, diff_y_v, gradient_sq_norm
 
 
 @pytest.fixture(params=[(3, 3), (4, 7), (100, 100)], ids=lambda s: f"{s[0]}x{s[1]}")
@@ -67,6 +70,18 @@ class TestDifferenceOperators:
         for op in (diff_x_c, diff_y_c, diff_x_u, diff_y_v):
             with pytest.raises(ParameterError, match="expected shape"):
                 op(wrong, unit_grid)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_gradient_sq_norm_is_the_face_form(self, data):
+        # bitwise, with and without a (larger) scratch buffer
+        g = Grid2D(nx=data.draw(st.integers(1, 7)), ny=data.draw(st.integers(1, 7)),
+                   h=data.draw(st.floats(1e-10, 1.0)))
+        c = data.draw(hnp.arrays(np.float64, g.cell_shape(), elements=st.floats(-1e4, 1e4)))
+        want = (inner(diff_x_c(c, g), diff_x_c(c, g), g)
+                + inner(diff_y_c(c, g), diff_y_c(c, g), g))
+        assert gradient_sq_norm(c, g) == want
+        assert gradient_sq_norm(c, g, scratch=np.empty(g.ncells + 3)) == want
 
 
 class TestInnerProduct:

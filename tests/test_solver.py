@@ -63,10 +63,11 @@ def mass(c, g):
 
 class TestOperator:
     def test_no_gradient_term_is_pointwise(self, toy):
+        # the stencil folds 1/tau_eff into its diagonal
         g, coeffs, cfg, _, r = toy
         c = r.standard_normal(g.cell_shape())
         got = apply_operator(c, coeffs, cfg, 0.0, g)
-        assert np.array_equal(got, c / cfg.tau_eff() + coeffs.nu * c)
+        assert np.array_equal(got, (coeffs.nu + 1.0 / cfg.tau_eff()) * c)
 
     def test_symmetry(self, toy):
         g, coeffs, cfg, kappa, r = toy
@@ -137,6 +138,18 @@ class TestSolveSpd:
         x, mu_e, iters, res = solve_spd(np.zeros(g.cell_shape()), coeffs, cfg, kappa, g,
                                         x0=np.zeros(g.cell_shape()))
         assert np.all(x == 0) and mu_e == 0.0 and iters == 0 and res == 0.0
+
+    def test_fortran_ordered_inputs(self, toy):
+        # the stencil writes through flat views, so its buffers must not
+        # inherit the inputs' memory order
+        g, coeffs, cfg, kappa, r = toy
+        x_true = r.standard_normal(g.cell_shape())
+        rhs = np.asfortranarray(apply_operator(x_true, coeffs, cfg, kappa, g) - 0.37)
+        x0 = np.asfortranarray(np.full(g.cell_shape(), np.mean(x_true)))
+        x, mu_e, _, res = solve_spd(rhs, coeffs, cfg, kappa, g, x0=x0)
+        assert res <= cfg.cg_rel_tol
+        assert norm(x - x_true, g) <= 1e-8 * norm(x_true, g)
+        assert abs(mu_e - 0.37) <= 1e-8 * 0.37
 
     def test_warm_start_at_solution_returns_immediately(self, toy):
         g, coeffs, cfg, kappa, r = toy
