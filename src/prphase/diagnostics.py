@@ -32,7 +32,7 @@ import numpy as np
 from .ef import EfParams, EnergyBreakdown, _nu, _s_r, g_and_gprime
 from .eos import EosParams, bulk_free_energy
 from .errors import ParameterError
-from .grid import Grid2D, gradient_sq_norm, inner
+from .grid import Grid2D, gradient_sq_norm
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -42,9 +42,7 @@ def discrete_energy(c: np.ndarray, p: EosParams, kappa: float, g: Grid2D) -> Ene
     c = np.asarray(c, dtype=float)
     if c.shape != g.cell_shape():
         raise ParameterError(f"discrete_energy: expected cell shape {g.cell_shape()}, got {c.shape}")
-    fb = bulk_free_energy(c, p).total
-    ones = np.ones(g.cell_shape())
-    bulk = inner(fb, ones, g)
+    bulk = g.h * g.h * np.sum(bulk_free_energy(c, p).total)  # inner(f_b, 1), bitwise
     gradient = 0.5 * kappa * gradient_sq_norm(c, g)
     return EnergyBreakdown(bulk=float(bulk), gradient=float(gradient),
                            total=float(bulk + gradient))

@@ -13,10 +13,17 @@ SIAM J. Sci. Comput. 23(4), 2001): it starts from a field at the target
 mass, and every search direction has zero sum, so every iterate keeps the
 mass to round-off whatever the solver tolerance.  After each residual
 update the part of r along 1 is moved into mu_e (their "residual update"),
-so mu_e comes out of the same iteration.  ``run`` starts step 1 from c_old
-and every later step from c_old + (delta - mean(delta)), delta being the
-previous step's change: the extrapolation saves about a fifth of the
-iterations, and removing the mean keeps the start at the target mass.
+so mu_e comes out of the same iteration.
+
+``run`` starts step 1 from c_old.  Every later step starts from the point
+of c_old + span{D^1, ..., D^m} whose error has the smallest A-norm, the D^j
+being the Newton backward differences of the last m + 1 states (m up to
+``START_DIRECTIONS``), each less its mean: the projection of successive
+right-hand sides of Fischer (Comput. Methods Appl. Mech. Engrg. 163, 1998)
+on the fixed-mass set.  The basis has zero sum, so the start keeps the
+target mass, and it holds c_old + (D^1 - mean D^1), the linear
+extrapolation of the last change, so the start is never worse than that in
+A-norm.  On the droplet run it takes about half the iterations.
 
 A is applied matrix-free by a five-point kernel, D*p - k*(sum of the
 neighbours of p), whose diagonal D (1/tau_eff folded in) is built once per
@@ -36,7 +43,7 @@ import logging
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -50,6 +57,10 @@ log = logging.getLogger(__name__)
 
 _PRECONDITIONERS = ("diagonal", "none")
 _VIOLATION_MODES = ("continue", "abort")
+#: Number of state differences ``run`` keeps to choose each solve's start.
+#: A fourth cut the droplet run's iterations by a further quarter, but not
+#: its wall time, and it costs one more field.
+START_DIRECTIONS = 3
 
 
 @dataclass(frozen=True)
@@ -196,6 +207,19 @@ def apply_operator(
                   np.empty(c.shape), np.empty(c.shape))
 
 
+def _fold_diagonal(d: np.ndarray, k: float, tau_eff: float) -> np.ndarray:
+    """Turn ``d``, holding nu, into the diagonal of A in place; k = kappa/h^2."""
+    count = np.full(d.shape, 4.0)
+    count[0, :] -= 1.0
+    count[-1, :] -= 1.0
+    count[:, 0] -= 1.0
+    count[:, -1] -= 1.0
+    count *= k
+    d += count
+    d += 1.0 / tau_eff
+    return d
+
+
 def operator_diagonal(
     coeffs: SchemeCoefficients, cfg: SolverConfig, kappa: float, g: Grid2D
 ) -> np.ndarray:
@@ -203,14 +227,8 @@ def operator_diagonal(
 
     The reduced count at boundary cells is the Neumann condition.
     """
-    count = np.full(g.cell_shape(), 4.0)
-    count[0, :] -= 1.0
-    count[-1, :] -= 1.0
-    count[:, 0] -= 1.0
-    count[:, -1] -= 1.0
-    d = coeffs.nu + kappa / (g.h * g.h) * count
-    d += 1.0 / cfg.tau_eff()
-    return d
+    return _fold_diagonal(np.array(coeffs.nu, dtype=float), kappa / (g.h * g.h),
+                          cfg.tau_eff())
 
 
 def solve_spd(
@@ -220,6 +238,8 @@ def solve_spd(
     kappa: float,
     g: Grid2D,
     x0: np.ndarray,
+    basis: Sequence[np.ndarray] = (),
+    overwrite_nu: bool = False,
 ) -> Tuple[np.ndarray, float, int, float]:
     """Projected preconditioned conjugate gradients for the constrained step.
 
@@ -227,49 +247,72 @@ def solve_spd(
     <x, 1> fixed at that of ``x0``.  The iteration runs in ``x0``, so on
     return it holds the solution and is the returned x.  Returns
     (x, mu_e, iterations, ||r||/||rhs||), where r = rhs + mu_e*1 - A x.
+    ``rhs``, ``coeffs`` and ``basis`` are left as they are, except that
+    with ``overwrite_nu`` the diagonal of A is built in ``coeffs.nu``'s
+    field, saving one (``run`` discards its coefficients after the solve).
+
+    ``basis`` holds zero-sum fields V; when it is given, the iteration
+    starts from the point x0 + V a whose error has the smallest A-norm
+    (``_galerkin_start``), which keeps the mass of ``x0``.
 
     With D the preconditioner's diagonal (D = I for "none"), each residual
     update is followed by the projection r -= sigma*1, mu_e -= sigma with
-    sigma = <D^-1 r, 1>/<D^-1 1, 1>, so z = D^-1 r sums to zero and so does
+    sigma = <D^-1, r>/<D^-1, 1>, so z = D^-1 r sums to zero and so does
     every search direction.  The iteration stops once ||r|| <= cg_rel_tol *
     ||rhs|| after that projection; the initial state counts as iteration 0.
     Exceeding the iteration cap, or a nonpositive p'Ap, raises
     ``ConvergenceError`` with the residual history attached.
     """
-    rhs = np.asarray(rhs, dtype=float)
-    _check_cells(rhs, g, "solve_spd")
-    if not (isinstance(x0, np.ndarray) and x0.shape == rhs.shape and x0.dtype == float):
+    b = np.asarray(rhs, dtype=float)
+    _check_cells(b, g, "solve_spd")
+    if not (isinstance(x0, np.ndarray) and x0.shape == b.shape and x0.dtype == float):
         raise ParameterError(f"solve_spd: the warm start must be a float array of shape "
-                             f"{rhs.shape}")
+                             f"{b.shape}")
+    basis = [np.asarray(v, dtype=float) for v in basis]
+    for v in basis:
+        _check_cells(v, g, "solve_spd basis")
     x = x0
-    d = operator_diagonal(coeffs, cfg, kappa, g)  # built once: each apply is d*p - k*N(p)
     k = kappa / (g.h * g.h)
+    # built once: each apply is d*p - k*N(p)
+    d = _fold_diagonal(coeffs.nu if overwrite_nu else np.array(coeffs.nu, dtype=float), k,
+                       cfg.tau_eff())
     if cfg.preconditioner == "diagonal":
-        inv_diag = 1.0 / d
+        inv_diag = np.divide(1.0, d)
     else:
-        inv_diag = np.ones(g.cell_shape())
-    w = inv_diag / np.sum(inv_diag)  # sigma = <w, r>
+        inv_diag = np.ones(b.shape)
+    inv_sum = float(np.sum(inv_diag))
     # C order: the stencil writes its outputs through flat views.
-    z = np.empty(rhs.shape)  # z, then the stencil's and the updates' scratch
-    r = _apply(x, d, k, np.empty(rhs.shape), z)
-    np.subtract(rhs, r, out=r)
+    z = np.empty(b.shape)  # z, then the stencil's and the updates' scratch
+    r = np.empty(b.shape)
+    Ap = np.empty(b.shape)
 
-    b_norm = math.sqrt(_dot(rhs, rhs))
+    def residual() -> float:
+        # r = b - A x, projected once; what it loses along 1 is the first mu_e.
+        np.subtract(b, _apply(x, d, k, r, z), out=r)
+        mu = -_dot(inv_diag, r) / inv_sum
+        np.add(r, mu, out=r)
+        return mu
+
+    # The first residual is about -mu_e*1.  Projecting it once leaves a
+    # round-off part along 1 that is large next to the rest of r, so the
+    # first directions would move the mass; the loop's first projection
+    # removes it.  The start from the basis needs r projected twice as well,
+    # or the round-off sums of the basis fields pick up that part.
+    mu_e = residual()
+    if basis:
+        r -= _dot(inv_diag, r) / inv_sum
+        _galerkin_start(x, r, basis, d, k, Ap, z)
+        mu_e = residual()
+
+    b_norm = math.sqrt(_dot(b, b))
     tol_abs = cfg.cg_rel_tol * b_norm
     max_iter = cfg.resolved_max_iter(g)
     history: List[float] = []
-
     p = np.zeros_like(r)
-    Ap = np.empty_like(r)
-    # The first residual is about -mu_e*1.  Projecting it once leaves a
-    # round-off part along 1 that is large next to the rest of r, so the
-    # first directions would move the mass; this projection removes it.
-    mu_e = -_dot(w, r)
-    r += mu_e
     rz = 0.0
     it = 0
     while True:
-        sigma = _dot(w, r)
+        sigma = _dot(inv_diag, r) / inv_sum
         r -= sigma
         mu_e -= sigma
         res = math.sqrt(_dot(r, r))
@@ -302,6 +345,69 @@ def solve_spd(
         it += 1
 
 
+def _galerkin_start(x, r, basis, d, k, Ap, z) -> None:
+    """Move ``x`` to the point of x + span(basis) whose error has the smallest A-norm.
+
+    ``r`` is b - A x up to a multiple of 1, and every basis field has zero
+    sum, so the coefficients a solve (V'AV) a = V'r: one stencil apply per
+    field, into ``Ap`` with ``z`` as scratch, both clobbered.
+    """
+    m = len(basis)
+    gram = [[0.0] * m for _ in range(m)]
+    for j, v in enumerate(basis):
+        _apply(v, d, k, Ap, z)
+        for i in range(j, m):
+            gram[i][j] = gram[j][i] = _dot(basis[i], Ap)
+    for a, v in zip(_cholesky_solve(gram, [_dot(v, r) for v in basis]), basis):
+        if a:
+            x += np.multiply(a, v, out=z)
+
+
+def _cholesky_solve(gram: List[List[float]], rhs: List[float]) -> List[float]:
+    """a with gram a = rhs, by a Cholesky factorization in Python floats.
+
+    A direction whose pivot is at most 1e-12 of its diagonal entry depends
+    on the earlier ones (or is zero, as on a uniform state); its coefficient
+    is 0 and the rest are solved without it.
+    """
+    m = len(rhs)
+    low = [[0.0] * m for _ in range(m)]
+    kept: List[int] = []
+    for j in range(m):
+        pivot = gram[j][j] - sum(low[j][q] ** 2 for q in kept)
+        if not pivot > 1e-12 * gram[j][j]:
+            continue
+        low[j][j] = math.sqrt(pivot)
+        for i in range(j + 1, m):
+            low[i][j] = (gram[i][j] - sum(low[i][q] * low[j][q] for q in kept)) / low[j][j]
+        kept.append(j)
+    y = [0.0] * m
+    for j in kept:
+        y[j] = (rhs[j] - sum(low[j][q] * y[q] for q in kept if q < j)) / low[j][j]
+    a = [0.0] * m
+    for j in reversed(kept):
+        a[j] = (y[j] - sum(low[q][j] * a[q] for q in kept if q > j)) / low[j][j]
+    return a
+
+
+def _push_differences(basis: List[np.ndarray], new: np.ndarray, old: np.ndarray) -> None:
+    """Advance the Newton backward differences in ``basis`` from state ``old`` to ``new``.
+
+    ``basis[j]`` holds the difference of order j + 1, less its mean.  The
+    order j + 2 difference at ``new`` is that of order j + 1 at ``new``
+    less that of order j + 1 at ``old``, so the update runs in place, and
+    the field of the dropped highest order takes the new first difference
+    once START_DIRECTIONS are kept.
+    """
+    first = basis.pop() if len(basis) == START_DIRECTIONS else np.empty(new.shape)
+    lower = np.subtract(new, old, out=first)
+    lower -= np.mean(lower)
+    for prev in basis:
+        lower = np.subtract(lower, prev, out=prev)
+        lower -= np.mean(lower)
+    basis.insert(0, first)
+
+
 def run(
     c0: np.ndarray,
     n_steps: int,
@@ -315,9 +421,10 @@ def run(
 
     The target mass, admissible interval and initial energy are computed
     once from ``c0``; the dissipation check allows energy_slack_rel times
-    the initial energy of increase.  The solves run in two fields of the
-    march's own, the current state and the one before it, which takes the
-    next start.  ``observer(c, report)`` sees the initial state as step 0
+    the initial energy of increase.  The march holds START_DIRECTIONS + 2
+    fields of its own: the current state, the next one, in which the solve
+    runs, and the differences of the last states, which choose the solve's
+    start.  ``observer(c, report)`` sees the initial state as step 0
     (``nan`` multiplier and residual, zero iterations) and then every step;
     ``c`` is overwritten by a later step, so an observer that keeps a state
     must copy it.
@@ -355,7 +462,8 @@ def run(
 
     tau_eff = cfg.tau_eff()
     reports: List[StepReport] = []
-    c_prev = None
+    x = np.empty(c.shape)  # the next state
+    basis: List[np.ndarray] = []  # the differences of the last states, by order
     for n in range(1, n_steps + 1):
         keep_going = not report.bounds_ok and cfg.on_violation == "continue"
         if n == 1:
@@ -370,21 +478,18 @@ def run(
                 f"[{ef.c_m}, {ef.c_M}]; continuing as configured",
                 stacklevel=2,
             )
-        b = np.divide(c, tau_eff)
-        b += coeffs.s_r
-        if c_prev is None:
-            x = c.copy()
-        else:
-            # Extrapolate the last change; less its mean, so that the start
-            # keeps the mass of c to round-off.
-            x = np.subtract(c, c_prev, out=c_prev)
-            x -= np.mean(x)
-            x += c
-        x, mu_e, iters, res = solve_spd(b, coeffs, cfg, p.kappa, g, x0=x)
+        # The step owns its coefficients: the right-hand side c/tau_eff + s_r
+        # is built in s_r's field, and the solve builds A's diagonal in nu's.
+        b = coeffs.s_r
+        b += np.divide(c, tau_eff, out=x)
+        np.copyto(x, c)
+        x, mu_e, iters, res = solve_spd(b, coeffs, cfg, p.kappa, g, x0=x, basis=basis,
+                                        overwrite_nu=True)
         # Freed before the next pass allocates its fields: kept alive, these
-        # three would raise the peak memory.
+        # would raise the peak memory.
         del b, coeffs
-        c_prev, c = c, x
+        _push_differences(basis, x, c)
+        c, x = x, c
 
         c_min, c_max = float(np.min(c)), float(np.max(c))
         # One pass gives this state's energy and the next step's

@@ -1,5 +1,8 @@
 import subprocess
 import sys
+import tracemalloc
+import warnings
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -18,7 +21,14 @@ from prphase import (
     run,
     solve_spd,
 )
-from prphase.solver import apply_operator, operator_diagonal
+from prphase.config import load_config
+from prphase.solver import (
+    START_DIRECTIONS,
+    _galerkin_start,
+    _push_differences,
+    apply_operator,
+    operator_diagonal,
+)
 
 from conftest import C_GAS, C_LIQ, child_env
 
@@ -253,25 +263,147 @@ class TestProjectedSolve:
         assert len(exc.value.residual_history) == 1
 
 
-# One 400x400 step of the nc4_droplet physics; prints a digest of the new field.
+class TestGalerkinStart:
+    """The start drawn from the differences of the last states."""
+
+    @staticmethod
+    def history(g, r):
+        """Four states of a smooth synthetic march at one mass, oldest first,
+        and the Newton differences of the newest."""
+        c_n = r.uniform(1.0, 2.0, size=g.cell_shape())
+        u, v, w = (r.standard_normal(g.cell_shape()) for _ in range(3))
+        states = []
+        for t in (-3.0, -2.0, -1.0, 0.0):
+            s = c_n + t * u + 0.1 * t * t * v + 0.01 * t ** 3 * w
+            states.append(s - np.mean(s) + np.mean(c_n))
+        basis = []
+        for old, new in zip(states, states[1:]):
+            _push_differences(basis, new, old)
+        return states, basis
+
+    @pytest.mark.parametrize("ny,nx", [(3, 3), (6, 8), (5, 7)])
+    def test_never_worse_in_a_norm_than_the_extrapolation(self, ny, nx):
+        g = Grid2D(nx=nx, ny=ny, h=0.5)
+        cfg, kappa = SolverConfig(tau=0.7), 0.2
+        for seed in range(4):
+            r = np.random.default_rng(seed)
+            coeffs = SchemeCoefficients(nu=r.uniform(1.0, 2.0, size=(ny, nx)),
+                                        s_r=np.zeros((ny, nx)))
+            states, basis = self.history(g, r)
+            assert len(basis) == START_DIRECTIONS
+            c_n, c_prev = states[-1], states[-2]
+            rhs = r.standard_normal(g.cell_shape())
+            x_star, _ = dense_kkt_solve(g, coeffs, cfg, kappa, rhs, mass(c_n, g))
+            mat = dense_operator(g, coeffs, cfg, kappa)
+
+            def a_norm_error(x):
+                e = (x - x_star).ravel()
+                return float(np.sqrt(e @ mat @ e))
+
+            delta = c_n - c_prev
+            extrapolated = c_n + (delta - np.mean(delta))
+            start = c_n.copy()
+            residual = rhs - apply_operator(c_n, coeffs, cfg, kappa, g)
+            _galerkin_start(start, residual, basis, operator_diagonal(coeffs, cfg, kappa, g),
+                            kappa / (g.h * g.h), np.empty(g.cell_shape()),
+                            np.empty(g.cell_shape()))
+            assert a_norm_error(start) <= a_norm_error(extrapolated) * (1 + 1e-12)
+            # the optimality condition: the error is A-orthogonal to the basis
+            e = (start - x_star).ravel()
+            scale = a_norm_error(c_n)
+            for v in basis:
+                v_a = float(np.sqrt(v.ravel() @ mat @ v.ravel()))
+                assert abs(v.ravel() @ mat @ e) <= 1e-10 * v_a * scale
+            assert abs(mass(start, g) - mass(c_n, g)) <= 1e-14 * abs(mass(c_n, g))
+
+    def test_solve_from_a_basis_matches_dense_solve_and_keeps_inputs(self, toy):
+        g, coeffs, cfg, kappa, r = toy
+        states, basis = self.history(g, r)
+        rhs = r.standard_normal(g.cell_shape())
+        inputs = [rhs, coeffs.nu, coeffs.s_r] + basis
+        kept = [a.copy() for a in inputs]
+        x_direct, mu_direct = dense_kkt_solve(g, coeffs, cfg, kappa, rhs, mass(states[-1], g))
+        x, mu_e, _, res = solve_spd(rhs, coeffs, cfg, kappa, g, x0=states[-1].copy(),
+                                    basis=basis)
+        assert res <= cfg.cg_rel_tol
+        assert np.max(np.abs(x - x_direct)) <= 1e-8 * np.max(np.abs(x_direct))
+        assert abs(mu_e - mu_direct) <= 1e-8 * abs(mu_direct)
+        assert all(np.array_equal(a, b) for a, b in zip(inputs, kept))
+        # run's way: the same bits, with A's diagonal built in nu's field
+        owned = SchemeCoefficients(nu=coeffs.nu.copy(), s_r=coeffs.s_r)
+        x_owned, mu_owned, _, _ = solve_spd(rhs, owned, cfg, kappa, g, x0=states[-1].copy(),
+                                            basis=basis, overwrite_nu=True)
+        assert np.array_equal(x_owned, x) and mu_owned == mu_e
+        assert np.array_equal(owned.nu, operator_diagonal(coeffs, cfg, kappa, g))
+
+    def test_zero_differences_are_dropped(self, toy):
+        # a zero difference gives a zero row and column in the Gram matrix
+        g, coeffs, cfg, kappa, r = toy
+        x_true = r.standard_normal(g.cell_shape())
+        rhs = apply_operator(x_true, coeffs, cfg, kappa, g) - 0.37
+        zero = np.zeros(g.cell_shape())
+        delta = r.standard_normal(g.cell_shape())
+        delta -= np.mean(delta)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x, _, _, _ = solve_spd(rhs, coeffs, cfg, kappa, g, x0=x_true.copy(),
+                                   basis=[zero, zero, zero])
+            assert np.array_equal(x, x_true)
+            x, _, _, res = solve_spd(rhs, coeffs, cfg, kappa, g,
+                                     x0=np.full(g.cell_shape(), np.mean(x_true)),
+                                     basis=[delta, zero, 2.0 * delta])
+        assert res <= cfg.cg_rel_tol
+        assert norm(x - x_true, g) <= 1e-8 * norm(x_true, g)
+
+
+def test_march_peak_memory_in_fields():
+    # The march holds the state, the next state and three differences; the
+    # solve adds the right-hand side and A's diagonal, built in the fields
+    # of s_r and nu, and five of its own.  Traced from the step-0 report on,
+    # so the set-up's allocations are left out: 12.1 fields here, 13.1 when
+    # b or the diagonal takes a field of its own and 14.1 when both do.
+    cfg = load_config(str(resources.files("prphase").joinpath("presets", "nc4_droplet.yaml")))
+    g = Grid2D(nx=128, ny=128, h=cfg.grid.h)
+    c0 = np.full(g.cell_shape(), cfg.c_gas)
+    c0[32:96, 32:96] = cfg.c_liq
+
+    def reset_at_step_0(c, report):
+        if report.step_index == 0:
+            tracemalloc.reset_peak()
+
+    tracemalloc.start()
+    try:
+        run(c0, 6, cfg.window, cfg.eos, cfg.solver, g, observer=reset_at_step_0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / c0.nbytes <= 12.5
+
+
+# START_DIRECTIONS + 2 400x400 steps of the nc4_droplet physics, so that the
+# start from the full basis is reached; prints a digest of the last field and
+# every step's iterations and multiplier.
 _STEP_400 = """
 import hashlib
 from importlib import resources
 import numpy as np
 from prphase import Grid2D, run
 from prphase.config import load_config
+from prphase.solver import START_DIRECTIONS
 cfg = load_config(str(resources.files("prphase").joinpath("presets", "nc4_droplet.yaml")))
 g = Grid2D(nx=400, ny=400, h=cfg.grid.h)
 c0 = np.full(g.cell_shape(), cfg.c_gas)
 c0[100:300, 100:300] = cfg.c_liq
-c, reports = run(c0, 1, cfg.window, cfg.eos, cfg.solver, g)
-print(hashlib.sha256(c.tobytes()).hexdigest(), reports[0].cg_iters, reports[0].mu_e.hex())
+c, reports = run(c0, START_DIRECTIONS + 2, cfg.window, cfg.eos, cfg.solver, g)
+print(hashlib.sha256(c.tobytes()).hexdigest())
+for rep in reports:
+    print(rep.cg_iters, rep.mu_e.hex())
 """
 
 
 def test_step_does_not_depend_on_blas_threads():
     # At 400x400, BLAS dot products change with the thread count; the
-    # solve's reductions must not.
+    # solve's reductions, the Galerkin start's included, must not.
     digests = []
     for threads in ("1", "2"):
         env = child_env()
@@ -324,12 +456,18 @@ class TestStep:
         g, _, cfg = droplet_setup
         c_bar = 2000.0
         c0 = np.full(g.cell_shape(), c_bar)
-        c1, (report,) = run(c0, 1, window, nc4, cfg, g)
         mu_exact = float(bulk_chemical_potential(c_bar, nc4))
-        assert report.cg_iters == 0
-        assert abs(report.mu_e - mu_exact) <= 1e-10 * abs(mu_exact)
-        assert np.max(np.abs(c1 - c_bar)) <= 1e-10 * c_bar
-        assert report.all_ok
+        # Enough steps to reach the start from the full basis, whose
+        # differences are all zero here.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            c, reports = run(c0, START_DIRECTIONS + 2, window, nc4, cfg, g)
+        assert len(reports) == START_DIRECTIONS + 2
+        for report in reports:
+            assert report.cg_iters == 0
+            assert abs(report.mu_e - mu_exact) <= 1e-10 * abs(mu_exact)
+            assert report.all_ok
+        assert np.array_equal(c, c0)
 
     def test_mass_pinned_to_target(self, nc4, window, droplet_setup):
         g, c0, cfg = droplet_setup
