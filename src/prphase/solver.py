@@ -263,11 +263,11 @@ def solve_spd(
     Exceeding the iteration cap, or a nonpositive p'Ap, raises
     ``ConvergenceError`` with the residual history attached.
     """
-    b = np.asarray(rhs, dtype=float)
-    _check_cells(b, g, "solve_spd")
-    if not (isinstance(x0, np.ndarray) and x0.shape == b.shape and x0.dtype == float):
+    rhs = np.asarray(rhs, dtype=float)
+    _check_cells(rhs, g, "solve_spd")
+    if not (isinstance(x0, np.ndarray) and x0.shape == rhs.shape and x0.dtype == float):
         raise ParameterError(f"solve_spd: the warm start must be a float array of shape "
-                             f"{b.shape}")
+                             f"{rhs.shape}")
     basis = [np.asarray(v, dtype=float) for v in basis]
     for v in basis:
         _check_cells(v, g, "solve_spd basis")
@@ -277,18 +277,18 @@ def solve_spd(
     d = _fold_diagonal(coeffs.nu if overwrite_nu else np.array(coeffs.nu, dtype=float), k,
                        cfg.tau_eff())
     if cfg.preconditioner == "diagonal":
-        inv_diag = np.divide(1.0, d)
+        inv_diag = 1.0 / d
     else:
-        inv_diag = np.ones(b.shape)
+        inv_diag = np.ones(g.cell_shape())
     inv_sum = float(np.sum(inv_diag))
     # C order: the stencil writes its outputs through flat views.
-    z = np.empty(b.shape)  # z, then the stencil's and the updates' scratch
-    r = np.empty(b.shape)
-    Ap = np.empty(b.shape)
+    z = np.empty(rhs.shape)  # z, then the stencil's and the updates' scratch
+    r = np.empty(rhs.shape)
+    Ap = np.empty(rhs.shape)
 
     def residual() -> float:
-        # r = b - A x, projected once; what it loses along 1 is the first mu_e.
-        np.subtract(b, _apply(x, d, k, r, z), out=r)
+        # r = rhs - A x, projected once; what it loses along 1 is the first mu_e.
+        np.subtract(rhs, _apply(x, d, k, r, z), out=r)
         mu = -_dot(inv_diag, r) / inv_sum
         np.add(r, mu, out=r)
         return mu
@@ -304,7 +304,7 @@ def solve_spd(
         _galerkin_start(x, r, basis, d, k, Ap, z)
         mu_e = residual()
 
-    b_norm = math.sqrt(_dot(b, b))
+    b_norm = math.sqrt(_dot(rhs, rhs))
     tol_abs = cfg.cg_rel_tol * b_norm
     max_iter = cfg.resolved_max_iter(g)
     history: List[float] = []
@@ -348,7 +348,7 @@ def solve_spd(
 def _galerkin_start(x, r, basis, d, k, Ap, z) -> None:
     """Move ``x`` to the point of x + span(basis) whose error has the smallest A-norm.
 
-    ``r`` is b - A x up to a multiple of 1, and every basis field has zero
+    ``r`` is rhs - A x up to a multiple of 1, and every basis field has zero
     sum, so the coefficients a solve (V'AV) a = V'r: one stencil apply per
     field, into ``Ap`` with ``z`` as scratch, both clobbered.
     """

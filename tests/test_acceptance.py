@@ -296,8 +296,8 @@ def test_droplet_cg_iteration_budget(main_run):
     total = int(np.nansum(series["cg_iters"]))
     assert total <= 1700, f"{total} CG iterations"
     # The differences are kept less their means, so every start has the mass
-    # of c_n: 5.2e-16 with the extrapolated start, against 3.6e-14 without
-    # removing the mean.
+    # of c_n: 3.5e-16 here, against 3.6e-14 for a start whose change keeps
+    # its mean.
     assert summary["max_mass_drift_rel"] <= 2e-15, summary["max_mass_drift_rel"]
 
 
