@@ -222,12 +222,13 @@ def require_in_window(c: np.ndarray, ef: EfParams, bounds_slack: float, what: st
 
     ``bounds_slack`` is an absolute allowance (mol/m^3) for round-off
     excursions just outside the window; the error names ``what`` and carries
-    the first offending flat cell index and its value.
+    the first offending flat cell index and its value.  A cell passes only
+    if it is inside the window, so ``nan`` fails.
     """
     c = np.asarray(c, dtype=float)
-    bad = (c < ef.c_m - bounds_slack) | (c > ef.c_M + bounds_slack)
-    if np.any(bad):
-        idx = int(np.flatnonzero(bad.ravel())[0])
+    inside = (c >= ef.c_m - bounds_slack) & (c <= ef.c_M + bounds_slack)
+    if not np.all(inside):
+        idx = int(np.flatnonzero(~inside.ravel())[0])
         val = float(c.ravel()[idx])
         raise BoundsViolationError(
             f"{what}: cell {idx}: density {val} outside the window "

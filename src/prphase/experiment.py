@@ -16,6 +16,8 @@ Artifacts (all plain text, written under the configured output directory):
                       value per line in row-major order.  Values are written
                       with ``repr`` so a read-back is bit-exact.
   snapshot_XXXXXX.csv optional matrix form (one row of cells per line).
+                      Both forms come from one ``repr`` per value: the
+                      writer formats a row once and writes it to each file.
   summary.json        run-level verdicts: invariant counters, the multiplier
                       interval, mass drift, and the droplet shape metric at
                       steps 0, 1 and the end.
@@ -29,7 +31,8 @@ from __future__ import annotations
 import json
 import logging
 import os
-from typing import Dict, List, Optional, Tuple
+from contextlib import ExitStack
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -70,6 +73,10 @@ def build_initial(cfg: SimConfig) -> np.ndarray:
                 f"initial_condition.from_file.path: snapshot grid {c.shape} does not "
                 f"match the configured grid {g.cell_shape()}"
             )
+        if "h" not in meta:
+            raise ConfigError(
+                f"initial_condition.from_file.path: {path}: snapshot header is missing h"
+            )
         if abs(meta["h"] - g.h) > 1e-9 * g.h:
             raise ConfigError(
                 f"initial_condition.from_file.path: snapshot spacing {meta['h']} does "
@@ -91,22 +98,36 @@ def build_initial(cfg: SimConfig) -> np.ndarray:
     return c
 
 
-def write_snapshot(path: str, c: np.ndarray, g: Grid2D, step: int, time: float) -> None:
-    """Plain-text snapshot; values are repr'd floats, one per line, row-major."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# N {g.nx}\n")
-        fh.write(f"# M {g.ny}\n")
-        fh.write(f"# h {g.h!r}\n")
-        fh.write(f"# x0 {g.x0!r}\n")
-        fh.write(f"# y0 {g.y0!r}\n")
-        fh.write(f"# step {step}\n")
-        fh.write(f"# time {float(time)!r}\n")
-        for v in np.asarray(c, dtype=float).ravel(order="C"):
-            fh.write(f"{float(v)!r}\n")
+def write_snapshot(stem: str, c: np.ndarray, g: Grid2D, step: int, time: float,
+                   formats: Sequence[str]) -> None:
+    """Snapshot of ``c`` as ``stem.txt`` and/or ``stem.csv``, per ``formats``.
+
+    The txt form is the ``# key value`` header, then one value per line,
+    row-major; the csv form is one row of cells per line.  The field is
+    walked one row at a time: each row is formatted once, with ``repr`` (so
+    a read-back is bit-exact), and written to every open file, so no more
+    than one row of text is held at a time.
+    """
+    with ExitStack() as stack:
+        txt = csv = None
+        if "txt" in formats:
+            txt = stack.enter_context(open(stem + ".txt", "w", encoding="utf-8"))
+            txt.write(
+                f"# N {g.nx}\n# M {g.ny}\n# h {g.h!r}\n# x0 {g.x0!r}\n# y0 {g.y0!r}\n"
+                f"# step {step}\n# time {float(time)!r}\n"
+            )
+        if "csv" in formats:
+            csv = stack.enter_context(open(stem + ".csv", "w", encoding="utf-8"))
+        for row in np.asarray(c, dtype=float):
+            cells = list(map(repr, row.tolist()))
+            if txt is not None:
+                txt.write("\n".join(cells) + "\n")
+            if csv is not None:
+                csv.write(",".join(cells) + "\n")
 
 
 def read_snapshot(path: str) -> Tuple[np.ndarray, Dict[str, float]]:
-    """Inverse of ``write_snapshot``; returns (cell field, header dict)."""
+    """Inverse of ``write_snapshot``'s txt form; returns (cell field, header dict)."""
     meta: Dict[str, float] = {}
     values: List[float] = []
     try:
@@ -134,12 +155,6 @@ def read_snapshot(path: str) -> Tuple[np.ndarray, Dict[str, float]]:
     if len(values) != nx * ny:
         raise ConfigError(f"{path}: expected {nx * ny} values, found {len(values)}")
     return np.array(values).reshape((ny, nx)), meta
-
-
-def write_matrix_csv(path: str, c: np.ndarray) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in np.asarray(c, dtype=float):
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
 def _series_row(report: StepReport, tau: float) -> str:
@@ -184,16 +199,9 @@ def run_experiment(cfg: SimConfig, output_dir: Optional[str] = None) -> int:
     os.makedirs(out_dir, exist_ok=True)
     threshold = 0.5 * (cfg.c_gas + cfg.c_liq)
 
-    def snapshot_paths(step: int):
-        stem = os.path.join(out_dir, f"snapshot_{step:06d}")
-        return stem + ".txt", stem + ".csv"
-
     def emit_snapshot(c: np.ndarray, step: int) -> None:
-        txt, csv_path = snapshot_paths(step)
-        if "txt" in cfg.output.formats:
-            write_snapshot(txt, c, g, step, step * cfg.tau)
-        if "csv" in cfg.output.formats:
-            write_matrix_csv(csv_path, c)
+        write_snapshot(os.path.join(out_dir, f"snapshot_{step:06d}"), c, g, step,
+                       step * cfg.tau, cfg.output.formats)
 
     emit_snapshot(c0, 0)
     aniso = {"step_0": _safe_anisotropy(c0, g, threshold)}

@@ -70,18 +70,30 @@ class TestCheck:
 
     # Each config passes the loader's own YAML checks but breaks a condition
     # of the model: the window's packing limit, the minimal shift, an initial
-    # field outside the window, a snapshot of the wrong grid.
+    # field outside the window, a snapshot of the wrong grid, a snapshot with
+    # a nan cell, a snapshot without its spacing.
     @pytest.mark.parametrize("overrides,key,code", [
         ({"c_liq": 13000.0}, "c_liq", 2),
         ({"lambda": 1.0}, "lambda", 2),
         ({"initial_condition": {"uniform": {"value": 100.0}}}, "initial_condition", 3),
         ({"initial_condition": {"from_file": {"path": "snap8.txt"}}},
          "initial_condition.from_file.path", 2),
+        ({"initial_condition": {"from_file": {"path": "nan16.txt"}}},
+         "initial_condition: cell 17: density nan", 3),
+        ({"initial_condition": {"from_file": {"path": "no_h16.txt"}}},
+         "snapshot header is missing h", 2),
     ], ids=["packing_limit", "lambda_below_minimum", "uniform_below_window",
-            "snapshot_grid_mismatch"])
+            "snapshot_grid_mismatch", "snapshot_nan_cell", "snapshot_without_spacing"])
     def test_check_rejects_what_run_rejects(self, tmp_path, capsys, overrides, key, code):
         g8 = Grid2D(nx=8, ny=8, h=3.0e-8 / 8, x0=-1.5e-8, y0=-1.5e-8)
-        write_snapshot(str(tmp_path / "snap8.txt"), [[1000.0] * 8] * 8, g8, 0, 0.0)
+        write_snapshot(str(tmp_path / "snap8"), [[1000.0] * 8] * 8, g8, 0, 0.0, ("txt",))
+        g16 = Grid2D(nx=16, ny=16, h=3.0e-8 / 16, x0=-1.5e-8, y0=-1.5e-8)
+        field = [[1000.0] * 16 for _ in range(16)]
+        write_snapshot(str(tmp_path / "no_h16"), field, g16, 0, 0.0, ("txt",))
+        lines = (tmp_path / "no_h16.txt").read_text().splitlines(keepends=True)
+        (tmp_path / "no_h16.txt").write_text("".join(x for x in lines if not x.startswith("# h ")))
+        field[1][1] = float("nan")
+        write_snapshot(str(tmp_path / "nan16"), field, g16, 0, 0.0, ("txt",))
         out = tmp_path / "out"
         d = tiny_dict(**overrides)
         d["output"]["directory"] = str(out)
@@ -95,6 +107,7 @@ class TestCheck:
         assert key in capsys.readouterr().err
         assert not (out / "series.csv").exists()
         assert not (out / "snapshot_000000.txt").exists()
+        assert not out.exists()  # no artifact at all
 
     def test_null_output_directory(self, tmp_path, monkeypatch, capsys):
         # a YAML null is not a directory name, not even the text "None"
@@ -273,15 +286,18 @@ class TestRun:
         assert summary["all_steps_in_bounds"] is True
 
     def test_reruns_are_bit_identical(self, tmp_path):
-        cfg = write_config(tmp_path, tiny_dict())
+        d = tiny_dict(output={"snapshot_every": 1, "formats": ["txt", "csv"]})
+        cfg = write_config(tmp_path, d)
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         assert main(["run", cfg, "--output-dir", str(out_a)]) == 0
         assert main(["run", cfg, "--output-dir", str(out_b)]) == 0
-        assert (out_a / "series.csv").read_bytes() == (out_b / "series.csv").read_bytes()
-        assert (
-            (out_a / "snapshot_000005.txt").read_bytes()
-            == (out_b / "snapshot_000005.txt").read_bytes()
-        )
+        names = sorted(p.name for p in out_a.iterdir())
+        assert names == sorted(p.name for p in out_b.iterdir())
+        assert names == sorted(["series.csv", "summary.json"]
+                               + [f"snapshot_{k:06d}.{fmt}"
+                                  for k in range(6) for fmt in ("txt", "csv")])
+        for name in names:
+            assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
 
 
 class TestProps:

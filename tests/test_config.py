@@ -1,4 +1,5 @@
 import importlib.resources
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from prphase.config import load_config
 from prphase.experiment import (
     build_initial,
     read_snapshot,
-    write_matrix_csv,
     write_snapshot,
 )
 
@@ -268,8 +268,7 @@ class TestBuildInitial:
     def test_from_file_roundtrip(self, tmp_path, rng):
         g = Grid2D(nx=16, ny=16, h=2.0e-8 / 16, x0=-1.0e-8, y0=-1.0e-8)
         field = rng.uniform(300.0, 9000.0, size=g.cell_shape())
-        snap = tmp_path / "state.txt"
-        write_snapshot(str(snap), field, g, step=7, time=7e10)
+        write_snapshot(str(tmp_path / "state"), field, g, step=7, time=7e10, formats=("txt",))
         d = base_dict(grid={"N": 16, "M": 16, "L_half": 1.0e-8},
                       initial_condition={"from_file": {"path": "state.txt"}})
         cfg = load_config(write_config(tmp_path, d))
@@ -278,8 +277,8 @@ class TestBuildInitial:
 
     def test_from_file_shape_mismatch(self, tmp_path, rng):
         g = Grid2D(nx=8, ny=8, h=1.0, x0=0.0, y0=0.0)
-        snap = tmp_path / "state.txt"
-        write_snapshot(str(snap), rng.uniform(1, 2, g.cell_shape()), g, 0, 0.0)
+        write_snapshot(str(tmp_path / "state"), rng.uniform(1, 2, g.cell_shape()), g, 0, 0.0,
+                       ("txt",))
         d = base_dict(grid={"N": 16, "M": 16, "L_half": 1.0e-8},
                       initial_condition={"from_file": {"path": "state.txt"}})
         cfg = load_config(write_config(tmp_path, d))
@@ -287,13 +286,35 @@ class TestBuildInitial:
             build_initial(cfg)
 
 
+def old_txt_bytes(c, g, step, time):
+    """What the per-value txt writer wrote: the header, then one value a line."""
+    head = (f"# N {g.nx}\n# M {g.ny}\n# h {g.h!r}\n# x0 {g.x0!r}\n# y0 {g.y0!r}\n"
+            f"# step {step}\n# time {float(time)!r}\n")
+    return (head + "".join(f"{float(v)!r}\n"
+                           for v in np.asarray(c, dtype=float).ravel(order="C"))).encode()
+
+
+def old_csv_bytes(c):
+    """What the per-value csv writer wrote: one row of reprs a line."""
+    return "".join(",".join(repr(float(v)) for v in row) + "\n"
+                   for row in np.asarray(c, dtype=float)).encode()
+
+
+#: A non-square field with a signed zero, the smallest subnormal, a large
+#: integral float, an inexact decimal and small integral floats.
+ODD_FIELD = np.array([
+    [-0.0, 5e-324, 1e16, 0.1, 2.0],
+    [3.0, -7.0, 1234.5678, 9526.8428, 1e-300],
+    [0.0, 249.1123, 1.0 / 3.0, -2.5e-8, 100.0],
+])
+
+
 class TestSnapshotIO:
     def test_header_fields(self, tmp_path):
         g = Grid2D(nx=3, ny=2, h=0.25, x0=-1.0, y0=2.0)
         c = np.arange(6, dtype=float).reshape(2, 3)
-        path = tmp_path / "snap.txt"
-        write_snapshot(str(path), c, g, step=12, time=3.5)
-        back, meta = read_snapshot(str(path))
+        write_snapshot(str(tmp_path / "snap"), c, g, step=12, time=3.5, formats=("txt",))
+        back, meta = read_snapshot(str(tmp_path / "snap.txt"))
         assert np.array_equal(back, c)
         assert meta["N"] == 3 and meta["M"] == 2
         assert meta["h"] == 0.25 and meta["x0"] == -1.0
@@ -318,7 +339,42 @@ class TestSnapshotIO:
             read_snapshot(str(path))
 
     def test_matrix_csv_layout(self, tmp_path):
-        path = tmp_path / "m.csv"
-        write_matrix_csv(str(path), np.array([[1.5, 2.0], [3.25, 4.0]]))
-        lines = path.read_text().splitlines()
+        g = Grid2D(nx=2, ny=2, h=1.0, x0=0.0, y0=0.0)
+        write_snapshot(str(tmp_path / "m"), np.array([[1.5, 2.0], [3.25, 4.0]]), g, 0, 0.0,
+                       formats=("csv",))
+        lines = (tmp_path / "m.csv").read_text().splitlines()
         assert lines == ["1.5,2.0", "3.25,4.0"]
+        assert not (tmp_path / "m.txt").exists()
+
+    @pytest.mark.parametrize("formats", [("txt",), ("csv",), ("txt", "csv")],
+                             ids=["txt", "csv", "txt+csv"])
+    @pytest.mark.parametrize("layout", ["C", "F", "lists"])
+    def test_writer_keeps_old_bytes(self, tmp_path, formats, layout):
+        g = Grid2D(nx=5, ny=3, h=0.25, x0=-1.0, y0=2.0)
+        field = {"C": np.ascontiguousarray(ODD_FIELD), "F": np.asfortranarray(ODD_FIELD),
+                 "lists": ODD_FIELD.tolist()}[layout]
+        write_snapshot(str(tmp_path / "snap"), field, g, step=3, time=3e10, formats=formats)
+        for fmt, expected in (("txt", old_txt_bytes(ODD_FIELD, g, 3, 3e10)),
+                              ("csv", old_csv_bytes(ODD_FIELD))):
+            path = tmp_path / f"snap.{fmt}"
+            if fmt in formats:
+                assert path.read_bytes() == expected
+            else:
+                assert not path.exists()
+        if "txt" in formats:
+            back, _ = read_snapshot(str(tmp_path / "snap.txt"))
+            assert back.tobytes() == ODD_FIELD.tobytes()  # bit-exact, -0.0 included
+
+    def test_writer_streams_rows(self, tmp_path, rng):
+        # one row of text at a time: formatting the whole field first would
+        # hold many times the field's own bytes
+        g = Grid2D(nx=400, ny=400, h=1.0, x0=0.0, y0=0.0)
+        field = rng.uniform(200.0, 10000.0, size=g.cell_shape())
+        tracemalloc.start()
+        try:
+            write_snapshot(str(tmp_path / "big"), field, g, 0, 0.0, formats=("txt", "csv"))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.25 * field.nbytes
+        assert (tmp_path / "big.csv").read_bytes() == old_csv_bytes(field)
