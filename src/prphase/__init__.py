@@ -48,7 +48,7 @@ from .errors import (
     ParameterError,
     PrPhaseError,
 )
-from .grid import Grid2D, discrete_laplacian, inner, norm
+from .grid import Grid2D, inner
 from .solver import SolverConfig, StepReport, run, solve_spd
 
 __version__ = "0.1.0"
@@ -77,14 +77,12 @@ __all__ = [
     "bulk_free_energy",
     "derive_eos_params",
     "discrete_energy",
-    "discrete_laplacian",
     "g_and_gprime",
     "get_substance",
     "inner",
     "load_substance",
     "minimal_lambda",
     "mu_attraction",
-    "norm",
     "nu",
     "pressure",
     "run",

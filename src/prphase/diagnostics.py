@@ -3,15 +3,14 @@ and a droplet shape-anisotropy metric.
 
 The discrete free energy of a cell field c is
 
-    F_h(c) = <f_b(c), 1> + (kappa/2) * ( ||diff_x_c c||^2 + ||diff_y_c c||^2 )
+    F_h(c) = <f_b(c), 1> + (kappa/2) * ||grad_h c||^2
 
-with the mesh inner products of ``prphase.grid`` (so the gradient part sums
-interior faces only, consistent with the no-flux boundary).  The gradient
-part is taken from differences of neighbouring cells
-(``grid.gradient_sq_norm``).  ``ef.scheme_coefficients`` returns the same
-energy, bitwise, from the pass that evaluates the scheme's coefficients;
-the time stepper uses that and calls ``discrete_energy`` for the initial
-state only.
+with the mesh inner product of ``prphase.grid``.  ||grad_h c||^2 is
+``grid.gradient_sq_norm``: differences of neighbouring cells only, one per
+interior face, consistent with the no-flux boundary.
+``ef.scheme_coefficients`` returns the same energy, bitwise, from the pass
+that evaluates the scheme's coefficients; the time stepper uses that and
+calls ``discrete_energy`` for the initial state only.
 
 The mass-constraint multiplier produced by the stepper provably stays inside
 

@@ -77,9 +77,9 @@ def build_initial(cfg: SimConfig) -> np.ndarray:
             raise ConfigError(
                 f"initial_condition.from_file.path: {path}: snapshot header is missing h"
             )
-        if abs(meta["h"] - g.h) > 1e-9 * g.h:
+        if not abs(meta["h"] - g.h) <= 1e-9 * g.h:  # a nan h fails too
             raise ConfigError(
-                f"initial_condition.from_file.path: snapshot spacing {meta['h']} does "
+                f"initial_condition.from_file.path: snapshot spacing h {meta['h']!r} does "
                 f"not match the configured spacing {g.h}"
             )
     else:
@@ -151,6 +151,9 @@ def read_snapshot(path: str) -> Tuple[np.ndarray, Dict[str, float]]:
     for key in ("N", "M"):
         if key not in meta:
             raise ConfigError(f"{path}: snapshot header is missing {key}")
+        if not (meta[key] >= 1 and meta[key].is_integer()):
+            raise ConfigError(f"{path}: snapshot header {key} must be a positive integer, "
+                              f"got {meta[key]!r}")
     nx, ny = int(meta["N"]), int(meta["M"])
     if len(values) != nx * ny:
         raise ConfigError(f"{path}: expected {nx * ny} values, found {len(values)}")

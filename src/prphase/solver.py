@@ -174,7 +174,7 @@ def _neighbour_sum(p: np.ndarray, out: np.ndarray) -> np.ndarray:
 def _apply(p, d, k, out, scratch):
     """A p = d*p - k*(sum of neighbours of p) into ``out``; ``scratch`` is clobbered.
 
-    d is ``operator_diagonal`` and k = kappa/h^2.
+    d is A's diagonal (``_fold_diagonal``) and k = kappa/h^2.
     """
     np.multiply(d, p, out=out)
     _neighbour_sum(p, scratch)
@@ -203,12 +203,17 @@ def apply_operator(
     """A c = c/tau_eff - kappa*Lap(c) + nu*c, by the stencil the solver runs."""
     c = np.asarray(c, dtype=float)
     _check_cells(c, g, "apply_operator")
-    return _apply(c, operator_diagonal(coeffs, cfg, kappa, g), kappa / (g.h * g.h),
-                  np.empty(c.shape), np.empty(c.shape))
+    k = kappa / (g.h * g.h)
+    d = _fold_diagonal(np.array(coeffs.nu, dtype=float), k, cfg.tau_eff())
+    return _apply(c, d, k, np.empty(c.shape), np.empty(c.shape))
 
 
 def _fold_diagonal(d: np.ndarray, k: float, tau_eff: float) -> np.ndarray:
-    """Turn ``d``, holding nu, into the diagonal of A in place; k = kappa/h^2."""
+    """Turn ``d``, holding nu, into the diagonal of A in place; k = kappa/h^2.
+
+    That is nu + k*(number of in-domain neighbours) + 1/tau_eff; the reduced
+    count at boundary cells is the Neumann condition.
+    """
     count = np.full(d.shape, 4.0)
     count[0, :] -= 1.0
     count[-1, :] -= 1.0
@@ -220,17 +225,6 @@ def _fold_diagonal(d: np.ndarray, k: float, tau_eff: float) -> np.ndarray:
     return d
 
 
-def operator_diagonal(
-    coeffs: SchemeCoefficients, cfg: SolverConfig, kappa: float, g: Grid2D
-) -> np.ndarray:
-    """Exact diagonal of A: nu + (kappa/h^2)*(number of in-domain neighbours) + 1/tau_eff.
-
-    The reduced count at boundary cells is the Neumann condition.
-    """
-    return _fold_diagonal(np.array(coeffs.nu, dtype=float), kappa / (g.h * g.h),
-                          cfg.tau_eff())
-
-
 def solve_spd(
     rhs: np.ndarray,
     coeffs: SchemeCoefficients,
@@ -239,7 +233,6 @@ def solve_spd(
     g: Grid2D,
     x0: np.ndarray,
     basis: Sequence[np.ndarray] = (),
-    overwrite_nu: bool = False,
 ) -> Tuple[np.ndarray, float, int, float]:
     """Projected preconditioned conjugate gradients for the constrained step.
 
@@ -247,9 +240,9 @@ def solve_spd(
     <x, 1> fixed at that of ``x0``.  The iteration runs in ``x0``, so on
     return it holds the solution and is the returned x.  Returns
     (x, mu_e, iterations, ||r||/||rhs||), where r = rhs + mu_e*1 - A x.
-    ``rhs``, ``coeffs`` and ``basis`` are left as they are, except that
-    with ``overwrite_nu`` the diagonal of A is built in ``coeffs.nu``'s
-    field, saving one (``run`` discards its coefficients after the solve).
+    The diagonal of A is built in ``coeffs.nu``'s field, so the solve
+    consumes ``nu`` as it does ``x0``: on return it holds that diagonal.
+    ``rhs``, ``coeffs.s_r`` and ``basis`` are left as they are.
 
     ``basis`` holds zero-sum fields V; when it is given, the iteration
     starts from the point x0 + V a whose error has the smallest A-norm
@@ -265,17 +258,18 @@ def solve_spd(
     """
     rhs = np.asarray(rhs, dtype=float)
     _check_cells(rhs, g, "solve_spd")
-    if not (isinstance(x0, np.ndarray) and x0.shape == rhs.shape and x0.dtype == float):
-        raise ParameterError(f"solve_spd: the warm start must be a float array of shape "
-                             f"{rhs.shape}")
+    for what, a in (("the warm start", x0), ("nu", coeffs.nu)):
+        if not (isinstance(a, np.ndarray) and a.shape == rhs.shape and a.dtype == float
+                and a.flags.writeable):
+            raise ParameterError(f"solve_spd: {what} must be a writeable float array of "
+                                 f"shape {rhs.shape}")
     basis = [np.asarray(v, dtype=float) for v in basis]
     for v in basis:
         _check_cells(v, g, "solve_spd basis")
     x = x0
     k = kappa / (g.h * g.h)
     # built once: each apply is d*p - k*N(p)
-    d = _fold_diagonal(coeffs.nu if overwrite_nu else np.array(coeffs.nu, dtype=float), k,
-                       cfg.tau_eff())
+    d = _fold_diagonal(coeffs.nu, k, cfg.tau_eff())
     if cfg.preconditioner == "diagonal":
         inv_diag = 1.0 / d
     else:
@@ -483,8 +477,7 @@ def run(
         b = coeffs.s_r
         b += np.divide(c, tau_eff, out=x)
         np.copyto(x, c)
-        x, mu_e, iters, res = solve_spd(b, coeffs, cfg, p.kappa, g, x0=x, basis=basis,
-                                        overwrite_nu=True)
+        x, mu_e, iters, res = solve_spd(b, coeffs, cfg, p.kappa, g, x0=x, basis=basis)
         # Freed before the next pass allocates its fields: kept alive, these
         # would raise the peak memory.
         del b, coeffs

@@ -5,7 +5,15 @@ import numpy as np
 import pytest
 
 import prphase
-from prphase import EfParams, Grid2D, derive_eos_params, get_substance
+from prphase import (
+    EfParams,
+    Grid2D,
+    SchemeCoefficients,
+    SolverConfig,
+    derive_eos_params,
+    get_substance,
+)
+from prphase.solver import apply_operator
 
 C_GAS = 249.1123
 C_LIQ = 9526.8428
@@ -30,6 +38,14 @@ def rng():
 def unit_grid():
     # O(1) spacing keeps round-off comparisons meaningful in operator tests
     return Grid2D(nx=12, ny=9, h=0.5, x0=-1.0, y0=2.0)
+
+
+def minus_laplacian(c, g):
+    """-Lap_h(c) through the operator the solver runs: A c at kappa = 1 less
+    A c at kappa = 0, with nu = 0 and tau = 1."""
+    zero = np.zeros(g.cell_shape())
+    coeffs, cfg = SchemeCoefficients(nu=zero, s_r=zero), SolverConfig(tau=1.0)
+    return apply_operator(c, coeffs, cfg, 1.0, g) - apply_operator(c, coeffs, cfg, 0.0, g)
 
 
 def prepend_path(env, key, directory):

@@ -71,7 +71,7 @@ class TestCheck:
     # Each config passes the loader's own YAML checks but breaks a condition
     # of the model: the window's packing limit, the minimal shift, an initial
     # field outside the window, a snapshot of the wrong grid, a snapshot with
-    # a nan cell, a snapshot without its spacing.
+    # a nan cell, a snapshot without its spacing or with a malformed header.
     @pytest.mark.parametrize("overrides,key,code", [
         ({"c_liq": 13000.0}, "c_liq", 2),
         ({"lambda": 1.0}, "lambda", 2),
@@ -82,16 +82,38 @@ class TestCheck:
          "initial_condition: cell 17: density nan", 3),
         ({"initial_condition": {"from_file": {"path": "no_h16.txt"}}},
          "snapshot header is missing h", 2),
+        ({"initial_condition": {"from_file": {"path": "n_neg16.txt"}}},
+         "snapshot header N must be a positive integer, got -1.0", 2),
+        ({"initial_condition": {"from_file": {"path": "m_neg16.txt"}}},
+         "snapshot header M must be a positive integer, got -1.0", 2),
+        ({"initial_condition": {"from_file": {"path": "n_nan16.txt"}}},
+         "snapshot header N must be a positive integer, got nan", 2),
+        ({"initial_condition": {"from_file": {"path": "n_inf16.txt"}}},
+         "snapshot header N must be a positive integer, got inf", 2),
+        ({"initial_condition": {"from_file": {"path": "n_frac16.txt"}}},
+         "snapshot header N must be a positive integer, got 1.5", 2),
+        ({"initial_condition": {"from_file": {"path": "h_nan16.txt"}}},
+         "snapshot spacing h nan does not match", 2),
     ], ids=["packing_limit", "lambda_below_minimum", "uniform_below_window",
-            "snapshot_grid_mismatch", "snapshot_nan_cell", "snapshot_without_spacing"])
+            "snapshot_grid_mismatch", "snapshot_nan_cell", "snapshot_without_spacing",
+            "snapshot_n_negative", "snapshot_m_negative", "snapshot_n_nan", "snapshot_n_inf",
+            "snapshot_n_fraction", "snapshot_h_nan"])
     def test_check_rejects_what_run_rejects(self, tmp_path, capsys, overrides, key, code):
         g8 = Grid2D(nx=8, ny=8, h=3.0e-8 / 8, x0=-1.5e-8, y0=-1.5e-8)
         write_snapshot(str(tmp_path / "snap8"), [[1000.0] * 8] * 8, g8, 0, 0.0, ("txt",))
         g16 = Grid2D(nx=16, ny=16, h=3.0e-8 / 16, x0=-1.5e-8, y0=-1.5e-8)
         field = [[1000.0] * 16 for _ in range(16)]
-        write_snapshot(str(tmp_path / "no_h16"), field, g16, 0, 0.0, ("txt",))
-        lines = (tmp_path / "no_h16.txt").read_text().splitlines(keepends=True)
-        (tmp_path / "no_h16.txt").write_text("".join(x for x in lines if not x.startswith("# h ")))
+        write_snapshot(str(tmp_path / "ok16"), field, g16, 0, 0.0, ("txt",))
+        lines = (tmp_path / "ok16.txt").read_text().splitlines(keepends=True)
+        for name, field_key, value in (("no_h16", "h", None), ("n_neg16", "N", "-1"),
+                                       ("m_neg16", "M", "-1"), ("n_nan16", "N", "nan"),
+                                       ("n_inf16", "N", "inf"), ("n_frac16", "N", "1.5"),
+                                       ("h_nan16", "h", "nan")):
+            # the 16x16 snapshot with one header line replaced, or dropped
+            new = f"# {field_key} {value}\n" if value else ""
+            edited = "".join(new if x.startswith(f"# {field_key} ") else x for x in lines)
+            assert edited.count("\n") == len(lines) - (value is None)
+            (tmp_path / f"{name}.txt").write_text(edited)
         field[1][1] = float("nan")
         write_snapshot(str(tmp_path / "nan16"), field, g16, 0, 0.0, ("txt",))
         out = tmp_path / "out"

@@ -24,7 +24,7 @@ class TestDiscreteEnergy:
         c_bar = 3000.0
         c = np.full(unit_grid.cell_shape(), c_bar)
         e = discrete_energy(c, nc4, nc4.kappa, unit_grid)
-        expected = unit_grid.area * float(bulk_free_energy(c_bar, nc4).total)
+        expected = unit_grid.lx * unit_grid.ly * float(bulk_free_energy(c_bar, nc4).total)
         assert e.gradient == 0.0
         assert e.bulk == pytest.approx(expected, rel=1e-13)
         assert e.total == e.bulk

@@ -4,8 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from prphase import Grid2D, ParameterError, discrete_laplacian, inner, norm
-from prphase.grid import diff_x_c, diff_x_u, diff_y_c, diff_y_v, gradient_sq_norm
+from prphase import Grid2D, ParameterError, SchemeCoefficients, SolverConfig, inner
+from prphase.grid import gradient_sq_norm
+from prphase.solver import apply_operator
+
+from conftest import minus_laplacian
 
 
 @pytest.fixture(params=[(3, 3), (4, 7), (100, 100)], ids=lambda s: f"{s[0]}x{s[1]}")
@@ -14,12 +17,31 @@ def mesh(request):
     return Grid2D(nx=nx, ny=ny, h=0.37)
 
 
+def norm(a, g):
+    return float(np.sqrt(inner(a, a, g)))
+
+
+def face_gradient_sq_norm(c, g):
+    """||grad_h c||^2 in the staggered form: differences on x- and y-face
+    fields whose boundary layers stay zero, summed over interior faces."""
+    u = np.zeros((g.ny, g.nx + 1))
+    u[:, 1:-1] = (c[:, 1:] - c[:, :-1]) / g.h
+    v = np.zeros((g.ny + 1, g.nx))
+    v[1:-1, :] = (c[1:, :] - c[:-1, :]) / g.h
+    return (float(g.h * g.h * np.sum(u[:, 1:-1] * u[:, 1:-1]))
+            + float(g.h * g.h * np.sum(v[1:-1, :] * v[1:-1, :])))
+
+
+def stencil_scale(c, g):
+    """(4/h^2) max|c|: the size of the terms the stencil cancels."""
+    return 4.0 / (g.h * g.h) * float(np.max(np.abs(c)))
+
+
 class TestGrid2D:
     def test_geometry(self):
         g = Grid2D(nx=4, ny=3, h=0.5, x0=-1.0, y0=2.0)
         assert g.lx == 2.0 and g.ly == 1.5
         assert g.ncells == 12
-        assert g.area == pytest.approx(3.0)
         X, Y = g.cell_centers()
         assert X.shape == g.cell_shape() == (3, 4)
         assert X[0, 0] == -0.75 and Y[0, 0] == 2.25
@@ -38,38 +60,48 @@ class TestGrid2D:
 
 
 class TestDifferenceOperators:
+    """The gradient norm and the Laplacian the solver applies."""
+
     def test_constant_has_zero_differences(self, unit_grid):
         c = np.full(unit_grid.cell_shape(), 3.7)
-        assert np.all(diff_x_c(c, unit_grid) == 0)
-        assert np.all(diff_y_c(c, unit_grid) == 0)
-        assert np.all(discrete_laplacian(c, unit_grid) == 0)
+        assert gradient_sq_norm(c, unit_grid) == 0.0
+        # the folded stencil, d*c - k*(sum of neighbours), leaves round-off
+        lap = minus_laplacian(c, unit_grid)
+        assert np.max(np.abs(lap)) <= 1e-14 * stencil_scale(c, unit_grid)
 
     def test_linear_field_exact_gradient(self, unit_grid):
-        X, Y = unit_grid.cell_centers()
+        g = unit_grid
+        X, Y = g.cell_centers()
         c = 2.0 * X - 3.0 * Y
-        dx = diff_x_c(c, unit_grid)
-        dy = diff_y_c(c, unit_grid)
-        assert np.allclose(dx[:, 1:-1], 2.0, rtol=1e-13, atol=0)
-        assert np.allclose(dy[1:-1, :], -3.0, rtol=1e-13, atol=0)
-        # boundary faces encode the no-flux condition
-        assert np.all(dx[:, 0] == 0) and np.all(dx[:, -1] == 0)
-        assert np.all(dy[0, :] == 0) and np.all(dy[-1, :] == 0)
+        want = g.h**2 * (4.0 * g.ny * (g.nx - 1) + 9.0 * g.nx * (g.ny - 1))
+        assert gradient_sq_norm(c, g) == pytest.approx(want, rel=1e-13)
+        # zero inside; each boundary face carries no flux, so a boundary
+        # cell keeps only its inner face's difference
+        want = np.zeros(g.cell_shape())
+        want[:, 0] -= 2.0 / g.h
+        want[:, -1] += 2.0 / g.h
+        want[0, :] += 3.0 / g.h
+        want[-1, :] -= 3.0 / g.h
+        lap = minus_laplacian(c, g)
+        assert np.max(np.abs(lap - want)) <= 1e-14 * stencil_scale(c, g)
 
     def test_impulse_row_by_hand(self):
-        # 1x4 strip, h=2: differencing an impulse at cell 1 and bringing it
-        # back to cells applies the three-point stencil [1, -2, 1]/h^2
+        # 1x4 strip, h=2: an impulse at cell 1 has differences 1/2 and -1/2
+        # on its two faces, and the stencil is the three-point [1, -2, 1]/h^2
         g = Grid2D(nx=4, ny=1, h=2.0)
         c = np.array([[0.0, 1.0, 0.0, 0.0]])
-        u = diff_x_c(c, g)
-        assert u.tolist() == [[0.0, 0.5, -0.5, 0.0, 0.0]]
-        lap = diff_x_u(u, g)
+        assert gradient_sq_norm(c, g) == 2.0
+        lap = -minus_laplacian(c, g)
         assert lap.tolist() == [[0.25, -0.5, 0.25, 0.0]]
 
     def test_shape_mismatch_rejected(self, unit_grid):
         wrong = np.zeros((unit_grid.ny + 1, unit_grid.nx + 1))
-        for op in (diff_x_c, diff_y_c, diff_x_u, diff_y_v):
-            with pytest.raises(ParameterError, match="expected shape"):
-                op(wrong, unit_grid)
+        with pytest.raises(ParameterError, match="expected shape"):
+            gradient_sq_norm(wrong, unit_grid)
+        coeffs = SchemeCoefficients(nu=np.zeros(unit_grid.cell_shape()),
+                                    s_r=np.zeros(unit_grid.cell_shape()))
+        with pytest.raises(ParameterError, match="expected cell shape"):
+            apply_operator(wrong, coeffs, SolverConfig(tau=1.0), 1.0, unit_grid)
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -78,8 +110,7 @@ class TestDifferenceOperators:
         g = Grid2D(nx=data.draw(st.integers(1, 7)), ny=data.draw(st.integers(1, 7)),
                    h=data.draw(st.floats(1e-10, 1.0)))
         c = data.draw(hnp.arrays(np.float64, g.cell_shape(), elements=st.floats(-1e4, 1e4)))
-        want = (inner(diff_x_c(c, g), diff_x_c(c, g), g)
-                + inner(diff_y_c(c, g), diff_y_c(c, g), g))
+        want = face_gradient_sq_norm(c, g)
         assert gradient_sq_norm(c, g) == want
         assert gradient_sq_norm(c, g, scratch=np.empty(g.ncells + 3)) == want
 
@@ -87,16 +118,8 @@ class TestDifferenceOperators:
 class TestInnerProduct:
     def test_constant_measures_domain_area(self, unit_grid):
         ones = np.ones(unit_grid.cell_shape())
-        assert inner(ones, ones, unit_grid) == pytest.approx(unit_grid.area, rel=1e-14)
-
-    def test_face_products_skip_boundary(self, unit_grid):
-        u = np.ones(unit_grid.xface_shape())
-        # only nx-1 interior x-faces per row carry weight
-        expected = unit_grid.h**2 * unit_grid.ny * (unit_grid.nx - 1)
-        assert inner(u, u, unit_grid) == pytest.approx(expected, rel=1e-14)
-        v = np.ones(unit_grid.yface_shape())
-        expected = unit_grid.h**2 * unit_grid.nx * (unit_grid.ny - 1)
-        assert inner(v, v, unit_grid) == pytest.approx(expected, rel=1e-14)
+        assert inner(ones, ones, unit_grid) == pytest.approx(unit_grid.lx * unit_grid.ly,
+                                                             rel=1e-14)
 
     def test_cauchy_schwarz(self, unit_grid, rng):
         a = rng.standard_normal(unit_grid.cell_shape())
@@ -104,45 +127,46 @@ class TestInnerProduct:
         assert abs(inner(a, b, unit_grid)) <= norm(a, unit_grid) * norm(b, unit_grid) * (1 + 1e-14)
 
     def test_shape_mismatch(self, unit_grid):
-        with pytest.raises(ParameterError, match="mismatch"):
-            inner(np.ones((2, 2)), np.ones((3, 3)), unit_grid)
-        with pytest.raises(ParameterError, match="neither"):
-            inner(np.ones((2, 2)), np.ones((2, 2)), unit_grid)
+        # cell fields only
+        for a, b in ((np.ones((2, 2)), np.ones((3, 3))), (np.ones((2, 2)), np.ones((2, 2)))):
+            with pytest.raises(ParameterError, match="expected shape"):
+                inner(a, b, unit_grid)
 
 
 class TestSummationByParts:
-    """<d_x c, u>_faces = -<c, d_x u>_cells and the y analogue."""
+    """<grad_h a, grad_h b> = <a, -Lap_h b>, each direction on its own strip.
+
+    A strip one cell wide has neighbours in one direction only.  The face
+    product is taken by polarization of ``gradient_sq_norm``.
+    """
 
     N_TRIALS = 100
 
-    def test_x_adjointness(self, mesh, rng):
-        for _ in range(self.N_TRIALS):
-            c = rng.standard_normal(mesh.cell_shape())
-            u = rng.standard_normal(mesh.xface_shape())
-            u[:, 0] = u[:, -1] = 0.0
-            lhs = inner(diff_x_c(c, mesh), u, mesh)
-            rhs = -inner(c, diff_x_u(u, mesh), mesh)
-            scale = max(norm(c, mesh) * norm(u, mesh) / mesh.h, 1e-30)
+    @classmethod
+    def check_strip(cls, strip, rng):
+        for _ in range(cls.N_TRIALS):
+            a = rng.standard_normal(strip.cell_shape())
+            b = rng.standard_normal(strip.cell_shape())
+            lhs = (gradient_sq_norm(a + b, strip) - gradient_sq_norm(a - b, strip)) / 4.0
+            rhs = inner(a, minus_laplacian(b, strip), strip)
+            scale = max(norm(a, strip) * np.sqrt(gradient_sq_norm(b, strip)) / strip.h, 1e-30)
             assert abs(lhs - rhs) <= 1e-13 * scale
+
+    def test_x_adjointness(self, mesh, rng):
+        self.check_strip(Grid2D(nx=mesh.nx, ny=1, h=mesh.h), rng)
 
     def test_y_adjointness(self, mesh, rng):
-        for _ in range(self.N_TRIALS):
-            c = rng.standard_normal(mesh.cell_shape())
-            v = rng.standard_normal(mesh.yface_shape())
-            v[0, :] = v[-1, :] = 0.0
-            lhs = inner(diff_y_c(c, mesh), v, mesh)
-            rhs = -inner(c, diff_y_v(v, mesh), mesh)
-            scale = max(norm(c, mesh) * norm(v, mesh) / mesh.h, 1e-30)
-            assert abs(lhs - rhs) <= 1e-13 * scale
+        self.check_strip(Grid2D(nx=1, ny=mesh.ny, h=mesh.h), rng)
 
     def test_boundary_faces_do_not_contribute(self, mesh, rng):
-        # adjointness holds for arbitrary face data too, because the inner
-        # product ignores the boundary layers entirely
+        # the stencil is the full five-point one on the field extended by
+        # ghost cells that copy their boundary neighbour: no difference,
+        # hence no flux, across a boundary face
         c = rng.standard_normal(mesh.cell_shape())
-        u = rng.standard_normal(mesh.xface_shape())
-        u_zeroed = u.copy()
-        u_zeroed[:, 0] = u_zeroed[:, -1] = 0.0
-        assert inner(diff_x_c(c, mesh), u, mesh) == inner(diff_x_c(c, mesh), u_zeroed, mesh)
+        e = np.pad(c, 1, mode="edge")
+        full = (4.0 * c - e[1:-1, 2:] - e[1:-1, :-2] - e[2:, 1:-1] - e[:-2, 1:-1]) / mesh.h**2
+        lap = minus_laplacian(c, mesh)
+        assert np.max(np.abs(lap - full)) <= 1e-14 * stencil_scale(c, mesh)
 
 
 def laplacian_matrix(g):
@@ -151,39 +175,36 @@ def laplacian_matrix(g):
     for k in range(n):
         e = np.zeros(n)
         e[k] = 1.0
-        mat[:, k] = discrete_laplacian(e.reshape(g.cell_shape()), g).ravel()
+        mat[:, k] = -minus_laplacian(e.reshape(g.cell_shape()), g).ravel()
     return mat
 
 
 class TestLaplacian:
     def test_annihilates_constants(self, mesh):
         c = np.full(mesh.cell_shape(), 2.5)
-        assert np.all(discrete_laplacian(c, mesh) == 0)
+        lap = minus_laplacian(c, mesh)
+        assert np.max(np.abs(lap)) <= 1e-14 * stencil_scale(c, mesh)
 
     def test_conserves_mass(self, mesh, rng):
         # <L c, 1> = 0: no-flux boundaries mean nothing leaves the domain
         c = rng.standard_normal(mesh.cell_shape())
         ones = np.ones(mesh.cell_shape())
-        total = inner(discrete_laplacian(c, mesh), ones, mesh)
+        total = inner(minus_laplacian(c, mesh), ones, mesh)
         assert abs(total) <= 1e-12 * norm(c, mesh)
 
     def test_dirichlet_identity(self, mesh, rng):
         # <-L c, c> equals the squared gradient norm, hence L is negative
         # semidefinite
         c = rng.standard_normal(mesh.cell_shape())
-        lhs = -inner(discrete_laplacian(c, mesh), c, mesh)
-        grad_sq = (
-            inner(diff_x_c(c, mesh), diff_x_c(c, mesh), mesh)
-            + inner(diff_y_c(c, mesh), diff_y_c(c, mesh), mesh)
-        )
-        assert lhs == pytest.approx(grad_sq, rel=1e-12)
+        lhs = inner(minus_laplacian(c, mesh), c, mesh)
+        assert lhs == pytest.approx(gradient_sq_norm(c, mesh), rel=1e-12)
         assert lhs >= 0
 
     def test_symmetry(self, mesh, rng):
         c1 = rng.standard_normal(mesh.cell_shape())
         c2 = rng.standard_normal(mesh.cell_shape())
-        a = inner(discrete_laplacian(c1, mesh), c2, mesh)
-        b = inner(c1, discrete_laplacian(c2, mesh), mesh)
+        a = inner(minus_laplacian(c1, mesh), c2, mesh)
+        b = inner(c1, minus_laplacian(c2, mesh), mesh)
         assert abs(a - b) <= 1e-13 * max(abs(a), abs(b), 1.0)
 
     def test_null_space_is_constants_only(self):
@@ -215,7 +236,7 @@ class TestWindowCutoffInequalities:
 
     With c^- = min(c - c_m, 0) and c^+ = max(c - c_M, 0),
 
-        <d_x[c^-], d_x[c^-]> <= -<d_x^u[d_x[c]], c^->   (same for c^+, y)
+        ||grad_h c^-||^2 <= <-Lap_h c, c^->   (same for c^+)
 
     These are what turn the multiplier bounds into a per-step maximum
     principle for the density.
@@ -235,29 +256,27 @@ class TestWindowCutoffInequalities:
     def clip_high(c, c_M=0.5):
         return np.maximum(c - c_M, 0.0)
 
+    @staticmethod
+    def holds(c, w, g):
+        lhs = gradient_sq_norm(w, g)
+        rhs = inner(minus_laplacian(c, g), w, g)
+        return lhs <= rhs + 1e-12 * max(abs(rhs), 1.0)
+
     @pytest.mark.parametrize("clip", ["clip_low", "clip_high"])
     def test_x_direction(self, field, clip):
+        # a 1x9 strip: x-neighbours only
         g, c = field
-        w = getattr(self, clip)(c)
-        lhs = inner(diff_x_c(w, g), diff_x_c(w, g), g)
-        rhs = -inner(diff_x_u(diff_x_c(c, g), g), w, g)
-        assert lhs <= rhs + 1e-12 * max(abs(rhs), 1.0)
+        strip, c = Grid2D(nx=9, ny=1, h=g.h), c[:1, :]
+        assert self.holds(c, getattr(self, clip)(c), strip)
 
     @pytest.mark.parametrize("clip", ["clip_low", "clip_high"])
     def test_y_direction(self, field, clip):
+        # the same nine values on a 9x1 strip: y-neighbours only
         g, c = field
-        w = getattr(self, clip)(c)
-        lhs = inner(diff_y_c(w, g), diff_y_c(w, g), g)
-        rhs = -inner(diff_y_v(diff_y_c(c, g), g), w, g)
-        assert lhs <= rhs + 1e-12 * max(abs(rhs), 1.0)
+        strip, c = Grid2D(nx=1, ny=9, h=g.h), c[:1, :].reshape(9, 1)
+        assert self.holds(c, getattr(self, clip)(c), strip)
 
     @pytest.mark.parametrize("clip", ["clip_low", "clip_high"])
     def test_combined_laplacian_form(self, field, clip):
         g, c = field
-        w = getattr(self, clip)(c)
-        lhs = (
-            inner(diff_x_c(w, g), diff_x_c(w, g), g)
-            + inner(diff_y_c(w, g), diff_y_c(w, g), g)
-        )
-        rhs = -inner(discrete_laplacian(c, g), w, g)
-        assert lhs <= rhs + 1e-12 * max(abs(rhs), 1.0)
+        assert self.holds(c, getattr(self, clip)(c), g)

@@ -15,9 +15,7 @@ from prphase import (
     SchemeCoefficients,
     SolverConfig,
     bulk_chemical_potential,
-    discrete_laplacian,
     inner,
-    norm,
     run,
     solve_spd,
 )
@@ -27,7 +25,6 @@ from prphase.solver import (
     _galerkin_start,
     _push_differences,
     apply_operator,
-    operator_diagonal,
 )
 
 from conftest import C_GAS, C_LIQ, child_env
@@ -71,6 +68,25 @@ def mass(c, g):
     return inner(c, np.ones(g.cell_shape()), g)
 
 
+def norm(a, g):
+    return float(np.sqrt(inner(a, a, g)))
+
+
+def spare(coeffs):
+    """A copy of ``coeffs`` for a solve to consume: it builds A's diagonal in nu."""
+    return SchemeCoefficients(nu=coeffs.nu.copy(), s_r=coeffs.s_r)
+
+
+def staggered_laplacian(c, g):
+    """Lap_h c composed from face fields: differences onto faces, whose
+    boundary layers stay zero (no flux), then back to cells."""
+    u = np.zeros((g.ny, g.nx + 1))
+    u[:, 1:-1] = (c[:, 1:] - c[:, :-1]) / g.h
+    v = np.zeros((g.ny + 1, g.nx))
+    v[1:-1, :] = (c[1:, :] - c[:-1, :]) / g.h
+    return (u[:, 1:] - u[:, :-1]) / g.h + (v[1:, :] - v[:-1, :]) / g.h
+
+
 class TestOperator:
     def test_no_gradient_term_is_pointwise(self, toy):
         # the stencil folds 1/tau_eff into its diagonal
@@ -96,10 +112,17 @@ class TestOperator:
             assert quad >= lower * inner(c, c, g) * (1 - 1e-12)
 
     def test_diagonal_matches_dense_matrix(self, toy):
-        g, coeffs, cfg, kappa, _ = toy
-        mat = dense_operator(g, coeffs, cfg, kappa)
-        got = operator_diagonal(coeffs, cfg, kappa, g).ravel()
-        assert np.allclose(got, np.diag(mat), rtol=1e-13, atol=0)
+        # the diagonal a solve builds in nu's field, on strips too, where a
+        # boundary cell lacks neighbours on both sides
+        g8, _, cfg, kappa, r = toy
+        for g in (g8, Grid2D(nx=1, ny=1, h=0.5), Grid2D(nx=5, ny=1, h=0.5),
+                  Grid2D(nx=1, ny=5, h=0.5)):
+            coeffs = SchemeCoefficients(nu=r.uniform(1.0, 2.0, size=g.cell_shape()),
+                                        s_r=np.zeros(g.cell_shape()))
+            mat = dense_operator(g, coeffs, cfg, kappa)
+            zero = np.zeros(g.cell_shape())
+            solve_spd(zero, coeffs, cfg, kappa, g, x0=zero.copy())
+            assert np.array_equal(coeffs.nu.ravel(), np.diag(mat))
 
     @pytest.mark.parametrize("ny,nx", [(1, 1), (1, 5), (5, 1), (37, 13)])
     def test_fused_stencil_matches_staggered_operators(self, ny, nx):
@@ -111,7 +134,7 @@ class TestOperator:
         for _ in range(2):
             c = r.standard_normal((ny, nx))
             got = apply_operator(c, coeffs, cfg, kappa, g)
-            ref = c / cfg.tau_eff() - kappa * discrete_laplacian(c, g) + coeffs.nu * c
+            ref = c / cfg.tau_eff() - kappa * staggered_laplacian(c, g) + coeffs.nu * c
             assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
@@ -177,7 +200,7 @@ class TestSolveSpd:
         rhs = r.standard_normal(g.cell_shape())
         x0 = r.uniform(1.0, 2.0, size=g.cell_shape())
         m0 = mass(x0, g)
-        x, mu_e, iters, _ = solve_spd(rhs, coeffs, cfg, 0.0, g, x0=x0)
+        x, mu_e, iters, _ = solve_spd(rhs, spare(coeffs), cfg, 0.0, g, x0=x0)
         assert iters == 1
         diag = 1.0 / cfg.tau_eff() + coeffs.nu
         assert np.allclose(x, (rhs + mu_e) / diag, rtol=1e-12, atol=0)
@@ -188,7 +211,7 @@ class TestSolveSpd:
         plain = SolverConfig(tau=0.7, cg_rel_tol=1e-12, preconditioner="none")
         rhs = r.standard_normal(g.cell_shape())
         x0 = r.uniform(1.0, 2.0, size=g.cell_shape())
-        x_jac, mu_jac, _, _ = solve_spd(rhs, coeffs, cfg, kappa, g, x0=x0.copy())
+        x_jac, mu_jac, _, _ = solve_spd(rhs, spare(coeffs), cfg, kappa, g, x0=x0.copy())
         x, mu_e, _, res = solve_spd(rhs, coeffs, plain, kappa, g, x0=x0.copy())
         assert res <= plain.cg_rel_tol
         assert norm(x - x_jac, g) <= 1e-8 * norm(x_jac, g)
@@ -207,12 +230,12 @@ class TestSolveSpd:
         g, coeffs, _, kappa, r = toy
         cfg = SolverConfig(tau=0.7, cg_rel_tol=1e-14, cg_max_iter=1)
         rhs = r.standard_normal(g.cell_shape())
+        inv_diag = 1.0 / np.diag(dense_operator(g, coeffs, cfg, kappa)).reshape(g.cell_shape())
         with pytest.raises(ConvergenceError) as exc:
             solve_spd(rhs, coeffs, cfg, kappa, g, x0=np.zeros(g.cell_shape()))
         history = exc.value.residual_history
         assert len(history) == 2
         # From x0 = 0 the first residual is rhs with its D^-1-weighted mean removed.
-        inv_diag = 1.0 / operator_diagonal(coeffs, cfg, kappa, g)
         r0 = rhs - np.sum(inv_diag * rhs) / np.sum(inv_diag)
         assert history[0] == pytest.approx(np.sqrt(np.sum(r0**2)), rel=1e-12)
 
@@ -304,7 +327,7 @@ class TestGalerkinStart:
             extrapolated = c_n + (delta - np.mean(delta))
             start = c_n.copy()
             residual = rhs - apply_operator(c_n, coeffs, cfg, kappa, g)
-            _galerkin_start(start, residual, basis, operator_diagonal(coeffs, cfg, kappa, g),
+            _galerkin_start(start, residual, basis, np.diag(mat).reshape(g.cell_shape()),
                             kappa / (g.h * g.h), np.empty(g.cell_shape()),
                             np.empty(g.cell_shape()))
             assert a_norm_error(start) <= a_norm_error(extrapolated) * (1 + 1e-12)
@@ -320,8 +343,9 @@ class TestGalerkinStart:
         g, coeffs, cfg, kappa, r = toy
         states, basis = self.history(g, r)
         rhs = r.standard_normal(g.cell_shape())
-        inputs = [rhs, coeffs.nu, coeffs.s_r] + basis
+        inputs = [rhs, coeffs.s_r] + basis
         kept = [a.copy() for a in inputs]
+        mat = dense_operator(g, coeffs, cfg, kappa)
         x_direct, mu_direct = dense_kkt_solve(g, coeffs, cfg, kappa, rhs, mass(states[-1], g))
         x, mu_e, _, res = solve_spd(rhs, coeffs, cfg, kappa, g, x0=states[-1].copy(),
                                     basis=basis)
@@ -329,12 +353,18 @@ class TestGalerkinStart:
         assert np.max(np.abs(x - x_direct)) <= 1e-8 * np.max(np.abs(x_direct))
         assert abs(mu_e - mu_direct) <= 1e-8 * abs(mu_direct)
         assert all(np.array_equal(a, b) for a, b in zip(inputs, kept))
-        # run's way: the same bits, with A's diagonal built in nu's field
-        owned = SchemeCoefficients(nu=coeffs.nu.copy(), s_r=coeffs.s_r)
-        x_owned, mu_owned, _, _ = solve_spd(rhs, owned, cfg, kappa, g, x0=states[-1].copy(),
-                                            basis=basis, overwrite_nu=True)
-        assert np.array_equal(x_owned, x) and mu_owned == mu_e
-        assert np.array_equal(owned.nu, operator_diagonal(coeffs, cfg, kappa, g))
+        # nu is consumed: it now holds A's diagonal
+        assert np.array_equal(coeffs.nu.ravel(), np.diag(mat))
+
+    def test_nu_must_be_a_writeable_float_field(self, toy):
+        g, coeffs, cfg, kappa, r = toy
+        rhs = r.standard_normal(g.cell_shape())
+        read_only = coeffs.nu.copy()
+        read_only.flags.writeable = False
+        for nu in (coeffs.nu[:-1], coeffs.nu.astype(np.float32), coeffs.nu.tolist(), read_only):
+            with pytest.raises(ParameterError, match="nu must be"):
+                solve_spd(rhs, SchemeCoefficients(nu=nu, s_r=coeffs.s_r), cfg, kappa, g,
+                          x0=np.zeros(g.cell_shape()))
 
     def test_zero_differences_are_dropped(self, toy):
         # a zero difference gives a zero row and column in the Gram matrix
@@ -346,7 +376,7 @@ class TestGalerkinStart:
         delta -= np.mean(delta)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            x, _, _, _ = solve_spd(rhs, coeffs, cfg, kappa, g, x0=x_true.copy(),
+            x, _, _, _ = solve_spd(rhs, spare(coeffs), cfg, kappa, g, x0=x_true.copy(),
                                    basis=[zero, zero, zero])
             assert np.array_equal(x, x_true)
             x, _, _, res = solve_spd(rhs, coeffs, cfg, kappa, g,
