@@ -48,7 +48,7 @@ from .errors import (
     ParameterError,
     PrPhaseError,
 )
-from .grid import Grid2D, inner
+from .grid import Grid2D
 from .solver import SolverConfig, StepReport, run, solve_spd
 
 __version__ = "0.1.0"
@@ -79,7 +79,6 @@ __all__ = [
     "discrete_energy",
     "g_and_gprime",
     "get_substance",
-    "inner",
     "load_substance",
     "minimal_lambda",
     "mu_attraction",

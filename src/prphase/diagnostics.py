@@ -5,12 +5,12 @@ The discrete free energy of a cell field c is
 
     F_h(c) = <f_b(c), 1> + (kappa/2) * ||grad_h c||^2
 
-with the mesh inner product of ``prphase.grid``.  ||grad_h c||^2 is
+with the h^2-weighted inner product of cell fields.  ||grad_h c||^2 is
 ``grid.gradient_sq_norm``: differences of neighbouring cells only, one per
-interior face, consistent with the no-flux boundary.
-``ef.scheme_coefficients`` returns the same energy, bitwise, from the pass
-that evaluates the scheme's coefficients; the time stepper uses that and
-calls ``discrete_energy`` for the initial state only.
+interior face, consistent with the no-flux boundary.  f_b comes from
+``ef._pointwise``.  ``ef.scheme_coefficients`` returns the same energy,
+bitwise, from the pass that evaluates the scheme's coefficients; the time
+stepper uses that for every state.
 
 The mass-constraint multiplier produced by the stepper provably stays inside
 
@@ -28,8 +28,8 @@ from typing import Callable
 
 import numpy as np
 
-from .ef import EfParams, EnergyBreakdown, _nu, _s_r, g_and_gprime
-from .eos import EosParams, bulk_free_energy
+from .ef import EfParams, EnergyBreakdown, _pointwise
+from .eos import EosParams
 from .errors import ParameterError
 from .grid import Grid2D, gradient_sq_norm
 
@@ -41,7 +41,8 @@ def discrete_energy(c: np.ndarray, p: EosParams, kappa: float, g: Grid2D) -> Ene
     c = np.asarray(c, dtype=float)
     if c.shape != g.cell_shape():
         raise ParameterError(f"discrete_energy: expected cell shape {g.cell_shape()}, got {c.shape}")
-    bulk = g.h * g.h * np.sum(bulk_free_energy(c, p).total)  # inner(f_b, 1), bitwise
+    f = _pointwise(c, p, None, "discrete_energy")[0]
+    bulk = g.h * g.h * np.einsum("ij,ij->", c, f)  # <f_b, 1>
     gradient = 0.5 * kappa * gradient_sq_norm(c, g)
     return EnergyBreakdown(bulk=float(bulk), gradient=float(gradient),
                            total=float(bulk + gradient))
@@ -98,13 +99,6 @@ def _refined_extremum(
     return max(coarse, _golden_max(f, float(a), float(b), x_tol))
 
 
-def _nu_and_s_r(c, ef: EfParams, p: EosParams):
-    """nu(c) and s_r(c) from one evaluation of G and G'."""
-    c = np.asarray(c, dtype=float)
-    g_gp = g_and_gprime(c, ef.lam, p)
-    return np.asarray(_nu(c, g_gp, p)), np.asarray(_s_r(c, g_gp, ef, p))
-
-
 def admissible_interval(
     ef: EfParams, p: EosParams, n_samples: int = 20000, rel_tol: float = 1e-10
 ) -> AdmissibleInterval:
@@ -117,15 +111,15 @@ def admissible_interval(
     if n_samples < 2:
         raise ParameterError(f"n_samples must be >= 2, got {n_samples}")
     cs = np.linspace(ef.c_m, ef.c_M, n_samples)
-    nu_vals, sr_vals = _nu_and_s_r(cs, ef, p)
+    _, nu_vals, sr_vals = _pointwise(cs, p, ef.lam, "admissible_interval")
     x_tol = rel_tol * (ef.c_M - ef.c_m)
 
     def lower_env(c: float) -> float:
-        nu_c, sr_c = _nu_and_s_r(c, ef, p)
+        _, nu_c, sr_c = _pointwise(c, p, ef.lam, "admissible_interval")
         return ef.c_m * float(nu_c) - float(sr_c)
 
     def upper_env_neg(c: float) -> float:
-        nu_c, sr_c = _nu_and_s_r(c, ef, p)
+        _, nu_c, sr_c = _pointwise(c, p, ef.lam, "admissible_interval")
         return -(ef.c_M * float(nu_c) - float(sr_c))
 
     mu_lower = _refined_extremum(ef.c_m * nu_vals - sr_vals, cs, lower_env, x_tol)

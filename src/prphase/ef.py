@@ -27,10 +27,12 @@ stability of the time stepper.  The per-step linear operator uses
 which satisfy nu(c)*c - s_r(c) = mu_b(c) identically, so spatially uniform
 states are exact fixed points of the scheme.
 
-``scheme_coefficients`` evaluates both fields of a state together with its
-discrete energy in one in-place pass over the cells, bitwise equal to
-``nu``, ``s_r`` and ``diagnostics.discrete_energy``; the time stepper makes
-one such pass per state.
+One private pointwise kernel, ``_pointwise``, is the only home of nu, s_r
+and the bulk energy density f_b: ``scheme_coefficients``, ``nu``, ``s_r``,
+``diagnostics.discrete_energy`` and ``diagnostics.admissible_interval`` all
+call it.  It takes the sum of logarithms that is f_b/c once, builds mu_b
+from it, and gets s_r as nu*c - mu_b.  ``scheme_coefficients`` adds the
+state's discrete energy; the time stepper makes one such pass per state.
 """
 
 from __future__ import annotations
@@ -169,30 +171,80 @@ def nu(c: ArrayLike, ef: EfParams, p: EosParams) -> ArrayLike:
     Callers are expected to have validated ``c``; this evaluates anywhere
     in 0 < c < 1/beta.
     """
-    c = np.asarray(c, dtype=float)
-    return _nu(c, g_and_gprime(c, ef.lam, p), p)
+    return _pointwise(c, p, ef.lam, "nu")[1][()]
 
 
 def s_r(c: ArrayLike, ef: EfParams, p: EosParams) -> ArrayLike:
     """Explicit-side source s_r(c) = nu(c)*c - mu_b(c), in closed form (J/mol)."""
+    return _pointwise(c, p, ef.lam, "s_r")[2][()]
+
+
+def _pointwise(c: ArrayLike, p: EosParams, lam: Optional[float], what: str):
+    """f_b/c and, given the shift ``lam``, nu and s_r of densities of any shape.
+
+    Returns float arrays (f_b/c, nu, s_r) of the shape of ``c``; without
+    ``lam``, nu and s_r are None.  With b = beta*c, L = ln(1 - b),
+    t = b/(1 - b), M = lam - L and N = M + t (so G^2 = c*M, 2*G*G' = N and
+    c*G'^2 = N^2/(4*M)):
+
+        f_b/c = vartheta0 + R*T*(ln c - L) + alpha/(2*sqrt2*beta)*ln(a)
+        mu_b  = f_b/c + R*T*(1 + t) - alpha*c/(1 + 2*b - b^2)
+        nu    = R*T*(1 + N^2/(4*M))/c
+        s_r   = nu*c - mu_b = R*T*(N^2/(4*M) - t) - f_b/c + alpha*c/(1 + 2*b - b^2)
+
+    where a = (1 + (1 - sqrt2)*b)/(1 + (1 + sqrt2)*b) is the attraction ratio.
+
+    One log(c), one log(1 - b) and one log1p for the attraction ratio per
+    density, in five fields.  A density outside 0 < c < 1/beta raises
+    ``DomainError`` naming ``what``.
+    """
     c = np.asarray(c, dtype=float)
-    return _s_r(c, g_and_gprime(c, ef.lam, p), ef, p)
-
-
-def _nu(c: np.ndarray, g_gp, p: EosParams) -> ArrayLike:
-    _, gp = g_gp
-    return p.R * p.T * (1.0 / c + gp * gp)
-
-
-def _s_r(c: np.ndarray, g_gp, ef: EfParams, p: EosParams) -> ArrayLike:
-    g, gp = g_gp
+    _require_admissible(c, p, what)
     RT = p.R * p.T
-    return (
-        -p.vartheta0
-        - RT * np.log(c)
-        + RT * (gp * gp * c - 2.0 * g * gp + ef.lam)
-        - mu_attraction(c, p)
-    )
+    bc = np.multiply(p.beta, c, out=np.empty_like(c))
+    u = np.subtract(1.0, bc, out=np.empty_like(c))
+    f = np.log(c, out=np.empty_like(c))
+    ln1m = np.log(u, out=np.empty_like(c))  # L
+    f -= ln1m
+    # the attraction ratio is 1 - 2*sqrt2*b/(1 + (1 + sqrt2)*b)
+    w = np.multiply(-(1.0 + _SQRT2) / (2.0 * _SQRT2), bc, out=np.empty_like(c))
+    w -= 1.0 / (2.0 * _SQRT2)
+    np.divide(bc, w, out=w)
+    np.log1p(w, out=w)
+    w *= p.alpha / (2.0 * _SQRT2 * p.beta * RT)
+    f += w
+    f += p.vartheta0 / RT
+    f *= RT
+    if lam is None:
+        return f, None, None
+
+    t = np.divide(bc, u, out=w)
+    np.multiply(u, u, out=u)
+    np.subtract(2.0, u, out=u)  # 1 + 2*b - b^2
+    np.divide(bc, u, out=bc)
+    m = ln1m
+    np.subtract(lam, ln1m, out=m)
+    # G^2 = c*M, and M >= lam since L < 0: only a nonpositive shift can fail
+    if not lam > 0.0 and np.any(m <= 0.0):
+        raise DomainError(
+            f"G^2 must be positive; lam = {lam} is too small for this density range"
+        )
+    n4 = u  # N^2/M, four times c*G'^2
+    np.add(m, t, out=n4)
+    n4 *= n4
+    n4 /= m
+    nu_f = m
+    np.add(n4, 4.0, out=nu_f)
+    nu_f /= c
+    nu_f *= 0.25 * RT
+    sr = n4
+    t *= 4.0
+    sr -= t
+    sr *= 0.25 * RT
+    sr -= f
+    bc *= p.alpha / p.beta
+    sr += bc
+    return f, nu_f, sr
 
 
 @dataclass(frozen=True)
@@ -249,12 +301,9 @@ def scheme_coefficients(
 
     ``require_in_window`` runs first, unless ``bounds_slack`` is infinite
     (the caller then judges the window itself); a density outside
-    0 < c < 1/beta raises ``DomainError``.  One log(c), one log1p(-beta*c),
-    one attraction log and one sqrt per cell serve all three results, which
-    are computed in place in four scratch fields.  Every field keeps the
-    operation order of ``nu``, ``s_r`` and ``eos.bulk_free_energy``, so the
-    results are bitwise those of ``nu``, ``s_r`` and
-    ``diagnostics.discrete_energy``.
+    0 < c < 1/beta raises ``DomainError``.  The fields come from
+    ``_pointwise``, and the energy is bitwise ``diagnostics.discrete_energy``:
+    the bulk part h^2*<c, f_b/c> and (kappa/2)*``gradient_sq_norm``.
     """
     c = np.ascontiguousarray(c_old, dtype=float)
     if c.shape != g.cell_shape():
@@ -262,78 +311,8 @@ def scheme_coefficients(
                              f"got {c.shape}")
     if bounds_slack != math.inf:
         require_in_window(c, ef, bounds_slack, "scheme_coefficients")
-    _require_admissible(c, p, "scheme_coefficients")
-    RT = p.R * p.T
-    bc = p.beta * c
-    a = np.log(c)
-    b = np.empty_like(c)
-    nu_f = np.empty_like(c)  # the bulk energy density, G, G'^2, then nu
-    sr = np.multiply(RT, a)
-    np.subtract(-p.vartheta0, sr, out=sr)
-
-    # f_b = c*vartheta0 + c*RT*ln(c) - c*RT*ln(1 - beta*c) + attraction
-    np.multiply(c, p.vartheta0, out=nu_f)
-    np.multiply(c, RT, out=b)
-    b *= a
-    nu_f += b
-    log1m = a  # ln(1 - beta*c); ln(c) is done with
-    np.negative(bc, out=log1m)
-    np.log1p(log1m, out=log1m)
-    np.negative(c, out=b)
-    b *= RT
-    b *= log1m
-    nu_f += b
-    att = np.multiply(1.0 - _SQRT2, bc)  # the attraction log
-    att += 1.0
-    np.multiply(1.0 + _SQRT2, bc, out=b)
-    b += 1.0
-    att /= b
-    np.log(att, out=att)
-    np.multiply(p.alpha, c, out=b)
-    b /= 2.0 * _SQRT2 * p.beta
-    b *= att
-    nu_f += b
-    bulk = float(g.h * g.h * np.sum(nu_f))
-    gradient = 0.5 * p.kappa * gradient_sq_norm(c, g, scratch=b)
-
-    # G and G' as g_and_gprime computes them
-    np.multiply(ef.lam, c, out=nu_f)
-    np.multiply(c, log1m, out=b)
-    nu_f -= b
-    if np.any(nu_f <= 0.0):
-        raise DomainError(
-            f"G^2 must be positive; lam = {ef.lam} is too small for this density range"
-        )
-    np.sqrt(nu_f, out=nu_f)
-    np.subtract(1.0, bc, out=b)
-    np.divide(bc, b, out=b)
-    gp = log1m
-    np.subtract(ef.lam, log1m, out=gp)
-    gp += b
-    np.multiply(2.0, nu_f, out=b)
-    gp /= b
-    b *= gp  # 2*G*G'
-    np.multiply(gp, gp, out=nu_f)
-
-    # s_r = -vartheta0 - RT*ln(c) + RT*(G'^2*c - 2*G*G' + lam) - mu_attraction
-    np.multiply(nu_f, c, out=a)
-    a -= b
-    a += ef.lam
-    a *= RT
-    sr += a
-    att *= p.alpha / (2.0 * _SQRT2 * p.beta)
-    np.multiply(2.0, bc, out=a)
-    a += 1.0
-    np.multiply(bc, bc, out=b)
-    a -= b
-    np.multiply(p.alpha, c, out=b)
-    b /= a
-    att -= b
-    sr -= att
-
-    # nu = RT*(1/c + G'^2)
-    np.divide(1.0, c, out=a)
-    nu_f += a
-    nu_f *= RT
+    f, nu_f, sr = _pointwise(c, p, ef.lam, "scheme_coefficients")
+    bulk = float(g.h * g.h * np.einsum("ij,ij->", c, f))
+    gradient = 0.5 * p.kappa * gradient_sq_norm(c, g, scratch=f)
     return SchemeCoefficients(nu=nu_f, s_r=sr, energy=EnergyBreakdown(
         bulk=bulk, gradient=gradient, total=float(bulk + gradient)))

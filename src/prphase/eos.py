@@ -234,18 +234,22 @@ class FreeEnergyBreakdown:
 
 
 def _require_admissible(c: np.ndarray, p: EosParams, what: str) -> None:
-    """Raise DomainError naming the violated bound unless 0 < c < 1/beta."""
-    if not np.all(np.isfinite(c)):
+    """Raise DomainError naming the violated bound unless 0 < c < 1/beta.
+
+    Reads only the extremes: a nan or an infinity reaches min or max.
+    """
+    c = np.asarray(c)
+    if c.size == 0:
+        return
+    lo, hi = c.min(), c.max()
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         raise DomainError(f"{what}: density must be finite")
-    if np.any(c <= 0.0):
-        bad = float(np.min(c))
-        raise DomainError(f"{what}: density must be positive (lower bound c > 0 failed, min c = {bad})")
-    bc = p.beta * np.asarray(c)
-    if np.any(bc >= _BC_LIMIT):
-        bad = float(np.max(bc))
+    if lo <= 0.0:
+        raise DomainError(f"{what}: density must be positive (lower bound c > 0 failed, min c = {float(lo)})")
+    if p.beta * hi >= _BC_LIMIT:
         raise DomainError(
             f"{what}: density too close to the packing limit "
-            f"(upper bound beta*c < 1 failed, max beta*c = {bad})"
+            f"(upper bound beta*c < 1 failed, max beta*c = {float(p.beta * hi)})"
         )
 
 

@@ -1,8 +1,7 @@
-"""Cell-centered mesh of a uniform 2-D grid, its inner product and gradient norm.
+"""Cell-centered mesh of a uniform 2-D grid and its gradient norm.
 
 Cell fields have shape (ny, nx), stored row-major so the flat index of cell
-(i, j) is i + nx*j.  ``inner`` is the cell-area-weighted (h^2) inner
-product of two cell fields.  ``gradient_sq_norm`` is the squared norm of
+(i, j) is i + nx*j.  ``gradient_sq_norm`` is the squared norm of
 the discrete gradient: the differences of neighbouring cells, one per
 interior face, so no flux crosses the domain boundary (the homogeneous
 Neumann condition).  The Laplacian that matches it, in the summation-by-
@@ -59,39 +58,24 @@ class Grid2D:
         return (self.ny, self.nx)
 
 
-def _check(a: np.ndarray, shape, what: str) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
-    if a.shape != shape:
-        raise ParameterError(f"{what}: expected shape {shape}, got {a.shape}")
-    return a
-
-
 def gradient_sq_norm(c: np.ndarray, g: Grid2D, scratch=None) -> float:
     """Squared norm of the discrete gradient of a cell field.
 
     h^2 times the sum of ((c_j - c_i)/h)^2 over neighbouring cell pairs,
-    each direction summed as one contiguous array, then the two added.
-    ``scratch``, a C-contiguous float array of at least ``g.ncells``
-    elements, is clobbered; without it one is allocated.
+    that is the sum of (c_j - c_i)^2.  Each direction is one flat run of
+    differences, summed by ``einsum``; in the x-run the pairs that wrap from
+    a row's end to the next row's start are zeroed.  ``scratch``, a
+    C-contiguous float array of at least ``g.ncells`` elements, is
+    clobbered; without it one is allocated.
     """
-    c = _check(c, g.cell_shape(), "gradient_sq_norm")
-    flat = np.empty(g.ncells) if scratch is None else scratch.reshape(-1)
-    total = 0.0
-    for hi, lo in ((c[:, 1:], c[:, :-1]), (c[1:, :], c[:-1, :])):
-        d = flat[:hi.size].reshape(hi.shape)
-        np.subtract(hi, lo, out=d)
-        d /= g.h
-        d *= d
-        total += float(g.h * g.h * np.sum(d))
-    return total
-
-
-def inner(a: np.ndarray, b: np.ndarray, g: Grid2D) -> float:
-    """h^2-weighted inner product of two cell fields.
-
-    Uses numpy's pairwise summation, so results are deterministic for a
-    fixed platform.
-    """
-    a = _check(a, g.cell_shape(), "inner")
-    b = _check(b, g.cell_shape(), "inner")
-    return float(g.h * g.h * np.sum(a * b))
+    c = np.ascontiguousarray(c, dtype=float)
+    if c.shape != g.cell_shape():
+        raise ParameterError(f"gradient_sq_norm: expected shape {g.cell_shape()}, got {c.shape}")
+    flat = c.ravel()
+    d = (np.empty(g.ncells) if scratch is None else scratch.reshape(-1))[:flat.size - 1]
+    np.subtract(flat[1:], flat[:-1], out=d)
+    d[g.nx - 1::g.nx] = 0.0
+    total = float(np.einsum("i,i->", d, d))
+    d = d[:flat.size - g.nx]
+    np.subtract(flat[g.nx:], flat[:-g.nx], out=d)
+    return total + float(np.einsum("i,i->", d, d))

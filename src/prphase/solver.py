@@ -25,16 +25,18 @@ target mass, and it holds c_old + (D^1 - mean D^1), the linear
 extrapolation of the last change, so the start is never worse than that in
 A-norm.  On the droplet run it takes about half the iterations.
 
-A is applied matrix-free by a five-point kernel, D*p - k*(sum of the
-neighbours of p), whose diagonal D (1/tau_eff folded in) is built once per
-solve; the preconditioner is that diagonal (Jacobi), which accounts for the
+A is applied matrix-free as s*(e*p - (sum of the neighbours of p)),
+s = kappa/h^2, with e (1/tau_eff folded in) built in nu's field once per
+solve; s rides in the scalars p'Ap and alpha and in the residual.  The
+preconditioner is A's diagonal s*e (Jacobi), which accounts for the
 reduced stencil at boundary cells.  The sums run through ``np.einsum`` and
 ``np.sum``, not BLAS, so a run gives the same bits whatever the number of
 BLAS threads.
 
 ``run`` evaluates every state once, with ``ef.scheme_coefficients``: the
 pass gives the state's energy for its report and the next step's nu and
-s_r.  Step 1's first action is that pass on the initial state.
+s_r.  The initial state's pass comes before the step-0 report; step 1
+first checks that state against the density window.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import diagnostics
-from .ef import EfParams, SchemeCoefficients, scheme_coefficients
+from .ef import EfParams, SchemeCoefficients, require_in_window, scheme_coefficients
 from .eos import EosParams
 from .errors import ConvergenceError, InvariantViolation, ParameterError
 from .grid import Grid2D
@@ -171,15 +173,15 @@ def _neighbour_sum(p: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _apply(p, d, k, out, scratch):
-    """A p = d*p - k*(sum of neighbours of p) into ``out``; ``scratch`` is clobbered.
+def _apply(p, e, k, out, scratch):
+    """(A p)/s = e*p - (sum of neighbours of p) into ``out``; ``scratch`` is clobbered.
 
-    d is A's diagonal (``_fold_diagonal``) and k = kappa/h^2.
+    e is A's diagonal over s and k = kappa/h^2 (``_fold_diagonal``); when k
+    is 0 no neighbour couples, and A p = e*p.
     """
-    np.multiply(d, p, out=out)
-    _neighbour_sum(p, scratch)
-    scratch *= k
-    out -= scratch
+    np.multiply(e, p, out=out)
+    if k:
+        out -= _neighbour_sum(p, scratch)
     return out
 
 
@@ -204,25 +206,27 @@ def apply_operator(
     c = np.asarray(c, dtype=float)
     _check_cells(c, g, "apply_operator")
     k = kappa / (g.h * g.h)
-    d = _fold_diagonal(np.array(coeffs.nu, dtype=float), k, cfg.tau_eff())
-    return _apply(c, d, k, np.empty(c.shape), np.empty(c.shape))
+    e = np.array(coeffs.nu, dtype=float)
+    s = _fold_diagonal(e, k, cfg.tau_eff())
+    return s * _apply(c, e, k, np.empty(c.shape), np.empty(c.shape))
 
 
-def _fold_diagonal(d: np.ndarray, k: float, tau_eff: float) -> np.ndarray:
-    """Turn ``d``, holding nu, into the diagonal of A in place; k = kappa/h^2.
+def _fold_diagonal(d: np.ndarray, k: float, tau_eff: float) -> float:
+    """Turn ``d``, holding nu, into A's diagonal over s in place; returns s.
 
-    That is nu + k*(number of in-domain neighbours) + 1/tau_eff; the reduced
-    count at boundary cells is the Neumann condition.
+    s = k = kappa/h^2, or 1 when k is 0.  The diagonal is nu + 1/tau_eff +
+    k*(number of in-domain neighbours), a number that drops by one per
+    domain edge the cell touches: the Neumann condition.
     """
-    count = np.full(d.shape, 4.0)
-    count[0, :] -= 1.0
-    count[-1, :] -= 1.0
-    count[:, 0] -= 1.0
-    count[:, -1] -= 1.0
-    count *= k
-    d += count
-    d += 1.0 / tau_eff
-    return d
+    s = k or 1.0
+    w = k / s
+    d *= 1.0 / s
+    d += 4.0 * w + 1.0 / (tau_eff * s)
+    d[0, :] -= w
+    d[-1, :] -= w
+    d[:, 0] -= w
+    d[:, -1] -= w
+    return s
 
 
 def solve_spd(
@@ -240,13 +244,15 @@ def solve_spd(
     <x, 1> fixed at that of ``x0``.  The iteration runs in ``x0``, so on
     return it holds the solution and is the returned x.  Returns
     (x, mu_e, iterations, ||r||/||rhs||), where r = rhs + mu_e*1 - A x.
-    The diagonal of A is built in ``coeffs.nu``'s field, so the solve
-    consumes ``nu`` as it does ``x0``: on return it holds that diagonal.
-    ``rhs``, ``coeffs.s_r`` and ``basis`` are left as they are.
+    The diagonal of A over kappa/h^2 (``_fold_diagonal``) is built in
+    ``coeffs.nu``'s field, so the solve consumes ``nu`` as it does ``x0``:
+    on return it holds that scaled diagonal.  ``rhs``, ``coeffs.s_r`` and
+    ``basis`` are left as they are.
 
-    ``basis`` holds zero-sum fields V; when it is given, the iteration
-    starts from the point x0 + V a whose error has the smallest A-norm
-    (``_galerkin_start``), which keeps the mass of ``x0``.
+    ``basis`` holds zero-sum fields V, as an (m, ny, nx) array or a sequence
+    of cell fields; when it is given, the iteration starts from the point
+    x0 + V a whose error has the smallest A-norm (``_galerkin_start``),
+    which keeps the mass of ``x0``.
 
     With D the preconditioner's diagonal (D = I for "none"), each residual
     update is followed by the projection r -= sigma*1, mu_e -= sigma with
@@ -263,26 +269,29 @@ def solve_spd(
                 and a.flags.writeable):
             raise ParameterError(f"solve_spd: {what} must be a writeable float array of "
                                  f"shape {rhs.shape}")
-    basis = [np.asarray(v, dtype=float) for v in basis]
-    for v in basis:
-        _check_cells(v, g, "solve_spd basis")
+    basis = np.asarray(basis, dtype=float) if len(basis) else np.empty((0,) + rhs.shape)
+    if basis.shape[1:] != rhs.shape:
+        raise ParameterError(f"solve_spd basis: expected fields of cell shape {rhs.shape}, "
+                             f"got {basis.shape[1:]}")
     x = x0
     k = kappa / (g.h * g.h)
-    # built once: each apply is d*p - k*N(p)
-    d = _fold_diagonal(coeffs.nu, k, cfg.tau_eff())
+    # built once: each apply is s*(e*p - N(p))
+    e = coeffs.nu
+    s = _fold_diagonal(e, k, cfg.tau_eff())
     if cfg.preconditioner == "diagonal":
-        inv_diag = 1.0 / d
+        inv_diag = np.divide(1.0 / s, e)
     else:
         inv_diag = np.ones(g.cell_shape())
     inv_sum = float(np.sum(inv_diag))
     # C order: the stencil writes its outputs through flat views.
     z = np.empty(rhs.shape)  # z, then the stencil's and the updates' scratch
     r = np.empty(rhs.shape)
-    Ap = np.empty(rhs.shape)
+    Ap = np.empty(rhs.shape)  # A p over s
 
     def residual() -> float:
         # r = rhs - A x, projected once; what it loses along 1 is the first mu_e.
-        np.subtract(rhs, _apply(x, d, k, r, z), out=r)
+        np.multiply(_apply(x, e, k, r, z), -s, out=r)
+        np.add(r, rhs, out=r)
         mu = -_dot(inv_diag, r) / inv_sum
         np.add(r, mu, out=r)
         return mu
@@ -293,17 +302,16 @@ def solve_spd(
     # removes it.  The start from the basis needs r projected twice as well,
     # or the round-off sums of the basis fields pick up that part.
     mu_e = residual()
-    if basis:
+    if len(basis):
         r -= _dot(inv_diag, r) / inv_sum
-        _galerkin_start(x, r, basis, d, k, Ap, z)
+        _galerkin_start(x, r, basis, e, k, Ap, z)
         mu_e = residual()
 
     b_norm = math.sqrt(_dot(rhs, rhs))
     tol_abs = cfg.cg_rel_tol * b_norm
     max_iter = cfg.resolved_max_iter(g)
     history: List[float] = []
-    p = np.zeros_like(r)
-    rz = 0.0
+    p = np.empty(rhs.shape)
     it = 0
     while True:
         sigma = _dot(inv_diag, r) / inv_sum
@@ -321,11 +329,14 @@ def solve_spd(
             )
         np.multiply(r, inv_diag, out=z)
         rz_new = _dot(r, z)
-        p *= rz_new / rz if it else 0.0
-        p += z
+        if it:
+            p *= rz_new / rz
+            p += z
+        else:
+            np.copyto(p, z)
         rz = rz_new
-        _apply(p, d, k, Ap, z)
-        pAp = _dot(p, Ap)
+        _apply(p, e, k, Ap, z)
+        pAp = s * _dot(p, Ap)
         if not pAp > 0.0:
             raise ConvergenceError(
                 f"conjugate gradients lost positive definiteness (p'Ap = {pAp})",
@@ -334,27 +345,30 @@ def solve_spd(
         alpha = rz / pAp
         np.multiply(alpha, p, out=z)
         x += z
-        np.multiply(alpha, Ap, out=z)
+        np.multiply(alpha * s, Ap, out=z)
         r -= z
         it += 1
 
 
-def _galerkin_start(x, r, basis, d, k, Ap, z) -> None:
+def _galerkin_start(x, r, basis, e, k, Ap, z) -> None:
     """Move ``x`` to the point of x + span(basis) whose error has the smallest A-norm.
 
-    ``r`` is rhs - A x up to a multiple of 1, and every basis field has zero
-    sum, so the coefficients a solve (V'AV) a = V'r: one stencil apply per
-    field, into ``Ap`` with ``z`` as scratch, both clobbered.
+    ``r`` is rhs - A x up to a multiple of 1, and every field of ``basis``,
+    an (m, ny, nx) array, has zero sum, so the coefficients a solve
+    (V'AV) a = V'r.  A = s*(e - N) as ``_fold_diagonal`` leaves it, so
+    V'AV is s times the Gram matrix of e - N: one stencil apply per field,
+    into ``Ap`` with ``z`` as scratch, both clobbered, one ``einsum`` per
+    column, one for V'r and one for V a.
     """
     m = len(basis)
     gram = [[0.0] * m for _ in range(m)]
-    for j, v in enumerate(basis):
-        _apply(v, d, k, Ap, z)
-        for i in range(j, m):
-            gram[i][j] = gram[j][i] = _dot(basis[i], Ap)
-    for a, v in zip(_cholesky_solve(gram, [_dot(v, r) for v in basis]), basis):
-        if a:
-            x += np.multiply(a, v, out=z)
+    for j in range(m):
+        _apply(basis[j], e, k, Ap, z)
+        for i, v in enumerate(np.einsum("kij,ij->k", basis[j:], Ap).tolist(), j):
+            gram[i][j] = gram[j][i] = v
+    s = k or 1.0
+    vr = [v / s for v in np.einsum("kij,ij->k", basis, r).tolist()]
+    x += np.einsum("k,kij->ij", _cholesky_solve(gram, vr), basis, out=z)
 
 
 def _cholesky_solve(gram: List[List[float]], rhs: List[float]) -> List[float]:
@@ -384,22 +398,25 @@ def _cholesky_solve(gram: List[List[float]], rhs: List[float]) -> List[float]:
     return a
 
 
-def _push_differences(basis: List[np.ndarray], new: np.ndarray, old: np.ndarray) -> None:
-    """Advance the Newton backward differences in ``basis`` from state ``old`` to ``new``.
+def _push_differences(basis: np.ndarray, m: int, new: np.ndarray, old: np.ndarray) -> int:
+    """Advance the Newton differences in ``basis[:m]`` from state ``old`` to ``new``.
 
-    ``basis[j]`` holds the difference of order j + 1, less its mean.  The
-    order j + 2 difference at ``new`` is that of order j + 1 at ``new``
-    less that of order j + 1 at ``old``, so the update runs in place, and
-    the field of the dropped highest order takes the new first difference
-    once START_DIRECTIONS are kept.
+    ``basis[j]`` holds the difference of order j + 1, less its mean.  At
+    ``new``, order q + 1 is new - old less orders 1..q at ``old``, and order
+    j is order j at ``old`` plus order j + 1 at ``new``.  So the top order
+    is built first, in the next field or the dropped order's, and the lower
+    ones follow in place.  Returns the number of orders held.
     """
-    first = basis.pop() if len(basis) == START_DIRECTIONS else np.empty(new.shape)
-    lower = np.subtract(new, old, out=first)
-    lower -= np.mean(lower)
-    for prev in basis:
-        lower = np.subtract(lower, prev, out=prev)
-        lower -= np.mean(lower)
-    basis.insert(0, first)
+    top = min(m, len(basis) - 1)
+    d = np.subtract(new, old, out=basis[top])
+    for prev in basis[:top]:
+        d -= prev
+    d -= np.sum(d) / d.size
+    for j in range(top - 1, -1, -1):
+        d = basis[j]
+        d += basis[j + 1]
+        d -= np.sum(d) / d.size
+    return top + 1
 
 
 def run(
@@ -436,14 +453,17 @@ def run(
         )
 
     def mass(field: np.ndarray) -> float:
-        # inner(field, 1, g), without holding a field of ones for the run
+        # h^2 * <field, 1>, without holding a field of ones for the run
         return float(g.h * g.h * np.sum(field))
 
     slack = cfg.bounds_slack(ef)
     c_min, c_max = float(np.min(c)), float(np.max(c))
     nan = float("nan")
+    # One pass gives the initial energy and step 1's coefficients; step 1
+    # judges the window.
+    coeffs = scheme_coefficients(c, ef, p, g, bounds_slack=np.inf)
     report = StepReport(
-        step_index=0, mu_e=nan, breakdown=diagnostics.discrete_energy(c, p, p.kappa, g),
+        step_index=0, mu_e=nan, breakdown=coeffs.energy,
         interval=interval, c_min=c_min, c_max=c_max, mass=mass(c),
         cg_iters=0, residual=nan,
         admissibility_ok=True,
@@ -457,15 +477,14 @@ def run(
     tau_eff = cfg.tau_eff()
     reports: List[StepReport] = []
     x = np.empty(c.shape)  # the next state
-    basis: List[np.ndarray] = []  # the differences of the last states, by order
+    basis = np.empty((START_DIRECTIONS,) + c.shape)  # the last states' differences
+    m = 0  # how many of them basis holds, by order
     for n in range(1, n_steps + 1):
         keep_going = not report.bounds_ok and cfg.on_violation == "continue"
-        if n == 1:
-            # Later steps take their coefficients from the previous step's
-            # pass.  A state outside the window raises here, naming the
+        if n == 1 and not keep_going:
+            # An initial state outside the window raises here, naming the
             # offending cell, unless the run is configured to continue.
-            coeffs = scheme_coefficients(c, ef, p, g,
-                                         bounds_slack=np.inf if keep_going else slack)
+            require_in_window(c, ef, slack, "step 1")
         if keep_going:
             warnings.warn(
                 f"step {n}: previous state leaves the density window "
@@ -477,11 +496,11 @@ def run(
         b = coeffs.s_r
         b += np.divide(c, tau_eff, out=x)
         np.copyto(x, c)
-        x, mu_e, iters, res = solve_spd(b, coeffs, cfg, p.kappa, g, x0=x, basis=basis)
+        x, mu_e, iters, res = solve_spd(b, coeffs, cfg, p.kappa, g, x0=x, basis=basis[:m])
         # Freed before the next pass allocates its fields: kept alive, these
         # would raise the peak memory.
         del b, coeffs
-        _push_differences(basis, x, c)
+        m = _push_differences(basis, m, x, c)
         c, x = x, c
 
         c_min, c_max = float(np.min(c)), float(np.max(c))

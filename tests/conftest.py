@@ -10,6 +10,7 @@ from prphase import (
     Grid2D,
     SchemeCoefficients,
     SolverConfig,
+    ParameterError,
     derive_eos_params,
     get_substance,
 )
@@ -38,6 +39,16 @@ def rng():
 def unit_grid():
     # O(1) spacing keeps round-off comparisons meaningful in operator tests
     return Grid2D(nx=12, ny=9, h=0.5, x0=-1.0, y0=2.0)
+
+
+def inner(a, b, g):
+    """h^2-weighted inner product of two cell fields, by numpy's pairwise sum."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    for field in (a, b):
+        if field.shape != g.cell_shape():
+            raise ParameterError(f"inner: expected shape {g.cell_shape()}, got {field.shape}")
+    return float(g.h * g.h * np.sum(a * b))
 
 
 def minus_laplacian(c, g):

@@ -22,7 +22,6 @@ from prphase import (
     derive_eos_params,
     g_and_gprime,
     get_substance,
-    inner,
     minimal_lambda,
     mu_attraction,
     semi_implicit_potentials,
@@ -35,7 +34,7 @@ from prphase.grid import gradient_sq_norm
 from prphase.solver import apply_operator
 
 import oracles
-from conftest import C_GAS, C_LIQ, minus_laplacian
+from conftest import C_GAS, C_LIQ, inner, minus_laplacian
 
 FROZEN = oracles.FROZEN
 

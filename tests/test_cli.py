@@ -179,8 +179,8 @@ class TestRun:
 
     def test_one_energy_evaluation_per_step(self, tmp_path, monkeypatch):
         # the march evaluates each state once, in the pass that also gives the
-        # next step's coefficients; discrete_energy serves the step-0 report
-        # only, the multiplier interval is computed once per run, and the
+        # next step's coefficients, the initial state's for the step-0 report
+        # included; the multiplier interval is computed once per run, and the
         # experiment recomputes none of them
         events = []
         homes = {"scheme_coefficients": prphase.ef, "discrete_energy": prphase.diagnostics,
@@ -213,13 +213,13 @@ class TestRun:
         cfg = load_config(write_config(tmp_path, tiny_dict(n_steps=n_steps)))
         assert run_experiment(cfg, str(tmp_path / "out")) == 0
         assert {name: events.count(name) for name in homes} == {
-            "scheme_coefficients": n_steps + 1, "discrete_energy": 1, "admissible_interval": 1}
+            "scheme_coefficients": n_steps + 1, "discrete_energy": 0, "admissible_interval": 1}
         passes = [i for i, e in enumerate(events) if e == "scheme_coefficients"]
         assert events.index("run") < passes[0] and passes[-1] < events.index("end of run")
-        # the benchmark ends set-up at the first pass: step 1's first action,
-        # after the step-0 observer
-        assert events.index("observer 0") < passes[0] < events.index("observer 1")
-        assert events[passes[0] - 1] == "observer 0"
+        # the benchmark ends set-up at the first pass: the initial state's,
+        # after the multiplier interval and before the step-0 observer
+        assert events.index("admissible_interval") < passes[0] < events.index("observer 0")
+        assert events[passes[0] + 1] == "observer 0"
 
     def test_snapshot_cadence_and_csv(self, tmp_path):
         d = tiny_dict(n_steps=4,

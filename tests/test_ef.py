@@ -1,3 +1,4 @@
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -217,20 +218,34 @@ def draw_grid(data):
 
 
 class TestFusedPass:
-    """scheme_coefficients against the separate evaluators it replaces."""
+    """scheme_coefficients, and the evaluators that share its kernel, against
+    the mpmath oracles."""
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
-    def test_bitwise_equal_to_separate_evaluators(self, nc4, window, data):
+    def test_pass_and_evaluators_match_the_oracles(self, nc4, window, data):
         g = draw_grid(data)
         c = data.draw(hnp.arrays(np.float64, g.cell_shape(),
                                  elements=st.floats(window.c_m, window.c_M)), label="c")
         coeffs = scheme_coefficients(c, window, nc4, g)
-        assert np.array_equal(coeffs.nu, nu(c, window, nc4))
-        assert np.array_equal(coeffs.s_r, s_r(c, window, nc4))
-        want = discrete_energy(c, nc4, nc4.kappa, g)
-        assert (coeffs.energy.bulk, coeffs.energy.gradient, coeffs.energy.total) == (
-            want.bulk, want.gradient, want.total)
+        fields = (coeffs.nu, coeffs.s_r, nu(c, window, nc4), s_r(c, window, nc4))
+        for cell, got_nu, got_sr, one_nu, one_sr in zip(c.ravel(), *(f.ravel() for f in fields)):
+            want_nu = float(oracles.nu(cell, window.lam))
+            want_sr = float(oracles.s_r(cell, window.lam))
+            assert rel(got_nu, want_nu) < 1e-12 and rel(one_nu, want_nu) < 1e-12
+            assert rel(got_sr, want_sr) < 1e-12 and rel(one_sr, want_sr) < 1e-12
+        f_b = [oracles.f_total(cell) for cell in c.ravel()]
+        bulk = float(g.h * g.h * mp.fsum(f_b))
+        bulk_scale = float(g.h * g.h * mp.fsum(abs(f) for f in f_b))
+        cm = [[mp.mpf(v) for v in row] for row in c.tolist()]
+        pairs = [(row[i], row[i + 1]) for row in cm for i in range(g.nx - 1)]
+        pairs += [(a, b) for lo, hi in zip(cm, cm[1:]) for a, b in zip(lo, hi)]
+        gradient = float(0.5 * nc4.kappa * mp.fsum((b - a) ** 2 for a, b in pairs))
+        energy = coeffs.energy
+        assert abs(energy.bulk - bulk) <= 1e-12 * bulk_scale
+        assert abs(energy.gradient - gradient) <= 1e-12 * gradient
+        assert abs(energy.total - (bulk + gradient)) <= 1e-12 * (bulk_scale + gradient)
+        assert discrete_energy(c, nc4, nc4.kappa, g) == energy
 
     @settings(max_examples=30, deadline=None)
     @given(data=st.data())

@@ -4,11 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from prphase import Grid2D, ParameterError, SchemeCoefficients, SolverConfig, inner
+from prphase import Grid2D, ParameterError, SchemeCoefficients, SolverConfig
 from prphase.grid import gradient_sq_norm
 from prphase.solver import apply_operator
 
-from conftest import minus_laplacian
+from conftest import inner, minus_laplacian
 
 
 @pytest.fixture(params=[(3, 3), (4, 7), (100, 100)], ids=lambda s: f"{s[0]}x{s[1]}")
@@ -106,13 +106,17 @@ class TestDifferenceOperators:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_gradient_sq_norm_is_the_face_form(self, data):
-        # bitwise, with and without a (larger) scratch buffer
+        # with and without a (larger) scratch buffer; the sum of at most 84
+        # nonnegative terms, in another order and without the 1/h and h^2
+        # scalings, so to within 1e-13 relative (about 450 ulps), plus the
+        # smallest normal float for squares below the normal range
         g = Grid2D(nx=data.draw(st.integers(1, 7)), ny=data.draw(st.integers(1, 7)),
                    h=data.draw(st.floats(1e-10, 1.0)))
         c = data.draw(hnp.arrays(np.float64, g.cell_shape(), elements=st.floats(-1e4, 1e4)))
         want = face_gradient_sq_norm(c, g)
-        assert gradient_sq_norm(c, g) == want
-        assert gradient_sq_norm(c, g, scratch=np.empty(g.ncells + 3)) == want
+        got = gradient_sq_norm(c, g)
+        assert abs(got - want) <= 1e-13 * want + np.finfo(float).tiny
+        assert gradient_sq_norm(c, g, scratch=np.empty(g.ncells + 3)) == got
 
 
 class TestInnerProduct:

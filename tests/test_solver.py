@@ -15,7 +15,6 @@ from prphase import (
     SchemeCoefficients,
     SolverConfig,
     bulk_chemical_potential,
-    inner,
     run,
     solve_spd,
 )
@@ -27,7 +26,7 @@ from prphase.solver import (
     apply_operator,
 )
 
-from conftest import C_GAS, C_LIQ, child_env
+from conftest import C_GAS, C_LIQ, child_env, inner
 
 
 @pytest.fixture
@@ -122,7 +121,8 @@ class TestOperator:
             mat = dense_operator(g, coeffs, cfg, kappa)
             zero = np.zeros(g.cell_shape())
             solve_spd(zero, coeffs, cfg, kappa, g, x0=zero.copy())
-            assert np.array_equal(coeffs.nu.ravel(), np.diag(mat))
+            # held over kappa/h^2, the scale the stencil is applied at
+            assert np.array_equal(kappa / (g.h * g.h) * coeffs.nu.ravel(), np.diag(mat))
 
     @pytest.mark.parametrize("ny,nx", [(1, 1), (1, 5), (5, 1), (37, 13)])
     def test_fused_stencil_matches_staggered_operators(self, ny, nx):
@@ -290,19 +290,35 @@ class TestGalerkinStart:
     """The start drawn from the differences of the last states."""
 
     @staticmethod
-    def history(g, r):
-        """Four states of a smooth synthetic march at one mass, oldest first,
-        and the Newton differences of the newest."""
+    def history(g, r, times=(-3.0, -2.0, -1.0, 0.0)):
+        """States of a smooth synthetic march at one mass, oldest first, and
+        the Newton differences of the newest, by order."""
         c_n = r.uniform(1.0, 2.0, size=g.cell_shape())
         u, v, w = (r.standard_normal(g.cell_shape()) for _ in range(3))
         states = []
-        for t in (-3.0, -2.0, -1.0, 0.0):
+        for t in times:
             s = c_n + t * u + 0.1 * t * t * v + 0.01 * t ** 3 * w
             states.append(s - np.mean(s) + np.mean(c_n))
-        basis = []
+        basis = np.empty((START_DIRECTIONS,) + g.cell_shape())
+        m = 0
         for old, new in zip(states, states[1:]):
-            _push_differences(basis, new, old)
-        return states, basis
+            m = _push_differences(basis, m, new, old)
+        return states, basis[:m]
+
+    @pytest.mark.parametrize("n_states", [2, 3, 4, 6])
+    def test_differences_are_the_newton_differences(self, n_states):
+        # built from the highest order down, in place, also once the oldest
+        # order drops out
+        g = Grid2D(nx=7, ny=5, h=0.5)
+        times = tuple(float(t) for t in range(1 - n_states, 1))
+        states, basis = self.history(g, np.random.default_rng(11), times)
+        assert len(basis) == min(n_states - 1, START_DIRECTIONS)
+        lower = list(states)
+        for got in basis:
+            lower = [b - a for a, b in zip(lower, lower[1:])]
+            want = lower[-1] - np.mean(lower[-1])
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+            assert abs(np.sum(got)) <= 1e-14 * np.sum(np.abs(got))
 
     @pytest.mark.parametrize("ny,nx", [(3, 3), (6, 8), (5, 7)])
     def test_never_worse_in_a_norm_than_the_extrapolation(self, ny, nx):
@@ -327,9 +343,9 @@ class TestGalerkinStart:
             extrapolated = c_n + (delta - np.mean(delta))
             start = c_n.copy()
             residual = rhs - apply_operator(c_n, coeffs, cfg, kappa, g)
-            _galerkin_start(start, residual, basis, np.diag(mat).reshape(g.cell_shape()),
-                            kappa / (g.h * g.h), np.empty(g.cell_shape()),
-                            np.empty(g.cell_shape()))
+            k = kappa / (g.h * g.h)
+            _galerkin_start(start, residual, basis, np.diag(mat).reshape(g.cell_shape()) / k,
+                            k, np.empty(g.cell_shape()), np.empty(g.cell_shape()))
             assert a_norm_error(start) <= a_norm_error(extrapolated) * (1 + 1e-12)
             # the optimality condition: the error is A-orthogonal to the basis
             e = (start - x_star).ravel()
@@ -343,7 +359,7 @@ class TestGalerkinStart:
         g, coeffs, cfg, kappa, r = toy
         states, basis = self.history(g, r)
         rhs = r.standard_normal(g.cell_shape())
-        inputs = [rhs, coeffs.s_r] + basis
+        inputs = [rhs, coeffs.s_r] + list(basis)
         kept = [a.copy() for a in inputs]
         mat = dense_operator(g, coeffs, cfg, kappa)
         x_direct, mu_direct = dense_kkt_solve(g, coeffs, cfg, kappa, rhs, mass(states[-1], g))
@@ -353,8 +369,8 @@ class TestGalerkinStart:
         assert np.max(np.abs(x - x_direct)) <= 1e-8 * np.max(np.abs(x_direct))
         assert abs(mu_e - mu_direct) <= 1e-8 * abs(mu_direct)
         assert all(np.array_equal(a, b) for a, b in zip(inputs, kept))
-        # nu is consumed: it now holds A's diagonal
-        assert np.array_equal(coeffs.nu.ravel(), np.diag(mat))
+        # nu is consumed: it now holds A's diagonal over kappa/h^2
+        assert np.array_equal(kappa / (g.h * g.h) * coeffs.nu.ravel(), np.diag(mat))
 
     def test_nu_must_be_a_writeable_float_field(self, toy):
         g, coeffs, cfg, kappa, r = toy
