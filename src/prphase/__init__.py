@@ -9,21 +9,14 @@ one symmetric positive definite solve whose total mass is pinned by a
 scalar multiplier (one projected conjugate-gradient iteration).
 """
 
-from .diagnostics import (
-    AdmissibleInterval,
-    EnergyBreakdown,
-    admissible_interval,
-    discrete_energy,
-    shape_anisotropy,
-)
+from .diagnostics import AdmissibleInterval, admissible_interval, shape_anisotropy
 from .ef import (
     EfParams,
+    EnergyBreakdown,
     SchemeCoefficients,
     g_and_gprime,
     minimal_lambda,
     mu_attraction,
-    nu,
-    s_r,
     scheme_coefficients,
     semi_implicit_potentials,
 )
@@ -76,16 +69,13 @@ __all__ = [
     "bulk_chemical_potential",
     "bulk_free_energy",
     "derive_eos_params",
-    "discrete_energy",
     "g_and_gprime",
     "get_substance",
     "load_substance",
     "minimal_lambda",
     "mu_attraction",
-    "nu",
     "pressure",
     "run",
-    "s_r",
     "scheme_coefficients",
     "semi_implicit_potentials",
     "shape_anisotropy",

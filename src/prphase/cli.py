@@ -19,6 +19,7 @@ shipped preset (see ``prphase.presets``).  The output directory resolves as
 from __future__ import annotations
 
 import argparse
+import inspect
 import logging
 import os
 import sys
@@ -27,8 +28,8 @@ from importlib import resources
 from typing import Optional
 
 from . import diagnostics
-from .config import DEFAULT_BOUNDS_FACTORS, SimConfig, load_config
-from .ef import EfParams, minimal_lambda
+from .config import DEFAULT_BOUNDS_FACTORS, SimConfig, density_window, load_config
+from .ef import minimal_lambda
 from .eos import derive_eos_params, get_substance, load_substance
 from .errors import (
     BoundsViolationError,
@@ -118,11 +119,10 @@ def _cmd_props(args) -> int:
         preset = load_config(_resolve_config_arg(DENSITY_PRESET))
         c_gas = preset.c_gas if c_gas is None else c_gas
         c_liq = preset.c_liq if c_liq is None else c_liq
-    f0, f1 = args.bounds_factors
-    c_m, c_M = f0 * c_gas, f1 * c_liq
-    ef = EfParams.for_window(c_m, c_M, p)
+    ef = density_window(c_gas, c_liq, args.bounds_factors, p)
     interval = diagnostics.admissible_interval(ef, p)
-    print(f"  window   [{c_m!r}, {c_M!r}] mol/m^3 (factors {f0}, {f1})")
+    f0, f1 = args.bounds_factors
+    print(f"  window   [{ef.c_m!r}, {ef.c_M!r}] mol/m^3 (factors {f0}, {f1})")
     print(f"  eps0     {ef.epsilon_0!r}")
     print(f"  lambda   {ef.lam!r} (minimal: {minimal_lambda(ef.epsilon_0)!r})")
     print(f"  mu range [{interval.mu_lower!r}, {interval.mu_upper!r}] J/mol")
@@ -153,7 +153,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_props = sub.add_parser("props", help="print derived model constants for a substance")
     p_props.add_argument("substance", help="preset name (e.g. nC4) or substance file path")
     p_props.add_argument("--T", type=float, required=True, help="temperature in K")
-    p_props.add_argument("--vartheta0", type=float, default=0.0,
+    p_props.add_argument("--vartheta0", type=float,
+                         default=inspect.signature(derive_eos_params).parameters["vartheta0"].default,
                          help="reference chemical potential offset in J/mol")
     p_props.add_argument("--c-gas", type=float, default=None,
                          help="bulk vapour density in mol/m^3 (default: that of the "

@@ -27,9 +27,10 @@ the mesh of the square [-L_half, L_half]^2 (``grid.Grid2D``), one
 ``solver.SolverConfig`` from ``tau`` and the ``solver`` table, and one
 ``OutputOptions``; the fields and defaults of the last two define their
 tables.  Each type owns its rules.  The loader coerces YAML types, rejects
-unknown and missing keys, checks what concerns the file itself (N == M,
-c_gas < c_liq, a window holding both) and reports a ``ParameterError`` as a
-``ConfigError`` naming the key.  Every applied default is recorded in
+unknown and missing keys, checks what concerns the file itself (N == M;
+``density_window``, which ``prphase props`` shares, checks c_gas < c_liq and
+a window holding both) and reports a ``ParameterError`` as a ``ConfigError``
+naming the key.  Every applied default is recorded in
 ``SimConfig.provenance`` so ``prphase check`` can show exactly what a run
 will use.  ``experiment.build_initial`` builds the initial field and checks
 it against the window.
@@ -241,6 +242,22 @@ def _parse_initial(raw, L_half: float) -> InitialCondition:
     return InitialCondition(kind=kind, **{name: value})
 
 
+def density_window(c_gas: float, c_liq: float, bounds_factors: Tuple[float, float],
+                   eos: EosParams, lam: Optional[float] = None) -> EfParams:
+    """The window [factor0*c_gas, factor1*c_liq], which must hold both bulk
+    densities, and its shift; errors are ``ConfigError`` naming the key."""
+    if c_gas >= c_liq:
+        raise ConfigError(f"c_gas/c_liq: need c_gas < c_liq, got {c_gas} >= {c_liq}")
+    f0, f1 = bounds_factors
+    if f0 > 1.0 or f1 < 1.0:
+        raise ConfigError(
+            f"bounds_factors: window must contain both bulk densities "
+            f"(need factor0 <= 1 <= factor1), got {[f0, f1]}"
+        )
+    with _config_error({"lam": "lambda: ", "window": "c_liq/bounds_factors: "}):
+        return EfParams.for_window(f0 * c_gas, f1 * c_liq, eos, lam=lam)
+
+
 def load_config(path: str) -> SimConfig:
     """Parse a YAML run file and build the run's model; errors name the bad key."""
     try:
@@ -301,28 +318,18 @@ def load_config(path: str) -> SimConfig:
         raise ConfigError(f"n_steps: must be nonnegative, got {n_steps}")
     c_gas = _as_positive(_require(raw, "c_gas", ""), "c_gas")
     c_liq = _as_positive(_require(raw, "c_liq", ""), "c_liq")
-    if c_gas >= c_liq:
-        raise ConfigError(f"c_gas/c_liq: need c_gas < c_liq, got {c_gas} >= {c_liq}")
-
     bf_raw = raw.get("bounds_factors", DEFAULT_BOUNDS_FACTORS)
     if "bounds_factors" not in raw:
         provenance.append(f"bounds_factors: default {list(DEFAULT_BOUNDS_FACTORS)}")
     if not (isinstance(bf_raw, (list, tuple)) and len(bf_raw) == 2):
         raise ConfigError(f"bounds_factors: expected two numbers, got {bf_raw!r}")
     bf = (_as_positive(bf_raw[0], "bounds_factors[0]"), _as_positive(bf_raw[1], "bounds_factors[1]"))
-    if bf[0] > 1.0 or bf[1] < 1.0:
-        raise ConfigError(
-            f"bounds_factors: window must contain both bulk densities "
-            f"(need factor0 <= 1 <= factor1), got {list(bf)}"
-        )
-
     lam = raw.get("lambda")
     if lam is None:
         provenance.append("lambda: default minimal admissible shift")
     else:
         lam = _as_float(lam, "lambda")
-    with _config_error({"lam": "lambda: ", "window": "c_liq/bounds_factors: "}):
-        window = EfParams.for_window(bf[0] * c_gas, bf[1] * c_liq, eos, lam=lam)
+    window = density_window(c_gas, c_liq, bf, eos, lam=lam)
 
     initial = _parse_initial(_require(raw, "initial_condition", ""), L_half)
     solver = _load_table(raw, "solver", SolverConfig, provenance, tau=tau)

@@ -1,23 +1,17 @@
-"""Run diagnostics: discrete energy, the admissible multiplier interval,
-and a droplet shape-anisotropy metric.
+"""Run diagnostics: the admissible multiplier interval and a droplet
+shape-anisotropy metric.
 
-The discrete free energy of a cell field c is
-
-    F_h(c) = <f_b(c), 1> + (kappa/2) * ||grad_h c||^2
-
-with the h^2-weighted inner product of cell fields.  ||grad_h c||^2 is
-``grid.gradient_sq_norm``: differences of neighbouring cells only, one per
-interior face, consistent with the no-flux boundary.  f_b comes from
-``ef._pointwise``.  ``ef.scheme_coefficients`` returns the same energy,
-bitwise, from the pass that evaluates the scheme's coefficients; the time
-stepper uses that for every state.
+The discrete free energy of a state has one home, the pass that evaluates
+the scheme's coefficients (``ef.scheme_coefficients``); the time stepper
+reports it for every state.
 
 The mass-constraint multiplier produced by the stepper provably stays inside
 
     [ max_{[c_m, c_M]} (c_m*nu(c) - s_r(c)),  min_{[c_m, c_M]} (c_M*nu(c) - s_r(c)) ]
 
 whenever the previous state respects the window; both envelope extrema are
-located by a dense scan refined with golden-section search.
+located by a dense scan of ``ef._pointwise`` refined with golden-section
+search.
 """
 
 from __future__ import annotations
@@ -28,24 +22,12 @@ from typing import Callable
 
 import numpy as np
 
-from .ef import EfParams, EnergyBreakdown, _pointwise
+from .ef import EfParams, _pointwise
 from .eos import EosParams
 from .errors import ParameterError
-from .grid import Grid2D, gradient_sq_norm
+from .grid import Grid2D
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def discrete_energy(c: np.ndarray, p: EosParams, kappa: float, g: Grid2D) -> EnergyBreakdown:
-    """F_h(c) with the gradient term weighted by kappa/2."""
-    c = np.asarray(c, dtype=float)
-    if c.shape != g.cell_shape():
-        raise ParameterError(f"discrete_energy: expected cell shape {g.cell_shape()}, got {c.shape}")
-    f = _pointwise(c, p, None, "discrete_energy")[0]
-    bulk = g.h * g.h * np.einsum("ij,ij->", c, f)  # <f_b, 1>
-    gradient = 0.5 * kappa * gradient_sq_norm(c, g)
-    return EnergyBreakdown(bulk=float(bulk), gradient=float(gradient),
-                           total=float(bulk + gradient))
 
 
 @dataclass(frozen=True)
@@ -111,15 +93,15 @@ def admissible_interval(
     if n_samples < 2:
         raise ParameterError(f"n_samples must be >= 2, got {n_samples}")
     cs = np.linspace(ef.c_m, ef.c_M, n_samples)
-    _, nu_vals, sr_vals = _pointwise(cs, p, ef.lam, "admissible_interval")
+    _, nu_vals, sr_vals, _ = _pointwise(cs, p, ef.lam, "admissible_interval")
     x_tol = rel_tol * (ef.c_M - ef.c_m)
 
     def lower_env(c: float) -> float:
-        _, nu_c, sr_c = _pointwise(c, p, ef.lam, "admissible_interval")
+        _, nu_c, sr_c, _ = _pointwise(c, p, ef.lam, "admissible_interval")
         return ef.c_m * float(nu_c) - float(sr_c)
 
     def upper_env_neg(c: float) -> float:
-        _, nu_c, sr_c = _pointwise(c, p, ef.lam, "admissible_interval")
+        _, nu_c, sr_c, _ = _pointwise(c, p, ef.lam, "admissible_interval")
         return -(ef.c_M * float(nu_c) - float(sr_c))
 
     mu_lower = _refined_extremum(ef.c_m * nu_vals - sr_vals, cs, lower_env, x_tol)
@@ -141,8 +123,7 @@ def shape_anisotropy(c: np.ndarray, g: Grid2D, threshold: float) -> float:
     it covers the whole grid (no interface to measure).
     """
     c = np.asarray(c, dtype=float)
-    if c.shape != g.cell_shape():
-        raise ParameterError(f"shape_anisotropy: expected cell shape {g.cell_shape()}, got {c.shape}")
+    g.check_cells(c, "shape_anisotropy")
     mask = c > threshold
     if not mask.any():
         raise ParameterError(f"shape_anisotropy: no cells exceed threshold {threshold}")

@@ -28,11 +28,11 @@ which satisfy nu(c)*c - s_r(c) = mu_b(c) identically, so spatially uniform
 states are exact fixed points of the scheme.
 
 One private pointwise kernel, ``_pointwise``, is the only home of nu, s_r
-and the bulk energy density f_b: ``scheme_coefficients``, ``nu``, ``s_r``,
-``diagnostics.discrete_energy`` and ``diagnostics.admissible_interval`` all
-call it.  It takes the sum of logarithms that is f_b/c once, builds mu_b
-from it, and gets s_r as nu*c - mu_b.  ``scheme_coefficients`` adds the
-state's discrete energy; the time stepper makes one such pass per state.
+and the bulk energy density f_b: ``scheme_coefficients`` and
+``diagnostics.admissible_interval`` call it.  It takes the sum of
+logarithms that is f_b/c once, builds mu_b from it, and gets s_r as
+nu*c - mu_b.  ``scheme_coefficients``, the per-state pass, adds the state's
+discrete energy and extreme densities; the time stepper judges the window.
 """
 
 from __future__ import annotations
@@ -164,28 +164,13 @@ def semi_implicit_potentials(
     return SemiImplicitPotentials(mu_ideal=mu_ideal, mu_repulsion=mu_rep)
 
 
-def nu(c: ArrayLike, ef: EfParams, p: EosParams) -> ArrayLike:
-    """Implicit-side coefficient nu(c) = R*T*(1/c + G'(c)^2), in J m^3/mol^2.
+def _pointwise(c: ArrayLike, p: EosParams, lam: float, what: str):
+    """f_b/c, nu and s_r under the shift ``lam`` of densities of any shape.
 
-    Strictly positive and strictly decreasing on the physical domain.
-    Callers are expected to have validated ``c``; this evaluates anywhere
-    in 0 < c < 1/beta.
-    """
-    return _pointwise(c, p, ef.lam, "nu")[1][()]
-
-
-def s_r(c: ArrayLike, ef: EfParams, p: EosParams) -> ArrayLike:
-    """Explicit-side source s_r(c) = nu(c)*c - mu_b(c), in closed form (J/mol)."""
-    return _pointwise(c, p, ef.lam, "s_r")[2][()]
-
-
-def _pointwise(c: ArrayLike, p: EosParams, lam: Optional[float], what: str):
-    """f_b/c and, given the shift ``lam``, nu and s_r of densities of any shape.
-
-    Returns float arrays (f_b/c, nu, s_r) of the shape of ``c``; without
-    ``lam``, nu and s_r are None.  With b = beta*c, L = ln(1 - b),
-    t = b/(1 - b), M = lam - L and N = M + t (so G^2 = c*M, 2*G*G' = N and
-    c*G'^2 = N^2/(4*M)):
+    Returns float arrays (f_b/c, nu, s_r) of the shape of ``c`` and the
+    pair (min c, max c) that the domain check reads.  With b = beta*c,
+    L = ln(1 - b), t = b/(1 - b), M = lam - L and N = M + t (so G^2 = c*M,
+    2*G*G' = N and c*G'^2 = N^2/(4*M)):
 
         f_b/c = vartheta0 + R*T*(ln c - L) + alpha/(2*sqrt2*beta)*ln(a)
         mu_b  = f_b/c + R*T*(1 + t) - alpha*c/(1 + 2*b - b^2)
@@ -199,7 +184,7 @@ def _pointwise(c: ArrayLike, p: EosParams, lam: Optional[float], what: str):
     ``DomainError`` naming ``what``.
     """
     c = np.asarray(c, dtype=float)
-    _require_admissible(c, p, what)
+    extremes = _require_admissible(c, p, what)
     RT = p.R * p.T
     bc = np.multiply(p.beta, c, out=np.empty_like(c))
     u = np.subtract(1.0, bc, out=np.empty_like(c))
@@ -215,9 +200,6 @@ def _pointwise(c: ArrayLike, p: EosParams, lam: Optional[float], what: str):
     f += w
     f += p.vartheta0 / RT
     f *= RT
-    if lam is None:
-        return f, None, None
-
     t = np.divide(bc, u, out=w)
     np.multiply(u, u, out=u)
     np.subtract(2.0, u, out=u)  # 1 + 2*b - b^2
@@ -244,7 +226,7 @@ def _pointwise(c: ArrayLike, p: EosParams, lam: Optional[float], what: str):
     sr -= f
     bc *= p.alpha / p.beta
     sr += bc
-    return f, nu_f, sr
+    return f, nu_f, sr, extremes
 
 
 @dataclass(frozen=True)
@@ -260,13 +242,16 @@ class EnergyBreakdown:
 class SchemeCoefficients:
     """Frozen per-step coefficient fields evaluated at the previous state.
 
-    ``energy`` is that state's discrete energy; ``scheme_coefficients``
-    always fills it, coefficients built by hand may leave it out.
+    ``energy`` is that state's discrete energy and ``c_min``/``c_max`` its
+    extreme densities; ``scheme_coefficients`` always fills them,
+    coefficients built by hand may leave them out.
     """
 
     nu: np.ndarray
     s_r: np.ndarray
     energy: Optional[EnergyBreakdown] = None
+    c_min: Optional[float] = None
+    c_max: Optional[float] = None
 
 
 def require_in_window(c: np.ndarray, ef: EfParams, bounds_slack: float, what: str) -> None:
@@ -291,28 +276,22 @@ def require_in_window(c: np.ndarray, ef: EfParams, bounds_slack: float, what: st
 
 
 def scheme_coefficients(
-    c_old: np.ndarray,
-    ef: EfParams,
-    p: EosParams,
-    g: Grid2D,
-    bounds_slack: float = 0.0,
+    c_old: np.ndarray, ef: EfParams, p: EosParams, g: Grid2D
 ) -> SchemeCoefficients:
-    """nu, s_r and the discrete energy (gradient weight p.kappa) of ``c_old``.
+    """nu, s_r, the discrete energy and the extreme densities of ``c_old``.
 
-    ``require_in_window`` runs first, unless ``bounds_slack`` is infinite
-    (the caller then judges the window itself); a density outside
-    0 < c < 1/beta raises ``DomainError``.  The fields come from
-    ``_pointwise``, and the energy is bitwise ``diagnostics.discrete_energy``:
-    the bulk part h^2*<c, f_b/c> and (kappa/2)*``gradient_sq_norm``.
+    The energy, with gradient weight p.kappa, is
+
+        F_h(c) = h^2*<c, f_b/c> + (kappa/2)*gradient_sq_norm(c).
+
+    The fields come from ``_pointwise``; a density outside 0 < c < 1/beta
+    raises ``DomainError``.  The window is the caller's to judge, from
+    ``c_min`` and ``c_max``.
     """
     c = np.ascontiguousarray(c_old, dtype=float)
-    if c.shape != g.cell_shape():
-        raise ParameterError(f"scheme_coefficients: expected cell shape {g.cell_shape()}, "
-                             f"got {c.shape}")
-    if bounds_slack != math.inf:
-        require_in_window(c, ef, bounds_slack, "scheme_coefficients")
-    f, nu_f, sr = _pointwise(c, p, ef.lam, "scheme_coefficients")
+    g.check_cells(c, "scheme_coefficients")
+    f, nu_f, sr, (c_min, c_max) = _pointwise(c, p, ef.lam, "scheme_coefficients")
     bulk = float(g.h * g.h * np.einsum("ij,ij->", c, f))
     gradient = 0.5 * p.kappa * gradient_sq_norm(c, g, scratch=f)
     return SchemeCoefficients(nu=nu_f, s_r=sr, energy=EnergyBreakdown(
-        bulk=bulk, gradient=gradient, total=float(bulk + gradient)))
+        bulk=bulk, gradient=gradient, total=float(bulk + gradient)), c_min=c_min, c_max=c_max)

@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Union
+from typing import Tuple, Union
 
 import numpy as np
 
@@ -233,24 +233,26 @@ class FreeEnergyBreakdown:
     total: ArrayLike
 
 
-def _require_admissible(c: np.ndarray, p: EosParams, what: str) -> None:
+def _require_admissible(c: np.ndarray, p: EosParams, what: str) -> Tuple[float, float]:
     """Raise DomainError naming the violated bound unless 0 < c < 1/beta.
 
-    Reads only the extremes: a nan or an infinity reaches min or max.
+    Reads only the extremes, which it returns as (min c, max c): a nan or
+    an infinity reaches min or max.  An empty ``c`` passes, as (nan, nan).
     """
     c = np.asarray(c)
     if c.size == 0:
-        return
-    lo, hi = c.min(), c.max()
+        return math.nan, math.nan
+    lo, hi = float(c.min()), float(c.max())
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise DomainError(f"{what}: density must be finite")
     if lo <= 0.0:
-        raise DomainError(f"{what}: density must be positive (lower bound c > 0 failed, min c = {float(lo)})")
+        raise DomainError(f"{what}: density must be positive (lower bound c > 0 failed, min c = {lo})")
     if p.beta * hi >= _BC_LIMIT:
         raise DomainError(
             f"{what}: density too close to the packing limit "
-            f"(upper bound beta*c < 1 failed, max beta*c = {float(p.beta * hi)})"
+            f"(upper bound beta*c < 1 failed, max beta*c = {p.beta * hi})"
         )
+    return lo, hi
 
 
 def bulk_free_energy(c: ArrayLike, p: EosParams) -> FreeEnergyBreakdown:

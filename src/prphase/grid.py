@@ -1,7 +1,8 @@
 """Cell-centered mesh of a uniform 2-D grid and its gradient norm.
 
 Cell fields have shape (ny, nx), stored row-major so the flat index of cell
-(i, j) is i + nx*j.  ``gradient_sq_norm`` is the squared norm of
+(i, j) is i + nx*j; ``Grid2D.check_cells`` is the one rule that a field
+has that shape.  ``gradient_sq_norm`` is the squared norm of
 the discrete gradient: the differences of neighbouring cells, one per
 interior face, so no flux crosses the domain boundary (the homogeneous
 Neumann condition).  The Laplacian that matches it, in the summation-by-
@@ -57,6 +58,11 @@ class Grid2D:
     def cell_shape(self):
         return (self.ny, self.nx)
 
+    def check_cells(self, a: np.ndarray, what: str) -> None:
+        """Raise ``ParameterError`` naming ``what`` unless ``a`` has the cell shape."""
+        if a.shape != self.cell_shape():
+            raise ParameterError(f"{what}: expected cell shape {self.cell_shape()}, got {a.shape}")
+
 
 def gradient_sq_norm(c: np.ndarray, g: Grid2D, scratch=None) -> float:
     """Squared norm of the discrete gradient of a cell field.
@@ -69,8 +75,7 @@ def gradient_sq_norm(c: np.ndarray, g: Grid2D, scratch=None) -> float:
     clobbered; without it one is allocated.
     """
     c = np.ascontiguousarray(c, dtype=float)
-    if c.shape != g.cell_shape():
-        raise ParameterError(f"gradient_sq_norm: expected shape {g.cell_shape()}, got {c.shape}")
+    g.check_cells(c, "gradient_sq_norm")
     flat = c.ravel()
     d = (np.empty(g.ncells) if scratch is None else scratch.reshape(-1))[:flat.size - 1]
     np.subtract(flat[1:], flat[:-1], out=d)

@@ -33,10 +33,11 @@ reduced stencil at boundary cells.  The sums run through ``np.einsum`` and
 ``np.sum``, not BLAS, so a run gives the same bits whatever the number of
 BLAS threads.
 
-``run`` evaluates every state once, with ``ef.scheme_coefficients``: the
-pass gives the state's energy for its report and the next step's nu and
-s_r.  The initial state's pass comes before the step-0 report; step 1
-first checks that state against the density window.
+``run`` evaluates and measures every state once, with
+``ef.scheme_coefficients``: the pass gives the state's energy and extreme
+densities for its report and the next step's nu and s_r.  ``run`` alone
+judges the state: one report per state, the initial one as step 0, holds
+the window, multiplier and dissipation checks.
 """
 
 from __future__ import annotations
@@ -50,7 +51,8 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import diagnostics
-from .ef import EfParams, SchemeCoefficients, require_in_window, scheme_coefficients
+from .ef import (EfParams, EnergyBreakdown, SchemeCoefficients, require_in_window,
+                 scheme_coefficients)
 from .eos import EosParams
 from .errors import ConvergenceError, InvariantViolation, ParameterError
 from .grid import Grid2D
@@ -132,7 +134,7 @@ class StepReport:
 
     step_index: int
     mu_e: float
-    breakdown: diagnostics.EnergyBreakdown
+    breakdown: EnergyBreakdown
     interval: diagnostics.AdmissibleInterval
     c_min: float
     c_max: float
@@ -194,17 +196,12 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.einsum("ij,ij->", a, b))
 
 
-def _check_cells(a: np.ndarray, g: Grid2D, what: str) -> None:
-    if a.shape != g.cell_shape():
-        raise ParameterError(f"{what}: expected cell shape {g.cell_shape()}, got {a.shape}")
-
-
 def apply_operator(
     c: np.ndarray, coeffs: SchemeCoefficients, cfg: SolverConfig, kappa: float, g: Grid2D
 ) -> np.ndarray:
     """A c = c/tau_eff - kappa*Lap(c) + nu*c, by the stencil the solver runs."""
     c = np.asarray(c, dtype=float)
-    _check_cells(c, g, "apply_operator")
+    g.check_cells(c, "apply_operator")
     k = kappa / (g.h * g.h)
     e = np.array(coeffs.nu, dtype=float)
     s = _fold_diagonal(e, k, cfg.tau_eff())
@@ -263,7 +260,7 @@ def solve_spd(
     ``ConvergenceError`` with the residual history attached.
     """
     rhs = np.asarray(rhs, dtype=float)
-    _check_cells(rhs, g, "solve_spd")
+    g.check_cells(rhs, "solve_spd")
     for what, a in (("the warm start", x0), ("nu", coeffs.nu)):
         if not (isinstance(a, np.ndarray) and a.shape == rhs.shape and a.dtype == float
                 and a.flags.writeable):
@@ -438,13 +435,14 @@ def run(
     start.  ``observer(c, report)`` sees the initial state as step 0
     (``nan`` multiplier and residual, zero iterations) and then every step;
     ``c`` is overwritten by a later step, so an observer that keeps a state
-    must copy it.
+    must copy it.  A step from a state outside the window warns under
+    "continue"; under "abort" it raises ``BoundsViolationError`` naming the
+    cell, which only the initial state can reach.
     """
     if n_steps < 0:
         raise ParameterError(f"n_steps must be nonnegative, got {n_steps}")
     c = np.array(c0, dtype=float, copy=True)
-    if c.shape != g.cell_shape():
-        raise ParameterError(f"run: expected cell shape {g.cell_shape()}, got {c.shape}")
+    g.check_cells(c, "run")
     interval = diagnostics.admissible_interval(ef, p)
     if interval.empty:
         raise ParameterError(
@@ -457,65 +455,52 @@ def run(
         return float(g.h * g.h * np.sum(field))
 
     slack = cfg.bounds_slack(ef)
-    c_min, c_max = float(np.min(c)), float(np.max(c))
-    nan = float("nan")
-    # One pass gives the initial energy and step 1's coefficients; step 1
-    # judges the window.
-    coeffs = scheme_coefficients(c, ef, p, g, bounds_slack=np.inf)
-    report = StepReport(
-        step_index=0, mu_e=nan, breakdown=coeffs.energy,
-        interval=interval, c_min=c_min, c_max=c_max, mass=mass(c),
-        cg_iters=0, residual=nan,
-        admissibility_ok=True,
-        bounds_ok=bool(c_min >= ef.c_m - slack and c_max <= ef.c_M + slack),
-        energy_decreased=True,
-    )
-    energy_slack = cfg.energy_slack_rel * abs(report.energy)
-    if observer is not None:
-        observer(c, report)
-
-    tau_eff = cfg.tau_eff()
     reports: List[StepReport] = []
-    x = np.empty(c.shape)  # the next state
-    basis = np.empty((START_DIRECTIONS,) + c.shape)  # the last states' differences
-    m = 0  # how many of them basis holds, by order
-    for n in range(1, n_steps + 1):
-        keep_going = not report.bounds_ok and cfg.on_violation == "continue"
-        if n == 1 and not keep_going:
-            # An initial state outside the window raises here, naming the
-            # offending cell, unless the run is configured to continue.
-            require_in_window(c, ef, slack, "step 1")
-        if keep_going:
-            warnings.warn(
-                f"step {n}: previous state leaves the density window "
-                f"[{ef.c_m}, {ef.c_M}]; continuing as configured",
-                stacklevel=2,
-            )
-        # The step owns its coefficients: the right-hand side c/tau_eff + s_r
-        # is built in s_r's field, and the solve builds A's diagonal in nu's.
-        b = coeffs.s_r
-        b += np.divide(c, tau_eff, out=x)
-        np.copyto(x, c)
-        x, mu_e, iters, res = solve_spd(b, coeffs, cfg, p.kappa, g, x0=x, basis=basis[:m])
-        # Freed before the next pass allocates its fields: kept alive, these
-        # would raise the peak memory.
-        del b, coeffs
-        m = _push_differences(basis, m, x, c)
-        c, x = x, c
+    mu_e, iters, res = float("nan"), 0, float("nan")  # step 0 has no solve
+    for n in range(n_steps + 1):
+        if n:
+            if n == 1:
+                # Allocated after the initial pass: ahead of it, they leave later passes'
+                # fields at the heap's top, which glibc trims and re-faults every step.
+                x = np.empty(c.shape)  # the next state
+                basis = np.empty((START_DIRECTIONS,) + c.shape)  # the last states' differences
+                m = 0  # how many of them basis holds, by order
+            if not report.bounds_ok:
+                if cfg.on_violation == "abort":
+                    # Names the offending cell.  Only the initial state gets
+                    # here: a later one aborts with its own report.
+                    require_in_window(c, ef, slack, f"step {n}")
+                warnings.warn(
+                    f"step {n}: previous state leaves the density window "
+                    f"[{ef.c_m}, {ef.c_M}]; continuing as configured",
+                    stacklevel=2,
+                )
+            # The step owns its coefficients: the right-hand side c/tau_eff + s_r is
+            # built in s_r's field, and the solve builds A's diagonal in nu's.
+            b = coeffs.s_r
+            b += np.divide(c, cfg.tau_eff(), out=x)
+            np.copyto(x, c)
+            x, mu_e, iters, res = solve_spd(b, coeffs, cfg, p.kappa, g, x0=x, basis=basis[:m])
+            # Freed before the next pass allocates its fields: kept alive, these
+            # would raise the peak memory.
+            del b, coeffs
+            m = _push_differences(basis, m, x, c)
+            c, x = x, c
 
-        c_min, c_max = float(np.min(c)), float(np.max(c))
-        # One pass gives this state's energy and the next step's
-        # coefficients; the report below judges the window.
-        coeffs = scheme_coefficients(c, ef, p, g, bounds_slack=np.inf)
+        # One pass gives this state's energy and extremes and the next step's coefficients.
+        coeffs = scheme_coefficients(c, ef, p, g)
+        if not n:
+            energy_slack = cfg.energy_slack_rel * abs(coeffs.energy.total)
         report = StepReport(
             step_index=n, mu_e=mu_e, breakdown=coeffs.energy, interval=interval,
-            c_min=c_min, c_max=c_max, mass=mass(c),
+            c_min=coeffs.c_min, c_max=coeffs.c_max, mass=mass(c),
             cg_iters=iters, residual=res,
-            admissibility_ok=interval.contains(mu_e),
-            bounds_ok=bool(c_min >= ef.c_m - slack and c_max <= ef.c_M + slack),
-            energy_decreased=bool(coeffs.energy.total <= report.energy + energy_slack),
+            # the initial state has no multiplier and nothing to dissipate
+            admissibility_ok=not n or interval.contains(mu_e),
+            bounds_ok=bool(coeffs.c_min >= ef.c_m - slack and coeffs.c_max <= ef.c_M + slack),
+            energy_decreased=not n or bool(coeffs.energy.total <= report.energy + energy_slack),
         )
-        if cfg.on_violation == "abort" and not report.all_ok:
+        if n and cfg.on_violation == "abort" and not report.all_ok:
             raise InvariantViolation(
                 f"step {n}: invariant check failed "
                 f"(admissibility={report.admissibility_ok}, bounds={report.bounds_ok}, "
@@ -524,5 +509,4 @@ def run(
         reports.append(report)
         if observer is not None:
             observer(c, report)
-    return c, reports
-
+    return c, reports[1:]

@@ -10,10 +10,10 @@ from prphase import (
     Grid2D,
     SchemeCoefficients,
     SolverConfig,
-    ParameterError,
     derive_eos_params,
     get_substance,
 )
+from prphase.ef import _pointwise
 from prphase.solver import apply_operator
 
 C_GAS = 249.1123
@@ -46,9 +46,14 @@ def inner(a, b, g):
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     for field in (a, b):
-        if field.shape != g.cell_shape():
-            raise ParameterError(f"inner: expected shape {g.cell_shape()}, got {field.shape}")
+        g.check_cells(field, "inner")
     return float(g.h * g.h * np.sum(a * b))
+
+
+def nu_s_r(c, ef, p):
+    """nu(c) and s_r(c) under the window's shift, by the scheme's pointwise kernel."""
+    _, nu, s_r, _ = _pointwise(c, p, ef.lam, "nu_s_r")
+    return nu, s_r
 
 
 def minus_laplacian(c, g):

@@ -183,8 +183,7 @@ class TestRun:
         # included; the multiplier interval is computed once per run, and the
         # experiment recomputes none of them
         events = []
-        homes = {"scheme_coefficients": prphase.ef, "discrete_energy": prphase.diagnostics,
-                 "admissible_interval": prphase.diagnostics}
+        homes = {"scheme_coefficients": prphase.ef, "admissible_interval": prphase.diagnostics}
         for name, home in homes.items():
             original = getattr(home, name)
 
@@ -213,7 +212,7 @@ class TestRun:
         cfg = load_config(write_config(tmp_path, tiny_dict(n_steps=n_steps)))
         assert run_experiment(cfg, str(tmp_path / "out")) == 0
         assert {name: events.count(name) for name in homes} == {
-            "scheme_coefficients": n_steps + 1, "discrete_energy": 0, "admissible_interval": 1}
+            "scheme_coefficients": n_steps + 1, "admissible_interval": 1}
         passes = [i for i, e in enumerate(events) if e == "scheme_coefficients"]
         assert events.index("run") < passes[0] and passes[-1] < events.index("end of run")
         # the benchmark ends set-up at the first pass: the initial state's,
@@ -355,6 +354,18 @@ class TestProps:
         assert code == 0
         out = capsys.readouterr().out
         assert "240.0" in out  # 0.8 * 300
+
+    def test_window_must_hold_both_densities(self, capsys):
+        # the loader's rule: a window [1.5*c_gas, 0.9*c_liq] excludes both
+        assert main(["props", "nC4", "--T", "330", "--bounds-factors", "1.5", "0.9"]) == 2
+        captured = capsys.readouterr()
+        assert "window must contain both bulk densities" in captured.err
+        assert "window   [" not in captured.out
+
+    def test_densities_out_of_order(self, capsys):
+        code = main(["props", "nC4", "--T", "330", "--c-gas", "9000", "--c-liq", "300"])
+        assert code == 2
+        assert "need c_gas < c_liq" in capsys.readouterr().err
 
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"

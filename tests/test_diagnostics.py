@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,28 +10,29 @@ from prphase import (
     ParameterError,
     admissible_interval,
     bulk_free_energy,
-    discrete_energy,
+    scheme_coefficients,
     shape_anisotropy,
 )
-from prphase.ef import nu, s_r
 
 import oracles
-from conftest import C_GAS, C_LIQ
+from conftest import C_GAS, C_LIQ, nu_s_r
 
 FROZEN = oracles.FROZEN
 
 
 class TestDiscreteEnergy:
-    def test_uniform_field(self, nc4, unit_grid):
+    """The discrete energy, as the per-state pass reports it."""
+
+    def test_uniform_field(self, nc4, window, unit_grid):
         c_bar = 3000.0
         c = np.full(unit_grid.cell_shape(), c_bar)
-        e = discrete_energy(c, nc4, nc4.kappa, unit_grid)
+        e = scheme_coefficients(c, window, nc4, unit_grid).energy
         expected = unit_grid.lx * unit_grid.ly * float(bulk_free_energy(c_bar, nc4).total)
         assert e.gradient == 0.0
         assert e.bulk == pytest.approx(expected, rel=1e-13)
         assert e.total == e.bulk
 
-    def test_brute_force_3x3(self, nc4):
+    def test_brute_force_3x3(self, nc4, window):
         g = Grid2D(nx=3, ny=3, h=0.5)
         r = np.random.default_rng(3)
         c = r.uniform(500.0, 9000.0, size=(3, 3))
@@ -48,21 +51,21 @@ class TestDiscreteEnergy:
                 grad += g.h**2 * ((c[j + 1, i] - c[j, i]) / g.h) ** 2
         grad *= 0.5 * kappa
 
-        e = discrete_energy(c, nc4, kappa, g)
+        e = scheme_coefficients(c, window, replace(nc4, kappa=kappa), g).energy
         assert e.bulk == pytest.approx(bulk, rel=1e-13)
         assert e.gradient == pytest.approx(grad, rel=1e-13)
         assert e.total == pytest.approx(bulk + grad, rel=1e-13)
 
-    def test_gradient_scales_linearly_in_kappa(self, nc4, unit_grid, rng):
+    def test_gradient_scales_linearly_in_kappa(self, nc4, window, unit_grid, rng):
         c = rng.uniform(500.0, 9000.0, size=unit_grid.cell_shape())
-        g1 = discrete_energy(c, nc4, 1.0, unit_grid).gradient
-        g2 = discrete_energy(c, nc4, 2.5, unit_grid).gradient
+        g1, g2 = (scheme_coefficients(c, window, replace(nc4, kappa=kappa), unit_grid)
+                  .energy.gradient for kappa in (1.0, 2.5))
         assert g2 == pytest.approx(2.5 * g1, rel=1e-13)
         assert g1 > 0
 
-    def test_shape_mismatch(self, nc4, unit_grid):
+    def test_shape_mismatch(self, nc4, window, unit_grid):
         with pytest.raises(ParameterError, match="shape"):
-            discrete_energy(np.full((2, 2), 1000.0), nc4, nc4.kappa, unit_grid)
+            scheme_coefficients(np.full((2, 2), 1000.0), window, nc4, unit_grid)
 
 
 class TestAdmissibleInterval:
@@ -88,8 +91,7 @@ class TestAdmissibleInterval:
     def test_matches_dense_envelope_scan(self, nc4, window):
         iv = admissible_interval(window, nc4)
         cs = np.linspace(window.c_m, window.c_M, 200_001)
-        nus = np.asarray(nu(cs, window, nc4))
-        srs = np.asarray(s_r(cs, window, nc4))
+        nus, srs = nu_s_r(cs, window, nc4)
         lo = float(np.max(window.c_m * nus - srs))
         hi = float(np.min(window.c_M * nus - srs))
         assert iv.mu_lower == pytest.approx(lo, rel=1e-9)
@@ -110,8 +112,9 @@ class TestAdmissibleInterval:
         c_M = c_m * (1.0 + 1e-6)
         ef = EfParams.for_window(c_m, c_M, nc4)
         iv = admissible_interval(ef, nc4)
-        lo_expected = c_m * float(nu(c_m, ef, nc4)) - float(s_r(c_m, ef, nc4))
-        hi_expected = c_M * float(nu(c_m, ef, nc4)) - float(s_r(c_m, ef, nc4))
+        nu_m, sr_m = (float(v) for v in nu_s_r(c_m, ef, nc4))
+        lo_expected = c_m * nu_m - sr_m
+        hi_expected = c_M * nu_m - sr_m
         assert iv.mu_lower == pytest.approx(lo_expected, rel=1e-4)
         assert iv.mu_upper == pytest.approx(hi_expected, rel=1e-4)
 

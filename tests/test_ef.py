@@ -11,20 +11,18 @@ from prphase import (
     EfParams,
     Grid2D,
     ParameterError,
-    discrete_energy,
     bulk_chemical_potential,
     bulk_free_energy,
     g_and_gprime,
     minimal_lambda,
     mu_attraction,
-    nu,
-    s_r,
     scheme_coefficients,
     semi_implicit_potentials,
 )
+from prphase.ef import require_in_window
 
 import oracles
-from conftest import C_GAS, C_LIQ
+from conftest import C_GAS, C_LIQ, nu_s_r
 
 FROZEN = oracles.FROZEN
 
@@ -161,23 +159,24 @@ class TestMuAttraction:
 class TestSchemeCoefficients:
     def test_nu_positive_and_decreasing(self, nc4, window):
         cs = np.linspace(window.c_m, window.c_M, 1000)
-        vals = np.asarray(nu(cs, window, nc4))
+        vals, _ = nu_s_r(cs, window, nc4)
         assert np.all(vals > 0)
         assert np.all(np.diff(vals) < 0)
 
     def test_nu_endpoint_oracle(self, nc4, window):
-        assert rel(float(nu(window.c_m, window, nc4)), FROZEN["nu_c_m"]) < 1e-12
-        assert rel(float(nu(window.c_M, window, nc4)), FROZEN["nu_c_M"]) < 1e-12
+        assert rel(float(nu_s_r(window.c_m, window, nc4)[0]), FROZEN["nu_c_m"]) < 1e-12
+        assert rel(float(nu_s_r(window.c_M, window, nc4)[0]), FROZEN["nu_c_M"]) < 1e-12
 
     def test_splitting_identity(self, nc4, window, rng):
         # nu(c)*c - s_r(c) reproduces the exact bulk chemical potential
         cs = rng.uniform(window.c_m, window.c_M, size=1000)
-        lhs = np.asarray(nu(cs, window, nc4)) * cs - np.asarray(s_r(cs, window, nc4))
+        nus, srs = nu_s_r(cs, window, nc4)
+        lhs = nus * cs - srs
         mu = np.asarray(bulk_chemical_potential(cs, nc4))
         assert np.all(np.abs(lhs - mu) <= 1e-10 * np.abs(mu))
 
     def test_s_r_oracle(self, nc4, window):
-        got = float(s_r(C_LIQ, window, nc4))
+        got = float(nu_s_r(C_LIQ, window, nc4)[1])
         want = float(oracles.s_r(C_LIQ, window.lam))
         assert rel(got, want) < 1e-12
 
@@ -187,28 +186,29 @@ class TestSchemeCoefficients:
         assert coeffs.nu.shape == (4, 5)
         assert coeffs.s_r.shape == (4, 5)
 
-    def test_out_of_window_reports_cell(self, nc4, window):
+
+class TestRequireInWindow:
+    def test_out_of_window_reports_cell(self, window):
         c = np.full((4, 5), 1000.0)
         c[2, 3] = window.c_M * 1.5
         with pytest.raises(BoundsViolationError) as exc:
-            scheme_coefficients(c, window, nc4, grid_of(c))
+            require_in_window(c, window, 0.0, "test")
         assert exc.value.cell_index == 2 * 5 + 3
         assert exc.value.value == pytest.approx(window.c_M * 1.5)
 
-    def test_below_window_rejected(self, nc4, window):
+    def test_below_window_rejected(self, window):
         c = np.full((1, 6), window.c_m)
         c[0, 4] = 0.5 * window.c_m
         with pytest.raises(BoundsViolationError) as exc:
-            scheme_coefficients(c, window, nc4, grid_of(c))
+            require_in_window(c, window, 0.0, "test")
         assert exc.value.cell_index == 4
 
-    def test_bounds_slack_absorbs_roundoff(self, nc4, window):
+    def test_bounds_slack_absorbs_roundoff(self, window):
         slack = 1e-10 * window.c_M
         c = np.full((1, 3), window.c_M + 0.5 * slack)
-        coeffs = scheme_coefficients(c, window, nc4, grid_of(c), bounds_slack=slack)
-        assert np.all(np.isfinite(coeffs.nu))
+        require_in_window(c, window, slack, "test")
         with pytest.raises(BoundsViolationError):
-            scheme_coefficients(c + slack, window, nc4, grid_of(c), bounds_slack=slack)
+            require_in_window(c + slack, window, slack, "test")
 
 
 def draw_grid(data):
@@ -218,8 +218,7 @@ def draw_grid(data):
 
 
 class TestFusedPass:
-    """scheme_coefficients, and the evaluators that share its kernel, against
-    the mpmath oracles."""
+    """scheme_coefficients, the per-state pass, against the mpmath oracles."""
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -228,12 +227,9 @@ class TestFusedPass:
         c = data.draw(hnp.arrays(np.float64, g.cell_shape(),
                                  elements=st.floats(window.c_m, window.c_M)), label="c")
         coeffs = scheme_coefficients(c, window, nc4, g)
-        fields = (coeffs.nu, coeffs.s_r, nu(c, window, nc4), s_r(c, window, nc4))
-        for cell, got_nu, got_sr, one_nu, one_sr in zip(c.ravel(), *(f.ravel() for f in fields)):
-            want_nu = float(oracles.nu(cell, window.lam))
-            want_sr = float(oracles.s_r(cell, window.lam))
-            assert rel(got_nu, want_nu) < 1e-12 and rel(one_nu, want_nu) < 1e-12
-            assert rel(got_sr, want_sr) < 1e-12 and rel(one_sr, want_sr) < 1e-12
+        for cell, got_nu, got_sr in zip(c.ravel(), coeffs.nu.ravel(), coeffs.s_r.ravel()):
+            assert rel(got_nu, float(oracles.nu(cell, window.lam))) < 1e-12
+            assert rel(got_sr, float(oracles.s_r(cell, window.lam))) < 1e-12
         f_b = [oracles.f_total(cell) for cell in c.ravel()]
         bulk = float(g.h * g.h * mp.fsum(f_b))
         bulk_scale = float(g.h * g.h * mp.fsum(abs(f) for f in f_b))
@@ -245,7 +241,7 @@ class TestFusedPass:
         assert abs(energy.bulk - bulk) <= 1e-12 * bulk_scale
         assert abs(energy.gradient - gradient) <= 1e-12 * gradient
         assert abs(energy.total - (bulk + gradient)) <= 1e-12 * (bulk_scale + gradient)
-        assert discrete_energy(c, nc4, nc4.kappa, g) == energy
+        assert (coeffs.c_min, coeffs.c_max) == (float(np.min(c)), float(np.max(c)))
 
     @settings(max_examples=30, deadline=None)
     @given(data=st.data())
@@ -255,8 +251,6 @@ class TestFusedPass:
         cell = data.draw(st.integers(0, g.ncells - 1), label="cell")
         c.ravel()[cell] = data.draw(st.floats(max_value=0.0, allow_infinity=False), label="value")
         with pytest.raises(DomainError, match="positive"):
-            scheme_coefficients(c, window, nc4, g, bounds_slack=np.inf)
-        with pytest.raises(DomainError):
             scheme_coefficients(c, window, nc4, g)
 
     def test_shape_mismatch(self, nc4, window):

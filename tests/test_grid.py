@@ -96,7 +96,7 @@ class TestDifferenceOperators:
 
     def test_shape_mismatch_rejected(self, unit_grid):
         wrong = np.zeros((unit_grid.ny + 1, unit_grid.nx + 1))
-        with pytest.raises(ParameterError, match="expected shape"):
+        with pytest.raises(ParameterError, match="expected cell shape"):
             gradient_sq_norm(wrong, unit_grid)
         coeffs = SchemeCoefficients(nu=np.zeros(unit_grid.cell_shape()),
                                     s_r=np.zeros(unit_grid.cell_shape()))
@@ -133,7 +133,7 @@ class TestInnerProduct:
     def test_shape_mismatch(self, unit_grid):
         # cell fields only
         for a, b in ((np.ones((2, 2)), np.ones((3, 3))), (np.ones((2, 2)), np.ones((2, 2)))):
-            with pytest.raises(ParameterError, match="expected shape"):
+            with pytest.raises(ParameterError, match="expected cell shape"):
                 inner(a, b, unit_grid)
 
 

@@ -541,17 +541,22 @@ class TestStep:
             run(np.full((3, 3), 1000.0), 1, window, nc4, cfg, g)
 
     def test_out_of_window_state_warns_when_continuing(self, nc4, window, droplet_setup):
+        # a uniform state is a fixed point, so step 1 leaves it outside too
         g, _, cfg = droplet_setup
         c_low = np.full(g.cell_shape(), 0.5 * window.c_m)
-        with pytest.warns(UserWarning, match="density window"):
-            run(c_low, 1, window, nc4, cfg, g)
+        with pytest.warns(UserWarning, match="density window") as record:
+            _, reports = run(c_low, 2, window, nc4, cfg, g)
+        assert [str(w.message).split(":")[0] for w in record] == ["step 1", "step 2"]
+        assert [r.bounds_ok for r in reports] == [False, False]
 
     def test_out_of_window_state_raises_when_aborting(self, nc4, window, droplet_setup):
         g, _, _ = droplet_setup
         cfg = SolverConfig(tau=1e10, on_violation="abort")
         c_low = np.full(g.cell_shape(), 0.5 * window.c_m)
-        with pytest.raises(BoundsViolationError):
+        c_low[0, :5] = window.c_m  # inside: cell 5 is the first outside
+        with pytest.raises(BoundsViolationError, match="step 1") as exc:
             run(c_low, 1, window, nc4, cfg, g)
+        assert exc.value.cell_index == 5
 
 
 @pytest.fixture(scope="module")
