@@ -16,8 +16,11 @@ Artifacts (all plain text, written under the configured output directory):
                       value per line in row-major order.  Values are written
                       with ``repr`` so a read-back is bit-exact.
   snapshot_XXXXXX.csv optional matrix form (one row of cells per line).
-                      Both forms come from one ``repr`` per value: the
-                      writer formats a row once and writes it to each file.
+                      Both forms come from one ``repr`` per distinct value
+                      when two neighbouring cells hold the same bits (the
+                      bulk plateaus of a diffuse-interface state), else
+                      from one ``repr`` per cell; each row's text is built
+                      once and written to each file.
   summary.json        run-level verdicts: invariant counters, the multiplier
                       interval, mass drift, and the droplet shape metric at
                       steps 0, 1 and the end.
@@ -32,7 +35,7 @@ import json
 import logging
 import os
 from contextlib import ExitStack
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -103,10 +106,12 @@ def write_snapshot(stem: str, c: np.ndarray, g: Grid2D, step: int, time: float,
     """Snapshot of ``c`` as ``stem.txt`` and/or ``stem.csv``, per ``formats``.
 
     The txt form is the ``# key value`` header, then one value per line,
-    row-major; the csv form is one row of cells per line.  The field is
-    walked one row at a time: each row is formatted once, with ``repr`` (so
-    a read-back is bit-exact), and written to every open file, so no more
-    than one row of text is held at a time.
+    row-major; the csv form is one row of cells per line.  Values are
+    written with ``repr``, so a read-back is bit-exact: once per distinct
+    value when two neighbouring cells hold the same bits, else once per
+    cell.  The field is walked one row at a time and each row's text is
+    written to every open file, so no more than one row of text is held at
+    a time.
     """
     with ExitStack() as stack:
         txt = csv = None
@@ -118,12 +123,34 @@ def write_snapshot(stem: str, c: np.ndarray, g: Grid2D, step: int, time: float,
             )
         if "csv" in formats:
             csv = stack.enter_context(open(stem + ".csv", "w", encoding="utf-8"))
-        for row in np.asarray(c, dtype=float):
-            cells = list(map(repr, row.tolist()))
+        for cells in _row_texts(np.asarray(c, dtype=float)):
             if txt is not None:
                 txt.write("\n".join(cells) + "\n")
             if csv is not None:
                 csv.write(",".join(cells) + "\n")
+
+
+def _row_texts(a: np.ndarray) -> Iterator[List[str]]:
+    """The ``repr`` of every cell of the 2-D field ``a``, one list per row.
+
+    Distinct values are told apart by their int64 bit patterns, so -0.0 and
+    0.0, and each nan payload, keep their own text.  A field with no two
+    equal neighbours in a row or a column (cell noise) skips the sort and is
+    formatted cell by cell.
+    """
+    bits = a.view(np.int64)
+    if not (np.any(bits[:, 1:] == bits[:, :-1]) or np.any(bits[1:] == bits[:-1])):
+        for row in a:
+            yield list(map(repr, row.tolist()))
+        return
+    ordered = np.sort(bits, axis=None)
+    first = np.empty(ordered.size, dtype=bool)
+    first[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    distinct = ordered[first]
+    texts = np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype=object)
+    for row in bits:
+        yield texts[np.searchsorted(distinct, row)].tolist()
 
 
 def read_snapshot(path: str) -> Tuple[np.ndarray, Dict[str, float]]:

@@ -74,3 +74,17 @@ def child_env():
     env = dict(os.environ)
     prepend_path(env, "PYTHONPATH", Path(prphase.__file__).resolve().parents[1])
     return env
+
+
+def old_txt_bytes(c, g, step, time):
+    """What the per-value txt writer wrote: the header, then one value a line."""
+    head = (f"# N {g.nx}\n# M {g.ny}\n# h {g.h!r}\n# x0 {g.x0!r}\n# y0 {g.y0!r}\n"
+            f"# step {step}\n# time {float(time)!r}\n")
+    return (head + "".join(f"{float(v)!r}\n"
+                           for v in np.asarray(c, dtype=float).ravel(order="C"))).encode()
+
+
+def old_csv_bytes(c):
+    """What the per-value csv writer wrote: one row of reprs a line."""
+    return "".join(",".join(repr(float(v)) for v in row) + "\n"
+                   for row in np.asarray(c, dtype=float)).encode()

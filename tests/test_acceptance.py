@@ -29,12 +29,12 @@ from prphase import (
 )
 from prphase.cli import main
 from prphase.config import load_config
-from prphase.experiment import run_experiment
+from prphase.experiment import read_snapshot, run_experiment
 from prphase.grid import gradient_sq_norm
 from prphase.solver import apply_operator
 
 import oracles
-from conftest import C_GAS, C_LIQ, inner, minus_laplacian
+from conftest import C_GAS, C_LIQ, inner, minus_laplacian, old_txt_bytes
 
 FROZEN = oracles.FROZEN
 
@@ -326,7 +326,19 @@ def test_criterion_9_determinism(main_run, tmp_path, capsys):
     code = main(["run", "nc4_droplet", "--output-dir", str(out)])
     failures = []
     check(failures, code == 0, f"exit code {code}")
-    check(failures,
-          (out / "series.csv").read_bytes() == (first_out / "series.csv").read_bytes(),
-          "series files differ between identical runs")
-    verdict(capsys, 9, "identical runs produce bit-identical series files", failures)
+    names = sorted(p.name for p in first_out.glob("snapshot_*.txt"))
+    check(failures, names and names == sorted(p.name for p in out.glob("snapshot_*.txt")),
+          f"the runs wrote different or no snapshot files ({names})")
+    for name in ["series.csv", "summary.json"] + names:
+        check(failures, (out / name).read_bytes() == (first_out / name).read_bytes(),
+              f"{name} differs between identical runs")
+    # each snapshot holds one repr per value of the field it reads back as
+    for name in names:
+        c, meta = read_snapshot(str(first_out / name))
+        g = Grid2D(nx=int(meta["N"]), ny=int(meta["M"]), h=meta["h"], x0=meta["x0"],
+                   y0=meta["y0"])
+        check(failures,
+              (first_out / name).read_bytes() == old_txt_bytes(c, g, int(meta["step"]),
+                                                               meta["time"]),
+              f"{name} is not one repr per value of its field")
+    verdict(capsys, 9, "identical runs produce bit-identical artifacts", failures)

@@ -13,7 +13,7 @@ from prphase.experiment import (
     write_snapshot,
 )
 
-from conftest import C_GAS, C_LIQ
+from conftest import C_GAS, C_LIQ, old_csv_bytes, old_txt_bytes
 
 PRESET = str(importlib.resources.files("prphase") / "presets" / "nc4_droplet.yaml")
 
@@ -286,20 +286,6 @@ class TestBuildInitial:
             build_initial(cfg)
 
 
-def old_txt_bytes(c, g, step, time):
-    """What the per-value txt writer wrote: the header, then one value a line."""
-    head = (f"# N {g.nx}\n# M {g.ny}\n# h {g.h!r}\n# x0 {g.x0!r}\n# y0 {g.y0!r}\n"
-            f"# step {step}\n# time {float(time)!r}\n")
-    return (head + "".join(f"{float(v)!r}\n"
-                           for v in np.asarray(c, dtype=float).ravel(order="C"))).encode()
-
-
-def old_csv_bytes(c):
-    """What the per-value csv writer wrote: one row of reprs a line."""
-    return "".join(",".join(repr(float(v)) for v in row) + "\n"
-                   for row in np.asarray(c, dtype=float)).encode()
-
-
 #: A non-square field with a signed zero, the smallest subnormal, a large
 #: integral float, an inexact decimal and small integral floats.
 ODD_FIELD = np.array([
@@ -307,6 +293,12 @@ ODD_FIELD = np.array([
     [3.0, -7.0, 1234.5678, 9526.8428, 1e-300],
     [0.0, 249.1123, 1.0 / 3.0, -2.5e-8, 100.0],
 ])
+
+#: ODD_FIELD with a row of nan, +-inf and both zeros, each column doubled
+#: so that every value has an equal neighbour: the writer's distinct-value
+#: path, where -0.0 sits next to 0.0 and must keep its own text.
+TILED_FIELD = np.repeat(
+    np.vstack([ODD_FIELD, [np.nan, np.inf, -np.inf, -0.0, 0.0]]), 2, axis=1)
 
 
 class TestSnapshotIO:
@@ -350,20 +342,24 @@ class TestSnapshotIO:
                              ids=["txt", "csv", "txt+csv"])
     @pytest.mark.parametrize("layout", ["C", "F", "lists"])
     def test_writer_keeps_old_bytes(self, tmp_path, formats, layout):
-        g = Grid2D(nx=5, ny=3, h=0.25, x0=-1.0, y0=2.0)
-        field = {"C": np.ascontiguousarray(ODD_FIELD), "F": np.asfortranarray(ODD_FIELD),
-                 "lists": ODD_FIELD.tolist()}[layout]
-        write_snapshot(str(tmp_path / "snap"), field, g, step=3, time=3e10, formats=formats)
-        for fmt, expected in (("txt", old_txt_bytes(ODD_FIELD, g, 3, 3e10)),
-                              ("csv", old_csv_bytes(ODD_FIELD))):
-            path = tmp_path / f"snap.{fmt}"
-            if fmt in formats:
-                assert path.read_bytes() == expected
-            else:
-                assert not path.exists()
-        if "txt" in formats:
-            back, _ = read_snapshot(str(tmp_path / "snap.txt"))
-            assert back.tobytes() == ODD_FIELD.tobytes()  # bit-exact, -0.0 included
+        # ODD_FIELD has no two equal neighbours and takes the per-cell path;
+        # TILED_FIELD takes the distinct-value path
+        for name, values in (("odd", ODD_FIELD), ("tiled", TILED_FIELD)):
+            ny, nx = values.shape
+            g = Grid2D(nx=nx, ny=ny, h=0.25, x0=-1.0, y0=2.0)
+            field = {"C": np.ascontiguousarray(values), "F": np.asfortranarray(values),
+                     "lists": values.tolist()}[layout]
+            write_snapshot(str(tmp_path / name), field, g, step=3, time=3e10, formats=formats)
+            for fmt, expected in (("txt", old_txt_bytes(values, g, 3, 3e10)),
+                                  ("csv", old_csv_bytes(values))):
+                path = tmp_path / f"{name}.{fmt}"
+                if fmt in formats:
+                    assert path.read_bytes() == expected, (name, fmt)
+                else:
+                    assert not path.exists()
+            if "txt" in formats:
+                back, _ = read_snapshot(str(tmp_path / f"{name}.txt"))
+                assert back.tobytes() == values.tobytes()  # bit-exact, -0.0 included
 
     def test_writer_streams_rows(self, tmp_path, rng):
         # one row of text at a time: formatting the whole field first would
