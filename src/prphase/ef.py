@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Tuple, Union
+from typing import NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -164,7 +164,8 @@ def semi_implicit_potentials(
     return SemiImplicitPotentials(mu_ideal=mu_ideal, mu_repulsion=mu_rep)
 
 
-def _pointwise(c: ArrayLike, p: EosParams, lam: float, what: str):
+def _pointwise(c: ArrayLike, p: EosParams, lam: float, what: str,
+               fields: Optional[Sequence[np.ndarray]] = None):
     """f_b/c, nu and s_r under the shift ``lam`` of densities of any shape.
 
     Returns float arrays (f_b/c, nu, s_r) of the shape of ``c`` and the
@@ -180,19 +181,22 @@ def _pointwise(c: ArrayLike, p: EosParams, lam: float, what: str):
     where a = (1 + (1 - sqrt2)*b)/(1 + (1 + sqrt2)*b) is the attraction ratio.
 
     One log(c), one log(1 - b) and one log1p for the attraction ratio per
-    density, in five fields.  A density outside 0 < c < 1/beta raises
-    ``DomainError`` naming ``what``.
+    density, in five fields: ``fields``, five arrays of the shape of ``c``,
+    when given, else new ones.  nu, s_r and f_b/c come back in the first
+    three; the other two are clobbered.  A density outside 0 < c < 1/beta
+    raises ``DomainError`` naming ``what``.
     """
     c = np.asarray(c, dtype=float)
     extremes = _require_admissible(c, p, what)
     RT = p.R * p.T
-    bc = np.multiply(p.beta, c, out=np.empty_like(c))
-    u = np.subtract(1.0, bc, out=np.empty_like(c))
-    f = np.log(c, out=np.empty_like(c))
-    ln1m = np.log(u, out=np.empty_like(c))  # L
+    ln1m, u, f, bc, w = fields if fields is not None else [np.empty_like(c) for _ in range(5)]
+    np.multiply(p.beta, c, out=bc)
+    np.subtract(1.0, bc, out=u)
+    np.log(c, out=f)
+    np.log(u, out=ln1m)  # L
     f -= ln1m
     # the attraction ratio is 1 - 2*sqrt2*b/(1 + (1 + sqrt2)*b)
-    w = np.multiply(-(1.0 + _SQRT2) / (2.0 * _SQRT2), bc, out=np.empty_like(c))
+    np.multiply(-(1.0 + _SQRT2) / (2.0 * _SQRT2), bc, out=w)
     w -= 1.0 / (2.0 * _SQRT2)
     np.divide(bc, w, out=w)
     np.log1p(w, out=w)
@@ -276,7 +280,8 @@ def require_in_window(c: np.ndarray, ef: EfParams, bounds_slack: float, what: st
 
 
 def scheme_coefficients(
-    c_old: np.ndarray, ef: EfParams, p: EosParams, g: Grid2D
+    c_old: np.ndarray, ef: EfParams, p: EosParams, g: Grid2D,
+    fields: Optional[Sequence[np.ndarray]] = None,
 ) -> SchemeCoefficients:
     """nu, s_r, the discrete energy and the extreme densities of ``c_old``.
 
@@ -287,10 +292,17 @@ def scheme_coefficients(
     The fields come from ``_pointwise``; a density outside 0 < c < 1/beta
     raises ``DomainError``.  The window is the caller's to judge, from
     ``c_min`` and ``c_max``.
+
+    ``fields``, five writeable C-contiguous float cell fields apart from
+    ``c_old``, are the pass's work space when given (``Grid2D.check_fields``):
+    nu and s_r come back in the first two, and the other three are left
+    clobbered.  Without them the pass allocates its own.
     """
     c = np.ascontiguousarray(c_old, dtype=float)
     g.check_cells(c, "scheme_coefficients")
-    f, nu_f, sr, (c_min, c_max) = _pointwise(c, p, ef.lam, "scheme_coefficients")
+    if fields is not None:
+        g.check_fields(fields, 5, "scheme_coefficients")
+    f, nu_f, sr, (c_min, c_max) = _pointwise(c, p, ef.lam, "scheme_coefficients", fields)
     bulk = float(g.h * g.h * np.einsum("ij,ij->", c, f))
     gradient = 0.5 * p.kappa * gradient_sq_norm(c, g, scratch=f)
     return SchemeCoefficients(nu=nu_f, s_r=sr, energy=EnergyBreakdown(

@@ -2,7 +2,8 @@
 
 Cell fields have shape (ny, nx), stored row-major so the flat index of cell
 (i, j) is i + nx*j; ``Grid2D.check_cells`` is the one rule that a field
-has that shape.  ``gradient_sq_norm`` is the squared norm of
+has that shape, and ``Grid2D.check_fields`` the one rule for the work
+fields a caller lends the per-state pass and the solve.  ``gradient_sq_norm`` is the squared norm of
 the discrete gradient: the differences of neighbouring cells, one per
 interior face, so no flux crosses the domain boundary (the homogeneous
 Neumann condition).  The Laplacian that matches it, in the summation-by-
@@ -62,6 +63,19 @@ class Grid2D:
         """Raise ``ParameterError`` naming ``what`` unless ``a`` has the cell shape."""
         if a.shape != self.cell_shape():
             raise ParameterError(f"{what}: expected cell shape {self.cell_shape()}, got {a.shape}")
+
+    def check_fields(self, fields, count: int, what: str) -> None:
+        """Raise ``ParameterError`` naming ``what`` unless ``fields`` holds
+        ``count`` writeable, C-contiguous float arrays of the cell shape.
+
+        Work fields are written through flat views, and the flat view of a
+        field in any other order is a copy: the writes would be lost.
+        """
+        if not (len(fields) == count and all(
+                isinstance(a, np.ndarray) and a.shape == self.cell_shape() and a.dtype == float
+                and a.flags.writeable and a.flags.c_contiguous for a in fields)):
+            raise ParameterError(f"{what}: fields must be {count} writeable, C-contiguous "
+                                 f"float arrays of shape {self.cell_shape()}")
 
 
 def gradient_sq_norm(c: np.ndarray, g: Grid2D, scratch=None) -> float:

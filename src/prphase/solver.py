@@ -38,6 +38,13 @@ BLAS threads.
 densities for its report and the next step's nu and s_r.  ``run`` alone
 judges the state: one report per state, the initial one as step 0, holds
 the window, multiplier and dissipation checks.
+
+``run`` allocates every field of the march once, twelve of them: the state
+and the next state, the START_DIRECTIONS differences, the pass's five, in
+which nu and s_r come back, and two more.  It passes them down: the pass
+works in its five, and the solve in the pass's other three and the two
+more.  So no step allocates a field, and no step pays to fault freed
+memory back in.
 """
 
 from __future__ import annotations
@@ -234,17 +241,27 @@ def solve_spd(
     g: Grid2D,
     x0: np.ndarray,
     basis: Sequence[np.ndarray] = (),
+    fields: Optional[Sequence[np.ndarray]] = None,
 ) -> Tuple[np.ndarray, float, int, float]:
     """Projected preconditioned conjugate gradients for the constrained step.
 
     Solves A x = rhs + mu_e*1 for x and the scalar mu_e, with the mass
-    <x, 1> fixed at that of ``x0``.  The iteration runs in ``x0``, so on
-    return it holds the solution and is the returned x.  Returns
-    (x, mu_e, iterations, ||r||/||rhs||), where r = rhs + mu_e*1 - A x.
-    The diagonal of A over kappa/h^2 (``_fold_diagonal``) is built in
-    ``coeffs.nu``'s field, so the solve consumes ``nu`` as it does ``x0``:
-    on return it holds that scaled diagonal.  ``rhs``, ``coeffs.s_r`` and
-    ``basis`` are left as they are.
+    <x, 1> fixed at that of ``x0``.  Returns (x, mu_e, iterations,
+    ||r||/||rhs||), where r = rhs + mu_e*1 - A x.
+
+    The solve consumes ``x0``, ``coeffs.nu`` and ``fields``:
+
+    - the iteration runs in ``x0``, so on return it holds the solution and
+      is the returned x;
+    - the diagonal of A over kappa/h^2 (``_fold_diagonal``) is built in
+      ``coeffs.nu``'s field, which on return holds that scaled diagonal;
+    - ``fields``, five writeable C-contiguous float cell fields apart from
+      the other arguments (``Grid2D.check_fields``), hold in turn the
+      inverse preconditioner, the preconditioned residual, the residual,
+      A times the search direction and the search direction, and are left
+      clobbered.  Without them the solve allocates its own.
+
+    ``rhs``, ``coeffs.s_r`` and ``basis`` are left as they are.
 
     ``basis`` holds zero-sum fields V, as an (m, ny, nx) array or a sequence
     of cell fields; when it is given, the iteration starts from the point
@@ -270,20 +287,21 @@ def solve_spd(
     if basis.shape[1:] != rhs.shape:
         raise ParameterError(f"solve_spd basis: expected fields of cell shape {rhs.shape}, "
                              f"got {basis.shape[1:]}")
+    if fields is None:
+        fields = [np.empty(rhs.shape) for _ in range(5)]
+    g.check_fields(fields, 5, "solve_spd")
+    # z, then the stencil's and the updates' scratch; Ap is A p over s.
+    inv_diag, z, r, Ap, p = fields
     x = x0
     k = kappa / (g.h * g.h)
     # built once: each apply is s*(e*p - N(p))
     e = coeffs.nu
     s = _fold_diagonal(e, k, cfg.tau_eff())
     if cfg.preconditioner == "diagonal":
-        inv_diag = np.divide(1.0 / s, e)
+        np.divide(1.0 / s, e, out=inv_diag)
     else:
-        inv_diag = np.ones(g.cell_shape())
+        inv_diag.fill(1.0)
     inv_sum = float(np.sum(inv_diag))
-    # C order: the stencil writes its outputs through flat views.
-    z = np.empty(rhs.shape)  # z, then the stencil's and the updates' scratch
-    r = np.empty(rhs.shape)
-    Ap = np.empty(rhs.shape)  # A p over s
 
     def residual() -> float:
         # r = rhs - A x, projected once; what it loses along 1 is the first mu_e.
@@ -308,7 +326,6 @@ def solve_spd(
     tol_abs = cfg.cg_rel_tol * b_norm
     max_iter = cfg.resolved_max_iter(g)
     history: List[float] = []
-    p = np.empty(rhs.shape)
     it = 0
     while True:
         sigma = _dot(inv_diag, r) / inv_sum
@@ -429,10 +446,17 @@ def run(
 
     The target mass, admissible interval and initial energy are computed
     once from ``c0``; the dissipation check allows energy_slack_rel times
-    the initial energy of increase.  The march holds START_DIRECTIONS + 2
-    fields of its own: the current state, the next one, in which the solve
-    runs, and the differences of the last states, which choose the solve's
-    start.  ``observer(c, report)`` sees the initial state as step 0
+    the initial energy of increase.  The march allocates all its fields
+    once, START_DIRECTIONS + 9 of them, and no step allocates one:
+
+    - the current state and the next one, in which the solve runs;
+    - the START_DIRECTIONS differences of the last states, which choose the
+      solve's start;
+    - the per-state pass's five, in which nu and s_r come back and the
+      right-hand side and A's diagonal are built;
+    - the solve's five: the pass's other three and two more.
+
+    ``observer(c, report)`` sees the initial state as step 0
     (``nan`` multiplier and residual, zero iterations) and then every step;
     ``c`` is overwritten by a later step, so an observer that keeps a state
     must copy it.  A step from a state outside the window warns under
@@ -455,16 +479,15 @@ def run(
         return float(g.h * g.h * np.sum(field))
 
     slack = cfg.bounds_slack(ef)
+    x = np.empty(c.shape)  # the next state
+    basis = np.empty((START_DIRECTIONS,) + c.shape)  # the last states' differences
+    m = 0  # how many of them basis holds, by order
+    # The pass works in the first five, the solve in the last five.
+    fields = [np.empty(c.shape) for _ in range(7)]
     reports: List[StepReport] = []
     mu_e, iters, res = float("nan"), 0, float("nan")  # step 0 has no solve
     for n in range(n_steps + 1):
         if n:
-            if n == 1:
-                # Allocated after the initial pass: ahead of it, they leave later passes'
-                # fields at the heap's top, which glibc trims and re-faults every step.
-                x = np.empty(c.shape)  # the next state
-                basis = np.empty((START_DIRECTIONS,) + c.shape)  # the last states' differences
-                m = 0  # how many of them basis holds, by order
             if not report.bounds_ok:
                 if cfg.on_violation == "abort":
                     # Names the offending cell.  Only the initial state gets
@@ -480,15 +503,13 @@ def run(
             b = coeffs.s_r
             b += np.divide(c, cfg.tau_eff(), out=x)
             np.copyto(x, c)
-            x, mu_e, iters, res = solve_spd(b, coeffs, cfg, p.kappa, g, x0=x, basis=basis[:m])
-            # Freed before the next pass allocates its fields: kept alive, these
-            # would raise the peak memory.
-            del b, coeffs
+            x, mu_e, iters, res = solve_spd(b, coeffs, cfg, p.kappa, g, x0=x, basis=basis[:m],
+                                            fields=fields[2:])
             m = _push_differences(basis, m, x, c)
             c, x = x, c
 
         # One pass gives this state's energy and extremes and the next step's coefficients.
-        coeffs = scheme_coefficients(c, ef, p, g)
+        coeffs = scheme_coefficients(c, ef, p, g, fields=fields[:5])
         if not n:
             energy_slack = cfg.energy_slack_rel * abs(coeffs.energy.total)
         report = StepReport(

@@ -6,7 +6,9 @@ experiment) and prints a single PASS/FAIL line so a log scan shows the
 verdict per criterion.
 """
 
+import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -24,12 +26,13 @@ from prphase import (
     get_substance,
     minimal_lambda,
     mu_attraction,
+    run,
     semi_implicit_potentials,
     solve_spd,
 )
 from prphase.cli import main
 from prphase.config import load_config
-from prphase.experiment import read_snapshot, run_experiment
+from prphase.experiment import build_initial, read_snapshot, run_experiment
 from prphase.grid import gradient_sq_norm
 from prphase.solver import apply_operator
 
@@ -296,28 +299,60 @@ def test_droplet_cg_iteration_budget(main_run):
     assert summary["max_mass_drift_rel"] <= 2e-15, summary["max_mass_drift_rel"]
 
 
-@pytest.mark.parametrize("tau", [1e-2, 1.0, 1e2, 1e10])
-def test_criterion_8_any_step_size(tau, ef, tmp_path, capsys):
+def square_config(tmp_path, tau, n_steps):
+    """The 32x32 square droplet of criteria 8 and 10, loaded from a YAML file."""
     d = {
         "substance": "nC4",
         "T": 330.0,
         "grid": {"N": 32, "M": 32, "L_half": 1.5e-8},
         "tau": tau,
-        "n_steps": 50,
+        "n_steps": n_steps,
         "c_gas": C_GAS,
         "c_liq": C_LIQ,
         "initial_condition": {"square_droplet": {"half_side": 7.5e-9}},
     }
-    path = tmp_path / "sweep.yaml"
+    path = tmp_path / "square.yaml"
     path.write_text(yaml.safe_dump(d))
+    return load_config(str(path))
+
+
+@pytest.mark.parametrize("tau", [1e-2, 1.0, 1e2, 1e10])
+def test_criterion_8_any_step_size(tau, ef, tmp_path, capsys):
     out = tmp_path / "out"
-    code = run_experiment(load_config(str(path)), output_dir=str(out))
+    code = run_experiment(square_config(tmp_path, tau, 50), output_dir=str(out))
     series = np.genfromtxt(out / "series.csv", delimiter=",", names=True)
 
     failures = []
     check(failures, code == 0, f"exit code {code}")
     failures += series_failures(series, ef.c_m, ef.c_M)
     verdict(capsys, 8, f"32x32 droplet stable at step size {tau:g}", failures)
+
+
+def test_criterion_10_first_order_in_time(tmp_path, capsys):
+    # The scheme is first order in time.  Every other criterion checks an
+    # invariant, which a stable but wrong step keeps.  The final states of n =
+    # 4..64 steps to T = 0.01 s are compared with that of 512 steps in the
+    # max norm; the error ratios read 1.87, 1.95, 2.02 and 2.12, observed
+    # orders log2(ratio) of 0.90, 0.97, 1.02 and 1.08.  The last two, where
+    # the steps are smallest, are held to [0.85, 1.25].
+    T = 0.01
+    cfg = square_config(tmp_path, T, 1)
+    c0 = build_initial(cfg)
+
+    def final(n):
+        solver = dataclasses.replace(cfg.solver, tau=T / n, cg_rel_tol=1e-13)
+        return run(c0, n, cfg.window, cfg.eos, solver, cfg.grid)[0]
+
+    reference = final(512)
+    steps = (4, 8, 16, 32, 64)
+    errors = [float(np.max(np.abs(final(n) - reference))) for n in steps]
+    orders = [math.log2(a / b) for a, b in zip(errors, errors[1:])]
+    failures = []
+    for n, q in list(zip(steps, orders))[-2:]:
+        check(failures, 0.85 <= q <= 1.25,
+              f"observed order {q:.3f} from {n} to {2 * n} steps outside [0.85, 1.25]")
+    verdict(capsys, 10, "32x32 droplet first order in time, observed orders "
+            + ", ".join(f"{q:.3f}" for q in orders), failures)
 
 
 def test_criterion_9_determinism(main_run, tmp_path, capsys):

@@ -16,6 +16,7 @@ from prphase import (
     SolverConfig,
     bulk_chemical_potential,
     run,
+    scheme_coefficients,
     solve_spd,
 )
 from prphase.config import load_config
@@ -402,16 +403,23 @@ class TestGalerkinStart:
         assert norm(x - x_true, g) <= 1e-8 * norm(x_true, g)
 
 
+def preset_square(n=128):
+    """The nc4_droplet physics on an n x n square of liquid half the box wide."""
+    cfg = load_config(str(resources.files("prphase").joinpath("presets", "nc4_droplet.yaml")))
+    g = Grid2D(nx=n, ny=n, h=cfg.grid.h)
+    c0 = np.full(g.cell_shape(), cfg.c_gas)
+    c0[n // 4:3 * n // 4, n // 4:3 * n // 4] = cfg.c_liq
+    return cfg, g, c0
+
+
 def test_march_peak_memory_in_fields():
-    # The march holds the state, the next state and three differences; the
-    # solve adds the right-hand side and A's diagonal, built in the fields
-    # of s_r and nu, and five of its own.  Traced from the step-0 report on,
+    # run allocates its twelve fields once, ahead of the step-0 report: the
+    # state, the next state, three differences, the pass's five, in which
+    # the right-hand side and A's diagonal are built in the fields of s_r
+    # and nu, and two more for the solve.  Traced from the step-0 report on,
     # so the set-up's allocations are left out: 12.1 fields here, 13.1 when
     # b or the diagonal takes a field of its own and 14.1 when both do.
-    cfg = load_config(str(resources.files("prphase").joinpath("presets", "nc4_droplet.yaml")))
-    g = Grid2D(nx=128, ny=128, h=cfg.grid.h)
-    c0 = np.full(g.cell_shape(), cfg.c_gas)
-    c0[32:96, 32:96] = cfg.c_liq
+    cfg, g, c0 = preset_square()
 
     def reset_at_step_0(c, report):
         if report.step_index == 0:
@@ -424,6 +432,90 @@ def test_march_peak_memory_in_fields():
     finally:
         tracemalloc.stop()
     assert peak / c0.nbytes <= 12.5
+
+
+def test_step_allocates_no_field():
+    # What a step allocates above what was held when the last step ended,
+    # from step 2 on, in fields: 0.02 here, and 5.0 when the pass and the
+    # solve each allocate their own five.
+    cfg, g, c0 = preset_square()
+    held, growth = [], []
+
+    def observe(c, report):
+        current, peak = tracemalloc.get_traced_memory()
+        if report.step_index >= 2:
+            growth.append((peak - held[-1]) / c0.nbytes)
+        held.append(current)
+        tracemalloc.reset_peak()
+
+    tracemalloc.start()
+    try:
+        run(c0, 8, cfg.window, cfg.eos, cfg.solver, g, observer=observe)
+    finally:
+        tracemalloc.stop()
+    assert len(growth) == 7
+    assert max(growth) < 0.25, growth
+
+
+class TestWorkFields:
+    """The fields run passes to the per-state pass and the solve."""
+
+    @staticmethod
+    def bad_fields(shape):
+        fortran = [np.empty(shape) for _ in range(5)]
+        fortran[2] = np.asfortranarray(np.empty(shape))
+        assert not fortran[2].flags.c_contiguous
+        wrong_shape = [np.empty(shape) for _ in range(5)]
+        wrong_shape[4] = np.empty((shape[0] + 1, shape[1]))
+        read_only = [np.empty(shape) for _ in range(5)]
+        read_only[0].flags.writeable = False
+        return [fortran, wrong_shape, read_only, [np.empty(shape) for _ in range(4)],
+                [np.empty(shape, dtype=np.float32) for _ in range(5)]]
+
+    def test_solve_rejects_bad_fields(self, toy):
+        g, coeffs, cfg, kappa, r = toy
+        rhs = r.standard_normal(g.cell_shape())
+        for fields in self.bad_fields(g.cell_shape()):
+            with pytest.raises(ParameterError, match="solve_spd: fields must be 5 writeable"):
+                solve_spd(rhs, spare(coeffs), cfg, kappa, g, x0=np.zeros(g.cell_shape()),
+                          fields=fields)
+
+    def test_pass_rejects_bad_fields(self, nc4, window, droplet_setup):
+        g, c0, _ = droplet_setup
+        for fields in self.bad_fields(g.cell_shape()):
+            with pytest.raises(ParameterError,
+                               match="scheme_coefficients: fields must be 5 writeable"):
+                scheme_coefficients(c0, window, nc4, g, fields=fields)
+
+    def test_solve_in_given_fields_gives_the_same_bits(self, toy):
+        g, coeffs, cfg, kappa, r = toy
+        states, basis = TestGalerkinStart.history(g, r)
+        rhs = r.standard_normal(g.cell_shape())
+        kept = [rhs.copy(), basis.copy()]
+        results = []
+        # the given fields start as nan: the solve must read nothing it did not write
+        for fields in (None, [np.full(g.cell_shape(), np.nan) for _ in range(5)]):
+            consumed = spare(coeffs)
+            x, mu_e, iters, res = solve_spd(rhs, consumed, cfg, kappa, g, x0=states[-1].copy(),
+                                            basis=basis, fields=fields)
+            results.append((x, mu_e, iters, res, consumed.nu))
+            assert np.array_equal(rhs, kept[0]) and np.array_equal(basis, kept[1])
+        (x1, mu1, it1, res1, d1), (x2, mu2, it2, res2, d2) = results
+        assert it1 > 0
+        assert np.array_equal(x1, x2) and np.array_equal(d1, d2)
+        assert (mu1, it1, res1) == (mu2, it2, res2)
+
+    def test_pass_in_given_fields_gives_the_same_bits(self, nc4, window, droplet_setup):
+        g, c0, _ = droplet_setup
+        c = c0 * np.random.default_rng(3).uniform(0.99, 1.01, g.cell_shape())
+        kept = c.copy()
+        fields = [np.full(g.cell_shape(), np.nan) for _ in range(5)]
+        own = scheme_coefficients(c, window, nc4, g)
+        given = scheme_coefficients(c, window, nc4, g, fields=fields)
+        assert given.nu is fields[0] and given.s_r is fields[1]
+        assert np.array_equal(own.nu, given.nu) and np.array_equal(own.s_r, given.s_r)
+        assert (own.energy, own.c_min, own.c_max) == (given.energy, given.c_min, given.c_max)
+        assert np.array_equal(c, kept)
 
 
 # START_DIRECTIONS + 2 400x400 steps of the nc4_droplet physics, so that the
