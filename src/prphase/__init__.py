@@ -14,23 +14,16 @@ from .ef import (
     EfParams,
     EnergyBreakdown,
     SchemeCoefficients,
-    g_and_gprime,
     minimal_lambda,
-    mu_attraction,
     scheme_coefficients,
-    semi_implicit_potentials,
 )
 from .eos import (
     EosParams,
-    FreeEnergyBreakdown,
     R_DEFAULT,
     Substance,
-    bulk_chemical_potential,
-    bulk_free_energy,
     derive_eos_params,
     get_substance,
     load_substance,
-    pressure,
 )
 from .errors import (
     BoundsViolationError,
@@ -55,7 +48,6 @@ __all__ = [
     "EfParams",
     "EnergyBreakdown",
     "EosParams",
-    "FreeEnergyBreakdown",
     "Grid2D",
     "InvariantViolation",
     "ParameterError",
@@ -66,18 +58,12 @@ __all__ = [
     "StepReport",
     "Substance",
     "admissible_interval",
-    "bulk_chemical_potential",
-    "bulk_free_energy",
     "derive_eos_params",
-    "g_and_gprime",
     "get_substance",
     "load_substance",
     "minimal_lambda",
-    "mu_attraction",
-    "pressure",
     "run",
     "scheme_coefficients",
-    "semi_implicit_potentials",
     "shape_anisotropy",
     "solve_spd",
     "__version__",

@@ -22,10 +22,20 @@ stability of the time stepper.  The per-step linear operator uses
 
     nu(c)  = R*T*(1/c + G'(c)^2)                      [positive, decreasing]
     s_r(c) = -vartheta0 - R*T*ln(c)
-             + R*T*(G'(c)^2 * c - 2*G(c)*G'(c) + lam) - mu_attraction(c)
+             + R*T*(G'(c)^2 * c - 2*G(c)*G'(c) + lam) - mu_a(c)
 
-which satisfy nu(c)*c - s_r(c) = mu_b(c) identically, so spatially uniform
-states are exact fixed points of the scheme.
+with mu_a = d f_attraction / d c the attraction potential,
+
+    mu_a(c) = alpha/(2*sqrt2*beta) * ln[ (1 + (1 - sqrt2)*b) / (1 + (1 + sqrt2)*b) ]
+              - alpha*c / (1 + 2*b - b^2),       b = beta*c.
+
+nu and s_r satisfy nu(c)*c - s_r(c) = mu_b(c) identically, so spatially
+uniform states are exact fixed points of the scheme, and for any two
+densities in the window they bound the bulk energy's increment,
+
+    f_b(c_new) - f_b(c_old) <= (nu(c_old)*c_new - s_r(c_old))*(c_new - c_old),
+
+the inequality behind the scheme's energy dissipation.
 
 One private pointwise kernel, ``_pointwise``, is the only home of nu, s_r
 and the bulk energy density f_b: ``scheme_coefficients`` and
@@ -39,15 +49,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .eos import EosParams, _SQRT2, _require_admissible
+from .eos import EosParams, _require_admissible
 from .errors import BoundsViolationError, DomainError, ParameterError
 from .grid import Grid2D, gradient_sq_norm
 
 ArrayLike = Union[float, np.ndarray]
+
+_SQRT2 = math.sqrt(2.0)
 
 
 def minimal_lambda(epsilon_0: float) -> float:
@@ -101,67 +113,6 @@ class EfParams:
             raise ParameterError(f"lam = {lam} is below the minimal admissible shift {lam_min}; "
                                  "override upward only", key="lam")
         return cls(lam=float(lam), c_m=float(c_m), c_M=float(c_M), epsilon_0=epsilon_0)
-
-
-def g_and_gprime(c: ArrayLike, lam: float, p: EosParams) -> Tuple[ArrayLike, ArrayLike]:
-    """The factor G(c) and its derivative G'(c).
-
-    G' is evaluated as (lam - ln(1-beta*c) + beta*c/(1-beta*c)) / (2*G),
-    which is the closed-form derivative of G^2 divided by 2*G.
-    """
-    c = np.asarray(c, dtype=float)
-    _require_admissible(c, p, "g_and_gprime")
-    bc = p.beta * c
-    g_sq = lam * c - c * np.log1p(-bc)
-    if np.any(g_sq <= 0.0):
-        raise DomainError(
-            f"G^2 must be positive; lam = {lam} is too small for this density range"
-        )
-    g = np.sqrt(g_sq)
-    gp = (lam - np.log1p(-bc) + bc / (1.0 - bc)) / (2.0 * g)
-    return g, gp
-
-
-def mu_attraction(c: ArrayLike, p: EosParams) -> ArrayLike:
-    """Derivative of the attraction free energy, d f_attraction / d c (J/mol)."""
-    c = np.asarray(c, dtype=float)
-    _require_admissible(c, p, "mu_attraction")
-    bc = p.beta * c
-    log_part = (
-        p.alpha / (2.0 * _SQRT2 * p.beta)
-        * np.log((1.0 + (1.0 - _SQRT2) * bc) / (1.0 + (1.0 + _SQRT2) * bc))
-    )
-    return log_part - p.alpha * c / (1.0 + 2.0 * bc - bc * bc)
-
-
-class SemiImplicitPotentials(NamedTuple):
-    """Convex-part chemical potentials of the linearized update."""
-
-    mu_ideal: ArrayLike
-    mu_repulsion: ArrayLike
-
-
-def semi_implicit_potentials(
-    c_old: ArrayLike, c_new: ArrayLike, ef: EfParams, p: EosParams
-) -> SemiImplicitPotentials:
-    """Linearized ideal/repulsion potentials used by one time step.
-
-        mu_ideal      = vartheta0 + R*T*ln(c_old) + R*T*c_new/c_old
-        mu_repulsion  = R*T*G'(c_old)*(2*G(c_old) + G'(c_old)*(c_new - c_old))
-                        - lam*R*T
-
-    Both reduce to the exact bulk potentials when c_new == c_old, and their
-    convexity/concavity structure guarantees per-step energy dissipation.
-    """
-    c_old = np.asarray(c_old, dtype=float)
-    c_new = np.asarray(c_new, dtype=float)
-    _require_admissible(c_old, p, "semi_implicit_potentials (old state)")
-    _require_admissible(c_new, p, "semi_implicit_potentials (new state)")
-    RT = p.R * p.T
-    g, gp = g_and_gprime(c_old, ef.lam, p)
-    mu_ideal = p.vartheta0 + RT * np.log(c_old) + RT * c_new / c_old
-    mu_rep = RT * gp * (2.0 * g + gp * (c_new - c_old)) - ef.lam * RT
-    return SemiImplicitPotentials(mu_ideal=mu_ideal, mu_repulsion=mu_rep)
 
 
 def _pointwise(c: ArrayLike, p: EosParams, lam: float, what: str,

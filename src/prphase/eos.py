@@ -24,9 +24,10 @@ to alpha, beta and omega; it multiplies |grad c|^2 / 2 in the interface
 energy.
 
 All quantities are SI: K, Pa, mol/m^3, J/m^3, J/mol.  The admissible
-density range is 0 < c < 1/beta; every evaluator raises ``DomainError``
-rather than returning infinities outside it.  Functions accept scalars or
-numpy arrays and return matching shapes.
+density range is 0 < c < 1/beta; ``_require_admissible`` is its one rule,
+and raises ``DomainError`` outside it.  This module holds the substance
+data and the model constants; the package evaluates f_b and mu_b in one
+kernel, ``ef._pointwise``.
 """
 
 from __future__ import annotations
@@ -34,18 +35,15 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Tuple, Union
+from typing import Tuple
 
 import numpy as np
 
 from .errors import DomainError, ParameterError
 
-ArrayLike = Union[float, np.ndarray]
-
 #: CODATA molar gas constant, J/(mol K).
 R_DEFAULT = 8.31446261815324
 
-_SQRT2 = math.sqrt(2.0)
 # Reject densities with beta*c this close to the packing singularity.
 _BC_LIMIT = 1.0 - 1e-12
 
@@ -223,16 +221,6 @@ def derive_eos_params(
                      m=m, alpha=alpha, beta=beta, kappa=kappa)
 
 
-@dataclass(frozen=True)
-class FreeEnergyBreakdown:
-    """Bulk free-energy density split by mechanism (each in J/m^3)."""
-
-    ideal: ArrayLike
-    repulsion: ArrayLike
-    attraction: ArrayLike
-    total: ArrayLike
-
-
 def _require_admissible(c: np.ndarray, p: EosParams, what: str) -> Tuple[float, float]:
     """Raise DomainError naming the violated bound unless 0 < c < 1/beta.
 
@@ -253,46 +241,3 @@ def _require_admissible(c: np.ndarray, p: EosParams, what: str) -> Tuple[float, 
             f"(upper bound beta*c < 1 failed, max beta*c = {p.beta * hi})"
         )
     return lo, hi
-
-
-def bulk_free_energy(c: ArrayLike, p: EosParams) -> FreeEnergyBreakdown:
-    """Homogeneous free-energy density f_b(c) and its three contributions."""
-    c = np.asarray(c, dtype=float)
-    _require_admissible(c, p, "bulk_free_energy")
-    RT = p.R * p.T
-    bc = p.beta * c
-    ideal = c * p.vartheta0 + c * RT * np.log(c)
-    repulsion = -c * RT * np.log1p(-bc)
-    attraction = (
-        p.alpha * c / (2.0 * _SQRT2 * p.beta)
-        * np.log((1.0 + (1.0 - _SQRT2) * bc) / (1.0 + (1.0 + _SQRT2) * bc))
-    )
-    return FreeEnergyBreakdown(
-        ideal=ideal, repulsion=repulsion, attraction=attraction,
-        total=ideal + repulsion + attraction,
-    )
-
-
-def bulk_chemical_potential(c: ArrayLike, p: EosParams) -> ArrayLike:
-    """mu_b(c) = d f_b / d c, in J/mol."""
-    c = np.asarray(c, dtype=float)
-    _require_admissible(c, p, "bulk_chemical_potential")
-    RT = p.R * p.T
-    bc = p.beta * c
-    mu_ideal = p.vartheta0 + RT * (np.log(c) + 1.0)
-    mu_rep = -RT * np.log1p(-bc) + RT * bc / (1.0 - bc)
-    mu_attr = (
-        p.alpha / (2.0 * _SQRT2 * p.beta)
-        * np.log((1.0 + (1.0 - _SQRT2) * bc) / (1.0 + (1.0 + _SQRT2) * bc))
-        - p.alpha * c / (1.0 + 2.0 * bc - bc * bc)
-    )
-    return mu_ideal + mu_rep + mu_attr
-
-
-def pressure(c: ArrayLike, p: EosParams) -> ArrayLike:
-    """Equation-of-state pressure P(c) in Pa."""
-    c = np.asarray(c, dtype=float)
-    _require_admissible(c, p, "pressure")
-    RT = p.R * p.T
-    bc = p.beta * c
-    return c * RT / (1.0 - bc) - p.alpha * c * c / (1.0 + 2.0 * bc - bc * bc)

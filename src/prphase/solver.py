@@ -203,18 +203,6 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.einsum("ij,ij->", a, b))
 
 
-def apply_operator(
-    c: np.ndarray, coeffs: SchemeCoefficients, cfg: SolverConfig, kappa: float, g: Grid2D
-) -> np.ndarray:
-    """A c = c/tau_eff - kappa*Lap(c) + nu*c, by the stencil the solver runs."""
-    c = np.asarray(c, dtype=float)
-    g.check_cells(c, "apply_operator")
-    k = kappa / (g.h * g.h)
-    e = np.array(coeffs.nu, dtype=float)
-    s = _fold_diagonal(e, k, cfg.tau_eff())
-    return s * _apply(c, e, k, np.empty(c.shape), np.empty(c.shape))
-
-
 def _fold_diagonal(d: np.ndarray, k: float, tau_eff: float) -> float:
     """Turn ``d``, holding nu, into A's diagonal over s in place; returns s.
 

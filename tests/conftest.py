@@ -14,7 +14,7 @@ from prphase import (
     get_substance,
 )
 from prphase.ef import _pointwise
-from prphase.solver import apply_operator
+from prphase.solver import _apply, _fold_diagonal
 
 C_GAS = 249.1123
 C_LIQ = 9526.8428
@@ -54,6 +54,31 @@ def nu_s_r(c, ef, p):
     """nu(c) and s_r(c) under the window's shift, by the scheme's pointwise kernel."""
     _, nu, s_r, _ = _pointwise(c, p, ef.lam, "nu_s_r")
     return nu, s_r
+
+
+def kernel_bulk_bound(c_old, c_new, ef, p):
+    """Both sides of the bulk dissipation bound on ``_pointwise``'s own output.
+
+    Returns (lhs, rhs, scale): lhs = f_b(c_new) - f_b(c_old) with f_b =
+    c*(f_b/c), rhs = (nu(c_old)*c_new - s_r(c_old))*(c_new - c_old), the
+    increment the scheme's bulk potential allows, and the magnitude
+    |f_b(c_new)| + |f_b(c_old)| + |rhs| that a relative slack scales by.
+    """
+    f_old, nu_old, sr_old, _ = _pointwise(c_old, p, ef.lam, "c_old")
+    f_old = c_old * f_old
+    f_new = c_new * _pointwise(c_new, p, ef.lam, "c_new")[0]
+    rhs = (nu_old * c_new - sr_old) * (c_new - c_old)
+    return f_new - f_old, rhs, np.abs(f_new) + np.abs(f_old) + np.abs(rhs)
+
+
+def apply_operator(c, coeffs, cfg, kappa, g):
+    """A c = c/tau_eff - kappa*Lap(c) + nu*c, by the stencil the solve runs
+    (``solver._fold_diagonal`` and ``solver._apply``)."""
+    c = np.asarray(c, dtype=float)
+    k = kappa / (g.h * g.h)
+    e = np.array(coeffs.nu, dtype=float)
+    s = _fold_diagonal(e, k, cfg.tau_eff())
+    return s * _apply(c, e, k, np.empty(c.shape), np.empty(c.shape))
 
 
 def minus_laplacian(c, g):

@@ -19,25 +19,29 @@ from prphase import (
     Grid2D,
     SchemeCoefficients,
     SolverConfig,
-    bulk_chemical_potential,
-    bulk_free_energy,
     derive_eos_params,
-    g_and_gprime,
     get_substance,
     minimal_lambda,
-    mu_attraction,
     run,
-    semi_implicit_potentials,
     solve_spd,
 )
 from prphase.cli import main
 from prphase.config import load_config
 from prphase.experiment import build_initial, read_snapshot, run_experiment
 from prphase.grid import gradient_sq_norm
-from prphase.solver import apply_operator
 
 import oracles
-from conftest import C_GAS, C_LIQ, inner, minus_laplacian, old_txt_bytes
+from conftest import (
+    C_GAS, C_LIQ, apply_operator, inner, kernel_bulk_bound, minus_laplacian, old_txt_bytes,
+)
+from reference import (
+    bulk_chemical_potential,
+    bulk_free_energy,
+    g_and_gprime,
+    mu_attraction,
+    pressure,
+    semi_implicit_potentials,
+)
 
 FROZEN = oracles.FROZEN
 
@@ -166,7 +170,12 @@ def test_criterion_3_factorization_inequalities(params, ef, capsys):
     check(failures,
           bound_holds(lhs, rhs, np.abs(f_new.attraction) + np.abs(f_old.attraction) + np.abs(rhs)),
           "attraction tangent bound violated")
-    verdict(capsys, 3, "per-term dissipation bounds (10^4 random pairs)", failures)
+
+    # the same pairs on the scheme's own kernel, whose fields the march runs
+    lhs, rhs, scale = kernel_bulk_bound(c_old, c_new, ef, params)
+    check(failures, bound_holds(lhs, rhs, scale),
+          "combined bulk bound violated by the pointwise kernel")
+    verdict(capsys, 3, "per-term and kernel dissipation bounds (10^4 random pairs)", failures)
 
 
 def test_criterion_4_consistency(params, ef, capsys):
@@ -189,8 +198,6 @@ def test_criterion_4_consistency(params, ef, capsys):
 
 def test_criterion_5_coexistence(params, capsys):
     failures = []
-    from prphase import pressure
-
     pg = float(pressure(C_GAS, params))
     pl = float(pressure(C_LIQ, params))
     mg = float(bulk_chemical_potential(C_GAS, params))

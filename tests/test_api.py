@@ -5,24 +5,24 @@ import prphase
 
 SRC = Path(prphase.__file__).resolve().parent
 
-#: Public names that nothing in the package calls.  The eos and ef formulas
-#: are independent references for the paper's per-term expressions, against
-#: which the tests check the fused pointwise kernel.
-UNUSED_BY_DESIGN = {
-    "bulk_free_energy", "bulk_chemical_potential", "pressure", "FreeEnergyBreakdown",
-    "g_and_gprime", "mu_attraction", "semi_implicit_potentials", "__version__",
-}
+#: Public names that nothing in the package calls.
+UNUSED_BY_DESIGN = {"__version__"}
+
+
+def parsed_modules():
+    """(path, AST) of every module of the package."""
+    return [(path, ast.parse(path.read_text(encoding="utf-8"))) for path in sorted(SRC.glob("*.py"))]
 
 
 def used_names():
     """Names read anywhere in the package outside ``__init__.py``, bare or
     as an attribute of one of its modules (``diagnostics.admissible_interval``).
     Definitions, imports and attributes of other objects are not reads."""
-    paths = [path for path in SRC.glob("*.py") if path.name != "__init__.py"]
-    modules = {path.stem for path in paths}
+    trees = [(path, tree) for path, tree in parsed_modules() if path.name != "__init__.py"]
+    modules = {path.stem for path, _ in trees}
     names = set()
-    for path in paths:
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for _, tree in trees:
+        for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 names.add(node.id)
             elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
@@ -31,7 +31,19 @@ def used_names():
     return names
 
 
+def public_definitions():
+    """(module, name) of every public module-level function and class."""
+    return [(path.stem, node.name) for path, tree in parsed_modules() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")]
+
+
 def test_every_public_name_is_used_in_the_package():
     assert UNUSED_BY_DESIGN <= set(prphase.__all__)
     unused = set(prphase.__all__) - UNUSED_BY_DESIGN - used_names()
     assert not unused, f"public names that nothing in src/prphase uses: {sorted(unused)}"
+
+
+def test_every_public_definition_is_used_in_the_package():
+    used = used_names()
+    unused = [f"{module}.{name}" for module, name in public_definitions() if name not in used]
+    assert not unused, f"public functions and classes that nothing in src/prphase reads: {unused}"

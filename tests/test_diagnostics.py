@@ -9,13 +9,13 @@ from prphase import (
     Grid2D,
     ParameterError,
     admissible_interval,
-    bulk_free_energy,
     scheme_coefficients,
     shape_anisotropy,
 )
 
 import oracles
 from conftest import C_GAS, C_LIQ, nu_s_r
+from reference import bulk_free_energy
 
 FROZEN = oracles.FROZEN
 

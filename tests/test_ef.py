@@ -11,18 +11,20 @@ from prphase import (
     EfParams,
     Grid2D,
     ParameterError,
+    minimal_lambda,
+    scheme_coefficients,
+)
+from prphase.ef import _pointwise, require_in_window
+
+import oracles
+from conftest import C_GAS, C_LIQ, kernel_bulk_bound, nu_s_r
+from reference import (
     bulk_chemical_potential,
     bulk_free_energy,
     g_and_gprime,
-    minimal_lambda,
     mu_attraction,
-    scheme_coefficients,
     semi_implicit_potentials,
 )
-from prphase.ef import require_in_window
-
-import oracles
-from conftest import C_GAS, C_LIQ, nu_s_r
 
 FROZEN = oracles.FROZEN
 
@@ -123,9 +125,10 @@ class TestFactorG:
         assert np.all(gp_ - 2.0 * g0 + gm <= 1e-12 * g0)
 
     def test_undersized_shift_detected(self, nc4):
-        # lam small enough to push G^2 through zero is reported, not NaN'd
+        # lam small enough to push G^2 through zero is reported by the
+        # kernel, not NaN'd
         with pytest.raises(DomainError, match="too small"):
-            g_and_gprime(9000.0, -2.0, nc4)
+            _pointwise(9000.0, nc4, -2.0, "test")
 
     def test_oracle_values(self, nc4, window):
         g, gp = g_and_gprime(C_LIQ, window.lam, nc4)
@@ -151,9 +154,13 @@ class TestMuAttraction:
         assert rel(float(mu_attraction(C_LIQ, nc4)), FROZEN["mu_attraction_liq"]) < 1e-12
         assert rel(float(mu_attraction(C_GAS, nc4)), FROZEN["mu_attraction_gas"]) < 1e-12
 
-    def test_domain_error_at_packing_limit(self, nc4):
-        with pytest.raises(DomainError):
-            mu_attraction(1.0 / nc4.beta, nc4)
+    def test_domain_error_at_packing_limit(self, nc4, window):
+        # one cell at c = 1/beta among good ones reaches the packing-limit
+        # branch of the domain rule
+        c = np.full((3, 4), 1000.0)
+        c[2, 1] = 1.0 / nc4.beta
+        with pytest.raises(DomainError, match="packing limit"):
+            scheme_coefficients(c, window, nc4, grid_of(c))
 
 
 class TestSchemeCoefficients:
@@ -253,6 +260,13 @@ class TestFusedPass:
         with pytest.raises(DomainError, match="positive"):
             scheme_coefficients(c, window, nc4, g)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_nonfinite_cell_raises_domain_error(self, nc4, window, bad):
+        c = np.full((3, 4), 1000.0)
+        c[1, 2] = bad
+        with pytest.raises(DomainError, match="finite"):
+            scheme_coefficients(c, window, nc4, grid_of(c))
+
     def test_shape_mismatch(self, nc4, window):
         with pytest.raises(ParameterError, match="shape"):
             scheme_coefficients(np.full((2, 3), 1000.0), window, nc4, Grid2D(nx=2, ny=3, h=1.0))
@@ -342,3 +356,9 @@ class TestFactorizationInequalities:
         rhs = mu * (c_new - c_old)
         slack = self.SLACK * (np.abs(f(c_new)) + np.abs(f(c_old)) + np.abs(rhs))
         assert np.all(lhs <= rhs + slack)
+
+    def test_kernel_combined_bound(self, nc4, window, pairs):
+        # the combined bound on the fields the march runs: f_b/c, nu and s_r
+        # of the pointwise kernel
+        lhs, rhs, scale = kernel_bulk_bound(*pairs, window, nc4)
+        assert np.all(lhs <= rhs + self.SLACK * scale)

@@ -8,17 +8,15 @@ from prphase import (
     EosParams,
     ParameterError,
     Substance,
-    bulk_chemical_potential,
-    bulk_free_energy,
     derive_eos_params,
     get_substance,
     load_substance,
-    pressure,
 )
 from prphase.eos import acentric_polynomial
 
 import oracles
-from conftest import C_GAS, C_LIQ
+from conftest import C_GAS, C_LIQ, nu_s_r
+from reference import bulk_chemical_potential, bulk_free_energy, mu_attraction, pressure
 
 FROZEN = oracles.FROZEN
 
@@ -139,19 +137,21 @@ class TestBulkFreeEnergy:
         b = bulk_free_energy(cs, nc4)
         assert np.array_equal(b.total, b.ideal + b.repulsion + b.attraction)
 
+    # The domain rule on the package's one evaluator of f_b, the pointwise
+    # kernel; the formulas above are references without domain checks.
     @pytest.mark.parametrize("bad", [0.0, -5.0])
-    def test_nonpositive_density_rejected(self, nc4, bad):
+    def test_nonpositive_density_rejected(self, nc4, window, bad):
         with pytest.raises(DomainError, match="c > 0"):
-            bulk_free_energy(bad, nc4)
+            nu_s_r(bad, window, nc4)
 
-    def test_packing_limit_rejected(self, nc4):
+    def test_packing_limit_rejected(self, nc4, window):
         with pytest.raises(DomainError, match="beta"):
-            bulk_free_energy(1.0 / nc4.beta, nc4)
+            nu_s_r(1.0 / nc4.beta, window, nc4)
 
-    def test_array_with_one_bad_cell_rejected(self, nc4):
+    def test_array_with_one_bad_cell_rejected(self, nc4, window):
         cs = np.array([100.0, 200.0, -1.0])
         with pytest.raises(DomainError):
-            bulk_free_energy(cs, nc4)
+            nu_s_r(cs, window, nc4)
 
     def test_deterministic(self, nc4, rng):
         cs = rng.uniform(10.0, 1e4, size=500)
@@ -173,8 +173,6 @@ class TestChemicalPotential:
     def test_ideal_plus_repulsion_closed_form(self, nc4, rng):
         # mu_b minus the attraction derivative must equal the hand
         # differentiation of the ideal + repulsion terms
-        from prphase import mu_attraction
-
         RT = nc4.R * nc4.T
         cs = rng.uniform(10.0, 1e4, size=100)
         bc = nc4.beta * cs

@@ -4,9 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from prphase import Grid2D, ParameterError, SchemeCoefficients, SolverConfig
+from prphase import Grid2D, ParameterError, SchemeCoefficients, SolverConfig, solve_spd
 from prphase.grid import gradient_sq_norm
-from prphase.solver import apply_operator
 
 from conftest import inner, minus_laplacian
 
@@ -101,7 +100,7 @@ class TestDifferenceOperators:
         coeffs = SchemeCoefficients(nu=np.zeros(unit_grid.cell_shape()),
                                     s_r=np.zeros(unit_grid.cell_shape()))
         with pytest.raises(ParameterError, match="expected cell shape"):
-            apply_operator(wrong, coeffs, SolverConfig(tau=1.0), 1.0, unit_grid)
+            solve_spd(wrong, coeffs, SolverConfig(tau=1.0), 1.0, unit_grid, wrong.copy())
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())

@@ -14,20 +14,15 @@ from prphase import (
     ParameterError,
     SchemeCoefficients,
     SolverConfig,
-    bulk_chemical_potential,
     run,
     scheme_coefficients,
     solve_spd,
 )
 from prphase.config import load_config
-from prphase.solver import (
-    START_DIRECTIONS,
-    _galerkin_start,
-    _push_differences,
-    apply_operator,
-)
+from prphase.solver import START_DIRECTIONS, _galerkin_start, _push_differences
 
-from conftest import C_GAS, C_LIQ, child_env, inner
+from conftest import C_GAS, C_LIQ, apply_operator, child_env, inner
+from reference import bulk_chemical_potential
 
 
 @pytest.fixture
