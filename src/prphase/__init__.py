@@ -6,7 +6,8 @@ semi-implicit scheme: the convex bulk terms are linearized through a
 concave square-root factor so every step dissipates the discrete free
 energy and keeps cell densities inside a prescribed window, at the cost of
 one symmetric positive definite solve whose total mass is pinned by a
-scalar multiplier (one projected conjugate-gradient iteration).
+scalar multiplier (conjugate gradients on the black cells of a red-black
+ordering, the red cells and the multiplier eliminated exactly).
 """
 
 from .diagnostics import AdmissibleInterval, admissible_interval, shape_anisotropy

@@ -25,7 +25,6 @@ import os
 import sys
 from dataclasses import fields
 from importlib import resources
-from typing import Optional
 
 from . import diagnostics
 from .config import DEFAULT_BOUNDS_FACTORS, SimConfig, density_window, load_config

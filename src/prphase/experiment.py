@@ -135,11 +135,14 @@ def _row_texts(a: np.ndarray) -> Iterator[List[str]]:
 
     Distinct values are told apart by their int64 bit patterns, so -0.0 and
     0.0, and each nan payload, keep their own text.  A field with no two
-    equal neighbours in a row or a column (cell noise) skips the sort and is
-    formatted cell by cell.
+    equal cells one or two apart in a row, or neighbours in a column (cell
+    noise), skips the sort and is formatted cell by cell.  Two apart, since
+    the solver's red and black cells can settle on a plateau of two
+    values, and then no two neighbours are equal.
     """
     bits = a.view(np.int64)
-    if not (np.any(bits[:, 1:] == bits[:, :-1]) or np.any(bits[1:] == bits[:-1])):
+    if not (np.any(bits[:, 1:] == bits[:, :-1]) or np.any(bits[:, 2:] == bits[:, :-2])
+            or np.any(bits[1:] == bits[:-1])):
         for row in a:
             yield list(map(repr, row.tolist()))
         return

@@ -8,7 +8,7 @@ the discrete gradient: the differences of neighbouring cells, one per
 interior face, so no flux crosses the domain boundary (the homogeneous
 Neumann condition).  The Laplacian that matches it, in the summation-by-
 parts sense <c, -Lap(c)> = gradient_sq_norm(c), is the five-point stencil
-the solver applies (``solver._apply``).
+the solver applies in red and black halves (``solver._Checkerboard``).
 """
 
 from __future__ import annotations

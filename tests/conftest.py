@@ -14,7 +14,7 @@ from prphase import (
     get_substance,
 )
 from prphase.ef import _pointwise
-from prphase.solver import _apply, _fold_diagonal
+from prphase.solver import _fold_diagonal
 
 C_GAS = 249.1123
 C_LIQ = 9526.8428
@@ -71,14 +71,47 @@ def kernel_bulk_bound(c_old, c_new, ef, p):
     return f_new - f_old, rhs, np.abs(f_new) + np.abs(f_old) + np.abs(rhs)
 
 
+def neighbour_sum(p, out):
+    """Sum of the (up to four) in-domain neighbours of each cell, into ``out``.
+
+    ``out`` must be C-contiguous.  The x-neighbours are summed along the
+    flattened rows, one long shifted run; the row ends, where that run
+    wraps into the adjacent row, are then overwritten with their one
+    in-row neighbour.
+    """
+    if p.shape[1] == 1:
+        out.fill(0.0)
+    else:
+        flat = p.ravel()
+        np.add(flat[2:], flat[:-2], out=out.ravel()[1:-1])
+        out[:, 0] = p[:, 1]
+        out[:, -1] = p[:, -2]
+    out[:-1, :] += p[1:, :]
+    out[1:, :] += p[:-1, :]
+    return out
+
+
+def stencil(p, e, k):
+    """(A p)/s = e*p - (sum of neighbours of p), the whole five-point stencil.
+
+    e is A's diagonal over s and k = kappa/h^2 (``solver._fold_diagonal``);
+    when k is 0 no neighbour couples.  The solve applies it in red and black
+    halves; ``test_solver.TestHalfStencils`` holds those to this.
+    """
+    p = np.ascontiguousarray(p, dtype=float)
+    out = e * p
+    if k:
+        out -= neighbour_sum(p, np.empty(p.shape))
+    return out
+
+
 def apply_operator(c, coeffs, cfg, kappa, g):
-    """A c = c/tau_eff - kappa*Lap(c) + nu*c, by the stencil the solve runs
-    (``solver._fold_diagonal`` and ``solver._apply``)."""
-    c = np.asarray(c, dtype=float)
+    """A c = c/tau_eff - kappa*Lap(c) + nu*c, by the solve's diagonal
+    (``solver._fold_diagonal``) and the five-point ``stencil``."""
     k = kappa / (g.h * g.h)
     e = np.array(coeffs.nu, dtype=float)
     s = _fold_diagonal(e, k, cfg.tau_eff())
-    return s * _apply(c, e, k, np.empty(c.shape), np.empty(c.shape))
+    return s * stencil(c, e, k)
 
 
 def minus_laplacian(c, g):

@@ -6,6 +6,7 @@ import pytest
 import yaml
 
 from prphase import ConfigError, Grid2D, minimal_lambda
+from prphase import experiment
 from prphase.config import load_config
 from prphase.experiment import (
     build_initial,
@@ -168,6 +169,7 @@ class TestLoadConfig:
         ({"cg_max_iter": 0}, "cg_max_iter"),
         ({"petsc": True}, "unknown keys"),
         ({"cg_rel_tol": 2.0}, "solver.cg_rel_tol"),
+        ({"preconditioner": "none"}, "preconditioner"),
     ])
     def test_solver_validation(self, tmp_path, solver, msg):
         with pytest.raises(ConfigError, match=msg):
@@ -360,6 +362,26 @@ class TestSnapshotIO:
             if "txt" in formats:
                 back, _ = read_snapshot(str(tmp_path / f"{name}.txt"))
                 assert back.tobytes() == values.tobytes()  # bit-exact, -0.0 included
+
+    def test_checkerboard_plateau_formats_each_value_once(self, tmp_path, monkeypatch):
+        # the solver's red and black cells can settle on two values, so no
+        # two neighbours are equal; cells two apart in a row are
+        g = Grid2D(nx=9, ny=7, h=0.25, x0=-1.0, y0=2.0)
+        i, j = np.indices(g.cell_shape())
+        values = np.where((i + j) % 2 == 0, 249.1123, 249.11230000000003)
+        calls = []
+
+        def counting_repr(v):
+            calls.append(v)
+            return repr(v)
+
+        monkeypatch.setattr(experiment, "repr", counting_repr, raising=False)
+        write_snapshot(str(tmp_path / "board"), values, g, step=3, time=3e10,
+                       formats=("txt", "csv"))
+        monkeypatch.undo()
+        assert len(calls) <= 2
+        assert (tmp_path / "board.txt").read_bytes() == old_txt_bytes(values, g, 3, 3e10)
+        assert (tmp_path / "board.csv").read_bytes() == old_csv_bytes(values)
 
     def test_writer_streams_rows(self, tmp_path, rng):
         # one row of text at a time: formatting the whole field first would

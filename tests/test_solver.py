@@ -19,9 +19,10 @@ from prphase import (
     solve_spd,
 )
 from prphase.config import load_config
-from prphase.solver import START_DIRECTIONS, _galerkin_start, _push_differences
+from prphase.solver import (BLACK, RED, START_DIRECTIONS, _BlackSystem, _fold_diagonal,
+                            _push_differences, solve_work_size)
 
-from conftest import C_GAS, C_LIQ, apply_operator, child_env, inner
+from conftest import C_GAS, C_LIQ, apply_operator, child_env, inner, stencil
 from reference import bulk_chemical_potential
 
 
@@ -70,6 +71,27 @@ def norm(a, g):
 def spare(coeffs):
     """A copy of ``coeffs`` for a solve to consume: it builds A's diagonal in nu."""
     return SchemeCoefficients(nu=coeffs.nu.copy(), s_r=coeffs.s_r)
+
+
+def red_cells(g):
+    """Mask of the red cells, i + j even, in the flat cell order."""
+    i, j = np.indices(g.cell_shape())
+    return ((i + j) % 2 == 0).ravel()
+
+
+def galerkin_start(g, coeffs, cfg, kappa, rhs, c_n, basis):
+    """The point a solve from ``c_n`` starts its iteration at: the black cells
+    moved by the Galerkin start, the reds eliminated at c_n's mass."""
+    k = kappa / (g.h * g.h)
+    e = coeffs.nu.copy()
+    s = _fold_diagonal(e, k, cfg.tau_eff())
+    system = _BlackSystem(g, k, np.empty(solve_work_size(g)))
+    system.load(e, rhs, s, c_n)
+    system.reduce()
+    system.galerkin_start(basis)
+    start = c_n.copy()
+    system.lift(rhs, s, float(np.sum(c_n)), start)
+    return start
 
 
 def staggered_laplacian(c, g):
@@ -134,8 +156,52 @@ class TestOperator:
             assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
+class TestHalfStencils:
+    """The red and black halves the solve works in (``solver._Checkerboard``)."""
+
+    @staticmethod
+    def halves(g):
+        """A solve's work buffer on ``g``, zeroed: its layout and its rows."""
+        system = _BlackSystem(g, 1.0, np.zeros(solve_work_size(g)))
+        return system, system.board, system.rows
+
+    @pytest.mark.parametrize("ny,nx", [(1, 1), (1, 5), (5, 1), (6, 8), (5, 7), (37, 13)])
+    def test_half_stencils_build_the_whole_stencil(self, ny, nx):
+        g = Grid2D(nx=nx, ny=ny, h=0.5)
+        r = np.random.default_rng(5)
+        e = r.uniform(4.0, 6.0, size=(ny, nx))
+        for _ in range(2):
+            p = r.standard_normal((ny, nx))
+            ref = stencil(p, e, 1.0)
+            got = np.full((ny, nx), np.nan)
+            for colour, other in ((RED, BLACK), (BLACK, RED)):
+                system, board, rows = self.halves(g)
+                # p's own cells, the other colour's, e's own and a mask of the cells
+                for i, (full, c) in enumerate(((p, colour), (p, other), (e, colour),
+                                               (np.ones((ny, nx)), colour))):
+                    system.put(full, i, c)
+                rows[5].fill(np.nan)  # scratch: the sum must not read it
+                board.neighbours(rows[1], rows[4], colour, rows[5])
+                board.zero_pads(rows[4], colour)
+                assert np.all(rows[4][rows[3] == 0] == 0.0)  # nothing off the cells
+                np.subtract(rows[2] * rows[0], rows[4], out=rows[6])
+                system.take(6, colour, got)
+            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("ny,nx", [(1, 1), (2, 1), (4, 6), (5, 7)])
+    def test_put_and_take_keep_every_cell(self, ny, nx):
+        system, _, rows = self.halves(Grid2D(nx=nx, ny=ny, h=0.5))
+        p = np.random.default_rng(1).standard_normal((ny, nx))
+        back = np.full((ny, nx), np.nan)
+        for colour in (RED, BLACK):
+            system.put(p, colour, colour)
+            system.take(colour, colour, back)
+        assert np.array_equal(back, p)
+        assert [np.count_nonzero(row) for row in rows[:2]] == [(p.size + 1) // 2, p.size // 2]
+
+
 class TestSolveSpd:
-    """The projected solve of A x = rhs + mu_e*1 at the mass of the warm start."""
+    """The solve of A x = rhs + mu_e*1 at the mass of the warm start."""
 
     def test_manufactured_solution(self, toy):
         g, coeffs, cfg, kappa, r = toy
@@ -202,16 +268,38 @@ class TestSolveSpd:
         assert np.allclose(x, (rhs + mu_e) / diag, rtol=1e-12, atol=0)
         assert abs(mass(x, g) - m0) <= 1e-12 * abs(m0)
 
-    def test_unpreconditioned_fallback(self, toy):
-        g, coeffs, cfg, kappa, r = toy
-        plain = SolverConfig(tau=0.7, cg_rel_tol=1e-12, preconditioner="none")
-        rhs = r.standard_normal(g.cell_shape())
-        x0 = r.uniform(1.0, 2.0, size=g.cell_shape())
-        x_jac, mu_jac, _, _ = solve_spd(rhs, spare(coeffs), cfg, kappa, g, x0=x0.copy())
-        x, mu_e, _, res = solve_spd(rhs, coeffs, plain, kappa, g, x0=x0.copy())
-        assert res <= plain.cg_rel_tol
-        assert norm(x - x_jac, g) <= 1e-8 * norm(x_jac, g)
-        assert abs(mu_e - mu_jac) <= 1e-8 * abs(mu_jac)
+    @pytest.mark.parametrize("ny,nx", [(1, 1), (1, 2), (2, 1), (2, 2), (1, 5), (5, 1)])
+    def test_small_grids_and_strips_match_dense_solve(self, ny, nx):
+        # a 1 x 1 grid has no black cell, and a strip's cells have at most
+        # two neighbours
+        g = Grid2D(nx=nx, ny=ny, h=0.5)
+        r = np.random.default_rng(ny * 10 + nx)
+        coeffs = SchemeCoefficients(nu=r.uniform(1.0, 2.0, size=(ny, nx)),
+                                    s_r=np.zeros((ny, nx)))
+        cfg = SolverConfig(tau=0.7, cg_rel_tol=1e-13)
+        rhs = r.standard_normal((ny, nx))
+        x0 = r.uniform(1.0, 2.0, size=(ny, nx))
+        x_direct, mu_direct = dense_kkt_solve(g, coeffs, cfg, 0.2, rhs, mass(x0, g))
+        x, mu_e, _, res = solve_spd(rhs, spare(coeffs), cfg, 0.2, g, x0=x0)
+        assert res <= cfg.cg_rel_tol
+        assert np.max(np.abs(x - x_direct)) <= 1e-8 * np.max(np.abs(x_direct))
+        assert abs(mu_e - mu_direct) <= 1e-8 * abs(mu_direct)
+
+    @pytest.mark.parametrize("ny,nx", [(6, 8), (5, 7), (1, 5), (5, 1)])
+    def test_reported_residual_is_the_full_residual(self, ny, nx):
+        g = Grid2D(nx=nx, ny=ny, h=0.5)
+        r = np.random.default_rng(9)
+        coeffs = SchemeCoefficients(nu=r.uniform(1.0, 2.0, size=(ny, nx)),
+                                    s_r=np.zeros((ny, nx)))
+        cfg = SolverConfig(tau=0.7, cg_rel_tol=1e-8)
+        rhs = r.standard_normal((ny, nx))
+        x, mu_e, iters, res = solve_spd(rhs, spare(coeffs), cfg, 0.2, g,
+                                        x0=r.uniform(1.0, 2.0, size=(ny, nx)))
+        full = norm(rhs + mu_e - apply_operator(x, coeffs, cfg, 0.2, g), g) / norm(rhs, g)
+        assert iters > 0
+        # the updated residual drifts from the recomputed one by round-off,
+        # about 1e-15 of ||rhs||; a strip's two black cells are solved exactly
+        assert res == pytest.approx(full, rel=1e-5, abs=1e-14)
 
     def test_iteration_cap_raises_with_history(self, toy):
         g, coeffs, _, kappa, r = toy
@@ -226,18 +314,24 @@ class TestSolveSpd:
         g, coeffs, _, kappa, r = toy
         cfg = SolverConfig(tau=0.7, cg_rel_tol=1e-14, cg_max_iter=1)
         rhs = r.standard_normal(g.cell_shape())
-        inv_diag = 1.0 / np.diag(dense_operator(g, coeffs, cfg, kappa)).reshape(g.cell_shape())
+        mat = dense_operator(g, coeffs, cfg, kappa)
         with pytest.raises(ConvergenceError) as exc:
             solve_spd(rhs, coeffs, cfg, kappa, g, x0=np.zeros(g.cell_shape()))
         history = exc.value.residual_history
         assert len(history) == 2
-        # From x0 = 0 the first residual is rhs with its D^-1-weighted mean removed.
-        r0 = rhs - np.sum(inv_diag * rhs) / np.sum(inv_diag)
+        # From x0 = 0 the first residual is that of the black rows at x_B = 0,
+        # with the reds and mu_e eliminated at mass 0: the red rows give
+        # x_R = (rhs_R + mu_e)/A_RR, and sum(x_R) = 0 gives mu_e.
+        red = red_cells(g)
+        d_red = np.diag(mat)[red]
+        mu = -np.sum(rhs.ravel()[red] / d_red) / np.sum(1.0 / d_red)
+        x_red = (rhs.ravel()[red] + mu) / d_red
+        r0 = rhs.ravel()[~red] + mu - mat[np.ix_(~red, red)] @ x_red
         assert history[0] == pytest.approx(np.sqrt(np.sum(r0**2)), rel=1e-12)
 
 
 class TestProjectedSolve:
-    """Feasibility and failure modes of the projected iteration."""
+    """Feasibility and failure modes of the iteration."""
 
     @pytest.mark.parametrize("cap", [1, 2, 3, 4, 5])
     def test_mass_kept_after_every_iteration(self, toy, cap):
@@ -249,12 +343,13 @@ class TestProjectedSolve:
         with pytest.raises(ConvergenceError) as exc:
             solve_spd(r.standard_normal(g.cell_shape()), coeffs, cfg, kappa, g, x0=x0)
         assert len(exc.value.residual_history) == cap + 1
-        assert not np.array_equal(x0, start)  # the capped iterations ran in x0
+        assert not np.array_equal(x0, start)  # the capped solve left its iterate in x0
         assert abs(mass(x0, g) - m0) <= 1e-12 * abs(m0)
 
     def test_large_multiplier_keeps_the_mass(self, toy):
-        # The first residual is then about -mu_e*1; a single projection of it
-        # leaves round-off along 1 that moved the mass by ~1e-11 here.
+        # The first residual is then about -mu_e*1.  The solve puts the mass
+        # back by x0's own sum after restoring the reds; without that last
+        # correction this fails.
         g, coeffs, cfg, kappa, r = toy
         for _ in range(5):
             x_true = r.uniform(1.0, 2.0, size=g.cell_shape())
@@ -337,13 +432,10 @@ class TestGalerkinStart:
 
             delta = c_n - c_prev
             extrapolated = c_n + (delta - np.mean(delta))
-            start = c_n.copy()
-            residual = rhs - apply_operator(c_n, coeffs, cfg, kappa, g)
-            k = kappa / (g.h * g.h)
-            _galerkin_start(start, residual, basis, np.diag(mat).reshape(g.cell_shape()) / k,
-                            k, np.empty(g.cell_shape()), np.empty(g.cell_shape()))
+            start = galerkin_start(g, coeffs, cfg, kappa, rhs, c_n, basis)
             assert a_norm_error(start) <= a_norm_error(extrapolated) * (1 + 1e-12)
-            # the optimality condition: the error is A-orthogonal to the basis
+            # the optimality condition: the error, whose reds are eliminated, is
+            # A-orthogonal to the basis, which has zero sum
             e = (start - x_star).ravel()
             scale = a_norm_error(c_n)
             for v in basis:
@@ -408,12 +500,13 @@ def preset_square(n=128):
 
 
 def test_march_peak_memory_in_fields():
-    # run allocates its twelve fields once, ahead of the step-0 report: the
-    # state, the next state, three differences, the pass's five, in which
-    # the right-hand side and A's diagonal are built in the fields of s_r
-    # and nu, and two more for the solve.  Traced from the step-0 report on,
-    # so the set-up's allocations are left out: 12.1 fields here, 13.1 when
-    # b or the diagonal takes a field of its own and 14.1 when both do.
+    # run allocates its memory once, ahead of the step-0 report: the state,
+    # the next state, three differences and one block, s_r's field, in
+    # which the right-hand side is built, then the solve's eleven padded
+    # half-fields, which begin with nu's field and hold the pass's other
+    # three.  Traced from the step-0 report on, so the set-up's allocations
+    # are left out: 11.8 fields here, and 12.8 when the solve's work starts
+    # after nu's field instead of on it.
     cfg, g, c0 = preset_square()
 
     def reset_at_step_0(c, report):
@@ -431,8 +524,8 @@ def test_march_peak_memory_in_fields():
 
 def test_step_allocates_no_field():
     # What a step allocates above what was held when the last step ended,
-    # from step 2 on, in fields: 0.02 here, and 5.0 when the pass and the
-    # solve each allocate their own five.
+    # from step 2 on, in fields: 0.04 here, and 5.7 when the solve
+    # allocates its own work.
     cfg, g, c0 = preset_square()
     held, growth = [], []
 
@@ -467,13 +560,20 @@ class TestWorkFields:
         return [fortran, wrong_shape, read_only, [np.empty(shape) for _ in range(4)],
                 [np.empty(shape, dtype=np.float32) for _ in range(5)]]
 
+    @staticmethod
+    def bad_work(size):
+        read_only = np.empty(size)
+        read_only.flags.writeable = False
+        return [np.empty(2 * size)[::2], np.empty(size - 1), read_only, np.empty((size, 1)),
+                np.empty(size, dtype=np.float32)]
+
     def test_solve_rejects_bad_fields(self, toy):
         g, coeffs, cfg, kappa, r = toy
         rhs = r.standard_normal(g.cell_shape())
-        for fields in self.bad_fields(g.cell_shape()):
-            with pytest.raises(ParameterError, match="solve_spd: fields must be 5 writeable"):
+        for work in self.bad_work(solve_work_size(g)):
+            with pytest.raises(ParameterError, match="solve_spd: work must be a writeable"):
                 solve_spd(rhs, spare(coeffs), cfg, kappa, g, x0=np.zeros(g.cell_shape()),
-                          fields=fields)
+                          work=work)
 
     def test_pass_rejects_bad_fields(self, nc4, window, droplet_setup):
         g, c0, _ = droplet_setup
@@ -488,11 +588,11 @@ class TestWorkFields:
         rhs = r.standard_normal(g.cell_shape())
         kept = [rhs.copy(), basis.copy()]
         results = []
-        # the given fields start as nan: the solve must read nothing it did not write
-        for fields in (None, [np.full(g.cell_shape(), np.nan) for _ in range(5)]):
+        # the given work starts as nan: the solve must read nothing it did not write
+        for work in (None, np.full(solve_work_size(g), np.nan)):
             consumed = spare(coeffs)
             x, mu_e, iters, res = solve_spd(rhs, consumed, cfg, kappa, g, x0=states[-1].copy(),
-                                            basis=basis, fields=fields)
+                                            basis=basis, work=work)
             results.append((x, mu_e, iters, res, consumed.nu))
             assert np.array_equal(rhs, kept[0]) and np.array_equal(basis, kept[1])
         (x1, mu1, it1, res1, d1), (x2, mu2, it2, res2, d2) = results
@@ -560,6 +660,7 @@ class TestSolverConfig:
         dict(tau=1.0, mobility=0.0),
         dict(tau=1.0, on_violation="ignore"),
         dict(tau=1.0, energy_slack_rel=-1e-3),
+        dict(tau=1.0, preconditioner="none"),
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ParameterError):
@@ -692,6 +793,19 @@ class TestRun:
         assert not np.array_equal(c, c0)
         assert c[8, 8] > 0.5 * C_LIQ
         assert c[0, 0] < 2.0 * C_GAS
+
+    @pytest.mark.parametrize("n", [15, 16])
+    def test_symmetric_droplet_stays_symmetric_to_the_bit(self, nc4, window, n):
+        # a half turn and a transposition keep each cell's colour and swap its
+        # neighbour pairs, which the half-stencils sum first; the snapshot
+        # writer then formats each repeated value once
+        g = Grid2D(nx=n, ny=n, h=3.0e-8 / 16)
+        c0 = np.full(g.cell_shape(), C_GAS)
+        c0[4:n - 4, 4:n - 4] = C_LIQ
+        c, reports = run(c0, 8, window, nc4, SolverConfig(tau=1e10), g)
+        assert all(rep.cg_iters > 0 for rep in reports)
+        assert np.array_equal(c, c[::-1, ::-1])
+        assert np.array_equal(c, c.T)
 
     def test_observer_sees_every_step(self, nc4, window, droplet_setup):
         g, c0, cfg = droplet_setup
