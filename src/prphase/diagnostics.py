@@ -10,15 +10,13 @@ The mass-constraint multiplier produced by the stepper provably stays inside
     [ max_{[c_m, c_M]} (c_m*nu(c) - s_r(c)),  min_{[c_m, c_M]} (c_M*nu(c) - s_r(c)) ]
 
 whenever the previous state respects the window; both envelope extrema are
-located by a dense scan of ``ef._pointwise`` refined with golden-section
-search.
+located by a dense scan of ``ef._pointwise`` refined by a few vectorized
+zoom rounds.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -27,7 +25,9 @@ from .eos import EosParams
 from .errors import ParameterError
 from .grid import Grid2D
 
-_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# zoom stop, relative to the window width, and densities per bracket and round
+_REL_TOL = 1e-10
+_ZOOM_POINTS = 65
 
 
 @dataclass(frozen=True)
@@ -45,68 +45,38 @@ class AdmissibleInterval:
         return self.mu_lower <= mu <= self.mu_upper
 
 
-def _golden_max(f: Callable[[float], float], a: float, b: float, x_tol: float) -> float:
-    """Maximum value of a scalar unimodal-on-[a,b] function, by golden section.
-
-    The bracket tolerance is floored at a few ulps of the endpoints so the
-    loop terminates even when the requested tolerance is below float
-    resolution (near-degenerate windows).
-    """
-    x_tol = max(x_tol, 8.0 * np.finfo(float).eps * max(abs(a), abs(b)))
-    x1 = b - _INV_GOLDEN * (b - a)
-    x2 = a + _INV_GOLDEN * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while (b - a) > x_tol:
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _INV_GOLDEN * (b - a)
-            f2 = f(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _INV_GOLDEN * (b - a)
-            f1 = f(x1)
-    return max(f1, f2)
-
-
-def _refined_extremum(
-    values: np.ndarray, cs: np.ndarray, f: Callable[[float], float], x_tol: float
-) -> float:
-    """Refine the argmax of sampled ``values`` within its bracketing cell."""
-    k = int(np.argmax(values))
-    a = cs[max(k - 1, 0)]
-    b = cs[min(k + 1, len(cs) - 1)]
-    coarse = float(values[k])
-    if b <= a:
-        return coarse
-    return max(coarse, _golden_max(f, float(a), float(b), x_tol))
-
-
-def admissible_interval(
-    ef: EfParams, p: EosParams, n_samples: int = 20000, rel_tol: float = 1e-10
-) -> AdmissibleInterval:
+def admissible_interval(ef: EfParams, p: EosParams, n_samples: int = 20000) -> AdmissibleInterval:
     """Envelope extrema of c_m*nu - s_r (lower) and c_M*nu - s_r (upper).
 
-    ``rel_tol`` controls the golden-section bracket width relative to the
-    window size.  The interval may come back empty for exotic windows; the
-    caller decides whether that is fatal.
+    A scan of ``n_samples`` evenly spaced densities brackets each extremum
+    by the cells around its sampled argmax; each zoom round then samples
+    both brackets in one kernel call and keeps the cells around the new
+    argmax, until every bracket is narrower than ``_REL_TOL`` of the window
+    (or a few ulps of c_M).  The interval may come back empty for exotic
+    windows; the caller decides whether that is fatal.
     """
     if n_samples < 2:
         raise ParameterError(f"n_samples must be >= 2, got {n_samples}")
-    cs = np.linspace(ef.c_m, ef.c_M, n_samples)
-    _, nu_vals, sr_vals, _ = _pointwise(cs, p, ef.lam, "admissible_interval")
-    x_tol = rel_tol * (ef.c_M - ef.c_m)
-
-    def lower_env(c: float) -> float:
-        _, nu_c, sr_c, _ = _pointwise(c, p, ef.lam, "admissible_interval")
-        return ef.c_m * float(nu_c) - float(sr_c)
-
-    def upper_env_neg(c: float) -> float:
-        _, nu_c, sr_c, _ = _pointwise(c, p, ef.lam, "admissible_interval")
-        return -(ef.c_M * float(nu_c) - float(sr_c))
-
-    mu_lower = _refined_extremum(ef.c_m * nu_vals - sr_vals, cs, lower_env, x_tol)
-    mu_upper = -_refined_extremum(-(ef.c_M * nu_vals - sr_vals), cs, upper_env_neg, x_tol)
-    return AdmissibleInterval(mu_lower=float(mu_lower), mu_upper=float(mu_upper))
+    # row 0 maximizes c_m*nu - s_r, row 1 maximizes -(c_M*nu - s_r)
+    ends = np.array([[ef.c_m], [ef.c_M]])
+    signs = np.array([[1.0], [-1.0]])
+    # a bracket cannot shrink below an ulp or two; without the floor a
+    # window narrower than a few millionths of c_M would never stop zooming
+    x_tol = max(_REL_TOL * (ef.c_M - ef.c_m), 8.0 * np.finfo(float).eps * ef.c_M)
+    cs = np.linspace(ef.c_m, ef.c_M, n_samples)[np.newaxis, :]
+    best = np.full((2, 1), -np.inf)
+    while True:
+        _, nu_vals, sr_vals, _ = _pointwise(cs, p, ef.lam, "admissible_interval")
+        values = ends * nu_vals
+        values -= sr_vals
+        values *= signs
+        k = np.argmax(values, axis=1, keepdims=True)
+        best = np.maximum(best, np.take_along_axis(values, k, axis=1))
+        a = np.take_along_axis(cs, np.maximum(k - 1, 0), axis=1)
+        b = np.take_along_axis(cs, np.minimum(k + 1, cs.shape[1] - 1), axis=1)
+        if np.all(b - a <= x_tol):
+            return AdmissibleInterval(mu_lower=float(best[0, 0]), mu_upper=-float(best[1, 0]))
+        cs = np.linspace(a[:, 0], b[:, 0], _ZOOM_POINTS, axis=1)
 
 
 def shape_anisotropy(c: np.ndarray, g: Grid2D, threshold: float) -> float:

@@ -1,14 +1,15 @@
 """Cell-centered mesh of a uniform 2-D grid and its gradient norm.
 
-Cell fields have shape (ny, nx), stored row-major so the flat index of cell
-(i, j) is i + nx*j; ``Grid2D.check_cells`` is the one rule that a field
-has that shape, and ``Grid2D.check_fields`` the one rule for the work
-fields a caller lends the per-state pass and the solve.  ``gradient_sq_norm`` is the squared norm of
-the discrete gradient: the differences of neighbouring cells, one per
-interior face, so no flux crosses the domain boundary (the homogeneous
-Neumann condition).  The Laplacian that matches it, in the summation-by-
-parts sense <c, -Lap(c)> = gradient_sq_norm(c), is the five-point stencil
-the solver applies in red and black halves (``solver._Checkerboard``).
+Cell fields have shape (ny, nx), stored row-major: the cell in row i and
+column j has flat index i*nx + j.  ``Grid2D.check_cells`` is the one rule
+that a field has that shape, and ``Grid2D.check_fields`` the one rule for
+the work fields a caller lends the per-state pass and the solve.
+``gradient_sq_norm`` is the squared norm of the discrete gradient: the
+differences of neighbouring cells, one per interior face, so no flux
+crosses the domain boundary (the homogeneous Neumann condition).  The
+Laplacian that matches it, in the summation-by-parts sense
+<c, -Lap(c)> = gradient_sq_norm(c), is the five-point stencil the solver
+applies in red and black halves (``solver._Checkerboard``).
 """
 
 from __future__ import annotations

@@ -119,6 +119,36 @@ def s_r(c, lam, vartheta0=mp.mpf(0)):
             - mu_attraction(c))
 
 
+def envelope_extrema(c_m, c_M, lam, n_scan=400):
+    """(max of c_m*nu - s_r, min of c_M*nu - s_r) over [c_m, c_M].
+
+    A uniform scan of ``n_scan`` cells finds the cells that bracket each
+    extremum; inside them an interior extremum is the root of the envelope's
+    derivative (``mp.diff``, ``mp.findroot``), compared with the scanned
+    values around it, so an extremum at a window end is found too.
+    """
+    c_m, c_M, lam = mp.mpf(c_m), mp.mpf(c_M), mp.mpf(lam)
+    cs = [c_m + (c_M - c_m) * i / n_scan for i in range(n_scan + 1)]
+
+    def largest(f):
+        vals = [f(c) for c in cs]
+        k = max(range(n_scan + 1), key=vals.__getitem__)
+        a, b = cs[max(k - 1, 0)], cs[min(k + 1, n_scan)]
+        best = max(f(a), vals[k], f(b))
+
+        def df(c):
+            return mp.diff(f, c)
+
+        for lo, hi in ((a, cs[k]), (cs[k], b)):
+            if lo < hi and df(lo) > 0 > df(hi):
+                best = max(best, f(mp.findroot(df, (lo, hi), solver="anderson")))
+        return best
+
+    lower = largest(lambda c: c_m * nu(c, lam) - s_r(c, lam))
+    upper = -largest(lambda c: -(c_M * nu(c, lam) - s_r(c, lam)))
+    return lower, upper
+
+
 # Reference values produced by this module (floats hold them exactly).
 FROZEN = {
     "m": 0.6708606380799998,
@@ -145,4 +175,10 @@ FROZEN = {
     "minimal_lambda_05": 4.6024197820950757,
     "nu_c_m": 96.114171520053829,
     "nu_c_M": 2.5796994150443771,
+    # envelope_extrema on the working window [0.9*C_GAS, 1.1*C_LIQ] (the
+    # floats 224.20107000000002 and 10479.527080000002) with its minimal
+    # shift lam = 27.365631502878895; the lower one sits at c_m, the upper
+    # one inside the window near c = 10358
+    "mu_lower_window": 16916.842168273462,
+    "mu_upper_window": 19034.011078877018,
 }

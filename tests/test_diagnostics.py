@@ -9,9 +9,11 @@ from prphase import (
     Grid2D,
     ParameterError,
     admissible_interval,
+    diagnostics,
     scheme_coefficients,
     shape_anisotropy,
 )
+from prphase.ef import _pointwise
 
 import oracles
 from conftest import C_GAS, C_LIQ, nu_s_r
@@ -100,16 +102,40 @@ class TestAdmissibleInterval:
         assert iv.mu_lower >= lo - 1e-9 * abs(lo)
         assert iv.mu_upper <= hi + 1e-9 * abs(hi)
 
+    def test_ends_match_the_mpmath_envelope_extrema(self, nc4, window):
+        # FROZEN pins oracles.envelope_extrema for exactly this window
+        assert (window.c_m, window.c_M, window.lam) == (
+            224.20107000000002, 10479.527080000002, 27.365631502878895)
+        iv = admissible_interval(window, nc4)
+        for got, key in ((iv.mu_lower, "mu_lower_window"), (iv.mu_upper, "mu_upper_window")):
+            assert abs(got - FROZEN[key]) <= 1e-14 * abs(FROZEN[key]), key
+
+    @pytest.mark.parametrize("fm, fM", [(0.9, 1.1), (0.8, 1.2), (0.7, 1.3)])
+    def test_few_kernel_calls(self, nc4, monkeypatch, fm, fM):
+        # the scan and each zoom round are one vectorized call; a scalar
+        # refinement would make dozens
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(np.shape(args[0]))
+            return _pointwise(*args, **kwargs)
+
+        monkeypatch.setattr(diagnostics, "_pointwise", counted)
+        admissible_interval(EfParams.for_window(fm * C_GAS, fM * C_LIQ, nc4), nc4)
+        assert 1 <= len(calls) <= 8
+
     def test_sampling_density_converged(self, nc4, window):
         a = admissible_interval(window, nc4, n_samples=20000)
         b = admissible_interval(window, nc4, n_samples=40000)
         assert abs(a.mu_lower - b.mu_lower) <= 1e-8 * abs(b.mu_lower)
         assert abs(a.mu_upper - b.mu_upper) <= 1e-8 * abs(b.mu_upper)
 
-    def test_degenerate_window_limits(self, nc4):
-        # as c_M -> c_m the envelopes collapse onto single evaluations
+    @pytest.mark.parametrize("width", [1e-6, 1e-12])
+    def test_degenerate_window_limits(self, nc4, width):
+        # as c_M -> c_m the envelopes collapse onto single evaluations; at the
+        # narrower width the scan itself is at float resolution
         c_m = C_GAS
-        c_M = c_m * (1.0 + 1e-6)
+        c_M = c_m * (1.0 + width)
         ef = EfParams.for_window(c_m, c_M, nc4)
         iv = admissible_interval(ef, nc4)
         nu_m, sr_m = (float(v) for v in nu_s_r(c_m, ef, nc4))
