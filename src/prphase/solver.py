@@ -30,6 +30,15 @@ Over s = kappa/h^2, A = e - N with e (1/tau_eff folded in) built in nu's
 field once per solve.  The sums run through ``np.einsum`` and ndarray
 ``sum``, not BLAS, so a run gives the same bits whatever the number of BLAS threads.
 
+What is built once and what once per solve: the reduced system
+(``_BlackSystem``) holds the views of a work buffer's rows, of their pads,
+ends and shifted half-stencil slices, and of the padded grid through which
+fields are split into halves and joined back.  ``run`` builds it once for
+its march and solves every step in it; ``solve_spd`` builds one per call
+around the same solve.  Each solve builds A's diagonal, the halves of e,
+x0 and the right-hand side, d = 1/e_R, w, the start and the preconditioner,
+and nothing is carried from one solve to the next.
+
 ``run`` starts step 1 from c_old.  Every later step starts from the point
 of c_old + span{D^1, ..., D^m} whose error has the smallest norm in the
 reduced operator, the D^j being the Newton backward differences of the
@@ -89,7 +98,8 @@ class SolverConfig:
 
     tau : time-step size in s.
     cg_rel_tol : stop conjugate gradients once the step's residual has
-        ||r|| <= cg_rel_tol*||rhs||, rhs = c_old/tau_eff + s_r.
+        ||r|| <= cg_rel_tol*||rhs||, rhs = c_old/tau_eff + s_r (relative to
+        the start's own residual when rhs is zero; ``solve_spd``).
     cg_max_iter : iteration cap; ``None`` means 10 * (number of cells).
     preconditioner : "diagonal", the only value: the diagonal of the
         black-cell system (``solve_spd``) plus its rank-one mass term.
@@ -219,10 +229,10 @@ class _Checkerboard:
     fix-up at the row ends, where the pads give zero.
 
     The slice ``span`` of a half holds all its cells, and the neighbour
-    sums write there only; ``zero_pads`` clears what they write at the
-    pads in it.  Each colour's cells are two strided blocks of the full
-    field, those in even rows and those in odd ones, and two strided blocks
-    of the half (``views``).
+    sums write there only, also at the pads in it (``pads``).  Each
+    colour's cells are two strided blocks of the full field, those in even
+    rows and those in odd ones, and two strided blocks of the half
+    (``views``).
     """
 
     def __init__(self, g: Grid2D):
@@ -264,37 +274,16 @@ class _Checkerboard:
         return [(cells, halves[..., base:base + rows * wid].reshape(lead + (rows, wid))[..., :cols])
                 for cells, base, rows, cols in self.blocks[colour]]
 
-    def neighbours(self, src: np.ndarray, out: np.ndarray, colour: int,
-                   scratch: Optional[np.ndarray] = None) -> None:
-        """Sum of the neighbours in ``src``, halves of the other colour, of
-        each cell of ``colour``, into ``out`` over ``span``.
-
-        With ``scratch``, clobbered over ``span``, the x pair and the y pair
-        are each summed first.  A half turn of the grid or a transposition
-        maps a cell's pairs onto its image's, so that sum keeps those
-        symmetries of a field to the last bit, and so does the march: a
-        symmetric droplet's snapshots repeat most values four times, and
-        ``experiment._row_texts`` formats each once.  Without ``scratch``
-        the terms are added in turn, as the Galerkin start's sums allow.
-        """
+    def neighbours(self, src: np.ndarray, out: np.ndarray, colour: int) -> None:
+        """Sum of the neighbours in ``src``, halves of the other colour or
+        stacks of them, of each cell of ``colour``, into ``out`` over
+        ``span``, the terms added in turn (``_BlackSystem.neighbours`` sums
+        the pairs first)."""
         o = out[..., self.span]
         a, b, c, d = self.shifts[colour]
         np.add(src[..., a], src[..., b], out=o)
-        if scratch is None:
-            o += src[..., c]
-            o += src[..., d]
-        else:
-            o += np.add(src[..., c], src[..., d], out=scratch[..., self.span])
-
-    def zero_pads(self, half: np.ndarray, colour: int) -> None:
-        for pads in self.pads[colour]:
-            half[pads] = 0.0
-
-    def cells_only(self, half: np.ndarray, colour: int) -> None:
-        """Zero everything in ``half`` that is not a cell of ``colour``."""
-        half[:self.span.start] = 0.0
-        half[self.span.stop:] = 0.0
-        self.zero_pads(half, colour)
+        o += src[..., c]
+        o += src[..., d]
 
 
 @functools.lru_cache(maxsize=8)
@@ -321,152 +310,270 @@ class _BlackSystem:
     residual of M at x_B is A's at x_B with its reds and mu eliminated;
     that point's red residual is zero.
 
+    A system is built once per grid, step size and work buffer, and
+    ``solve`` runs one step's solve in it: ``solve_spd`` builds one per
+    call, and ``run`` one for its whole march.  What does not change
+    between solves is built here: the views of the rows, of their spans,
+    pads and ends, of each row's four shifted half-stencil slices (on
+    first use), and of a padded grid through which whole fields are split
+    into halves and joined back.  A solve keeps nothing from the last one:
+    each half is filled before the solve first reads it, and every entry
+    off its colour's cells is zero whenever it is read, or is multiplied
+    by a zero of d or 1/diag(S).  ``load`` zeroes those entries of the rows
+    it fills.
+
     The work buffer holds eleven halves (``_Checkerboard``), one per row of
-    ``rows``: 1/diag(S) and w/diag(S) for the preconditioner, the red
-    scratch t, the iterate x, three for the iteration (z, p and q), x's
-    residual r, w, d and e_B.  ``load`` works on the pairs (t, x), (q, r)
-    and (d, e_B), red then black, and ``galerkin_start`` stacks the basis in
-    rows 0-2 and their neighbour sums in rows 4-6.  The neighbour sums and
-    their scratch touch ``span`` only.  Each half is filled before the
-    solve first reads it, and every entry off its colour's cells is zero
-    whenever it is read, or is multiplied by a zero of d or 1/diag(S).
+    ``rows``, laid out so that the operations that share a call have their
+    rows evenly spaced.  ``load`` works on the pairs (t, x), (q, r) and
+    (e_R, e_B), red then black, and splits through the padded grid in rows
+    INV_DS and P; the iteration takes z.r, (w/diag(S)).r and r.r in one
+    call on rows Z, IW and R; ``galerkin_start`` stacks the basis in rows
+    0, 2 and 4 and their neighbour sums in rows 3, 5 and 7, and takes w'V
+    and r'V in one call on rows W and R.  A work buffer that begins with
+    nu's field shares it with rows Z and W only, which are first written
+    after nu is read.
     """
 
-    T, X, Z, Q, D = 2, 3, 4, 6, 9  # the rows load and lift name
+    Z, W, INV_DS, P, IW, T, X, Q, R, D, E = range(_HALVES)
 
-    def __init__(self, g: Grid2D, k: float, work: np.ndarray):
+    def __init__(self, g: Grid2D, kappa: float, cfg: SolverConfig, work: np.ndarray):
         self.board = board = _board(g)
-        self.k = k
+        self.k = kappa / (g.h * g.h)
+        self.tau_eff = cfg.tau_eff()
+        self.s = self.k or 1.0
+        self.rel_tol = cfg.cg_rel_tol
+        self.max_iter = cfg.resolved_max_iter(g)
         self.ncells = g.ncells
+        self.n_red = (g.ncells + 1) // 2
         self.rows = rows = work[:_HALVES * board.size].reshape(_HALVES, board.size)
-        (self.inv_ds, self.inv_ds_w, self.t, self.x, self.z, self.p, self.q, self.r,
-         self.w, self.d, self.e_b) = rows
-        # each colour's two blocks in every row, for ``put`` and ``take``
-        self.blocks = [board.views(rows, colour) for colour in (RED, BLACK)]
+        (self.z, self.w, self.inv_ds, self.p, self.iw, self.t, self.x, self.q, self.r,
+         self.d, self.e_b) = rows
+        span = board.span
+        self.spans = [row[span] for row in rows]
+        # the black cell blocks of the basis rows, and those of the last basis
+        self.basis_cells = [view for _, view in board.views(rows[0:6:2], BLACK)]
+        self.basis: Tuple[Optional[np.ndarray], List[np.ndarray]] = (None, [])
+        self.ends = [rows[:, :span.start], rows[:, span.stop:]]
+        # the pads of the rows load fills but e_R's, red (t, q) and black (x, r, e_B)
+        self.load_pads = ([rows[5:8:2, pads] for pads in board.pads[RED]]
+                          + [rows[6:11:2, pads] for pads in board.pads[BLACK]])
+        # A padded grid in rows INV_DS and P, through which whole fields are
+        # split into their halves and joined back: a field copy and a stride-2
+        # copy per colour, which costs less than copying each colour's blocks.
+        padded = rows[self.INV_DS:self.INV_DS + 2].reshape(-1)[:(g.ny + 2) * board.wid]
+        self.padded_cells = padded.reshape(g.ny + 2, board.wid)[1:g.ny + 1, 1:g.nx + 1]
+        self.padded_colours = (padded[0::2], padded[1::2])
+        # by (row, colour), made on first use: the part of a row that a
+        # colour of the padded grid fills, the row's pads, and its four
+        # shifted slices that give that colour's neighbours
+        self.heads: dict = {}
+        self.pad_views: dict = {}
+        self.shifted: dict = {}
 
-    def put(self, full: np.ndarray, row, colour: int) -> None:
-        """The cells of ``colour`` of ``full`` into ``rows[row]``; ``row`` may
-        be a slice of rows, and ``full`` a stack of as many cell fields."""
-        for cells, view in self.blocks[colour]:
-            view[row] = full[(Ellipsis,) + cells]
+    def split(self, full: np.ndarray, red: int, black: Optional[int] = None) -> None:
+        """The red cells of the cell field ``full`` into ``rows[red]``, and its
+        black ones into ``rows[black]`` if given, through the padded grid.
+        The other entries of those rows are left garbage.  Copies only: a
+        ufunc on a strided two-dimensional view with short rows allocates a
+        64 KiB iterator buffer per call."""
+        np.copyto(self.padded_cells, full)
+        np.copyto(self.head(red, RED), self.padded_colours[RED])
+        if black is not None:
+            np.copyto(self.head(black, BLACK), self.padded_colours[BLACK])
 
-    def take(self, row: int, colour: int, full: np.ndarray) -> None:
-        """The cells of ``colour`` from ``rows[row]`` into the cell field ``full``."""
-        for cells, view in self.blocks[colour]:
-            full[cells] = view[row]
+    def join(self, red: int, black: Optional[int], full: np.ndarray) -> None:
+        """``split`` backwards; without ``black`` the black cells are those
+        the padded grid still holds from the last join."""
+        if black is not None:
+            np.copyto(self.padded_colours[BLACK], self.head(black, BLACK))
+        np.copyto(self.padded_colours[RED], self.head(red, RED))
+        np.copyto(full, self.padded_cells)
 
-    def load(self, e: np.ndarray, rhs: np.ndarray, s: float,
-             x0: np.ndarray) -> Tuple[float, float, float]:
-        """Split e, b = rhs/s and ``x0`` into halves and take x0's full residual.
+    def head(self, row: int, colour: int) -> np.ndarray:
+        """The part of ``rows[row]`` that ``split`` fills with its colour's cells."""
+        view = self.heads.get((row, colour))
+        if view is None:
+            view = self.heads[row, colour] = self.rows[row, :len(self.padded_colours[colour])]
+        return view
 
-        Returns (||b||, ||b + mu - A x0||, mu) with the mu that makes that
-        residual smallest; its red cells are left in q and its black ones
-        in r.  A field holds fewer floats than two halves, so a work buffer
-        that begins with e's field shares it with rows 0 and 1 only, which
-        are first written after e is split.
+    def pads(self, row: int, colour: int) -> List[np.ndarray]:
+        """Views of the pads in ``span`` of ``rows[row]``, as a half of ``colour``."""
+        views = self.pad_views.get((row, colour))
+        if views is None:
+            views = self.pad_views[row, colour] = [self.rows[row, pads]
+                                                   for pads in self.board.pads[colour]]
+        return views
+
+    def zero_pads(self, row: int, colour: int) -> None:
+        for pads in self.pads(row, colour):
+            pads.fill(0.0)
+
+    def neighbours(self, src: int, out: int, colour: int, scratch: int) -> None:
+        """Sum of the neighbours in ``rows[src]`` of each cell of ``colour``,
+        into ``rows[out]`` over ``span``; ``rows[scratch]`` is clobbered there.
+
+        The x pair and the y pair are each summed first.  A half turn of the
+        grid or a transposition maps a cell's pairs onto its image's, so that
+        sum keeps those symmetries of a field to the last bit, and so does
+        the march: a symmetric droplet's snapshots repeat most values four
+        times, and ``experiment._row_texts`` formats each once.
         """
-        board, rows, span = self.board, self.rows, self.board.span
-        tx, zp, qr, de = (rows[i:i + 2] for i in (self.T, self.Z, self.Q, self.D))
-        for pair in (tx, qr, de):
-            pair.fill(0.0)
-        self.d.fill(1.0)  # inverted in place by ``reduce``
-        for first, full in ((self.D, e), (self.T, x0), (self.Q, rhs)):
-            self.put(full, first, RED)
-            self.put(full, first + 1, BLACK)
-        qr *= 1.0 / s
+        shifted = self.shifted.get((src, colour))
+        if shifted is None:
+            shifted = self.shifted[src, colour] = [self.rows[src, shift]
+                                                   for shift in self.board.shifts[colour]]
+        a, b, c, d = shifted
+        o = self.spans[out]
+        np.add(a, b, out=o)
+        o += np.add(c, d, out=self.spans[scratch])
+
+    def load(self, e: np.ndarray, rhs: np.ndarray, x0: np.ndarray) -> float:
+        """Split e, b = rhs/s and ``x0`` into halves and take part of x0's residual.
+
+        Returns ||b||, and leaves in q the red cells of x0's residual at
+        mu = 0, b_R - e_R x0_R + N_R x0_B, and in r the black ones less
+        their neighbours, b_B - e_B x0_B.  Then the ends of every row, and
+        the pads of the rows it fills, are zeroed, but e_R's pads are set to
+        1, so that ``reduce`` can invert that row over ``span``.  e is split
+        first: a work buffer that begins with its field overlaps rows Z and W.
+        """
+        rows, spans = self.rows, self.spans
+        tx, qr, de = rows[5:7], rows[7:9], rows[9:11]
+        self.split(e, self.D, self.E)
+        self.split(x0, self.T, self.X)
+        self.split(rhs, self.Q, self.R)
+        for off in self.ends + self.load_pads:
+            off.fill(0.0)
+        for pads in self.pads(self.D, RED):
+            pads.fill(1.0)
+        qr *= 1.0 / self.s
         b_norm = math.sqrt(float(np.einsum("ij,ij->", qr, qr)))
-        qr -= np.multiply(de, tx, out=zp)
-        q, r, z, p = self.q, self.r, self.z, self.p
+        qr -= np.multiply(de, tx, out=rows[2:4])
         if self.k:
-            for src, out, colour in ((self.x, q, RED), (self.t, r, BLACK)):
-                board.neighbours(src, z, colour, p)
-                out[span] += z[span]
-        board.zero_pads(q, RED)
-        board.zero_pads(r, BLACK)
-        mu = -float(qr.sum()) / self.ncells
-        qr[:, span] += mu
-        board.zero_pads(q, RED)
-        board.zero_pads(r, BLACK)
-        return b_norm, math.sqrt(float(np.einsum("ij,ij->", qr, qr))), mu
+            self.neighbours(self.X, self.Z, RED, self.P)
+            spans[self.Q] += spans[self.Z]
+            self.zero_pads(self.Q, RED)
+        return b_norm
+
+    def red_spread(self) -> Tuple[float, float]:
+        """(||q - mean(q)||, |sum(q)|) over the red cells.
+
+        No mu makes x0's full residual smaller than that spread, so x0's
+        own residual is needed only when the spread is within round-off of
+        the tolerance; ``full_residual`` takes it then.
+        """
+        q, tmp = self.spans[self.Q], self.spans[self.IW]
+        total = float(q.sum())
+        np.subtract(q, total / self.n_red, out=tmp)
+        self.zero_pads(self.IW, RED)
+        return math.sqrt(_dot(tmp, tmp)), abs(total)
+
+    def full_residual(self) -> Tuple[float, float]:
+        """(||b + mu - A x0||, mu) with the mu that makes it smallest.
+
+        Its black cells are built in row Z and its shifted red ones in IW;
+        q and r are kept for ``reduce``.
+        """
+        spans, z, red = self.spans, self.spans[self.Z], self.spans[self.IW]
+        if self.k:
+            self.neighbours(self.T, self.Z, BLACK, self.P)
+            z += spans[self.R]
+        else:
+            np.copyto(z, spans[self.R])
+        self.zero_pads(self.Z, BLACK)
+        mu = -(float(spans[self.Q].sum()) + float(z.sum())) / self.ncells
+        np.add(spans[self.Q], mu, out=red)
+        z += mu
+        self.zero_pads(self.IW, RED)
+        self.zero_pads(self.Z, BLACK)
+        return math.sqrt(_dot(red, red) + _dot(z, z)), mu
 
     def reduce(self) -> None:
-        """Build d and w, and turn r into the residual of M at x0_B."""
-        board, d, w, q, r, z, span = (self.board, self.d, self.w, self.q, self.r, self.z,
-                                      self.board.span)
-        np.divide(1.0, d, out=d)
-        board.cells_only(d, RED)
+        """Build d and w, and turn r into the residual of M at x0_B.
+
+        The reds eliminated at x0_B and mu = 0 are x0_R + d q, and the black
+        residual there is r + N_B (x0_R + d q); mu then moves by -<d, q>/a,
+        which keeps the mass, and adds mu*w.
+        """
+        d, w, q, r, z, spans = self.d, self.w, self.q, self.r, self.z, self.spans
+        e_r = spans[self.D]  # its pads are 1, and the ends zero
+        np.divide(1.0, e_r, out=e_r)
+        self.zero_pads(self.D, RED)
         self.a = float(d.sum())
-        w.fill(0.0)
         if self.k:
-            board.neighbours(d, w, BLACK, z)
-        w[span] += 1.0
-        board.zero_pads(w, BLACK)
-        # x0's full residual is (q, r); eliminating the reds at x0_B adds
-        # N_B d q and moves mu by -<d, q>/a, which keeps the mass
+            self.neighbours(self.D, self.W, BLACK, self.Z)
+        else:
+            w.fill(0.0)
+        spans[self.W] += 1.0
+        self.zero_pads(self.W, BLACK)
         q *= d
+        mu = -float(q.sum()) / self.a
         if self.k:
-            board.neighbours(q, z, BLACK, self.p)
-            r[span] += z[span]
-            board.zero_pads(r, BLACK)
-        r += np.multiply(w, -float(q.sum()) / self.a, out=z)
+            q += self.t
+            self.neighbours(self.Q, self.Z, BLACK, self.P)
+            spans[self.R] += spans[self.Z]
+            self.zero_pads(self.R, BLACK)
+        r += np.multiply(w, mu, out=z)
 
     def build_preconditioner(self) -> None:
         """1/diag(S) and w/diag(S), with diag(S) = e_B - N_B d = e_B + 1 - w."""
-        inv_ds = self.inv_ds
-        np.subtract(self.e_b, self.w, out=inv_ds)
-        inv_ds += 1.0  # 1 off the cells, until they are cleared
+        inv_ds = self.spans[self.INV_DS]  # the ends are zero
+        np.subtract(self.spans[self.E], self.spans[self.W], out=inv_ds)
+        inv_ds += 1.0  # 1 at the pads, until they are cleared
         np.divide(1.0, inv_ds, out=inv_ds)
-        self.board.cells_only(inv_ds, BLACK)
-        np.multiply(inv_ds, self.w, out=self.inv_ds_w)
-        self.sm = self.a + _dot(self.w, self.inv_ds_w)
+        self.zero_pads(self.INV_DS, BLACK)
+        np.multiply(self.inv_ds, self.w, out=self.iw)
+        self.sm = self.a + _dot(self.w, self.iw)
 
-    def apply(self, p: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
-        """out = M p = e_B p - N_B d N_R p + w <w, p>/a; ``scratch`` and t are clobbered."""
+    def apply(self, wp: float) -> None:
+        """q = M p = e_B p - N_B d N_R p + w wp/a, given wp = <w, p>; t and z are clobbered."""
+        q = self.q
         if self.k:
-            board, t, span = self.board, self.t, self.board.span
-            board.neighbours(p, t, RED, scratch)
-            t *= self.d
-            board.neighbours(t, scratch, BLACK, out)
-            o = out[span]
-            np.multiply(self.e_b[span], p[span], out=o)
-            o -= scratch[span]
-            board.zero_pads(out, BLACK)
+            spans = self.spans
+            self.neighbours(self.P, self.T, RED, self.Z)
+            self.t *= self.d
+            self.neighbours(self.T, self.Z, BLACK, self.Q)
+            o = spans[self.Q]
+            np.multiply(spans[self.E], spans[self.P], out=o)
+            o -= spans[self.Z]
+            self.zero_pads(self.Q, BLACK)
         else:
-            np.multiply(self.e_b, p, out=out)
-        out += np.multiply(self.w, _dot(self.w, p) / self.a, out=scratch)
+            np.multiply(self.e_b, self.p, out=q)
+        q += np.multiply(self.w, wp / self.a, out=self.z)
 
-    def precondition(self, r: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
-        """out = (diag(S) + w w'/a)^-1 r, by Sherman-Morrison; ``scratch`` is clobbered."""
-        np.multiply(self.inv_ds, r, out=out)
-        out -= np.multiply(self.inv_ds_w, _dot(self.w, out) / self.sm, out=scratch)
-
-    def galerkin_start(self, basis: np.ndarray) -> None:
+    def galerkin_start(self, basis: np.ndarray, m: int) -> None:
         """Move x to the point of x + span(V_B) whose error has the smallest M-norm.
 
-        V_B are the black cells of the fields of ``basis``, an (m, ny, nx)
-        array, stacked in rows 0..m-1, and U = N_R V_B in rows 4..4+m-1.
-        The coefficients c solve (V_B'M V_B) c = V_B'r, with
-        V_B'M V_B = V_B'e_B V_B - U'd U + (V_B'w)(w'V_B)/a: three ``einsum``
-        calls and one for V_B'r.  x then moves by V_B c, and r by M V_B c.
+        V_B are the black cells of the first ``m`` fields of ``basis``, an
+        (n, ny, nx) array, stacked in rows 0, 2, ..., and e_B V_B and then
+        U = N_R V_B in rows 3, 5, ....  The coefficients c solve
+        (V_B'M V_B) c = V_B'r, with V_B'M V_B = V_B'e_B V_B - U'd U +
+        (V_B'w)(w'V_B)/a: three ``einsum`` calls, one of them for V_B'w and
+        V_B'r.  x then moves by p = V_B c, and r by M p.
         """
-        m, span, rows = len(basis), self.board.span, self.rows
-        vb, u = rows[:m], rows[4:4 + m]
-        vb.fill(0.0)
-        self.put(basis, slice(0, m), BLACK)
-        gram = np.einsum("ik,k,jk->ij", vb[:, span], self.e_b[span], vb[:, span])
+        rows, span = self.rows, self.board.span
+        vb, u = rows[0:2 * m:2], rows[3:3 + 2 * m:2]
+        for pads in self.board.pads[BLACK]:
+            vb[:, pads] = 0.0
+        if self.basis[0] is not basis:  # run lends the same basis every step
+            self.basis = (basis, [basis[(Ellipsis,) + cells]
+                                  for cells, _, _, _ in self.board.blocks[BLACK]])
+        for view, cells in zip(self.basis_cells, self.basis[1]):
+            np.copyto(view[:m], cells[:m])
+        gram = np.einsum("ik,jk->ij", np.multiply(vb, self.e_b, out=u), vb)
+        vw, vr = np.einsum("ik,jk->ij", rows[1:9:7], vb).tolist()
         if self.k:
             self.board.neighbours(vb, u, RED)
             gram -= np.einsum("ik,k,jk->ij", u[:, span], self.d[span], u[:, span])
-        vw = np.einsum("ik,k->i", vb, self.w)
-        gram += np.multiply.outer(vw, vw / self.a)
-        coef = _cholesky_solve(gram.tolist(), np.einsum("ik,k->i", vb, self.r).tolist())
-        p = self.p
-        np.einsum("i,ik->k", np.array(coef), vb, out=p)
-        self.x += p
-        self.apply(p, self.q, self.z)
+        scale = [v / self.a for v in vw]
+        gram = [[gij + vi * sj for gij, sj in zip(gi, scale)] for gi, vi in zip(gram.tolist(), vw)]
+        coef = _cholesky_solve(gram, vr)
+        np.einsum("i,ik->k", np.array(coef), vb, out=self.p)
+        self.x += self.p
+        self.apply(sum(c * v for c, v in zip(coef, vw)))
         self.r -= self.q
 
-    def lift(self, rhs: np.ndarray, s: float, m: float, x0: np.ndarray) -> float:
+    def lift(self, rhs: np.ndarray, m: float, x0: np.ndarray) -> float:
         """Write x and its eliminated red cells, at the mass m, into ``x0``; returns mu.
 
         The red cells at mu = 0 are t = d (b_R + N_R x_B).  mu then gives the
@@ -474,22 +581,89 @@ class _BlackSystem:
         takes out what round-off left: 3.5e-16 of mass drift over the
         droplet run, against 1.4e-15 without that step.
         """
-        x, t, z, d, span = self.x, self.t, self.z, self.d, self.board.span
+        x, t, z, d = self.x, self.t, self.z, self.d
         # z is finite everywhere, and d zero off the red cells
-        self.put(rhs, self.Z, RED)
-        z *= 1.0 / s
+        self.split(rhs, self.Z)
+        z *= 1.0 / self.s
         if self.k:
-            self.board.neighbours(x, self.p, RED, self.q)
-            z[span] += self.p[span]
+            self.neighbours(self.X, self.P, RED, self.Q)
+            self.spans[self.Z] += self.spans[self.P]
         np.multiply(z, d, out=t)
         mu = (m - float(x.sum()) - float(t.sum())) / self.a
         t += np.multiply(d, mu, out=z)
-        self.take(self.X, BLACK, x0)
-        self.take(self.T, RED, x0)
+        self.join(self.T, self.X, x0)
         step = (m - float(x0.sum())) / self.a
         t += np.multiply(d, step, out=z)
-        self.take(self.T, RED, x0)
+        self.join(self.T, None, x0)
         return mu + step
+
+    def solve(self, rhs: np.ndarray, nu: np.ndarray, x0: np.ndarray, basis: np.ndarray,
+              m: int, mass: float) -> Tuple[np.ndarray, float, int, float]:
+        """``solve_spd`` on trusted arguments, from the first ``m`` fields of
+        ``basis``; ``mass`` is x0's own sum, ``float(x0.sum())``."""
+        s = _fold_diagonal(nu, self.k, self.tau_eff)
+        scale = self.load(nu, rhs, x0)
+        tol = self.rel_tol * scale
+        spread, total = self.red_spread()
+        # The spread's round-off is far below 1e-12 of the red residual's
+        # mean part; within that of tol, only x0's own residual can tell.
+        if not (scale > 0.0 and spread > tol + 1e-12 * total / math.sqrt(self.n_red)):
+            res, mu = self.full_residual()
+            if not scale > 0.0:  # a zero b: the tolerance is relative to x0's residual
+                scale, tol = res, self.rel_tol * res
+            if res <= tol:
+                return x0, s * mu, 0, res / scale if scale > 0.0 else 0.0
+        self.reduce()
+        if m:
+            self.galerkin_start(basis, m)
+        self.build_preconditioner()
+
+        x, r, z, p, q, iw = self.x, self.r, self.z, self.p, self.q, self.iw
+        inv_ds, sm, a = self.inv_ds, self.sm, self.a
+        zir = self.rows[0:9:4]  # z, iw, r
+        history: List[float] = []
+        it = 0
+        while True:
+            np.multiply(inv_ds, r, out=z)
+            zr, vr, rr = np.einsum("ij,j->i", zir, r).tolist()
+            res = math.sqrt(rr)
+            history.append(s * res)
+            if res <= tol:
+                break
+            if it == self.max_iter:
+                self.lift(rhs, mass, x0)
+                raise ConvergenceError(
+                    f"conjugate gradients did not reach ||r|| <= {s * tol:.3e} within "
+                    f"{self.max_iter} iterations (last residual {s * res:.3e})",
+                    residual_history=history,
+                )
+            # Sherman-Morrison: z = (diag(S) + w w'/a)^-1 r, so z.r = zr - c*vr
+            # and w.z = vr*a/sm; p's <w, p> follows from its own recurrence
+            c = vr / sm
+            z -= np.multiply(iw, c, out=q)
+            rz_new, wz = zr - c * vr, vr * a / sm
+            if it:
+                beta = rz_new / rz
+                p *= beta
+                p += z
+                wp = wz + beta * wp
+            else:
+                np.copyto(p, z)
+                wp = wz
+            rz = rz_new
+            self.apply(wp)
+            pq = _dot(p, q)
+            if not pq > 0.0:
+                raise ConvergenceError(
+                    f"conjugate gradients lost positive definiteness (p'Mp = {pq})",
+                    residual_history=history,
+                )
+            alpha = rz / pq
+            x += np.multiply(p, alpha, out=z)
+            r -= np.multiply(q, alpha, out=z)
+            it += 1
+        mu = self.lift(rhs, mass, x0)
+        return x0, s * mu, it, res / scale
 
 
 def solve_spd(
@@ -506,7 +680,8 @@ def solve_spd(
 
     Solves A x = rhs + mu_e*1 for x and the scalar mu_e, with the mass
     <x, 1> fixed at that of ``x0``.  Returns (x, mu_e, iterations,
-    ||r||/||rhs||), where r = rhs + mu_e*1 - A x.
+    ||r||/||rhs||), where r = rhs + mu_e*1 - A x; when rhs is zero, the
+    residual is relative to x0's own (below).
 
     The solve consumes ``x0``, ``coeffs.nu`` and ``work``:
 
@@ -520,7 +695,10 @@ def solve_spd(
       begin with nu's field, which is read before that part of ``work`` is
       written.  Without it the solve allocates its own.
 
-    ``rhs``, ``coeffs.s_r`` and ``basis`` are left as they are.
+    ``rhs``, ``coeffs.s_r`` and ``basis`` are left as they are.  Each call
+    builds a reduced system (``_BlackSystem``) for this one solve; ``run``
+    builds one for its march and solves every step in it, through the same
+    ``_BlackSystem.solve``.
 
     When x0's own residual, with the mu_e that makes it smallest, has
     ||r|| <= cg_rel_tol*||rhs||, x0 is returned untouched after zero
@@ -530,13 +708,16 @@ def solve_spd(
     ``basis`` (fields V, as an (m, ny, nx) array or a sequence of cell
     fields) is given, they start from the point of x0_B + span(V_B) whose
     error has the smallest norm in the reduced operator; only the black
-    cells V_B of the fields count.  The
-    iteration stops once the black residual, which is the whole residual of
-    the iterate with its reds eliminated, has ||r|| <= cg_rel_tol*||rhs||;
-    the start counts as iteration 0.  The red cells then follow, and mu_e
-    from the mass.  Exceeding the iteration cap raises ``ConvergenceError``
-    with the residual history attached, after writing the last iterate, at
-    x0's mass, into x0; a nonpositive p'Mp raises it with x0 untouched.
+    cells V_B of the fields count.  The iteration stops once the black
+    residual, which is the whole residual of the iterate with its reds
+    eliminated, has ||r|| <= cg_rel_tol*||rhs||; the start counts as
+    iteration 0.  The red cells then follow, and mu_e from the mass.  A
+    zero rhs still has a solution, x0's mass times A^-1 1/<1, A^-1 1>;
+    then x0's own residual takes the place of ||rhs|| in both tests and in
+    the returned residual.  Exceeding the iteration cap raises
+    ``ConvergenceError`` with the residual history attached, after writing
+    the last iterate, at x0's mass, into x0; a nonpositive p'Mp raises it
+    with x0 untouched.
     """
     rhs = np.asarray(rhs, dtype=float)
     g.check_cells(rhs, "solve_spd")
@@ -556,56 +737,8 @@ def solve_spd(
             and work.flags.writeable and work.flags.c_contiguous and work.size >= size):
         raise ParameterError(f"solve_spd: work must be a writeable, contiguous 1-D float "
                              f"array of at least {size} elements")
-    k = kappa / (g.h * g.h)
-    s = _fold_diagonal(coeffs.nu, k, cfg.tau_eff())
-    m = float(x0.sum())
-    system = _BlackSystem(g, k, work)
-    b_norm, res, mu = system.load(coeffs.nu, rhs, s, x0)
-    tol = cfg.cg_rel_tol * b_norm
-    if res <= tol:
-        return x0, s * mu, 0, res / b_norm if b_norm > 0.0 else 0.0
-    system.reduce()
-    if len(basis):
-        system.galerkin_start(basis)
-    system.build_preconditioner()
-
-    x, r, z, p, q = system.x, system.r, system.z, system.p, system.q
-    max_iter = cfg.resolved_max_iter(g)
-    history: List[float] = []
-    it = 0
-    while True:
-        res = math.sqrt(_dot(r, r))
-        history.append(s * res)
-        if res <= tol:
-            break
-        if it == max_iter:
-            system.lift(rhs, s, m, x0)
-            raise ConvergenceError(
-                f"conjugate gradients did not reach ||r|| <= {s * tol:.3e} within "
-                f"{max_iter} iterations (last residual {s * res:.3e})",
-                residual_history=history,
-            )
-        system.precondition(r, z, q)
-        rz_new = _dot(r, z)
-        if it:
-            p *= rz_new / rz
-            p += z
-        else:
-            np.copyto(p, z)
-        rz = rz_new
-        system.apply(p, q, z)
-        pq = _dot(p, q)
-        if not pq > 0.0:
-            raise ConvergenceError(
-                f"conjugate gradients lost positive definiteness (p'Mp = {pq})",
-                residual_history=history,
-            )
-        alpha = rz / pq
-        x += np.multiply(p, alpha, out=z)
-        r -= np.multiply(q, alpha, out=z)
-        it += 1
-    mu = system.lift(rhs, s, m, x0)
-    return x0, s * mu, it, res / b_norm
+    return _BlackSystem(g, kappa, cfg, work).solve(rhs, coeffs.nu, x0, basis, len(basis),
+                                                   float(x0.sum()))
 
 
 def _cholesky_solve(gram: List[List[float]], rhs: List[float]) -> List[float]:
@@ -617,21 +750,33 @@ def _cholesky_solve(gram: List[List[float]], rhs: List[float]) -> List[float]:
     """
     m = len(rhs)
     low = [[0.0] * m for _ in range(m)]
+    y = [0.0] * m
     kept: List[int] = []
     for j in range(m):
-        pivot = gram[j][j] - sum(low[j][q] ** 2 for q in kept)
+        lj = low[j]
+        pivot = gram[j][j]
+        for q in kept:
+            pivot -= lj[q] * lj[q]
         if not pivot > 1e-12 * gram[j][j]:
             continue
-        low[j][j] = math.sqrt(pivot)
+        ljj = lj[j] = math.sqrt(pivot)
         for i in range(j + 1, m):
-            low[i][j] = (gram[i][j] - sum(low[i][q] * low[j][q] for q in kept)) / low[j][j]
+            li = low[i]
+            v = gram[i][j]
+            for q in kept:
+                v -= li[q] * lj[q]
+            li[j] = v / ljj
+        v = rhs[j]
+        for q in kept:
+            v -= lj[q] * y[q]
+        y[j] = v / ljj
         kept.append(j)
-    y = [0.0] * m
-    for j in kept:
-        y[j] = (rhs[j] - sum(low[j][q] * y[q] for q in kept if q < j)) / low[j][j]
     a = [0.0] * m
-    for j in reversed(kept):
-        a[j] = (y[j] - sum(low[q][j] * a[q] for q in kept if q > j)) / low[j][j]
+    for n, j in enumerate(reversed(kept)):
+        v = y[j]
+        for q in kept[len(kept) - n:]:
+            v -= low[q][j] * a[q]
+        a[j] = v / low[j][j]
     return a
 
 
@@ -680,6 +825,12 @@ def run(
       where A's diagonal is built, and holds the pass's other three.  It is
       about 6.6 fields at 128 x 128 cells.
 
+    It also builds the reduced system (``_BlackSystem``) once, in the
+    solve's work, and solves every step in it: the views of the work's
+    rows and of the padded grid are made once per march.  What each solve
+    builds (A's diagonal, the halves, d, w, the start and the
+    preconditioner) is built anew from that step's fields.
+
     ``observer(c, report)`` sees the initial state as step 0
     (``nan`` multiplier and residual, zero iterations) and then every step;
     ``c`` is overwritten by a later step, so an observer that keeps a state
@@ -698,10 +849,6 @@ def run(
             f"[{interval.mu_lower}, {interval.mu_upper}]"
         )
 
-    def mass(field: np.ndarray) -> float:
-        # h^2 * <field, 1>, without holding a field of ones for the run
-        return float(g.h * g.h * np.sum(field))
-
     slack = cfg.bounds_slack(ef)
     x = np.empty(c.shape)  # the next state
     basis = np.empty((START_DIRECTIONS,) + c.shape)  # the last states' differences
@@ -711,7 +858,7 @@ def run(
     # The block holds s_r's field, then nu's, then the pass's other three (the
     # pass returns nu and s_r in its first two); the solve's work starts at nu's.
     fields = [block[i * cells:(i + 1) * cells].reshape(c.shape) for i in (1, 0, 2, 3, 4)]
-    work = block[cells:]
+    system = _BlackSystem(g, p.kappa, cfg, block[cells:])
     reports: List[StepReport] = []
     mu_e, iters, res = float("nan"), 0, float("nan")  # step 0 has no solve
     for n in range(n_steps + 1):
@@ -731,18 +878,19 @@ def run(
             b = coeffs.s_r
             b += np.divide(c, cfg.tau_eff(), out=x)
             np.copyto(x, c)
-            x, mu_e, iters, res = solve_spd(b, coeffs, cfg, p.kappa, g, x0=x, basis=basis[:m],
-                                            work=work)
+            x, mu_e, iters, res = system.solve(b, coeffs.nu, x, basis, m, total)
             m = _push_differences(basis, m, x, c)
             c, x = x, c
 
         # One pass gives this state's energy and extremes and the next step's coefficients.
         coeffs = scheme_coefficients(c, ef, p, g, fields=fields)
+        # The mass is h^2 <c, 1>, without a field of ones; the next solve keeps <c, 1>.
+        total = float(np.sum(c))
         if not n:
             energy_slack = cfg.energy_slack_rel * abs(coeffs.energy.total)
         report = StepReport(
             step_index=n, mu_e=mu_e, breakdown=coeffs.energy, interval=interval,
-            c_min=coeffs.c_min, c_max=coeffs.c_max, mass=mass(c),
+            c_min=coeffs.c_min, c_max=coeffs.c_max, mass=g.h * g.h * total,
             cg_iters=iters, residual=res,
             # the initial state has no multiplier and nothing to dissipate
             admissibility_ok=not n or interval.contains(mu_e),

@@ -18,6 +18,7 @@ from prphase import (
     scheme_coefficients,
     solve_spd,
 )
+from prphase import solver as solver_module
 from prphase.config import load_config
 from prphase.solver import (BLACK, RED, START_DIRECTIONS, _BlackSystem, _fold_diagonal,
                             _push_differences, solve_work_size)
@@ -82,15 +83,14 @@ def red_cells(g):
 def galerkin_start(g, coeffs, cfg, kappa, rhs, c_n, basis):
     """The point a solve from ``c_n`` starts its iteration at: the black cells
     moved by the Galerkin start, the reds eliminated at c_n's mass."""
-    k = kappa / (g.h * g.h)
+    system = _BlackSystem(g, kappa, cfg, np.empty(solve_work_size(g)))
     e = coeffs.nu.copy()
-    s = _fold_diagonal(e, k, cfg.tau_eff())
-    system = _BlackSystem(g, k, np.empty(solve_work_size(g)))
-    system.load(e, rhs, s, c_n)
+    _fold_diagonal(e, system.k, cfg.tau_eff())
+    system.load(e, rhs, c_n)
     system.reduce()
-    system.galerkin_start(basis)
+    system.galerkin_start(basis, len(basis))
     start = c_n.copy()
-    system.lift(rhs, s, float(np.sum(c_n)), start)
+    system.lift(rhs, float(np.sum(c_n)), start)
     return start
 
 
@@ -161,9 +161,21 @@ class TestHalfStencils:
 
     @staticmethod
     def halves(g):
-        """A solve's work buffer on ``g``, zeroed: its layout and its rows."""
-        system = _BlackSystem(g, 1.0, np.zeros(solve_work_size(g)))
+        """A solve's reduced system on ``g``, its work zeroed: the system, its
+        layout and its rows."""
+        # kappa = h^2, so the stencil's neighbour weight is 1
+        system = _BlackSystem(g, g.h * g.h, SolverConfig(tau=1.0), np.zeros(solve_work_size(g)))
         return system, system.board, system.rows
+
+    @staticmethod
+    def put(board, full, half, colour):
+        for cells, view in board.views(half, colour):
+            view[...] = full[cells]
+
+    @staticmethod
+    def take(board, half, colour, full):
+        for cells, view in board.views(half, colour):
+            full[cells] = view
 
     @pytest.mark.parametrize("ny,nx", [(1, 1), (1, 5), (5, 1), (6, 8), (5, 7), (37, 13)])
     def test_half_stencils_build_the_whole_stencil(self, ny, nx):
@@ -173,31 +185,37 @@ class TestHalfStencils:
         for _ in range(2):
             p = r.standard_normal((ny, nx))
             ref = stencil(p, e, 1.0)
-            got = np.full((ny, nx), np.nan)
-            for colour, other in ((RED, BLACK), (BLACK, RED)):
-                system, board, rows = self.halves(g)
-                # p's own cells, the other colour's, e's own and a mask of the cells
-                for i, (full, c) in enumerate(((p, colour), (p, other), (e, colour),
-                                               (np.ones((ny, nx)), colour))):
-                    system.put(full, i, c)
-                rows[5].fill(np.nan)  # scratch: the sum must not read it
-                board.neighbours(rows[1], rows[4], colour, rows[5])
-                board.zero_pads(rows[4], colour)
-                assert np.all(rows[4][rows[3] == 0] == 0.0)  # nothing off the cells
-                np.subtract(rows[2] * rows[0], rows[4], out=rows[6])
-                system.take(6, colour, got)
-            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+            for pairs_first in (True, False):
+                got = np.full((ny, nx), np.nan)
+                for colour, other in ((RED, BLACK), (BLACK, RED)):
+                    system, board, rows = self.halves(g)
+                    # p's own cells, the other colour's, e's own and a mask of the cells
+                    for i, (full, c) in enumerate(((p, colour), (p, other), (e, colour),
+                                                   (np.ones((ny, nx)), colour))):
+                        self.put(board, full, rows[i], c)
+                    rows[5].fill(np.nan)  # scratch: the sum must not read it
+                    if pairs_first:
+                        system.neighbours(1, 4, colour, 5)
+                    else:
+                        board.neighbours(rows[1], rows[4], colour)
+                    system.zero_pads(4, colour)
+                    assert np.all(rows[4][rows[3] == 0] == 0.0)  # nothing off the cells
+                    np.subtract(rows[2] * rows[0], rows[4], out=rows[6])
+                    self.take(board, rows[6], colour, got)
+                assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("ny,nx", [(1, 1), (2, 1), (4, 6), (5, 7)])
     def test_put_and_take_keep_every_cell(self, ny, nx):
-        system, _, rows = self.halves(Grid2D(nx=nx, ny=ny, h=0.5))
+        # split puts a field's cells into two halves, and join takes them back
+        system, board, rows = self.halves(Grid2D(nx=nx, ny=ny, h=0.5))
         p = np.random.default_rng(1).standard_normal((ny, nx))
+        system.split(p, system.T, system.X)
+        for colour, row in ((RED, system.T), (BLACK, system.X)):
+            for cells, view in board.views(rows[row], colour):
+                assert np.array_equal(view, p[cells])
         back = np.full((ny, nx), np.nan)
-        for colour in (RED, BLACK):
-            system.put(p, colour, colour)
-            system.take(colour, colour, back)
+        system.join(system.T, system.X, back)
         assert np.array_equal(back, p)
-        assert [np.count_nonzero(row) for row in rows[:2]] == [(p.size + 1) // 2, p.size // 2]
 
 
 class TestSolveSpd:
@@ -233,6 +251,25 @@ class TestSolveSpd:
         x, mu_e, iters, res = solve_spd(np.zeros(g.cell_shape()), coeffs, cfg, kappa, g,
                                         x0=np.zeros(g.cell_shape()))
         assert np.all(x == 0) and mu_e == 0.0 and iters == 0 and res == 0.0
+
+    @pytest.mark.parametrize("ny,nx", [(20, 20), (37, 13), (64, 64), (5, 7)])
+    def test_zero_rhs_from_a_nonzero_start(self, ny, nx):
+        # x = m A^-1 1 / <1, A^-1 1>: with rhs = 0 the tolerance and the
+        # reported residual are relative to the start's own residual
+        g = Grid2D(nx=nx, ny=ny, h=0.5)
+        r = np.random.default_rng(ny * 100 + nx)
+        coeffs = SchemeCoefficients(nu=r.uniform(1.0, 2.0, size=(ny, nx)),
+                                    s_r=np.zeros((ny, nx)))
+        cfg = SolverConfig(tau=0.7, cg_rel_tol=1e-12)
+        rhs = np.zeros((ny, nx))
+        x0 = r.uniform(1.0, 2.0, size=(ny, nx))
+        m0 = mass(x0, g)
+        x_direct, mu_direct = dense_kkt_solve(g, coeffs, cfg, 0.2, rhs, m0)
+        x, mu_e, iters, res = solve_spd(rhs, spare(coeffs), cfg, 0.2, g, x0=x0)
+        assert iters > 0 and 0.0 < res <= cfg.cg_rel_tol
+        assert np.max(np.abs(x - x_direct)) <= 1e-8 * np.max(np.abs(x_direct))
+        assert abs(mu_e - mu_direct) <= 1e-8 * abs(mu_direct)
+        assert abs(mass(x, g) - m0) <= 1e-14 * abs(m0)
 
     def test_fortran_ordered_inputs(self, toy):
         # the stencil writes through flat views, so its buffers must not
@@ -505,8 +542,9 @@ def test_march_peak_memory_in_fields():
     # which the right-hand side is built, then the solve's eleven padded
     # half-fields, which begin with nu's field and hold the pass's other
     # three.  Traced from the step-0 report on, so the set-up's allocations
-    # are left out: 11.8 fields here, and 12.8 when the solve's work starts
-    # after nu's field instead of on it.
+    # are left out: 11.85 fields here (0.07 of them the reduced system's
+    # views, which do not grow with the grid), and 12.9 when the solve's
+    # work starts after nu's field instead of on it.
     cfg, g, c0 = preset_square()
 
     def reset_at_step_0(c, report):
@@ -599,6 +637,25 @@ class TestWorkFields:
         assert it1 > 0
         assert np.array_equal(x1, x2) and np.array_equal(d1, d2)
         assert (mu1, it1, res1) == (mu2, it2, res2)
+
+    def test_reused_system_keeps_no_state(self, toy):
+        # run solves every step in one system: each solve must give the bits
+        # of a fresh solve_spd call, whatever the last one left in the work
+        g, _, cfg, kappa, r = toy
+        system = _BlackSystem(g, kappa, cfg, np.full(solve_work_size(g), np.nan))
+        for n_basis in (START_DIRECTIONS, 2, 0):
+            coeffs = SchemeCoefficients(nu=r.uniform(1.0, 2.0, size=g.cell_shape()),
+                                        s_r=np.zeros(g.cell_shape()))
+            states, basis = TestGalerkinStart.history(g, r)
+            basis = np.ascontiguousarray(basis[:n_basis])
+            rhs = r.standard_normal(g.cell_shape())
+            fresh, reused = spare(coeffs), spare(coeffs)
+            want = solve_spd(rhs, fresh, cfg, kappa, g, x0=states[-1].copy(), basis=basis)
+            got = system.solve(rhs, reused.nu, states[-1].copy(), basis, n_basis,
+                               float(states[-1].sum()))
+            assert want[2] > 0
+            assert np.array_equal(got[0], want[0]) and np.array_equal(reused.nu, fresh.nu)
+            assert got[1:] == want[1:]
 
     def test_pass_in_given_fields_gives_the_same_bits(self, nc4, window, droplet_setup):
         g, c0, _ = droplet_setup
@@ -755,6 +812,20 @@ def marched(nc4, window, droplet_setup):
 
 
 class TestRun:
+    def test_march_builds_one_reduced_system(self, nc4, window, droplet_setup, monkeypatch):
+        g, c0, cfg = droplet_setup
+        built = []
+
+        class Counted(solver_module._BlackSystem):
+            def __init__(self, *args, **kwargs):
+                built.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(solver_module, "_BlackSystem", Counted)
+        _, reports = run(c0, 8, window, nc4, cfg, g)
+        assert all(rep.cg_iters > 0 for rep in reports)
+        assert len(built) == 1
+
     def test_zero_steps_returns_copy(self, nc4, window, droplet_setup):
         g, c0, cfg = droplet_setup
         c, reports = run(c0, 0, window, nc4, cfg, g)
