@@ -36,7 +36,7 @@ from .errors import (
     PrPhaseError,
 )
 from .grid import Grid2D
-from .solver import SolverConfig, StepReport, run, solve_spd
+from .solver import SolverConfig, StepReport, run
 
 __version__ = "0.1.0"
 
@@ -66,6 +66,5 @@ __all__ = [
     "run",
     "scheme_coefficients",
     "shape_anisotropy",
-    "solve_spd",
     "__version__",
 ]

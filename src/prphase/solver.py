@@ -11,11 +11,11 @@ The operator A = I/tau_eff - kappa*Lap + nu is symmetric positive definite.
 Colour the cells like a checkerboard.  The five-point stencil couples a red
 cell only to black ones, so A's red block is diagonal and the red unknowns
 are eliminated exactly, x_R = D_R^-1 (b_R + mu_e + N_R x_B); the mass
-constraint then gives mu_e from x_B.  ``solve_spd`` runs conjugate
-gradients on the black cells alone, on the Schur complement S = D_B -
-N_B D_R^-1 N_R plus the rank-one term that eliminating mu_e adds: the
-reduced system of Hageman & Young (Applied Iterative Methods, 1981, ch. 9).
-Its preconditioner, diag(S) plus that rank-one term, is applied exactly by
+constraint then gives mu_e from x_B.  The solve runs conjugate gradients
+on the black cells alone, on the Schur complement S = D_B - N_B D_R^-1 N_R
+plus the rank-one term that eliminating mu_e adds: the reduced system of
+Hageman & Young (Applied Iterative Methods, 1981, ch. 9).  Its
+preconditioner, diag(S) plus that rank-one term, is applied exactly by
 Sherman-Morrison.  The red residual is zero by construction, so the black
 residual is the whole residual of the iterate with its reds eliminated.
 After the loop the reds and mu_e follow, and one correction puts the mass
@@ -34,10 +34,10 @@ What is built once and what once per solve: the reduced system
 (``_BlackSystem``) holds the views of a work buffer's rows, of their pads,
 ends and shifted half-stencil slices, and of the padded grid through which
 fields are split into halves and joined back.  ``run`` builds it once for
-its march and solves every step in it; ``solve_spd`` builds one per call
-around the same solve.  Each solve builds A's diagonal, the halves of e,
-x0 and the right-hand side, d = 1/e_R, w, the start and the preconditioner,
-and nothing is carried from one solve to the next.
+its march and solves every step in it (``_BlackSystem.solve``).  Each
+solve builds A's diagonal, the halves of e, x0 and the right-hand side,
+d = 1/e_R, w, the start and the preconditioner, and nothing is carried
+from one solve to the next.
 
 ``run`` starts step 1 from c_old.  Every later step starts from the point
 of c_old + span{D^1, ..., D^m} whose error has the smallest norm in the
@@ -66,18 +66,16 @@ to fault freed memory back in.
 
 from __future__ import annotations
 
-import functools
 import logging
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
 from . import diagnostics
-from .ef import (EfParams, EnergyBreakdown, SchemeCoefficients, require_in_window,
-                 scheme_coefficients)
+from .ef import EfParams, EnergyBreakdown, require_in_window, scheme_coefficients
 from .eos import EosParams
 from .errors import ConvergenceError, InvariantViolation, ParameterError
 from .grid import Grid2D
@@ -99,10 +97,10 @@ class SolverConfig:
     tau : time-step size in s.
     cg_rel_tol : stop conjugate gradients once the step's residual has
         ||r|| <= cg_rel_tol*||rhs||, rhs = c_old/tau_eff + s_r (relative to
-        the start's own residual when rhs is zero; ``solve_spd``).
+        the start's own residual when rhs is zero; ``_BlackSystem.solve``).
     cg_max_iter : iteration cap; ``None`` means 10 * (number of cells).
     preconditioner : "diagonal", the only value: the diagonal of the
-        black-cell system (``solve_spd``) plus its rank-one mass term.
+        black-cell system (``_BlackSystem``) plus its rank-one mass term.
     mobility : constant mobility folded into the effective step tau*mobility.
     on_violation : "continue" records failed invariant checks in the step
         report; "abort" raises instead.
@@ -286,15 +284,9 @@ class _Checkerboard:
         o += src[..., d]
 
 
-@functools.lru_cache(maxsize=8)
-def _board(g: Grid2D) -> _Checkerboard:
-    """The layout of ``g``, built once per grid: a march solves on one grid."""
-    return _Checkerboard(g)
-
-
 def solve_work_size(g: Grid2D) -> int:
-    """Floats ``solve_spd`` works in on grid ``g``: eleven padded half-fields."""
-    return _HALVES * _board(g).size
+    """Floats a solve works in on grid ``g``: eleven padded half-fields."""
+    return _HALVES * _Checkerboard(g).size
 
 
 class _BlackSystem:
@@ -310,11 +302,10 @@ class _BlackSystem:
     residual of M at x_B is A's at x_B with its reds and mu eliminated;
     that point's red residual is zero.
 
-    A system is built once per grid, step size and work buffer, and
-    ``solve`` runs one step's solve in it: ``solve_spd`` builds one per
-    call, and ``run`` one for its whole march.  What does not change
-    between solves is built here: the views of the rows, of their spans,
-    pads and ends, of each row's four shifted half-stencil slices (on
+    ``run`` builds one system for its march, on one grid, step size and
+    work buffer, and ``solve`` runs each step's solve in it.  What does not
+    change between solves is built here: the views of the rows, of their
+    spans, pads and ends, of each row's four shifted half-stencil slices (on
     first use), and of a padded grid through which whole fields are split
     into halves and joined back.  A solve keeps nothing from the last one:
     each half is filled before the solve first reads it, and every entry
@@ -337,7 +328,7 @@ class _BlackSystem:
     Z, W, INV_DS, P, IW, T, X, Q, R, D, E = range(_HALVES)
 
     def __init__(self, g: Grid2D, kappa: float, cfg: SolverConfig, work: np.ndarray):
-        self.board = board = _board(g)
+        self.board = board = _Checkerboard(g)
         self.k = kappa / (g.h * g.h)
         self.tau_eff = cfg.tau_eff()
         self.s = self.k or 1.0
@@ -578,8 +569,10 @@ class _BlackSystem:
 
         The red cells at mu = 0 are t = d (b_R + N_R x_B).  mu then gives the
         mass by the halves' sums, and one more step of it, by x0's own sum,
-        takes out what round-off left: 3.5e-16 of mass drift over the
-        droplet run, against 1.4e-15 without that step.
+        takes out what round-off left.  The droplet run's mass drift is
+        8.7e-16 with that step and 5.2e-16 without it, but on an 8 x 6 grid
+        whose multiplier is 1e6 the halves' sums alone leave 1.2e-11 of the
+        mass, and the step 2e-16.
         """
         x, t, z, d = self.x, self.t, self.z, self.d
         # z is finite everywhere, and d zero off the red cells
@@ -599,8 +592,26 @@ class _BlackSystem:
 
     def solve(self, rhs: np.ndarray, nu: np.ndarray, x0: np.ndarray, basis: np.ndarray,
               m: int, mass: float) -> Tuple[np.ndarray, float, int, float]:
-        """``solve_spd`` on trusted arguments, from the first ``m`` fields of
-        ``basis``; ``mass`` is x0's own sum, ``float(x0.sum())``."""
+        """Solve A x = rhs + mu_e*1 for x and mu_e, x's mass fixed at x0's.
+
+        Returns (x, mu_e, iterations, ||r||/||rhs||), r = rhs + mu_e*1 - A x,
+        the start counting as iteration 0; ``mass`` is x0's own sum,
+        ``float(x0.sum())``, and the start is moved by the first ``m`` fields
+        of ``basis`` (``galerkin_start``).  The solve consumes ``x0``, into
+        which it writes x, nu's field, which holds A's diagonal over
+        kappa/h^2 (``_fold_diagonal``) on return unless the work buffer
+        overlaps it, and the work buffer; ``rhs`` and ``basis`` are kept.
+
+        A start whose own residual, with the mu_e that makes it smallest, has
+        ||r|| <= cg_rel_tol*||rhs|| is returned untouched after zero
+        iterations, which ``run`` meets on a uniform state.  A zero rhs
+        still has a solution, x0's mass times A^-1 1/<1, A^-1 1>; then x0's
+        own residual takes the place of ||rhs|| in both tests and in the
+        returned residual.  Exceeding the iteration cap raises
+        ``ConvergenceError`` with the residual history attached, after
+        writing the last iterate, at x0's mass, into x0; a nonpositive p'Mp
+        raises it with x0 untouched.
+        """
         s = _fold_diagonal(nu, self.k, self.tau_eff)
         scale = self.load(nu, rhs, x0)
         tol = self.rel_tol * scale
@@ -664,81 +675,6 @@ class _BlackSystem:
             it += 1
         mu = self.lift(rhs, mass, x0)
         return x0, s * mu, it, res / scale
-
-
-def solve_spd(
-    rhs: np.ndarray,
-    coeffs: SchemeCoefficients,
-    cfg: SolverConfig,
-    kappa: float,
-    g: Grid2D,
-    x0: np.ndarray,
-    basis: Sequence[np.ndarray] = (),
-    work: Optional[np.ndarray] = None,
-) -> Tuple[np.ndarray, float, int, float]:
-    """Reduced-system conjugate gradients for the constrained step.
-
-    Solves A x = rhs + mu_e*1 for x and the scalar mu_e, with the mass
-    <x, 1> fixed at that of ``x0``.  Returns (x, mu_e, iterations,
-    ||r||/||rhs||), where r = rhs + mu_e*1 - A x; when rhs is zero, the
-    residual is relative to x0's own (below).
-
-    The solve consumes ``x0``, ``coeffs.nu`` and ``work``:
-
-    - the solution is written into ``x0``, which is the returned x;
-    - the diagonal of A over kappa/h^2 (``_fold_diagonal``) is built in
-      ``coeffs.nu``'s field, which on return holds that scaled diagonal
-      unless ``work`` overlaps it;
-    - ``work``, a writeable contiguous 1-D float array of at least
-      ``solve_work_size(g)`` elements apart from the other arguments, holds
-      the reduced system (``_BlackSystem``) and is left clobbered.  It may
-      begin with nu's field, which is read before that part of ``work`` is
-      written.  Without it the solve allocates its own.
-
-    ``rhs``, ``coeffs.s_r`` and ``basis`` are left as they are.  Each call
-    builds a reduced system (``_BlackSystem``) for this one solve; ``run``
-    builds one for its march and solves every step in it, through the same
-    ``_BlackSystem.solve``.
-
-    When x0's own residual, with the mu_e that makes it smallest, has
-    ||r|| <= cg_rel_tol*||rhs||, x0 is returned untouched after zero
-    iterations.  Otherwise the red cells and mu_e are eliminated
-    (``_BlackSystem``) and conjugate gradients, preconditioned by diag(S)
-    plus the rank-one mass term, run on the black cells from x0's.  When
-    ``basis`` (fields V, as an (m, ny, nx) array or a sequence of cell
-    fields) is given, they start from the point of x0_B + span(V_B) whose
-    error has the smallest norm in the reduced operator; only the black
-    cells V_B of the fields count.  The iteration stops once the black
-    residual, which is the whole residual of the iterate with its reds
-    eliminated, has ||r|| <= cg_rel_tol*||rhs||; the start counts as
-    iteration 0.  The red cells then follow, and mu_e from the mass.  A
-    zero rhs still has a solution, x0's mass times A^-1 1/<1, A^-1 1>;
-    then x0's own residual takes the place of ||rhs|| in both tests and in
-    the returned residual.  Exceeding the iteration cap raises
-    ``ConvergenceError`` with the residual history attached, after writing
-    the last iterate, at x0's mass, into x0; a nonpositive p'Mp raises it
-    with x0 untouched.
-    """
-    rhs = np.asarray(rhs, dtype=float)
-    g.check_cells(rhs, "solve_spd")
-    for what, a in (("the warm start", x0), ("nu", coeffs.nu)):
-        if not (isinstance(a, np.ndarray) and a.shape == rhs.shape and a.dtype == float
-                and a.flags.writeable):
-            raise ParameterError(f"solve_spd: {what} must be a writeable float array of "
-                                 f"shape {rhs.shape}")
-    basis = np.asarray(basis, dtype=float) if len(basis) else np.empty((0,) + rhs.shape)
-    if basis.shape[1:] != rhs.shape:
-        raise ParameterError(f"solve_spd basis: expected fields of cell shape {rhs.shape}, "
-                             f"got {basis.shape[1:]}")
-    size = solve_work_size(g)
-    if work is None:
-        work = np.empty(size)
-    if not (isinstance(work, np.ndarray) and work.ndim == 1 and work.dtype == float
-            and work.flags.writeable and work.flags.c_contiguous and work.size >= size):
-        raise ParameterError(f"solve_spd: work must be a writeable, contiguous 1-D float "
-                             f"array of at least {size} elements")
-    return _BlackSystem(g, kappa, cfg, work).solve(rhs, coeffs.nu, x0, basis, len(basis),
-                                                   float(x0.sum()))
 
 
 def _cholesky_solve(gram: List[List[float]], rhs: List[float]) -> List[float]:
@@ -826,10 +762,7 @@ def run(
       about 6.6 fields at 128 x 128 cells.
 
     It also builds the reduced system (``_BlackSystem``) once, in the
-    solve's work, and solves every step in it: the views of the work's
-    rows and of the padded grid are made once per march.  What each solve
-    builds (A's diagonal, the halves, d, w, the start and the
-    preconditioner) is built anew from that step's fields.
+    solve's work, and solves every step in it.
 
     ``observer(c, report)`` sees the initial state as step 0
     (``nan`` multiplier and residual, zero iterations) and then every step;

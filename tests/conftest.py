@@ -14,7 +14,7 @@ from prphase import (
     get_substance,
 )
 from prphase.ef import _pointwise
-from prphase.solver import _fold_diagonal
+from prphase.solver import _BlackSystem, _fold_diagonal, solve_work_size
 
 C_GAS = 249.1123
 C_LIQ = 9526.8428
@@ -112,6 +112,15 @@ def apply_operator(c, coeffs, cfg, kappa, g):
     e = np.array(coeffs.nu, dtype=float)
     s = _fold_diagonal(e, k, cfg.tau_eff())
     return s * stencil(c, e, k)
+
+
+def solve_step(rhs, coeffs, cfg, kappa, g, x0, basis=()):
+    """One step's solve (``solver._BlackSystem.solve``) in a fresh system on a
+    fresh work buffer, started from ``x0`` moved by the fields of ``basis``.
+    Returns (x, mu_e, iterations, residual); x is ``x0``, and ``coeffs.nu``
+    is consumed."""
+    system = _BlackSystem(g, kappa, cfg, np.empty(solve_work_size(g)))
+    return system.solve(rhs, coeffs.nu, x0, basis, len(basis), float(x0.sum()))
 
 
 def minus_laplacian(c, g):

@@ -5,10 +5,8 @@ import prphase
 
 SRC = Path(prphase.__file__).resolve().parent
 
-#: Public names that nothing in the package calls.  ``solve_spd`` is the
-#: entry point for one solve; ``run`` solves every step in one reduced system
-#: it builds for its march, through the same core.
-UNUSED_BY_DESIGN = {"__version__", "solve_spd"}
+#: Public names that nothing in the package calls.
+UNUSED_BY_DESIGN = {"__version__"}
 
 
 def parsed_modules():
@@ -48,5 +46,24 @@ def test_every_public_name_is_used_in_the_package():
 def test_every_public_definition_is_used_in_the_package():
     used = used_names()
     unused = [f"{module}.{name}" for module, name in public_definitions()
-              if name not in used | UNUSED_BY_DESIGN]
+              if name not in used]
     assert not unused, f"public functions and classes that nothing in src/prphase reads: {unused}"
+
+
+def test_every_import_is_read_in_its_module():
+    # __init__.py imports to re-export, and __future__ imports switch features
+    unread = []
+    for path, tree in parsed_modules():
+        if path.name == "__init__.py":
+            continue
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read:
+                        unread.append(f"{path.stem}: {name}")
+    assert not unread, f"imports that nothing in their module reads: {unread}"

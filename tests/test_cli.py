@@ -290,6 +290,19 @@ class TestRun:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["invariant_violations"] == 0
 
+    def test_iteration_cap_exits_4(self, tmp_path, capsys):
+        # the march is the only path to a capped solve: step 1 fails, and the
+        # run stops with the series it had written
+        cfg = write_config(tmp_path, tiny_dict(solver={"cg_max_iter": 1}))
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--output-dir", str(out)]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert any(line.startswith("solver failure: conjugate gradients did not reach")
+                   for line in err), err
+        series = (out / "series.csv").read_text().splitlines()
+        assert len(series) == 2 and series[0].startswith("step,")  # the header and step 0
+        assert float(series[1].split(",")[0]) == 0.0
+
     def test_bad_config_exits_2(self, tmp_path):
         d = tiny_dict()
         d["grid"]["M"] = 20

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from prphase import Grid2D, ParameterError, SchemeCoefficients, SolverConfig, solve_spd
+from prphase import Grid2D, ParameterError
 from prphase.grid import gradient_sq_norm
 
 from conftest import inner, minus_laplacian
@@ -97,10 +97,6 @@ class TestDifferenceOperators:
         wrong = np.zeros((unit_grid.ny + 1, unit_grid.nx + 1))
         with pytest.raises(ParameterError, match="expected cell shape"):
             gradient_sq_norm(wrong, unit_grid)
-        coeffs = SchemeCoefficients(nu=np.zeros(unit_grid.cell_shape()),
-                                    s_r=np.zeros(unit_grid.cell_shape()))
-        with pytest.raises(ParameterError, match="expected cell shape"):
-            solve_spd(wrong, coeffs, SolverConfig(tau=1.0), 1.0, unit_grid, wrong.copy())
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
