@@ -99,3 +99,18 @@ def semi_implicit_potentials(c_old, c_new, ef, p):
     mu_ideal = p.vartheta0 + RT * np.log(c_old) + RT * c_new / c_old
     mu_rep = RT * gp * (2.0 * g + gp * (c_new - c_old)) - ef.lam * RT
     return SemiImplicitPotentials(mu_ideal=mu_ideal, mu_repulsion=mu_rep)
+
+
+def scheme_coefficients(c, lam, p):
+    """The scheme's frozen coefficients as the paper writes them:
+
+        nu(c)  = R*T*(1/c + G'(c)^2)
+        s_r(c) = -vartheta0 - R*T*ln(c) + R*T*(G'(c)^2*c - 2*G(c)*G'(c) + lam) - mu_a(c)
+    """
+    c = np.asarray(c, dtype=float)
+    RT = p.R * p.T
+    g, gp = g_and_gprime(c, lam, p)
+    nu = RT * (1.0 / c + gp * gp)
+    s_r = (-p.vartheta0 - RT * np.log(c) + RT * (gp * gp * c - 2.0 * g * gp + lam)
+           - mu_attraction(c, p))
+    return nu, s_r
