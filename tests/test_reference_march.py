@@ -124,7 +124,7 @@ def march_errors(g, tau, c0, n_steps, window, nc4):
     return worst
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(case=marches())
 def test_run_follows_the_dense_reference_march(nc4, window, case):
     g, tau, c0, n_steps = case
