@@ -145,7 +145,8 @@ class EosParams:
     beta : float
         Covolume in m^3/mol.
     kappa : float
-        Influence coefficient in J m^5 / mol^2 (as conventionally printed).
+        Influence coefficient in J m^5 / mol^2 (as conventionally printed);
+        must be positive.
     """
 
     T: float
@@ -167,6 +168,11 @@ class EosParams:
                               ("beta", self.beta > 0, "positive")):
             if not ok:
                 raise ParameterError(f"{key}: must be {rule}, got {getattr(self, key)!r}", key=key)
+        # The gradient energy, and with it the step's SPD operator, needs kappa > 0;
+        # derive_eos_params gives kappa <= 0 for some acentric factors and temperatures.
+        if not self.kappa > 0:
+            raise ParameterError(f"kappa: must be positive, got {self.kappa!r} at T = {self.T} K",
+                                 key="kappa")
 
     @property
     def c_max(self) -> float:

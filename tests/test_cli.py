@@ -308,6 +308,17 @@ class TestRun:
         d["grid"]["M"] = 20
         assert main(["run", write_config(tmp_path, d)]) == 2
 
+    def test_nonpositive_kappa_exits_2_at_check_and_run(self, tmp_path, capsys):
+        # n-butane's critical point with omega = -0.6 gives kappa < 0 at 330 K:
+        # a parameter fault, not a solver failure (exit 4)
+        sub = tmp_path / "x.substance"
+        sub.write_text("name = x\nTc_K = 425.2\nPc_bar = 38.0\nomega = -0.6\n")
+        cfg = write_config(tmp_path, tiny_dict(substance=str(sub)))
+        for command in (["check", cfg], ["run", cfg, "--output-dir", str(tmp_path / "out")]):
+            assert main(command) == 2
+            assert "kappa: must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("tau", [1.0, 1.0e5, 1.0e10])
     def test_step_size_sweep(self, tmp_path, tau):
         # the stepper has no stability restriction: wildly different step

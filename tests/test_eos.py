@@ -241,3 +241,20 @@ def test_eos_params_validation():
         EosParams(T=300.0, R=8.314, vartheta0=0.0, m=0.5, alpha=-1.0, beta=1e-4, kappa=1e-19)
     with pytest.raises(ParameterError):
         EosParams(T=300.0, R=8.314, vartheta0=0.0, m=0.5, alpha=1.0, beta=0.0, kappa=1e-19)
+    with pytest.raises(ParameterError, match="kappa: must be positive"):
+        EosParams(T=300.0, R=8.314, vartheta0=0.0, m=0.5, alpha=1.0, beta=1e-4, kappa=0.0)
+
+
+@pytest.mark.parametrize("omega,positive", [(-0.585, True), (-0.59, False)])
+def test_kappa_must_be_positive(omega, positive):
+    # Between the poles of a0 and a1 (omega about -0.896 and -0.587) the
+    # correlation gives kappa < 0 below T_c: about 6.2e-17 at -0.585 and
+    # -5.5e-17 at -0.59, with n-butane's critical point at 330 K.
+    fluid = Substance(name="x", T_c=425.2, P_c=38.0e5, omega=omega)
+    if positive:
+        assert derive_eos_params(fluid, 330.0).kappa == pytest.approx(6.2e-17, rel=0.01)
+    else:
+        with pytest.raises(ParameterError, match=r"kappa: must be positive, got -5\.47.*e-17 "
+                                                 r"at T = 330\.0 K") as exc:
+            derive_eos_params(fluid, 330.0)
+        assert exc.value.key == "kappa"
