@@ -48,14 +48,14 @@ discrete energy and extreme densities; the time stepper judges the window.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .eos import EosParams, _require_admissible
 from .errors import BoundsViolationError, DomainError, ParameterError
-from .grid import Grid2D, gradient_sq_norm
+from .grid import RED, Grid2D, _Checkerboard
 
 ArrayLike = Union[float, np.ndarray]
 
@@ -232,29 +232,74 @@ def require_in_window(c: np.ndarray, ef: EfParams, bounds_slack: float, what: st
 
 def scheme_coefficients(
     c_old: np.ndarray, ef: EfParams, p: EosParams, g: Grid2D,
-    fields: Optional[Sequence[np.ndarray]] = None,
+    fields: Optional[Sequence[np.ndarray]] = None, board: Optional[_Checkerboard] = None,
 ) -> SchemeCoefficients:
     """nu, s_r, the discrete energy and the extreme densities of ``c_old``.
 
     The energy, with gradient weight p.kappa, is
 
-        F_h(c) = h^2*<c, f_b/c> + (kappa/2)*gradient_sq_norm(c).
+        F_h(c) = h^2*<c, f_b/c> + (kappa/2)*||grad_h c||^2,
 
-    The fields come from ``_pointwise``; a density outside 0 < c < 1/beta
-    raises ``DomainError``.  The window is the caller's to judge, from
-    ``c_min`` and ``c_max``.
+    the squared gradient norm summed over interior faces
+    (``_Checkerboard.gradient_sq_norm``).  The fields come from
+    ``_pointwise``; a density outside 0 < c < 1/beta raises
+    ``DomainError``.  The window is the caller's to judge, from ``c_min``
+    and ``c_max``.
 
-    ``fields``, five writeable C-contiguous float cell fields apart from
-    ``c_old``, are the pass's work space when given (``Grid2D.check_fields``):
-    nu and s_r come back in the first two, and the other three are left
-    clobbered.  Without them the pass allocates its own.
+    The pass runs on the red and black halves of ``g``'s ``board``, the
+    march's layout.  With ``board`` given, ``c_old`` is a pair in it whose
+    pads and ends are zero, and nu and s_r come back in pairs too: so
+    ``run`` splits no field.  Their ends are zero, the pads of s_r too, and
+    those of nu hold nu at the field's first cell.  ``fields``, five
+    writeable float pairs apart from ``c_old``, whose ends are zero, are
+    then the pass's work space: nu and s_r come back in the first two, and
+    the other three are left clobbered; without them the pass allocates its
+    own.  Without ``board``, ``c_old`` is a cell field, and nu and s_r come
+    back as cell fields.
     """
-    c = np.ascontiguousarray(c_old, dtype=float)
-    g.check_cells(c, "scheme_coefficients")
-    if fields is not None:
-        g.check_fields(fields, 5, "scheme_coefficients")
-    f, nu_f, sr, (c_min, c_max) = _pointwise(c, p, ef.lam, "scheme_coefficients", fields)
-    bulk = float(g.h * g.h * np.einsum("ij,ij->", c, f))
-    gradient = 0.5 * p.kappa * gradient_sq_norm(c, g, scratch=f)
-    return SchemeCoefficients(nu=nu_f, s_r=sr, energy=EnergyBreakdown(
+    if board is None:
+        if fields is not None:
+            raise ParameterError("scheme_coefficients: work fields are pairs, which need a board")
+        c = np.ascontiguousarray(c_old, dtype=float)
+        g.check_cells(c, "scheme_coefficients")
+        board = _Checkerboard(g)
+        coeffs = _halves_pass(board.split(c, np.zeros((2, board.size))), ef, p, g, board,
+                              [np.zeros((2, board.size)) for _ in range(5)])
+        return replace(coeffs, nu=board.join(coeffs.nu, np.empty(c.shape)),
+                       s_r=board.join(coeffs.s_r, np.empty(c.shape)))
+    pair = (2, board.size)
+    if fields is None:
+        fields = [np.zeros(pair) for _ in range(5)]
+    if not (len(fields) == 5 and all(
+            isinstance(a, np.ndarray) and a.shape == pair and a.dtype == float
+            and a.flags.writeable and a.flags.c_contiguous for a in (c_old, *fields))):
+        # the pass works in each pair's flat run, and the flat view of an
+        # array in any other order is a copy: the writes would be lost
+        raise ParameterError(f"scheme_coefficients: the state and 5 fields must be writeable, "
+                             f"C-contiguous float pairs of shape {pair}")
+    return _halves_pass(c_old, ef, p, g, board, fields)
+
+
+def _halves_pass(c: np.ndarray, ef: EfParams, p: EosParams, g: Grid2D,
+                 board: _Checkerboard, fields: Sequence[np.ndarray]) -> SchemeCoefficients:
+    """``scheme_coefficients`` on the pair ``c``, in the pairs ``fields``.
+
+    ``_pointwise`` runs on the pairs' flat ``run``s, with the first cell's
+    density at the state's pads and ``gap``; then the gaps are zeroed, and
+    the pads of the state and of s_r.
+    """
+    flat = [a.reshape(-1) for a in (c, *fields)]
+    first = c[RED, board.span.start]  # cell (0, 0)
+    board.fill_pads(c, first)
+    flat[0][board.gap] = first
+    *_, (c_min, c_max) = _pointwise(flat[0][board.run], p, ef.lam, "scheme_coefficients",
+                                    [a[board.run] for a in flat[1:]])
+    for a in flat:
+        a[board.gap] = 0.0
+    board.fill_pads(c, 0.0)
+    board.fill_pads(fields[1], 0.0)
+    # the pads of c are zero, whatever f holds there
+    bulk = float(g.h * g.h * np.einsum("ij,ij->", c, fields[2]))
+    gradient = 0.5 * p.kappa * board.gradient_sq_norm(c, fields[3][0])
+    return SchemeCoefficients(nu=fields[0], s_r=fields[1], energy=EnergyBreakdown(
         bulk=bulk, gradient=gradient, total=float(bulk + gradient)), c_min=c_min, c_max=c_max)

@@ -25,43 +25,43 @@ takes 823 iterations where the projected Jacobi iteration it replaced took
 
 Each colour is held as one flat half of a grid whose rows are padded to an
 odd width, so a cell's colour is the parity of its padded flat index and a
-half-stencil is four shifted slices of one flat run (``_Checkerboard``).
-Over s = kappa/h^2, A = e - N with e (1/tau_eff folded in) built in nu's
-field once per solve.  The sums run through ``np.einsum`` and ndarray
-``sum``, not BLAS, so a run gives the same bits whatever the number of BLAS threads.
+half-stencil is four shifted slices of one flat run
+(``grid._Checkerboard``).  Over s = kappa/h^2, A = e - N, e = nu/s + the
+number of in-domain neighbours + 1/(tau_eff*s).  The sums run through
+``np.einsum`` and ndarray ``sum``, not BLAS, so a run gives the same bits
+whatever the number of BLAS threads.
 
-What is built once and what once per solve: the reduced system
-(``_BlackSystem``) holds the views of a work buffer's rows, of their pads,
-ends and shifted half-stencil slices, and of the padded grid through which
-fields are split into halves and joined back.  ``run`` builds it once for
-its march and solves every step in it (``_BlackSystem.solve``).  Each
-solve builds A's diagonal, the halves of e, x0 and the right-hand side,
-d = 1/e_R, w, the start and the preconditioner, and nothing is carried
-from one solve to the next.
+The march stays in that layout.  ``run`` splits c0 into the state's red
+and black halves once; the per-state pass (``ef.scheme_coefficients``)
+runs on them and returns nu and s_r in halves; the solve writes the next
+state into them; and one join a step gives the observer and the caller a
+cell field.  What is built once per march: the reduced system
+(``_BlackSystem``), its work rows, the views of their spans, pads and
+shifted half-stencil slices, and the part of A's diagonal that does not
+depend on the state.  Each solve folds nu into that diagonal (one scale
+and one add) and builds b = rhs/s, d = 1/e_R, w, the start and the
+preconditioner; nothing else is carried from one solve to the next.
 
 ``run`` starts step 1 from c_old.  Every later step starts from the point
 of c_old + span{D^1, ..., D^m} whose error has the smallest norm in the
 reduced operator, the D^j being the Newton backward differences of the
-last m + 1 states (m up to ``START_DIRECTIONS``), each less its mean: the
-projection of successive right-hand sides of Fischer (Comput. Methods Appl.
-Mech. Engrg. 163, 1998).  Only their black cells count; with the reds
-eliminated, that start is never worse in A-norm than c_old + (D^1 - mean
-D^1), the linear extrapolation of the last change.  On the droplet run it
-takes 823 iterations against 2 338 from c_old.  The half-stencils sum each
-cell's x pair and y pair first, so a symmetric droplet stays symmetric to
-the last bit.
+last m + 1 states (m up to ``START_DIRECTIONS``): the projection of
+successive right-hand sides of Fischer (Comput. Methods Appl. Mech.
+Engrg. 163, 1998).  Only their black cells count, and only those are
+kept; with the reds eliminated, that start is never worse in A-norm than
+c_old + D^1, the linear extrapolation of the last change.  On the droplet
+run it takes 823 iterations against 2 338 from c_old, the same 823 as
+with each difference less its mean: the multiplier fixes the mass.  The
+half-stencils sum each cell's x pair and y pair first, so a symmetric
+droplet stays symmetric to the last bit.
 
 ``run`` evaluates and measures every state once, with
 ``ef.scheme_coefficients``: the pass gives the state's energy and extreme
 densities for its report and the next step's nu and s_r.  ``run`` alone
 judges the state: one report per state, the initial one as step 0, holds
-the window, multiplier and dissipation checks.
-
-``run`` allocates the march's memory once: the state and the next state,
-the START_DIRECTIONS differences, and one block that holds s_r's field and
-the solve's work, which begins with nu's field and holds the pass's other
-three.  It passes them down, so no step allocates a field, and no step pays
-to fault freed memory back in.
+the window, multiplier and dissipation checks.  It allocates the march's
+memory once (``run``), so no step allocates a field, and no step pays to
+fault freed memory back in.
 """
 
 from __future__ import annotations
@@ -78,7 +78,7 @@ from . import diagnostics
 from .ef import EfParams, EnergyBreakdown, require_in_window, scheme_coefficients
 from .eos import EosParams
 from .errors import ConvergenceError, InvariantViolation, ParameterError
-from .grid import Grid2D
+from .grid import BLACK, RED, Grid2D, _Checkerboard
 
 log = logging.getLogger(__name__)
 
@@ -189,214 +189,77 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.einsum("i,i->", a, b))
 
 
-def _fold_diagonal(d: np.ndarray, k: float, tau_eff: float) -> float:
-    """Turn ``d``, holding nu, into A's diagonal over s in place; returns s.
-
-    s = k = kappa/h^2, or 1 when k is 0.  The diagonal is nu + 1/tau_eff +
-    k*(number of in-domain neighbours), a number that drops by one per
-    domain edge the cell touches: the Neumann condition.
-    """
-    s = k or 1.0
-    w = k / s
-    d *= 1.0 / s
-    d += 4.0 * w + 1.0 / (tau_eff * s)
-    d[0, :] -= w
-    d[-1, :] -= w
-    d[:, 0] -= w
-    d[:, -1] -= w
-    return s
-
-
-RED, BLACK = 0, 1
 #: Flat halves of ``_Checkerboard.size`` that a solve works in.
 _HALVES = 11
 
 
-class _Checkerboard:
-    """The red and the black cells of a grid, each colour packed in a flat half.
-
-    Cell (i, j) is red when i + j is even, so every grid has a red cell.
-    Pad each row with zero cells to the odd width ``wid`` (one in front, and
-    one behind when nx is odd) and the grid with a zero row above and one
-    below.  In the padded grid's flat order cell (i, j) sits at
-    q = (i + 1)*wid + j + 1, which is even for red cells and odd for black
-    ones, and index q // 2 of its colour's half holds it.  With
-    h = (wid - 1)/2, red k's black neighbours are k, k - 1, k + h and
-    k - h - 1, and black k's red neighbours k + 1, k, k + h + 1 and k - h.
-    So a half-stencil is four shifted slices of one flat run, with no
-    fix-up at the row ends, where the pads give zero.
-
-    The slice ``span`` of a half holds all its cells, and the neighbour
-    sums write there only, also at the pads in it (``pads``).  Each
-    colour's cells are two strided blocks of the full field, those in even
-    rows and those in odd ones, and two strided blocks of the half
-    (``views``).
-    """
-
-    def __init__(self, g: Grid2D):
-        ny, nx = g.ny, g.nx
-        wid = nx + 1 if nx % 2 == 0 else nx + 2
-        h = wid // 2
-        self.wid = wid
-        self.size = (ny + 2) * wid // 2 + 1
-        lo, hi = h + 1, self.size - h - 1
-        self.span = slice(lo, hi)
-        # the other colour's neighbours of red cells, then of black ones:
-        # the x pair, then the y pair
-        self.shifts = tuple(tuple(slice(lo + d, hi + d) for d in shifts)
-                            for shifts in ((0, -1, h, -h - 1), (1, 0, h + 1, -h)))
-        top, bottom = (ny + 1) // 2, ny // 2  # rows of even and of odd i
-        left, right = (nx + 1) // 2, nx // 2  # columns of even and of odd j
-        even, odd = slice(0, None, 2), slice(1, None, 2)
-        # (block of the full field, first index in the half, rows, columns)
-        self.blocks = (
-            (((even, even), h + 1, top, left), ((odd, odd), wid + 1, bottom, right)),
-            (((even, odd), h + 1, top, right), ((odd, even), wid, bottom, left)),
-        )
-        # Pad column 0, and wid - 1 when it is not a cell, in every padded
-        # row: the indices in span of each colour, wid apart.
-        self.pads: Tuple[List[slice], List[slice]] = ([], [])
-        for col in (0,) if wid == nx + 1 else (0, wid - 1):
-            for row in (0, 1):
-                first = (row * wid + col) // 2
-                first += wid * max(0, -((first - lo) // wid))
-                stop = min(((ny + 1) * wid + col) // 2 + 1, hi)
-                if first < stop:
-                    self.pads[(row + col) % 2].append(slice(first, stop, wid))
-
-    def views(self, halves: np.ndarray, colour: int):
-        """(index of the full field, view of ``halves``) of the two blocks of
-        ``colour``; ``halves`` is one half or a stack of them, and each view
-        has the stack's leading shape and then the block's rows and columns."""
-        wid, lead = self.wid, halves.shape[:-1]
-        return [(cells, halves[..., base:base + rows * wid].reshape(lead + (rows, wid))[..., :cols])
-                for cells, base, rows, cols in self.blocks[colour]]
-
-    def neighbours(self, src: np.ndarray, out: np.ndarray, colour: int) -> None:
-        """Sum of the neighbours in ``src``, halves of the other colour or
-        stacks of them, of each cell of ``colour``, into ``out`` over
-        ``span``, the terms added in turn (``_BlackSystem.neighbours`` sums
-        the pairs first)."""
-        o = out[..., self.span]
-        a, b, c, d = self.shifts[colour]
-        np.add(src[..., a], src[..., b], out=o)
-        o += src[..., c]
-        o += src[..., d]
-
-
-def solve_work_size(g: Grid2D) -> int:
-    """Floats a solve works in on grid ``g``: eleven padded half-fields."""
-    return _HALVES * _Checkerboard(g).size
-
-
 class _BlackSystem:
-    """The step's system reduced to the black cells, in a solve's work buffer.
+    """The step's system reduced to the black cells, in the march's halves.
 
-    Over s (``_fold_diagonal``) A is e - N, N summing the neighbours, and
-    the step is A x = b + mu, sum(x) = m, with b = rhs/s and mu = mu_e/s.
-    The red rows give x_R = d (b_R + mu + N_R x_B), d = 1/e_R, and with
-    them the mass is sum(x_B) + <d, b_R + N_R x_B> + a*mu, a = sum(d).  The
-    black rows become S x_B = b_B + N_B d b_R + mu*w, with the Schur
-    complement S = e_B - N_B d N_R and w = 1 + N_B d, and taking mu from the
-    mass leaves M x_B = f, M = S + w w'/a, symmetric positive definite.  The
+    Over s = kappa/h^2 A is e - N, N summing the neighbours, and the step
+    is A x = b + mu, sum(x) = m, with b = rhs/s and mu = mu_e/s.  The red
+    rows give x_R = d (b_R + mu + N_R x_B), d = 1/e_R, and with them the
+    mass is sum(x_B) + <d, b_R + N_R x_B> + a*mu, a = sum(d).  The black
+    rows become S x_B = b_B + N_B d b_R + mu*w, with the Schur complement
+    S = e_B - N_B d N_R and w = 1 + N_B d, and taking mu from the mass
+    leaves M x_B = f, M = S + w w'/a, symmetric positive definite.  The
     residual of M at x_B is A's at x_B with its reds and mu eliminated;
     that point's red residual is zero.
 
-    ``run`` builds one system for its march, on one grid, step size and
-    work buffer, and ``solve`` runs each step's solve in it.  What does not
-    change between solves is built here: the views of the rows, of their
-    spans, pads and ends, of each row's four shifted half-stencil slices (on
-    first use), and of a padded grid through which whole fields are split
-    into halves and joined back.  A solve keeps nothing from the last one:
-    each half is filled before the solve first reads it, and every entry
-    off its colour's cells is zero whenever it is read, or is multiplied
-    by a zero of d or 1/diag(S).  ``load`` zeroes those entries of the rows
-    it fills.
+    ``run`` builds one system for its march, on one grid and step size,
+    and ``solve`` runs each step's solve in it.  What does not change
+    between solves is built here: the work rows, which hold the march's
+    state (``state``) and nu's pair (``nu``), the views of their spans and
+    pads, of each row's four shifted half-stencil slices (on first use),
+    and ``fixed``, A's diagonal over s less nu/s: 1/(tau_eff*s) plus the
+    number of a cell's in-domain neighbours, the Neumann condition, and
+    4 + 1/(tau_eff*s) at the pads.  A solve keeps nothing else from the
+    last one: each half is filled before the solve first reads it, and
+    every entry off its colour's cells is zero whenever it is read, or is
+    multiplied by a zero of d or 1/diag(S).  The ends of every row stay
+    zero (``_Checkerboard``).
 
-    The work buffer holds eleven halves (``_Checkerboard``), one per row of
-    ``rows``, laid out so that the operations that share a call have their
-    rows evenly spaced.  ``load`` works on the pairs (t, x), (q, r) and
-    (e_R, e_B), red then black, and splits through the padded grid in rows
-    INV_DS and P; the iteration takes z.r, (w/diag(S)).r and r.r in one
-    call on rows Z, IW and R; ``galerkin_start`` stacks the basis in rows
-    0, 2 and 4 and their neighbour sums in rows 3, 5 and 7, and takes w'V
-    and r'V in one call on rows W and R.  A work buffer that begins with
-    nu's field shares it with rows Z and W only, which are first written
-    after nu is read.
+    The rows are eleven halves, laid out so that the operations that share
+    a call have their rows evenly spaced.  ``load`` works on the pairs
+    (t, x), (q, r) and (e_R, e_B), red then black; the iteration takes z.r,
+    (w/diag(S)).r and r.r in one call on rows Z, IW and R;
+    ``galerkin_start`` builds the basis's neighbour sums in rows 3, 5 and
+    7, and takes w'V and r'V in one call on rows W and R.
     """
 
     Z, W, INV_DS, P, IW, T, X, Q, R, D, E = range(_HALVES)
 
-    def __init__(self, g: Grid2D, kappa: float, cfg: SolverConfig, work: np.ndarray):
+    def __init__(self, g: Grid2D, kappa: float, cfg: SolverConfig):
         self.board = board = _Checkerboard(g)
-        self.k = kappa / (g.h * g.h)
-        self.tau_eff = cfg.tau_eff()
-        self.s = self.k or 1.0
+        self.s = s = kappa / (g.h * g.h)
         self.rel_tol = cfg.cg_rel_tol
         self.max_iter = cfg.resolved_max_iter(g)
         self.ncells = g.ncells
         self.n_red = (g.ncells + 1) // 2
-        self.rows = rows = work[:_HALVES * board.size].reshape(_HALVES, board.size)
+        self.rows = rows = np.zeros((_HALVES, board.size))
         (self.z, self.w, self.inv_ds, self.p, self.iw, self.t, self.x, self.q, self.r,
          self.d, self.e_b) = rows
+        self.state = rows[self.T:self.X + 1]
+        self.nu = rows[self.D:self.E + 1]
         span = board.span
         self.spans = [row[span] for row in rows]
-        # the black cell blocks of the basis rows, and those of the last basis
-        self.basis_cells = [view for _, view in board.views(rows[0:6:2], BLACK)]
-        self.basis: Tuple[Optional[np.ndarray], List[np.ndarray]] = (None, [])
-        self.ends = [rows[:, :span.start], rows[:, span.stop:]]
-        # the pads of the rows load fills but e_R's, red (t, q) and black (x, r, e_B)
-        self.load_pads = ([rows[5:8:2, pads] for pads in board.pads[RED]]
-                          + [rows[6:11:2, pads] for pads in board.pads[BLACK]])
-        # A padded grid in rows INV_DS and P, through which whole fields are
-        # split into their halves and joined back: a field copy and a stride-2
-        # copy per colour, which costs less than copying each colour's blocks.
-        padded = rows[self.INV_DS:self.INV_DS + 2].reshape(-1)[:(g.ny + 2) * board.wid]
-        self.padded_cells = padded.reshape(g.ny + 2, board.wid)[1:g.ny + 1, 1:g.nx + 1]
-        self.padded_colours = (padded[0::2], padded[1::2])
-        # by (row, colour), made on first use: the part of a row that a
-        # colour of the padded grid fills, the row's pads, and its four
+        self.fixed = np.zeros((2, board.size))
+        self.fixed[:, span] = 4.0 + 1.0 / (cfg.tau_eff() * s)
+        for colour in (RED, BLACK):
+            for edge in ({"i": 0}, {"i": g.ny - 1}, {"j": 0}, {"j": g.nx - 1}):
+                self.fixed[colour, board.line(colour, **edge)] -= 1.0
+        # by (row, colour), made on first use: the row's pads, and its four
         # shifted slices that give that colour's neighbours
-        self.heads: dict = {}
         self.pad_views: dict = {}
         self.shifted: dict = {}
 
-    def split(self, full: np.ndarray, red: int, black: Optional[int] = None) -> None:
-        """The red cells of the cell field ``full`` into ``rows[red]``, and its
-        black ones into ``rows[black]`` if given, through the padded grid.
-        The other entries of those rows are left garbage.  Copies only: a
-        ufunc on a strided two-dimensional view with short rows allocates a
-        64 KiB iterator buffer per call."""
-        np.copyto(self.padded_cells, full)
-        np.copyto(self.head(red, RED), self.padded_colours[RED])
-        if black is not None:
-            np.copyto(self.head(black, BLACK), self.padded_colours[BLACK])
-
-    def join(self, red: int, black: Optional[int], full: np.ndarray) -> None:
-        """``split`` backwards; without ``black`` the black cells are those
-        the padded grid still holds from the last join."""
-        if black is not None:
-            np.copyto(self.padded_colours[BLACK], self.head(black, BLACK))
-        np.copyto(self.padded_colours[RED], self.head(red, RED))
-        np.copyto(full, self.padded_cells)
-
-    def head(self, row: int, colour: int) -> np.ndarray:
-        """The part of ``rows[row]`` that ``split`` fills with its colour's cells."""
-        view = self.heads.get((row, colour))
-        if view is None:
-            view = self.heads[row, colour] = self.rows[row, :len(self.padded_colours[colour])]
-        return view
-
-    def pads(self, row: int, colour: int) -> List[np.ndarray]:
-        """Views of the pads in ``span`` of ``rows[row]``, as a half of ``colour``."""
+    def zero_pads(self, row: int, colour: int) -> None:
+        """Zero the pads in ``span`` of ``rows[row]``, as a half of ``colour``."""
         views = self.pad_views.get((row, colour))
         if views is None:
             views = self.pad_views[row, colour] = [self.rows[row, pads]
                                                    for pads in self.board.pads[colour]]
-        return views
-
-    def zero_pads(self, row: int, colour: int) -> None:
-        for pads in self.pads(row, colour):
+        for pads in views:
             pads.fill(0.0)
 
     def neighbours(self, src: int, out: int, colour: int, scratch: int) -> None:
@@ -418,32 +281,23 @@ class _BlackSystem:
         np.add(a, b, out=o)
         o += np.add(c, d, out=self.spans[scratch])
 
-    def load(self, e: np.ndarray, rhs: np.ndarray, x0: np.ndarray) -> float:
-        """Split e, b = rhs/s and ``x0`` into halves and take part of x0's residual.
+    def load(self, rhs: np.ndarray) -> float:
+        """Fold nu into A's diagonal, and take b = rhs/s and part of x0's residual.
 
-        Returns ||b||, and leaves in q the red cells of x0's residual at
-        mu = 0, b_R - e_R x0_R + N_R x0_B, and in r the black ones less
-        their neighbours, b_B - e_B x0_B.  Then the ends of every row, and
-        the pads of the rows it fills, are zeroed, but e_R's pads are set to
-        1, so that ``reduce`` can invert that row over ``span``.  e is split
-        first: a work buffer that begins with its field overlaps rows Z and W.
+        Returns ||b||, and leaves e in nu's pair and in q the red cells of
+        x0's residual at mu = 0, b_R - e_R x0_R + N_R x0_B, and in r the
+        black ones less their neighbours, b_B - e_B x0_B.
         """
-        rows, spans = self.rows, self.spans
-        tx, qr, de = rows[5:7], rows[7:9], rows[9:11]
-        self.split(e, self.D, self.E)
-        self.split(x0, self.T, self.X)
-        self.split(rhs, self.Q, self.R)
-        for off in self.ends + self.load_pads:
-            off.fill(0.0)
-        for pads in self.pads(self.D, RED):
-            pads.fill(1.0)
-        qr *= 1.0 / self.s
+        rows, spans, s = self.rows, self.spans, self.s
+        qr, de = rows[self.Q:self.R + 1], self.nu
+        de *= 1.0 / s
+        de += self.fixed
+        np.multiply(rhs, 1.0 / s, out=qr)
         b_norm = math.sqrt(float(np.einsum("ij,ij->", qr, qr)))
-        qr -= np.multiply(de, tx, out=rows[2:4])
-        if self.k:
-            self.neighbours(self.X, self.Z, RED, self.P)
-            spans[self.Q] += spans[self.Z]
-            self.zero_pads(self.Q, RED)
+        qr -= np.multiply(de, self.state, out=rows[2:4])
+        self.neighbours(self.X, self.Z, RED, self.P)
+        spans[self.Q] += spans[self.Z]
+        self.zero_pads(self.Q, RED)
         return b_norm
 
     def red_spread(self) -> Tuple[float, float]:
@@ -466,11 +320,8 @@ class _BlackSystem:
         q and r are kept for ``reduce``.
         """
         spans, z, red = self.spans, self.spans[self.Z], self.spans[self.IW]
-        if self.k:
-            self.neighbours(self.T, self.Z, BLACK, self.P)
-            z += spans[self.R]
-        else:
-            np.copyto(z, spans[self.R])
+        self.neighbours(self.T, self.Z, BLACK, self.P)
+        z += spans[self.R]
         self.zero_pads(self.Z, BLACK)
         mu = -(float(spans[self.Q].sum()) + float(z.sum())) / self.ncells
         np.add(spans[self.Q], mu, out=red)
@@ -487,30 +338,26 @@ class _BlackSystem:
         which keeps the mass, and adds mu*w.
         """
         d, w, q, r, z, spans = self.d, self.w, self.q, self.r, self.z, self.spans
-        e_r = spans[self.D]  # its pads are 1, and the ends zero
+        e_r = spans[self.D]  # its pads are positive, and the ends zero
         np.divide(1.0, e_r, out=e_r)
         self.zero_pads(self.D, RED)
         self.a = float(d.sum())
-        if self.k:
-            self.neighbours(self.D, self.W, BLACK, self.Z)
-        else:
-            w.fill(0.0)
+        self.neighbours(self.D, self.W, BLACK, self.Z)
         spans[self.W] += 1.0
         self.zero_pads(self.W, BLACK)
         q *= d
         mu = -float(q.sum()) / self.a
-        if self.k:
-            q += self.t
-            self.neighbours(self.Q, self.Z, BLACK, self.P)
-            spans[self.R] += spans[self.Z]
-            self.zero_pads(self.R, BLACK)
+        q += self.t
+        self.neighbours(self.Q, self.Z, BLACK, self.P)
+        spans[self.R] += spans[self.Z]
+        self.zero_pads(self.R, BLACK)
         r += np.multiply(w, mu, out=z)
 
     def build_preconditioner(self) -> None:
         """1/diag(S) and w/diag(S), with diag(S) = e_B - N_B d = e_B + 1 - w."""
         inv_ds = self.spans[self.INV_DS]  # the ends are zero
         np.subtract(self.spans[self.E], self.spans[self.W], out=inv_ds)
-        inv_ds += 1.0  # 1 at the pads, until they are cleared
+        inv_ds += 1.0  # e_B + 1 at the pads, until they are cleared
         np.divide(1.0, inv_ds, out=inv_ds)
         self.zero_pads(self.INV_DS, BLACK)
         np.multiply(self.inv_ds, self.w, out=self.iw)
@@ -518,44 +365,31 @@ class _BlackSystem:
 
     def apply(self, wp: float) -> None:
         """q = M p = e_B p - N_B d N_R p + w wp/a, given wp = <w, p>; t and z are clobbered."""
-        q = self.q
-        if self.k:
-            spans = self.spans
-            self.neighbours(self.P, self.T, RED, self.Z)
-            self.t *= self.d
-            self.neighbours(self.T, self.Z, BLACK, self.Q)
-            o = spans[self.Q]
-            np.multiply(spans[self.E], spans[self.P], out=o)
-            o -= spans[self.Z]
-            self.zero_pads(self.Q, BLACK)
-        else:
-            np.multiply(self.e_b, self.p, out=q)
-        q += np.multiply(self.w, wp / self.a, out=self.z)
+        spans = self.spans
+        self.neighbours(self.P, self.T, RED, self.Z)
+        self.t *= self.d
+        self.neighbours(self.T, self.Z, BLACK, self.Q)
+        o = spans[self.Q]
+        np.multiply(spans[self.E], spans[self.P], out=o)
+        o -= spans[self.Z]
+        self.zero_pads(self.Q, BLACK)
+        self.q += np.multiply(self.w, wp / self.a, out=self.z)
 
     def galerkin_start(self, basis: np.ndarray, m: int) -> None:
         """Move x to the point of x + span(V_B) whose error has the smallest M-norm.
 
-        V_B are the black cells of the first ``m`` fields of ``basis``, an
-        (n, ny, nx) array, stacked in rows 0, 2, ..., and e_B V_B and then
-        U = N_R V_B in rows 3, 5, ....  The coefficients c solve
-        (V_B'M V_B) c = V_B'r, with V_B'M V_B = V_B'e_B V_B - U'd U +
-        (V_B'w)(w'V_B)/a: three ``einsum`` calls, one of them for V_B'w and
-        V_B'r.  x then moves by p = V_B c, and r by M p.
+        V_B are the first ``m`` black halves of ``basis``, whose pads are
+        zero, and e_B V_B and then U = N_R V_B are built in rows 3, 5, ....
+        The coefficients c solve (V_B'M V_B) c = V_B'r, with V_B'M V_B =
+        V_B'e_B V_B - U'd U + (V_B'w)(w'V_B)/a: three ``einsum`` calls, one
+        of them for V_B'w and V_B'r.  x then moves by p = V_B c, and r by M p.
         """
         rows, span = self.rows, self.board.span
-        vb, u = rows[0:2 * m:2], rows[3:3 + 2 * m:2]
-        for pads in self.board.pads[BLACK]:
-            vb[:, pads] = 0.0
-        if self.basis[0] is not basis:  # run lends the same basis every step
-            self.basis = (basis, [basis[(Ellipsis,) + cells]
-                                  for cells, _, _, _ in self.board.blocks[BLACK]])
-        for view, cells in zip(self.basis_cells, self.basis[1]):
-            np.copyto(view[:m], cells[:m])
+        vb, u = basis[:m], rows[3:3 + 2 * m:2]
         gram = np.einsum("ik,jk->ij", np.multiply(vb, self.e_b, out=u), vb)
         vw, vr = np.einsum("ik,jk->ij", rows[1:9:7], vb).tolist()
-        if self.k:
-            self.board.neighbours(vb, u, RED)
-            gram -= np.einsum("ik,k,jk->ij", u[:, span], self.d[span], u[:, span])
+        self.board.neighbours(vb, u, RED)
+        gram -= np.einsum("ik,k,jk->ij", u[:, span], self.d[span], u[:, span])
         scale = [v / self.a for v in vw]
         gram = [[gij + vi * sj for gij, sj in zip(gi, scale)] for gi, vi in zip(gram.tolist(), vw)]
         coef = _cholesky_solve(gram, vr)
@@ -564,56 +398,52 @@ class _BlackSystem:
         self.apply(sum(c * v for c, v in zip(coef, vw)))
         self.r -= self.q
 
-    def lift(self, rhs: np.ndarray, m: float, x0: np.ndarray) -> float:
-        """Write x and its eliminated red cells, at the mass m, into ``x0``; returns mu.
+    def lift(self, rhs: np.ndarray, m: float) -> float:
+        """Write x's eliminated red cells, at the mass m, into t; returns mu.
 
         The red cells at mu = 0 are t = d (b_R + N_R x_B).  mu then gives the
-        mass by the halves' sums, and one more step of it, by x0's own sum,
-        takes out what round-off left.  The droplet run's mass drift is
-        8.7e-16 with that step and 5.2e-16 without it, but on an 8 x 6 grid
-        whose multiplier is 1e6 the halves' sums alone leave 1.2e-11 of the
-        mass, and the step 2e-16.
+        mass by the halves' sums, and one more step of it, by the state's
+        own sum, takes out what round-off left.  The droplet run's mass drift
+        is 8.7e-16 with that step and 5.2e-16 without it, but on an 8 x 6
+        grid whose multiplier is 1e6 the halves' sums alone leave 1.2e-11 of
+        the mass, and the step 2e-16.
         """
         x, t, z, d = self.x, self.t, self.z, self.d
         # z is finite everywhere, and d zero off the red cells
-        self.split(rhs, self.Z)
-        z *= 1.0 / self.s
-        if self.k:
-            self.neighbours(self.X, self.P, RED, self.Q)
-            self.spans[self.Z] += self.spans[self.P]
+        np.multiply(rhs[RED], 1.0 / self.s, out=z)
+        self.neighbours(self.X, self.P, RED, self.Q)
+        self.spans[self.Z] += self.spans[self.P]
         np.multiply(z, d, out=t)
         mu = (m - float(x.sum()) - float(t.sum())) / self.a
         t += np.multiply(d, mu, out=z)
-        self.join(self.T, self.X, x0)
-        step = (m - float(x0.sum())) / self.a
+        step = (m - float(self.state.sum())) / self.a
         t += np.multiply(d, step, out=z)
-        self.join(self.T, None, x0)
         return mu + step
 
-    def solve(self, rhs: np.ndarray, nu: np.ndarray, x0: np.ndarray, basis: np.ndarray,
-              m: int, mass: float) -> Tuple[np.ndarray, float, int, float]:
+    def solve(self, rhs: np.ndarray, basis: np.ndarray, m: int,
+              mass: float) -> Tuple[float, int, float]:
         """Solve A x = rhs + mu_e*1 for x and mu_e, x's mass fixed at x0's.
 
-        Returns (x, mu_e, iterations, ||r||/||rhs||), r = rhs + mu_e*1 - A x,
-        the start counting as iteration 0; ``mass`` is x0's own sum,
-        ``float(x0.sum())``, and the start is moved by the first ``m`` fields
-        of ``basis`` (``galerkin_start``).  The solve consumes ``x0``, into
-        which it writes x, nu's field, which holds A's diagonal over
-        kappa/h^2 (``_fold_diagonal``) on return unless the work buffer
-        overlaps it, and the work buffer; ``rhs`` and ``basis`` are kept.
+        x0 is ``state``, in which the solve leaves x, and A's diagonal is
+        built in nu's pair (``nu``), which the solve consumes.  ``rhs`` is
+        a pair with zero pads, ``mass`` x0's own sum, ``float(state.sum())``,
+        and the start is moved by the first ``m`` black halves of ``basis``
+        (``galerkin_start``); both are kept.  Returns (mu_e, iterations,
+        ||r||/||rhs||), r = rhs + mu_e*1 - A x, the start counting as
+        iteration 0.
 
         A start whose own residual, with the mu_e that makes it smallest, has
-        ||r|| <= cg_rel_tol*||rhs|| is returned untouched after zero
-        iterations, which ``run`` meets on a uniform state.  A zero rhs
-        still has a solution, x0's mass times A^-1 1/<1, A^-1 1>; then x0's
-        own residual takes the place of ||rhs|| in both tests and in the
-        returned residual.  Exceeding the iteration cap raises
-        ``ConvergenceError`` with the residual history attached, after
-        writing the last iterate, at x0's mass, into x0; a nonpositive p'Mp
-        raises it with x0 untouched.
+        ||r|| <= cg_rel_tol*||rhs|| is kept untouched after zero iterations,
+        which ``run`` meets on a uniform state.  A zero rhs still has a
+        solution, x0's mass times A^-1 1/<1, A^-1 1>; then x0's own residual
+        takes the place of ||rhs|| in both tests and in the returned
+        residual.  Exceeding the iteration cap raises ``ConvergenceError``
+        with the residual history attached, after writing the last iterate,
+        at x0's mass, into ``state``; a nonpositive p'Mp raises it with the
+        state's red half clobbered.
         """
-        s = _fold_diagonal(nu, self.k, self.tau_eff)
-        scale = self.load(nu, rhs, x0)
+        s = self.s
+        scale = self.load(rhs)
         tol = self.rel_tol * scale
         spread, total = self.red_spread()
         # The spread's round-off is far below 1e-12 of the red residual's
@@ -623,7 +453,7 @@ class _BlackSystem:
             if not scale > 0.0:  # a zero b: the tolerance is relative to x0's residual
                 scale, tol = res, self.rel_tol * res
             if res <= tol:
-                return x0, s * mu, 0, res / scale if scale > 0.0 else 0.0
+                return s * mu, 0, res / scale if scale > 0.0 else 0.0
         self.reduce()
         if m:
             self.galerkin_start(basis, m)
@@ -642,7 +472,7 @@ class _BlackSystem:
             if res <= tol:
                 break
             if it == self.max_iter:
-                self.lift(rhs, mass, x0)
+                self.lift(rhs, mass)
                 raise ConvergenceError(
                     f"conjugate gradients did not reach ||r|| <= {s * tol:.3e} within "
                     f"{self.max_iter} iterations (last residual {s * res:.3e})",
@@ -673,8 +503,8 @@ class _BlackSystem:
             x += np.multiply(p, alpha, out=z)
             r -= np.multiply(q, alpha, out=z)
             it += 1
-        mu = self.lift(rhs, mass, x0)
-        return x0, s * mu, it, res / scale
+        mu = self.lift(rhs, mass)
+        return s * mu, it, res / scale
 
 
 def _cholesky_solve(gram: List[List[float]], rhs: List[float]) -> List[float]:
@@ -719,21 +549,20 @@ def _cholesky_solve(gram: List[List[float]], rhs: List[float]) -> List[float]:
 def _push_differences(basis: np.ndarray, m: int, new: np.ndarray, old: np.ndarray) -> int:
     """Advance the Newton differences in ``basis[:m]`` from state ``old`` to ``new``.
 
-    ``basis[j]`` holds the difference of order j + 1, less its mean.  At
-    ``new``, order q + 1 is new - old less orders 1..q at ``old``, and order
-    j is order j at ``old`` plus order j + 1 at ``new``.  So the top order
-    is built first, in the next field or the dropped order's, and the lower
-    ones follow in place.  Returns the number of orders held.
+    All are black halves, the cells the start reads, and ``basis[j]``
+    holds the difference of order j + 1.  At ``new``, order q + 1 is
+    new - old less orders 1..q at ``old``, and order j is order j at
+    ``old`` plus order j + 1 at ``new``.  So the top order is built first,
+    in the next half or the dropped order's, and the lower ones follow in
+    place; their pads and ends stay zero, as those of the states do.
+    Returns the number of orders held.
     """
     top = min(m, len(basis) - 1)
     d = np.subtract(new, old, out=basis[top])
     for prev in basis[:top]:
         d -= prev
-    d -= np.sum(d) / d.size
     for j in range(top - 1, -1, -1):
-        d = basis[j]
-        d += basis[j + 1]
-        d -= np.sum(d) / d.size
+        basis[j] += basis[j + 1]
     return top + 1
 
 
@@ -750,19 +579,22 @@ def run(
 
     The target mass, admissible interval and initial energy are computed
     once from ``c0``; the dissipation check allows energy_slack_rel times
-    the initial energy of increase.  The march allocates all its memory
-    once, and no step allocates a field:
+    the initial energy of increase.  The march holds its fields in the
+    solve's red and black halves (``grid._Checkerboard``): it splits ``c0``
+    once, and joins the state into one cell field after a step only for
+    the observer and the returned field.  It allocates all its memory once,
+    and no step allocates a field:
 
-    - the current state and the next one, into which the solve writes;
-    - the START_DIRECTIONS differences of the last states, which choose the
-      solve's start;
-    - one block: s_r's field, in which the right-hand side is built, then
-      the solve's work (``solve_work_size``), which begins with nu's field,
-      where A's diagonal is built, and holds the pass's other three.  It is
-      about 6.6 fields at 128 x 128 cells.
+    - that cell field;
+    - the reduced system (``_BlackSystem``), built once: its eleven work
+      halves, which hold the state, into which each solve writes the next
+      one, nu's pair, where A's diagonal is built, and the pass's other
+      three pairs, and A's fixed diagonal;
+    - s_r's pair, in which the right-hand side is built;
+    - the START_DIRECTIONS differences of the last states and the last
+      state, all black halves, which choose the solve's start.
 
-    It also builds the reduced system (``_BlackSystem``) once, in the
-    solve's work, and solves every step in it.
+    That is about 10.5 fields.
 
     ``observer(c, report)`` sees the initial state as step 0
     (``nan`` multiplier and residual, zero iterations) and then every step;
@@ -783,15 +615,16 @@ def run(
         )
 
     slack = cfg.bounds_slack(ef)
-    x = np.empty(c.shape)  # the next state
-    basis = np.empty((START_DIRECTIONS,) + c.shape)  # the last states' differences
+    system = _BlackSystem(g, p.kappa, cfg)
+    board, state, rows = system.board, system.state, system.rows
+    board.split(c, state)
+    s_r = np.zeros((2, board.size))
+    basis = np.zeros((START_DIRECTIONS, board.size))  # the last states' differences
     m = 0  # how many of them basis holds, by order
-    cells = c.size
-    block = np.empty(cells + max(4 * cells, solve_work_size(g)))
-    # The block holds s_r's field, then nu's, then the pass's other three (the
-    # pass returns nu and s_r in its first two); the solve's work starts at nu's.
-    fields = [block[i * cells:(i + 1) * cells].reshape(c.shape) for i in (1, 0, 2, 3, 4)]
-    system = _BlackSystem(g, p.kappa, cfg, block[cells:])
+    old = np.zeros(board.size)  # the last state's black half
+    # The pass returns nu in the solve's pair for it and s_r in its own; f
+    # and the other two go to rows that the solve fills before it reads them.
+    fields = [system.nu, s_r, rows[0:2], rows[2:4], rows[7:9]]
     reports: List[StepReport] = []
     mu_e, iters, res = float("nan"), 0, float("nan")  # step 0 has no solve
     for n in range(n_steps + 1):
@@ -799,26 +632,25 @@ def run(
             if not report.bounds_ok:
                 if cfg.on_violation == "abort":
                     # Names the offending cell.  Only the initial state gets
-                    # here: a later one aborts with its own report.
+                    # here, which c still holds: a later one aborts with its
+                    # own report.
                     require_in_window(c, ef, slack, f"step {n}")
                 warnings.warn(
                     f"step {n}: previous state leaves the density window "
                     f"[{ef.c_m}, {ef.c_M}]; continuing as configured",
                     stacklevel=2,
                 )
-            # The step owns its coefficients: the right-hand side c/tau_eff + s_r is
-            # built in s_r's field, and the solve builds A's diagonal in nu's.
+            # The right-hand side c/tau_eff + s_r is built in s_r's pair.
             b = coeffs.s_r
-            b += np.divide(c, cfg.tau_eff(), out=x)
-            np.copyto(x, c)
-            x, mu_e, iters, res = system.solve(b, coeffs.nu, x, basis, m, total)
-            m = _push_differences(basis, m, x, c)
-            c, x = x, c
+            b += np.divide(state, cfg.tau_eff(), out=fields[2])
+            np.copyto(old, state[BLACK])
+            mu_e, iters, res = system.solve(b, basis, m, total)
+            m = _push_differences(basis, m, state[BLACK], old)
 
         # One pass gives this state's energy and extremes and the next step's coefficients.
-        coeffs = scheme_coefficients(c, ef, p, g, fields=fields)
+        coeffs = scheme_coefficients(state, ef, p, g, fields=fields, board=board)
         # The mass is h^2 <c, 1>, without a field of ones; the next solve keeps <c, 1>.
-        total = float(np.sum(c))
+        total = float(np.sum(state))
         if not n:
             energy_slack = cfg.energy_slack_rel * abs(coeffs.energy.total)
         report = StepReport(
@@ -837,6 +669,8 @@ def run(
                 f"dissipation={report.energy_decreased})"
             )
         reports.append(report)
+        if n and (observer is not None or n == n_steps):
+            board.join(state, c)
         if observer is not None:
             observer(c, report)
     return c, reports[1:]

@@ -14,7 +14,8 @@ from prphase import (
     get_substance,
 )
 from prphase.ef import _pointwise
-from prphase.solver import _BlackSystem, _fold_diagonal, solve_work_size
+from prphase.grid import BLACK, RED
+from prphase.solver import _BlackSystem
 
 C_GAS = 249.1123
 C_LIQ = 9526.8428
@@ -91,44 +92,66 @@ def neighbour_sum(p, out):
     return out
 
 
-def stencil(p, e, k):
-    """(A p)/s = e*p - (sum of neighbours of p), the whole five-point stencil.
-
-    e is A's diagonal over s and k = kappa/h^2 (``solver._fold_diagonal``);
-    when k is 0 no neighbour couples.  The solve applies it in red and black
-    halves; ``test_solver.TestHalfStencils`` holds those to this.
+def stencil(p, e):
+    """(A p)/s = e*p - (sum of neighbours of p), the whole five-point stencil,
+    with e A's diagonal over s = kappa/h^2.  The solve applies it in red and
+    black halves; ``test_solver.TestHalfStencils`` holds those to this.
     """
     p = np.ascontiguousarray(p, dtype=float)
-    out = e * p
-    if k:
-        out -= neighbour_sum(p, np.empty(p.shape))
-    return out
+    return e * p - neighbour_sum(p, np.empty(p.shape))
+
+
+def black_halves(board, fields):
+    """The black halves of the cell ``fields``, in ``board``'s layout."""
+    halves = np.zeros((len(fields), board.size))
+    for field, half in zip(fields, halves):
+        half[:] = board.split(np.asarray(field, dtype=float), np.zeros((2, board.size)))[BLACK]
+    return halves
+
+
+def loaded_system(g, kappa, cfg, nu, x0):
+    """A fresh reduced system on ``g`` with the cell fields ``nu`` and ``x0``
+    split into its pairs for them."""
+    system = _BlackSystem(g, kappa, cfg)
+    system.board.split(np.asarray(nu, dtype=float), system.nu)
+    system.board.split(np.asarray(x0, dtype=float), system.state)
+    return system
 
 
 def apply_operator(c, coeffs, cfg, kappa, g):
-    """A c = c/tau_eff - kappa*Lap(c) + nu*c, by the solve's diagonal
-    (``solver._fold_diagonal``) and the five-point ``stencil``."""
-    k = kappa / (g.h * g.h)
-    e = np.array(coeffs.nu, dtype=float)
-    s = _fold_diagonal(e, k, cfg.tau_eff())
-    return s * stencil(c, e, k)
+    """A c = c/tau_eff - kappa*Lap(c) + nu*c through the solve's own halves:
+    its diagonal, nu/s plus ``_BlackSystem.fixed``, and its half-stencils."""
+    system = loaded_system(g, kappa, cfg, coeffs.nu, c)
+    s = system.s
+    e = system.nu * (1.0 / s) + system.fixed
+    system.neighbours(system.X, system.Z, RED, system.P)
+    system.neighbours(system.T, system.W, BLACK, system.P)
+    out = e * system.state - system.rows[system.Z:system.W + 1]
+    return s * system.board.join(out, np.empty(g.cell_shape()))
 
 
 def solve_step(rhs, coeffs, cfg, kappa, g, x0, basis=()):
-    """One step's solve (``solver._BlackSystem.solve``) in a fresh system on a
-    fresh work buffer, started from ``x0`` moved by the fields of ``basis``.
-    Returns (x, mu_e, iterations, residual); x is ``x0``, and ``coeffs.nu``
-    is consumed."""
-    system = _BlackSystem(g, kappa, cfg, np.empty(solve_work_size(g)))
-    return system.solve(rhs, coeffs.nu, x0, basis, len(basis), float(x0.sum()))
+    """One step's solve (``solver._BlackSystem.solve``) in a fresh system on
+    ``g``, started from the cell field ``x0`` moved by the cell fields of
+    ``basis``.  The fields are split into the system's halves, and x is
+    joined back into ``x0``, also when the solve raises.  Returns (x, mu_e,
+    iterations, residual); x is ``x0``."""
+    system = loaded_system(g, kappa, cfg, coeffs.nu, x0)
+    board = system.board
+    pair = board.split(np.asarray(rhs, dtype=float), np.zeros((2, board.size)))
+    try:
+        mu_e, iters, res = system.solve(pair, black_halves(board, basis), len(basis),
+                                        float(system.state.sum()))
+    finally:
+        board.join(system.state, x0)
+    return x0, mu_e, iters, res
 
 
 def minus_laplacian(c, g):
-    """-Lap_h(c) through the operator the solver runs: A c at kappa = 1 less
-    A c at kappa = 0, with nu = 0 and tau = 1."""
-    zero = np.zeros(g.cell_shape())
-    coeffs, cfg = SchemeCoefficients(nu=zero, s_r=zero), SolverConfig(tau=1.0)
-    return apply_operator(c, coeffs, cfg, 1.0, g) - apply_operator(c, coeffs, cfg, 0.0, g)
+    """-Lap_h(c) through the operator the solver runs: A c at kappa = 1,
+    nu = 0 and tau = 1, less c."""
+    coeffs = SchemeCoefficients(nu=np.zeros(g.cell_shape()), s_r=np.zeros(g.cell_shape()))
+    return apply_operator(c, coeffs, SolverConfig(tau=1.0), 1.0, g) - c
 
 
 def prepend_path(env, key, directory):

@@ -5,12 +5,16 @@ The package evaluates f_b, mu_b, nu and s_r in one fused kernel,
 one, as in the paper, for the tests to compare that kernel against and to
 check the factorization's per-term inequalities on.  They take scalars or
 arrays and make no domain checks: keeping 0 < c < 1/beta (and a shift
-that keeps G^2 positive) is the caller's job.
+that keeps G^2 positive) is the caller's job.  ``gradient_sq_norm`` is the
+gradient energy's face sum on a cell field, which the package takes on
+the march's red and black halves.
 """
 
 from typing import NamedTuple
 
 import numpy as np
+
+from prphase.grid import Grid2D
 
 SQRT2 = np.sqrt(2.0)
 
@@ -114,3 +118,25 @@ def scheme_coefficients(c, lam, p):
     s_r = (-p.vartheta0 - RT * np.log(c) + RT * (gp * gp * c - 2.0 * g * gp + lam)
            - mu_attraction(c, p))
     return nu, s_r
+
+
+def gradient_sq_norm(c, g: Grid2D, scratch=None) -> float:
+    """Squared norm of the discrete gradient of a cell field.
+
+    h^2 times the sum of ((c_j - c_i)/h)^2 over neighbouring cell pairs,
+    that is the sum of (c_j - c_i)^2.  Each direction is one flat run of
+    differences, summed by ``einsum``; in the x-run the pairs that wrap from
+    a row's end to the next row's start are zeroed.  ``scratch``, a
+    C-contiguous float array of at least ``g.ncells`` elements, is
+    clobbered; without it one is allocated.
+    """
+    c = np.ascontiguousarray(c, dtype=float)
+    g.check_cells(c, "gradient_sq_norm")
+    flat = c.ravel()
+    d = (np.empty(g.ncells) if scratch is None else scratch.reshape(-1))[:flat.size - 1]
+    np.subtract(flat[1:], flat[:-1], out=d)
+    d[g.nx - 1::g.nx] = 0.0
+    total = float(np.einsum("i,i->", d, d))
+    d = d[:flat.size - g.nx]
+    np.subtract(flat[g.nx:], flat[:-g.nx], out=d)
+    return total + float(np.einsum("i,i->", d, d))

@@ -27,7 +27,6 @@ from prphase import (
 from prphase.cli import main
 from prphase.config import load_config
 from prphase.experiment import build_initial, read_snapshot, run_experiment
-from prphase.grid import gradient_sq_norm
 
 import oracles
 from conftest import (
@@ -38,6 +37,7 @@ from reference import (
     bulk_chemical_potential,
     bulk_free_energy,
     g_and_gprime,
+    gradient_sq_norm,
     mu_attraction,
     pressure,
     semi_implicit_potentials,
@@ -214,7 +214,7 @@ def test_criterion_5_coexistence(params, capsys):
 
 
 def test_criterion_6_discrete_operators(capsys):
-    # -Lap_h c is the solver's operator at kappa = 1 less it at kappa = 0.
+    # -Lap_h c is the solver's operator at kappa = 1, nu = 0 and tau = 1, less c.
     failures = []
     r = np.random.default_rng(601)
 

@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from prphase import Grid2D, ParameterError
-from prphase.grid import gradient_sq_norm
 
 from conftest import inner, minus_laplacian
+from reference import gradient_sq_norm
 
 
 @pytest.fixture(params=[(3, 3), (4, 7), (100, 100)], ids=lambda s: f"{s[0]}x{s[1]}")

@@ -19,10 +19,11 @@ from prphase import (
 )
 from prphase import solver as solver_module
 from prphase.config import load_config
-from prphase.solver import (BLACK, RED, START_DIRECTIONS, _BlackSystem, _fold_diagonal,
-                            _push_differences, solve_work_size)
+from prphase.grid import BLACK, RED
+from prphase.solver import START_DIRECTIONS, _BlackSystem, _push_differences
 
-from conftest import C_GAS, C_LIQ, apply_operator, child_env, inner, solve_step, stencil
+from conftest import (C_GAS, C_LIQ, apply_operator, black_halves, child_env, inner,
+                      loaded_system, solve_step, stencil)
 from reference import bulk_chemical_potential
 
 
@@ -68,11 +69,6 @@ def norm(a, g):
     return float(np.sqrt(inner(a, a, g)))
 
 
-def spare(coeffs):
-    """A copy of ``coeffs`` for a solve to consume: it builds A's diagonal in nu."""
-    return SchemeCoefficients(nu=coeffs.nu.copy(), s_r=coeffs.s_r)
-
-
 def red_cells(g):
     """Mask of the red cells, i + j even, in the flat cell order."""
     i, j = np.indices(g.cell_shape())
@@ -82,15 +78,15 @@ def red_cells(g):
 def galerkin_start(g, coeffs, cfg, kappa, rhs, c_n, basis):
     """The point a solve from ``c_n`` starts its iteration at: the black cells
     moved by the Galerkin start, the reds eliminated at c_n's mass."""
-    system = _BlackSystem(g, kappa, cfg, np.empty(solve_work_size(g)))
-    e = coeffs.nu.copy()
-    _fold_diagonal(e, system.k, cfg.tau_eff())
-    system.load(e, rhs, c_n)
+    system = loaded_system(g, kappa, cfg, coeffs.nu, c_n)
+    board = system.board
+    pair = board.split(rhs, np.zeros((2, board.size)))
+    mass = float(system.state.sum())
+    system.load(pair)
     system.reduce()
-    system.galerkin_start(basis, len(basis))
-    start = c_n.copy()
-    system.lift(rhs, float(np.sum(c_n)), start)
-    return start
+    system.galerkin_start(black_halves(board, basis), len(basis))
+    system.lift(pair, mass)
+    return board.join(system.state, np.empty(g.cell_shape()))
 
 
 def staggered_laplacian(c, g):
@@ -104,13 +100,6 @@ def staggered_laplacian(c, g):
 
 
 class TestOperator:
-    def test_no_gradient_term_is_pointwise(self, toy):
-        # the stencil folds 1/tau_eff into its diagonal
-        g, coeffs, cfg, _, r = toy
-        c = r.standard_normal(g.cell_shape())
-        got = apply_operator(c, coeffs, cfg, 0.0, g)
-        assert np.array_equal(got, (coeffs.nu + 1.0 / cfg.tau_eff()) * c)
-
     def test_symmetry(self, toy):
         g, coeffs, cfg, kappa, r = toy
         c1 = r.standard_normal(g.cell_shape())
@@ -128,18 +117,23 @@ class TestOperator:
             assert quad >= lower * inner(c, c, g) * (1 - 1e-12)
 
     def test_diagonal_matches_dense_matrix(self, toy):
-        # the diagonal a solve builds in nu's field, on strips too, where a
-        # boundary cell lacks neighbours on both sides
-        g8, _, cfg, kappa, r = toy
-        for g in (g8, Grid2D(nx=1, ny=1, h=0.5), Grid2D(nx=5, ny=1, h=0.5),
-                  Grid2D(nx=1, ny=5, h=0.5)):
-            coeffs = SchemeCoefficients(nu=r.uniform(1.0, 2.0, size=g.cell_shape()),
-                                        s_r=np.zeros(g.cell_shape()))
-            mat = dense_operator(g, coeffs, cfg, kappa)
-            zero = np.zeros(g.cell_shape())
-            solve_step(zero, coeffs, cfg, kappa, g, x0=zero.copy())
+        # the diagonal a solve builds in nu's pair, 1/tau_eff + nu + kappa/h^2
+        # per in-domain neighbour, on strips too, where a boundary cell lacks
+        # neighbours on both sides
+        _, _, cfg, kappa, r = toy
+        for ny, nx in ((6, 8), (5, 7), (1, 1), (1, 5), (5, 1), (2, 2)):
+            g = Grid2D(nx=nx, ny=ny, h=0.5)
+            nu = r.uniform(1.0, 2.0, size=g.cell_shape())
+            system = loaded_system(g, kappa, cfg, nu, r.uniform(1.0, 2.0, size=g.cell_shape()))
+            system.load(np.zeros((2, system.board.size)))
             # held over kappa/h^2, the scale the stencil is applied at
-            assert np.array_equal(kappa / (g.h * g.h) * coeffs.nu.ravel(), np.diag(mat))
+            e = system.s * system.board.join(system.nu, np.empty(g.cell_shape()))
+            ones = np.pad(np.ones(g.cell_shape()), 1)
+            count = ones[:-2, 1:-1] + ones[2:, 1:-1] + ones[1:-1, :-2] + ones[1:-1, 2:]
+            want = 1.0 / cfg.tau_eff() + nu + kappa / (g.h * g.h) * count
+            assert np.max(np.abs(e - want) / want) <= 1e-15
+            coeffs = SchemeCoefficients(nu=nu, s_r=np.zeros(g.cell_shape()))
+            assert np.array_equal(np.diag(dense_operator(g, coeffs, cfg, kappa)), e.ravel())
 
     @pytest.mark.parametrize("ny,nx", [(1, 1), (1, 5), (5, 1), (37, 13)])
     def test_fused_stencil_matches_staggered_operators(self, ny, nx):
@@ -163,7 +157,7 @@ class TestHalfStencils:
         """A solve's reduced system on ``g``, its work zeroed: the system, its
         layout and its rows."""
         # kappa = h^2, so the stencil's neighbour weight is 1
-        system = _BlackSystem(g, g.h * g.h, SolverConfig(tau=1.0), np.zeros(solve_work_size(g)))
+        system = _BlackSystem(g, g.h * g.h, SolverConfig(tau=1.0))
         return system, system.board, system.rows
 
     @staticmethod
@@ -183,7 +177,7 @@ class TestHalfStencils:
         e = r.uniform(4.0, 6.0, size=(ny, nx))
         for _ in range(2):
             p = r.standard_normal((ny, nx))
-            ref = stencil(p, e, 1.0)
+            ref = stencil(p, e)
             for pairs_first in (True, False):
                 got = np.full((ny, nx), np.nan)
                 for colour, other in ((RED, BLACK), (BLACK, RED)):
@@ -204,17 +198,38 @@ class TestHalfStencils:
                 assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("ny,nx", [(1, 1), (2, 1), (4, 6), (5, 7)])
-    def test_put_and_take_keep_every_cell(self, ny, nx):
-        # split puts a field's cells into two halves, and join takes them back
-        system, board, rows = self.halves(Grid2D(nx=nx, ny=ny, h=0.5))
-        p = np.random.default_rng(1).standard_normal((ny, nx))
-        system.split(p, system.T, system.X)
-        for colour, row in ((RED, system.T), (BLACK, system.X)):
-            for cells, view in board.views(rows[row], colour):
+    def test_split_of_c0_and_join_keep_every_cell(self, ny, nx, monkeypatch, nc4, window):
+        # run splits c0 into the state's pair once, writing its cells only,
+        # and joins the pair back into one cell field after a step
+        g = Grid2D(nx=nx, ny=ny, h=0.5)
+        system, board, rows = self.halves(g)
+        p = np.random.default_rng(1).uniform(1.0, 2.0, (ny, nx))
+        board.split(p, system.state)
+        for colour in (RED, BLACK):
+            for cells, view in board.views(system.state[colour], colour):
                 assert np.array_equal(view, p[cells])
-        back = np.full((ny, nx), np.nan)
-        system.join(system.T, system.X, back)
-        assert np.array_equal(back, p)
+        assert np.count_nonzero(system.state) == p.size  # pads and ends stay zero
+        assert np.array_equal(board.join(system.state, np.full((ny, nx), np.nan)), p)
+        # through run: the field the observer sees after a step is the join of
+        # the state the step's solve left
+        states = []
+
+        class Kept(solver_module._BlackSystem):
+            def solve(self, *args):
+                out = super().solve(*args)
+                states.append(self.board.join(self.state, np.empty(g.cell_shape())))
+                return out
+
+        monkeypatch.setattr(solver_module, "_BlackSystem", Kept)
+        seen = []
+        c0 = np.where(p > 1.5, C_LIQ, C_GAS)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "step .* leaves the density window")
+            c, _ = run(c0, 2, window, nc4, SolverConfig(tau=1e10), g,
+                       observer=lambda c, rep: seen.append(c.copy()))
+        assert np.array_equal(seen[0], c0)
+        assert all(np.array_equal(a, b) for a, b in zip(seen[1:], states))
+        assert np.array_equal(c, states[-1])
 
 
 class TestSolveSpd:
@@ -264,7 +279,7 @@ class TestSolveSpd:
         x0 = r.uniform(1.0, 2.0, size=(ny, nx))
         m0 = mass(x0, g)
         x_direct, mu_direct = dense_kkt_solve(g, coeffs, cfg, 0.2, rhs, m0)
-        x, mu_e, iters, res = solve_step(rhs, spare(coeffs), cfg, 0.2, g, x0=x0)
+        x, mu_e, iters, res = solve_step(rhs, coeffs, cfg, 0.2, g, x0=x0)
         assert iters > 0 and 0.0 < res <= cfg.cg_rel_tol
         assert np.max(np.abs(x - x_direct)) <= 1e-8 * np.max(np.abs(x_direct))
         assert abs(mu_e - mu_direct) <= 1e-8 * abs(mu_direct)
@@ -293,17 +308,6 @@ class TestSolveSpd:
         assert np.array_equal(x, x_true)
         assert abs(mu_e - 0.37) <= 1e-12
 
-    def test_jacobi_solves_diagonal_system_in_one_iteration(self, toy):
-        g, coeffs, cfg, _, r = toy
-        rhs = r.standard_normal(g.cell_shape())
-        x0 = r.uniform(1.0, 2.0, size=g.cell_shape())
-        m0 = mass(x0, g)
-        x, mu_e, iters, _ = solve_step(rhs, spare(coeffs), cfg, 0.0, g, x0=x0)
-        assert iters == 1
-        diag = 1.0 / cfg.tau_eff() + coeffs.nu
-        assert np.allclose(x, (rhs + mu_e) / diag, rtol=1e-12, atol=0)
-        assert abs(mass(x, g) - m0) <= 1e-12 * abs(m0)
-
     @pytest.mark.parametrize("ny,nx", [(1, 1), (1, 2), (2, 1), (2, 2), (1, 5), (5, 1)])
     def test_small_grids_and_strips_match_dense_solve(self, ny, nx):
         # a 1 x 1 grid has no black cell, and a strip's cells have at most
@@ -316,7 +320,7 @@ class TestSolveSpd:
         rhs = r.standard_normal((ny, nx))
         x0 = r.uniform(1.0, 2.0, size=(ny, nx))
         x_direct, mu_direct = dense_kkt_solve(g, coeffs, cfg, 0.2, rhs, mass(x0, g))
-        x, mu_e, _, res = solve_step(rhs, spare(coeffs), cfg, 0.2, g, x0=x0)
+        x, mu_e, _, res = solve_step(rhs, coeffs, cfg, 0.2, g, x0=x0)
         assert res <= cfg.cg_rel_tol
         assert np.max(np.abs(x - x_direct)) <= 1e-8 * np.max(np.abs(x_direct))
         assert abs(mu_e - mu_direct) <= 1e-8 * abs(mu_direct)
@@ -329,7 +333,7 @@ class TestSolveSpd:
                                     s_r=np.zeros((ny, nx)))
         cfg = SolverConfig(tau=0.7, cg_rel_tol=1e-8)
         rhs = r.standard_normal((ny, nx))
-        x, mu_e, iters, res = solve_step(rhs, spare(coeffs), cfg, 0.2, g,
+        x, mu_e, iters, res = solve_step(rhs, coeffs, cfg, 0.2, g,
                                          x0=r.uniform(1.0, 2.0, size=(ny, nx)))
         full = norm(rhs + mu_e - apply_operator(x, coeffs, cfg, 0.2, g), g) / norm(rhs, g)
         assert iters > 0
@@ -436,9 +440,7 @@ class TestGalerkinStart:
         lower = list(states)
         for got in basis:
             lower = [b - a for a, b in zip(lower, lower[1:])]
-            want = lower[-1] - np.mean(lower[-1])
-            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-            assert abs(np.sum(got)) <= 1e-14 * np.sum(np.abs(got))
+            assert np.max(np.abs(got - lower[-1])) <= 1e-12 * np.max(np.abs(lower[-1]))
 
     @pytest.mark.parametrize("ny,nx", [(3, 3), (6, 8), (5, 7)])
     def test_never_worse_in_a_norm_than_the_extrapolation(self, ny, nx):
@@ -459,12 +461,12 @@ class TestGalerkinStart:
                 e = (x - x_star).ravel()
                 return float(np.sqrt(e @ mat @ e))
 
-            delta = c_n - c_prev
-            extrapolated = c_n + (delta - np.mean(delta))
+            # the states have one mass, so the differences have zero sum
+            extrapolated = 2.0 * c_n - c_prev
             start = galerkin_start(g, coeffs, cfg, kappa, rhs, c_n, basis)
             assert a_norm_error(start) <= a_norm_error(extrapolated) * (1 + 1e-12)
             # the optimality condition: the error, whose reds are eliminated, is
-            # A-orthogonal to the basis, which has zero sum
+            # A-orthogonal to the basis
             e = (start - x_star).ravel()
             scale = a_norm_error(c_n)
             for v in basis:
@@ -476,9 +478,8 @@ class TestGalerkinStart:
         g, coeffs, cfg, kappa, r = toy
         states, basis = self.history(g, r)
         rhs = r.standard_normal(g.cell_shape())
-        inputs = [rhs, coeffs.s_r] + list(basis)
+        inputs = [rhs, coeffs.nu, coeffs.s_r] + list(basis)
         kept = [a.copy() for a in inputs]
-        mat = dense_operator(g, coeffs, cfg, kappa)
         x_direct, mu_direct = dense_kkt_solve(g, coeffs, cfg, kappa, rhs, mass(states[-1], g))
         x, mu_e, _, res = solve_step(rhs, coeffs, cfg, kappa, g, x0=states[-1].copy(),
                                      basis=basis)
@@ -486,8 +487,6 @@ class TestGalerkinStart:
         assert np.max(np.abs(x - x_direct)) <= 1e-8 * np.max(np.abs(x_direct))
         assert abs(mu_e - mu_direct) <= 1e-8 * abs(mu_direct)
         assert all(np.array_equal(a, b) for a, b in zip(inputs, kept))
-        # nu is consumed: it now holds A's diagonal over kappa/h^2
-        assert np.array_equal(kappa / (g.h * g.h) * coeffs.nu.ravel(), np.diag(mat))
 
     def test_zero_differences_are_dropped(self, toy):
         # a zero difference gives a zero row and column in the Gram matrix
@@ -499,7 +498,7 @@ class TestGalerkinStart:
         delta -= np.mean(delta)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            x, _, _, _ = solve_step(rhs, spare(coeffs), cfg, kappa, g, x0=x_true.copy(),
+            x, _, _, _ = solve_step(rhs, coeffs, cfg, kappa, g, x0=x_true.copy(),
                                     basis=np.array([zero, zero, zero]))
             assert np.array_equal(x, x_true)
             x, _, _, res = solve_step(rhs, coeffs, cfg, kappa, g,
@@ -566,57 +565,83 @@ def test_step_allocates_no_field():
 
 
 class TestWorkFields:
-    """The fields run passes to the per-state pass and the solve."""
+    """The pairs run passes to the per-state pass, and the system it solves in."""
 
     @staticmethod
     def bad_fields(shape):
-        fortran = [np.empty(shape) for _ in range(5)]
-        fortran[2] = np.asfortranarray(np.empty(shape))
+        fortran = [np.zeros(shape) for _ in range(5)]
+        fortran[2] = np.asfortranarray(np.zeros(shape))
         assert not fortran[2].flags.c_contiguous
-        wrong_shape = [np.empty(shape) for _ in range(5)]
-        wrong_shape[4] = np.empty((shape[0] + 1, shape[1]))
-        read_only = [np.empty(shape) for _ in range(5)]
+        wrong_shape = [np.zeros(shape) for _ in range(5)]
+        wrong_shape[4] = np.zeros((shape[0] + 1, shape[1]))
+        read_only = [np.zeros(shape) for _ in range(5)]
         read_only[0].flags.writeable = False
-        return [fortran, wrong_shape, read_only, [np.empty(shape) for _ in range(4)],
-                [np.empty(shape, dtype=np.float32) for _ in range(5)]]
+        return [fortran, wrong_shape, read_only, [np.zeros(shape) for _ in range(4)],
+                [np.zeros(shape, dtype=np.float32) for _ in range(5)]]
 
     def test_pass_rejects_bad_fields(self, nc4, window, droplet_setup):
         g, c0, _ = droplet_setup
-        for fields in self.bad_fields(g.cell_shape()):
-            with pytest.raises(ParameterError,
-                               match="scheme_coefficients: fields must be 5 writeable"):
-                scheme_coefficients(c0, window, nc4, g, fields=fields)
+        board = _BlackSystem(g, nc4.kappa, SolverConfig(tau=1.0)).board
+        state = board.split(c0, np.zeros((2, board.size)))
+        for fields in self.bad_fields(state.shape):
+            with pytest.raises(ParameterError, match="scheme_coefficients: the state and 5 fields "
+                                                     "must be writeable, C-contiguous float pairs"):
+                scheme_coefficients(state, window, nc4, g, fields=fields, board=board)
+        with pytest.raises(ParameterError, match="fields are pairs, which need a board"):
+            scheme_coefficients(c0, window, nc4, g, fields=[np.zeros(state.shape)] * 5)
 
     def test_reused_system_keeps_no_state(self, toy):
         # run solves every step in one system: each solve must give the bits
-        # of a fresh system's, whatever the last one left in the work
+        # of a fresh system's, whatever the last one and the pass between
+        # them left in the work: here nan in every span but the state's and
+        # nu's cells, whose pads hold zero and any positive number
         g, _, cfg, kappa, r = toy
-        system = _BlackSystem(g, kappa, cfg, np.full(solve_work_size(g), np.nan))
+        system = _BlackSystem(g, kappa, cfg)
+        board = system.board
         for n_basis in (START_DIRECTIONS, 2, 0):
             coeffs = SchemeCoefficients(nu=r.uniform(1.0, 2.0, size=g.cell_shape()),
                                         s_r=np.zeros(g.cell_shape()))
             states, basis = TestGalerkinStart.history(g, r)
             basis = np.ascontiguousarray(basis[:n_basis])
             rhs = r.standard_normal(g.cell_shape())
-            fresh, reused = spare(coeffs), spare(coeffs)
-            want = solve_step(rhs, fresh, cfg, kappa, g, x0=states[-1].copy(), basis=basis)
-            got = system.solve(rhs, reused.nu, states[-1].copy(), basis, n_basis,
-                               float(states[-1].sum()))
+            x = states[-1].copy()
+            want = solve_step(rhs, coeffs, cfg, kappa, g, x0=x, basis=basis)
+            system.rows[:, board.span] = np.nan
+            board.fill_pads(system.state, 0.0)
+            board.fill_pads(system.nu, 7.0)
+            board.split(coeffs.nu, system.nu)
+            board.split(states[-1], system.state)
+            pair = board.split(rhs, np.zeros((2, board.size)))
+            got = system.solve(pair, black_halves(board, basis), n_basis,
+                               float(system.state.sum()))
             assert want[2] > 0
-            assert np.array_equal(got[0], want[0]) and np.array_equal(reused.nu, fresh.nu)
-            assert got[1:] == want[1:]
+            assert np.array_equal(board.join(system.state, np.empty(g.cell_shape())), x)
+            assert got == want[1:]
 
     def test_pass_in_given_fields_gives_the_same_bits(self, nc4, window, droplet_setup):
+        # the pass in the march's pairs, whose spans hold garbage, against the
+        # pass on the cell field; it leaves the state's pads zero
         g, c0, _ = droplet_setup
         c = c0 * np.random.default_rng(3).uniform(0.99, 1.01, g.cell_shape())
-        kept = c.copy()
-        fields = [np.full(g.cell_shape(), np.nan) for _ in range(5)]
+        board = _BlackSystem(g, nc4.kappa, SolverConfig(tau=1.0)).board
+        state = board.split(c, np.zeros((2, board.size)))
+        kept = state.copy()
+        fields = [np.zeros(state.shape) for _ in range(5)]
+        for field in fields:
+            field[:, board.span] = np.nan
         own = scheme_coefficients(c, window, nc4, g)
-        given = scheme_coefficients(c, window, nc4, g, fields=fields)
+        given = scheme_coefficients(state, window, nc4, g, fields=fields, board=board)
         assert given.nu is fields[0] and given.s_r is fields[1]
-        assert np.array_equal(own.nu, given.nu) and np.array_equal(own.s_r, given.s_r)
+        for pair, cells in ((given.nu, own.nu), (given.s_r, own.s_r)):
+            assert np.array_equal(board.join(pair, np.empty(g.cell_shape())), cells)
         assert (own.energy, own.c_min, own.c_max) == (given.energy, given.c_min, given.c_max)
-        assert np.array_equal(c, kept)
+        assert np.array_equal(state, kept)
+        # the ends of every pair and the pads of s_r are zero, as the solve needs
+        off = np.ones(state.shape, dtype=bool)
+        off[:, board.span] = False
+        assert not np.any(np.array([field[off] for field in fields]))
+        board.fill_pads(off, True)
+        assert not np.any(given.s_r[off])
 
 
 # START_DIRECTIONS + 2 400x400 steps of the nc4_droplet physics, so that the
