@@ -248,14 +248,14 @@ def scheme_coefficients(
 
     The pass runs on the red and black halves of ``g``'s ``board``, the
     march's layout.  With ``board`` given, ``c_old`` is a pair in it whose
-    pads and ends are zero, and nu and s_r come back in pairs too: so
-    ``run`` splits no field.  Their ends are zero, the pads of s_r too, and
-    those of nu hold nu at the field's first cell.  ``fields``, five
-    writeable float pairs apart from ``c_old``, whose ends are zero, are
-    then the pass's work space: nu and s_r come back in the first two, and
-    the other three are left clobbered; without them the pass allocates its
-    own.  Without ``board``, ``c_old`` is a cell field, and nu and s_r come
-    back as cell fields.
+    pads and ends are zero, and ``fields``, five writeable, C-contiguous
+    float pairs apart from it whose ends are zero, are the pass's work
+    space: nu and s_r come back in the first two, so ``run`` splits no
+    field, and the other three are left clobbered.  The ends of all five
+    are zero on return, the pads of s_r too, and those of nu hold nu at the
+    field's first cell.  Without ``board``, ``c_old`` is a cell field; the
+    pass then works in halves of its own, and nu and s_r come back as cell
+    fields.
     """
     if board is None:
         if fields is not None:
@@ -268,9 +268,7 @@ def scheme_coefficients(
         return replace(coeffs, nu=board.join(coeffs.nu, np.empty(c.shape)),
                        s_r=board.join(coeffs.s_r, np.empty(c.shape)))
     pair = (2, board.size)
-    if fields is None:
-        fields = [np.zeros(pair) for _ in range(5)]
-    if not (len(fields) == 5 and all(
+    if not (fields is not None and len(fields) == 5 and all(
             isinstance(a, np.ndarray) and a.shape == pair and a.dtype == float
             and a.flags.writeable and a.flags.c_contiguous for a in (c_old, *fields))):
         # the pass works in each pair's flat run, and the flat view of an

@@ -403,10 +403,10 @@ class _BlackSystem:
 
         The red cells at mu = 0 are t = d (b_R + N_R x_B).  mu then gives the
         mass by the halves' sums, and one more step of it, by the state's
-        own sum, takes out what round-off left.  The droplet run's mass drift
-        is 8.7e-16 with that step and 5.2e-16 without it, but on an 8 x 6
-        grid whose multiplier is 1e6 the halves' sums alone leave 1.2e-11 of
-        the mass, and the step 2e-16.
+        own sum, the one ``run`` reports, takes out what round-off left.  The
+        droplet run's mass drift is 0 with that step and 1.8e-16 without
+        it, but on an 8 x 6 grid whose multiplier is 1e6 the halves' sums
+        alone leave 1.2e-11 of the mass, and the step 2e-16.
         """
         x, t, z, d = self.x, self.t, self.z, self.d
         # z is finite everywhere, and d zero off the red cells

@@ -302,8 +302,9 @@ def test_droplet_cg_iteration_budget(main_run):
     total = int(np.nansum(series["cg_iters"]))
     assert total <= 900, f"{total} CG iterations"
     # Each solve puts the mass back after eliminating the reds, by the
-    # halves' sums and then by the field's own sum: 8.7e-16 here, and 5.2e-16
-    # by the halves' sums alone, whose error grows with the multiplier.
+    # halves' sums and then by the state's own sum, the one the reports
+    # read: 0 here, and 1.8e-16 by the halves' sums alone, whose error
+    # grows with the multiplier.
     assert summary["max_mass_drift_rel"] <= 2e-15, summary["max_mass_drift_rel"]
 
 

@@ -518,14 +518,14 @@ def preset_square(n=128):
 
 
 def test_march_peak_memory_in_fields():
-    # run allocates its memory once, ahead of the step-0 report: the state,
-    # the next state, three differences and one block, s_r's field, in
-    # which the right-hand side is built, then the solve's eleven padded
-    # half-fields, which begin with nu's field and hold the pass's other
-    # three.  Traced from the step-0 report on, so the set-up's allocations
-    # are left out: 11.85 fields here (0.07 of them the reduced system's
-    # views, which do not grow with the grid), and 12.9 when the solve's
-    # work starts after nu's field instead of on it.
+    # run allocates its memory once, ahead of the step-0 report: the cell
+    # field it joins the state into, the reduced system's eleven halves
+    # (the state, nu's pair and the solve's work, which holds the pass's
+    # other three pairs) and A's fixed diagonal, s_r's pair, and four
+    # black halves, the three differences and the last state.  Traced from
+    # the step-0 report on, so the set-up's allocations are left out: 10.92
+    # fields here, the halves' pads and the reduced system's views
+    # included; 11.85 when each step split and joined full fields.
     cfg, g, c0 = preset_square()
 
     def reset_at_step_0(c, report):
@@ -538,7 +538,7 @@ def test_march_peak_memory_in_fields():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / c0.nbytes <= 12.5
+    assert peak / c0.nbytes <= 11.6
 
 
 def test_step_allocates_no_field():
