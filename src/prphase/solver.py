@@ -594,7 +594,7 @@ def run(
     - the START_DIRECTIONS differences of the last states and the last
       state, all black halves, which choose the solve's start.
 
-    That is about 10.5 fields.
+    That is about 10.9 fields at 128 x 128 cells, pads included.
 
     ``observer(c, report)`` sees the initial state as step 0
     (``nan`` multiplier and residual, zero iterations) and then every step;

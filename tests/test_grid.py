@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from prphase import Grid2D, ParameterError
+from prphase.grid import _Checkerboard
 
 from conftest import inner, minus_laplacian
 from reference import gradient_sq_norm
@@ -112,6 +113,19 @@ class TestDifferenceOperators:
         got = gradient_sq_norm(c, g)
         assert abs(got - want) <= 1e-13 * want + np.finfo(float).tiny
         assert gradient_sq_norm(c, g, scratch=np.empty(g.ncells + 3)) == got
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_halves_gradient_is_the_face_form(self, data):
+        # the norm the per-state pass takes on the march's red and black
+        # halves, each face once from its black cell, the pads left out
+        g = Grid2D(nx=data.draw(st.integers(1, 9)), ny=data.draw(st.integers(1, 9)), h=0.5)
+        c = data.draw(hnp.arrays(np.float64, g.cell_shape(), elements=st.floats(-1e4, 1e4)))
+        board = _Checkerboard(g)
+        got = board.gradient_sq_norm(board.split(c, np.zeros((2, board.size))),
+                                     np.full(board.size, np.nan))
+        want = face_gradient_sq_norm(c, g)
+        assert abs(got - want) <= 1e-13 * want + np.finfo(float).tiny
 
 
 class TestInnerProduct:
