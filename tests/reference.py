@@ -7,7 +7,8 @@ check the factorization's per-term inequalities on.  They take scalars or
 arrays and make no domain checks: keeping 0 < c < 1/beta (and a shift
 that keeps G^2 positive) is the caller's job.  ``gradient_sq_norm`` is the
 gradient energy's face sum on a cell field, which the package takes on
-the march's red and black halves.
+the march's red and black halves, and ``neumann_laplacian`` the matching
+five-point Laplacian as a dense matrix.
 """
 
 from typing import NamedTuple
@@ -140,3 +141,20 @@ def gradient_sq_norm(c, g: Grid2D, scratch=None) -> float:
     d = d[:flat.size - g.nx]
     np.subtract(flat[g.nx:], flat[:-g.nx], out=d)
     return total + float(np.einsum("i,i->", d, d))
+
+
+def neumann_laplacian(g: Grid2D) -> np.ndarray:
+    """Lap_h of the Neumann five-point stencil as a dense matrix over the
+    flat cell order: each in-domain neighbour less the cell, over h^2,
+    written out cell by cell."""
+    n = g.ncells
+    lap = np.zeros((n, n))
+    for i in range(g.ny):
+        for j in range(g.nx):
+            k = i * g.nx + j
+            for ii, jj in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1)):
+                if 0 <= ii < g.ny and 0 <= jj < g.nx:
+                    lap[k, k] -= 1.0
+                    lap[k, ii * g.nx + jj] += 1.0
+    lap *= 1.0 / (g.h * g.h)
+    return lap

@@ -26,28 +26,13 @@ from hypothesis import strategies as st
 from prphase import Grid2D, SolverConfig, run
 
 from conftest import C_GAS, C_LIQ
-from reference import bulk_free_energy, scheme_coefficients
+from reference import bulk_free_energy, neumann_laplacian, scheme_coefficients
 
 #: The solver tolerance the march runs at, so that the bound is tight.
 TOL = 1e-13
 #: Round-off of the dense solve and of the march's own sums, as a fraction
 #: of the largest density or multiplier.
 ROUNDOFF = 1e-14
-
-
-def laplacian(g):
-    """Lap_h of the Neumann five-point stencil: each cell less each of its
-    in-domain neighbours, over h^2, written out cell by cell."""
-    n = g.ncells
-    lap = np.zeros((n, n))
-    for i in range(g.ny):
-        for j in range(g.nx):
-            k = i * g.nx + j
-            for ii, jj in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1)):
-                if 0 <= ii < g.ny and 0 <= jj < g.nx:
-                    lap[k, k] -= 1.0
-                    lap[k, ii * g.nx + jj] += 1.0
-    return lap / (g.h * g.h)
 
 
 def reference_step(c, lam, p, tau_eff, lap):
@@ -107,7 +92,7 @@ def march_errors(g, tau, c0, n_steps, window, nc4):
         # a droplet on a few cells may leave the window: that is not this check's
         warnings.filterwarnings("ignore", "step .* leaves the density window")
         run(c0, n_steps, window, nc4, cfg, g, observer=keep)
-    lap = laplacian(g)
+    lap = neumann_laplacian(g)
     worst = {"state": 0.0, "mu_e": 0.0, "energy": 0.0}
     for n, (c, report) in enumerate(zip(states, reports)):
         energy, scale = reference_energy(c, nc4, g.h)
