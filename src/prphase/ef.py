@@ -48,7 +48,7 @@ discrete energy and extreme densities; the time stepper judges the window.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -232,7 +232,7 @@ def require_in_window(c: np.ndarray, ef: EfParams, bounds_slack: float, what: st
 
 def scheme_coefficients(
     c_old: np.ndarray, ef: EfParams, p: EosParams, g: Grid2D,
-    fields: Optional[Sequence[np.ndarray]] = None, board: Optional[_Checkerboard] = None,
+    fields: Sequence[np.ndarray], board: _Checkerboard,
 ) -> SchemeCoefficients:
     """nu, s_r, the discrete energy and the extreme densities of ``c_old``.
 
@@ -247,57 +247,37 @@ def scheme_coefficients(
     and ``c_max``.
 
     The pass runs on the red and black halves of ``g``'s ``board``, the
-    march's layout.  With ``board`` given, ``c_old`` is a pair in it whose
-    pads and ends are zero, and ``fields``, five writeable, C-contiguous
-    float pairs apart from it whose ends are zero, are the pass's work
-    space: nu and s_r come back in the first two, so ``run`` splits no
-    field, and the other three are left clobbered.  The ends of all five
-    are zero on return, the pads of s_r too, and those of nu hold nu at the
-    field's first cell.  Without ``board``, ``c_old`` is a cell field; the
-    pass then works in halves of its own, and nu and s_r come back as cell
-    fields.
+    march's layout.  ``c_old`` is a pair in it whose pads and ends are
+    zero, and ``fields``, five writeable, C-contiguous float pairs apart
+    from it whose ends are zero, are the pass's work space: nu and s_r come
+    back in the first two, so ``run`` splits no field, and the other three
+    are left clobbered.  The ends of all five are zero on return, the pads
+    of s_r too, and those of nu hold nu at the field's first cell.
+
+    ``_pointwise`` runs on the pairs' flat ``run``s, with the first cell's
+    density at the state's pads and ``gap``; then the gaps are zeroed, and
+    the pads of the state and of s_r.
     """
-    if board is None:
-        if fields is not None:
-            raise ParameterError("scheme_coefficients: work fields are pairs, which need a board")
-        c = np.ascontiguousarray(c_old, dtype=float)
-        g.check_cells(c, "scheme_coefficients")
-        board = _Checkerboard(g)
-        coeffs = _halves_pass(board.split(c, np.zeros((2, board.size))), ef, p, g, board,
-                              [np.zeros((2, board.size)) for _ in range(5)])
-        return replace(coeffs, nu=board.join(coeffs.nu, np.empty(c.shape)),
-                       s_r=board.join(coeffs.s_r, np.empty(c.shape)))
     pair = (2, board.size)
-    if not (fields is not None and len(fields) == 5 and all(
+    if not (len(fields) == 5 and all(
             isinstance(a, np.ndarray) and a.shape == pair and a.dtype == float
             and a.flags.writeable and a.flags.c_contiguous for a in (c_old, *fields))):
         # the pass works in each pair's flat run, and the flat view of an
         # array in any other order is a copy: the writes would be lost
         raise ParameterError(f"scheme_coefficients: the state and 5 fields must be writeable, "
                              f"C-contiguous float pairs of shape {pair}")
-    return _halves_pass(c_old, ef, p, g, board, fields)
-
-
-def _halves_pass(c: np.ndarray, ef: EfParams, p: EosParams, g: Grid2D,
-                 board: _Checkerboard, fields: Sequence[np.ndarray]) -> SchemeCoefficients:
-    """``scheme_coefficients`` on the pair ``c``, in the pairs ``fields``.
-
-    ``_pointwise`` runs on the pairs' flat ``run``s, with the first cell's
-    density at the state's pads and ``gap``; then the gaps are zeroed, and
-    the pads of the state and of s_r.
-    """
-    flat = [a.reshape(-1) for a in (c, *fields)]
-    first = c[RED, board.span.start]  # cell (0, 0)
-    board.fill_pads(c, first)
+    flat = [a.reshape(-1) for a in (c_old, *fields)]
+    first = c_old[RED, board.span.start]  # cell (0, 0)
+    board.fill_pads(c_old, first)
     flat[0][board.gap] = first
     *_, (c_min, c_max) = _pointwise(flat[0][board.run], p, ef.lam, "scheme_coefficients",
                                     [a[board.run] for a in flat[1:]])
     for a in flat:
         a[board.gap] = 0.0
-    board.fill_pads(c, 0.0)
+    board.fill_pads(c_old, 0.0)
     board.fill_pads(fields[1], 0.0)
-    # the pads of c are zero, whatever f holds there
-    bulk = float(g.h * g.h * np.einsum("ij,ij->", c, fields[2]))
-    gradient = 0.5 * p.kappa * board.gradient_sq_norm(c, fields[3][0])
+    # the pads of c_old are zero, whatever f holds there
+    bulk = float(g.h * g.h * np.einsum("ij,ij->", c_old, fields[2]))
+    gradient = 0.5 * p.kappa * board.gradient_sq_norm(c_old, fields[3][0])
     return SchemeCoefficients(nu=fields[0], s_r=fields[1], energy=EnergyBreakdown(
         bulk=bulk, gradient=gradient, total=float(bulk + gradient)), c_min=c_min, c_max=c_max)

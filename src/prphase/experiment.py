@@ -13,14 +13,15 @@ Artifacts (all plain text, written under the configured output directory):
                       and ``nan`` in the multiplier and residual columns.
   snapshot_XXXXXX.txt the cell field at step XXXXXX: ``# key value`` header
                       lines (N, M, h, x0, y0, step, time) followed by one
-                      value per line in row-major order.  Values are written
-                      with ``repr`` so a read-back is bit-exact.
+                      value per line in row-major order.  Values are
+                      ``repr``'s text, produced by orjson where the two
+                      agree, so a read-back is bit-exact.
   snapshot_XXXXXX.csv optional matrix form (one row of cells per line).
-                      Both forms come from one ``repr`` per distinct value
-                      when two neighbouring cells hold the same bits (the
-                      bulk plateaus of a diffuse-interface state), else
-                      from one ``repr`` per cell; each row's text is built
-                      once and written to each file.
+                      Both forms format each distinct value once when two
+                      neighbouring cells hold the same bits (the bulk
+                      plateaus of a diffuse-interface state), else each
+                      cell; each row's text is built once and written to
+                      each file.
   summary.json        run-level verdicts: invariant counters, the multiplier
                       interval, mass drift, and the droplet shape metric at
                       steps 0, 1 and the end.
@@ -38,6 +39,7 @@ from contextlib import ExitStack
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
+import orjson
 
 from . import diagnostics, solver
 from .config import SimConfig
@@ -107,11 +109,12 @@ def write_snapshot(stem: str, c: np.ndarray, g: Grid2D, step: int, time: float,
 
     The txt form is the ``# key value`` header, then one value per line,
     row-major; the csv form is one row of cells per line.  Values are
-    written with ``repr``, so a read-back is bit-exact: once per distinct
-    value when two neighbouring cells hold the same bits, else once per
-    cell.  The field is walked one row at a time and each row's text is
-    written to every open file, so no more than one row of text is held at
-    a time.
+    ``repr``'s text, produced by orjson where the two agree (a field whose
+    values all lie in [1e-4, 1e16)), so a read-back is bit-exact: once per
+    distinct value when two neighbouring cells hold the same bits, else
+    once per cell.  The field is walked one row at a time and each row's
+    text is written to every open file, so no more than one row of text is
+    held at a time.
     """
     with ExitStack() as stack:
         txt = csv = None
@@ -123,15 +126,16 @@ def write_snapshot(stem: str, c: np.ndarray, g: Grid2D, step: int, time: float,
             )
         if "csv" in formats:
             csv = stack.enter_context(open(stem + ".csv", "w", encoding="utf-8"))
-        for cells in _row_texts(np.asarray(c, dtype=float)):
+        for line in _csv_rows(np.asarray(c, dtype=float)):
             if txt is not None:
-                txt.write("\n".join(cells) + "\n")
+                txt.write(line.replace(",", "\n") + "\n")
             if csv is not None:
-                csv.write(",".join(cells) + "\n")
+                csv.write(line + "\n")
 
 
-def _row_texts(a: np.ndarray) -> Iterator[List[str]]:
-    """The ``repr`` of every cell of the 2-D field ``a``, one list per row.
+def _csv_rows(a: np.ndarray) -> Iterator[str]:
+    """The ``repr`` of every cell of the 2-D field ``a``, one comma-separated
+    line per row (no ``repr`` holds a comma).
 
     Distinct values are told apart by their int64 bit patterns, so -0.0 and
     0.0, and each nan payload, keep their own text.  A field with no two
@@ -140,20 +144,34 @@ def _row_texts(a: np.ndarray) -> Iterator[List[str]]:
     the solver's red and black cells can settle on a plateau of two
     values, and then no two neighbours are equal.
     """
+    fast = bool(a.min() >= 1e-4 and a.max() < 1e16)  # nan fails both
     bits = a.view(np.int64)
     if not (np.any(bits[:, 1:] == bits[:, :-1]) or np.any(bits[:, 2:] == bits[:, :-2])
             or np.any(bits[1:] == bits[:-1])):
         for row in a:
-            yield list(map(repr, row.tolist()))
+            yield _csv_text(row, fast)
         return
     ordered = np.sort(bits, axis=None)
     first = np.empty(ordered.size, dtype=bool)
     first[0] = True
     np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
     distinct = ordered[first]
-    texts = np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype=object)
+    texts = np.array(_csv_text(distinct.view(np.float64), fast).split(","), dtype=object)
     for row in bits:
-        yield texts[np.searchsorted(distinct, row)].tolist()
+        yield ",".join(texts[np.searchsorted(distinct, row)].tolist())
+
+
+def _csv_text(v: np.ndarray, fast: bool) -> str:
+    """The ``repr`` of each value of the 1-D float array ``v``, comma-separated.
+
+    ``fast`` says every value lies in [1e-4, 1e16).  There orjson writes the
+    same shortest round-trip digits as ``repr``, byte for byte, in one C
+    call; outside it the two differ (``1e16`` for ``1e+16``, ``0.00001``
+    for ``1e-05``, ``null`` for nan and inf).
+    """
+    if not fast:
+        return ",".join(map(repr, v.tolist()))
+    return orjson.dumps(np.ascontiguousarray(v), option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode()
 
 
 def read_snapshot(path: str) -> Tuple[np.ndarray, Dict[str, float]]:

@@ -1,4 +1,5 @@
 import os
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,9 +13,10 @@ from prphase import (
     SolverConfig,
     derive_eos_params,
     get_substance,
+    scheme_coefficients,
 )
 from prphase.ef import _pointwise
-from prphase.grid import BLACK, RED
+from prphase.grid import BLACK, RED, _Checkerboard
 from prphase.solver import _BlackSystem
 
 C_GAS = 249.1123
@@ -55,6 +57,20 @@ def nu_s_r(c, ef, p):
     """nu(c) and s_r(c) under the window's shift, by the scheme's pointwise kernel."""
     _, nu, s_r, _ = _pointwise(c, p, ef.lam, "nu_s_r")
     return nu, s_r
+
+
+def cell_coefficients(c, ef, p, g):
+    """``ef.scheme_coefficients`` on the cell field ``c``: the field is split
+    into the march's red and black halves, the pass runs there in fresh
+    pairs, and nu and s_r are joined back into cell fields."""
+    c = np.asarray(c, dtype=float)
+    g.check_cells(c, "cell_coefficients")
+    board = _Checkerboard(g)
+    pairs = np.zeros((6, 2, board.size))
+    coeffs = scheme_coefficients(board.split(c, pairs[0]), ef, p, g, fields=list(pairs[1:]),
+                                 board=board)
+    return replace(coeffs, nu=board.join(coeffs.nu, np.empty(c.shape)),
+                   s_r=board.join(coeffs.s_r, np.empty(c.shape)))
 
 
 def kernel_bulk_bound(c_old, c_new, ef, p):

@@ -1,9 +1,13 @@
 import importlib.resources
+import os
+import tempfile
 import tracemalloc
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prphase import ConfigError, Grid2D, minimal_lambda
 from prphase import experiment
@@ -302,6 +306,62 @@ ODD_FIELD = np.array([
 TILED_FIELD = np.repeat(
     np.vstack([ODD_FIELD, [np.nan, np.inf, -np.inf, -0.0, 0.0]]), 2, axis=1)
 
+#: Values every field of the writer's orjson branch holds: both ends of its
+#: range [1e-4, 1e16), and values whose repr has one digit after the point.
+FAST_EDGES = [1e-4, 0.1, 2.0, 1e15, float(np.nextafter(1e16, 0.0))]
+
+#: Floats in [1e-4, 1e16): uniform, or uniform in the exponent.
+FAST_VALUES = st.one_of(
+    st.floats(1e-4, 1e16, exclude_max=True),
+    st.floats(-4.0, 16.0).map(lambda e: min(max(10.0 ** e, FAST_EDGES[0]), FAST_EDGES[-1])))
+
+
+def fast_field(data, plateau):
+    """A field of floats in [1e-4, 1e16) that holds every FAST_EDGES value.
+
+    A plateau field repeats each column, so every cell has an equal
+    neighbour (the writer's distinct-value path); otherwise no two cells
+    are equal (the per-cell path).
+    """
+    nx = data.draw(st.integers(3, 6), label="nx")
+    ny = data.draw(st.integers(2, 4), label="ny")
+    n = nx * ny - len(FAST_EDGES)
+    if plateau:
+        pool = FAST_EDGES + data.draw(st.lists(FAST_VALUES, max_size=4), label="pool")
+        rest = data.draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n), label="rest")
+    else:
+        rest = data.draw(st.lists(FAST_VALUES.filter(lambda v: v not in FAST_EDGES),
+                                  min_size=n, max_size=n, unique=True), label="rest")
+    cells = data.draw(st.permutations(FAST_EDGES + rest), label="cells")
+    field = np.array(cells).reshape(ny, nx)
+    return np.repeat(field, 2, axis=1) if plateau else field
+
+
+def repr_calls_writing(directory, values, layout="C"):
+    """Write ``values`` in both forms, check that the files hold what
+    ``repr`` per value wrote and that the txt form reads back bit-exact,
+    and return how many values the writer passed to ``repr``."""
+    ny, nx = values.shape
+    g = Grid2D(nx=nx, ny=ny, h=0.25, x0=-1.0, y0=2.0)
+    stem = os.path.join(directory, "snap")
+    calls = []
+
+    def counting_repr(v):
+        calls.append(v)
+        return repr(v)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(experiment, "repr", counting_repr, raising=False)
+        write_snapshot(stem, np.asarray(values, order=layout), g, step=3, time=3e10,
+                       formats=("txt", "csv"))
+    for fmt, expected in (("txt", old_txt_bytes(values, g, 3, 3e10)),
+                          ("csv", old_csv_bytes(values))):
+        with open(f"{stem}.{fmt}", "rb") as fh:
+            assert fh.read() == expected, fmt
+    back, _ = read_snapshot(stem + ".txt")
+    assert back.tobytes() == values.tobytes()
+    return len(calls)
+
 
 class TestSnapshotIO:
     def test_header_fields(self, tmp_path):
@@ -375,13 +435,39 @@ class TestSnapshotIO:
             calls.append(v)
             return repr(v)
 
+        formatted = []
+        csv_text = experiment._csv_text
+
+        def counting_csv_text(v, fast):
+            formatted.extend(v.tolist())
+            return csv_text(v, fast)
+
         monkeypatch.setattr(experiment, "repr", counting_repr, raising=False)
+        monkeypatch.setattr(experiment, "_csv_text", counting_csv_text)
         write_snapshot(str(tmp_path / "board"), values, g, step=3, time=3e10,
                        formats=("txt", "csv"))
         monkeypatch.undo()
-        assert len(calls) <= 2
+        assert len(calls) <= 2 and len(formatted) == 2
         assert (tmp_path / "board.txt").read_bytes() == old_txt_bytes(values, g, 3, 3e10)
         assert (tmp_path / "board.csv").read_bytes() == old_csv_bytes(values)
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), plateau=st.booleans(), layout=st.sampled_from("CF"))
+    def test_in_range_field_takes_orjson_with_repr_bytes(self, data, plateau, layout):
+        # orjson's text is repr's only in [1e-4, 1e16): this pins the
+        # installed orjson's format there, on both of the writer's paths
+        values = fast_field(data, plateau)
+        with tempfile.TemporaryDirectory() as directory:
+            assert repr_calls_writing(directory, values, layout) == 0
+
+    @pytest.mark.parametrize("plateau", [False, True], ids=["cells", "plateau"])
+    @pytest.mark.parametrize("odd", [0.0, -1.0, 5e-324, float(np.nextafter(1e-4, 0.0)), 1e16,
+                                     np.nan, np.inf])
+    def test_one_value_out_of_range_falls_back_to_repr(self, tmp_path, odd, plateau):
+        field = np.array(FAST_EDGES + [1234.5678]).reshape(2, 3)
+        field[1, 1] = odd
+        values = np.repeat(field, 2, axis=1) if plateau else field
+        assert repr_calls_writing(str(tmp_path), values) > 0
 
     def test_writer_streams_rows(self, tmp_path, rng):
         # one row of text at a time: formatting the whole field first would

@@ -14,9 +14,10 @@ from prphase import (
     shape_anisotropy,
 )
 from prphase.ef import _pointwise
+from prphase.grid import _Checkerboard
 
 import oracles
-from conftest import C_GAS, C_LIQ, nu_s_r
+from conftest import C_GAS, C_LIQ, cell_coefficients, nu_s_r
 from reference import bulk_free_energy
 
 FROZEN = oracles.FROZEN
@@ -28,7 +29,7 @@ class TestDiscreteEnergy:
     def test_uniform_field(self, nc4, window, unit_grid):
         c_bar = 3000.0
         c = np.full(unit_grid.cell_shape(), c_bar)
-        e = scheme_coefficients(c, window, nc4, unit_grid).energy
+        e = cell_coefficients(c, window, nc4, unit_grid).energy
         expected = unit_grid.lx * unit_grid.ly * float(bulk_free_energy(c_bar, nc4).total)
         assert e.gradient == 0.0
         assert e.bulk == pytest.approx(expected, rel=1e-13)
@@ -53,21 +54,25 @@ class TestDiscreteEnergy:
                 grad += g.h**2 * ((c[j + 1, i] - c[j, i]) / g.h) ** 2
         grad *= 0.5 * kappa
 
-        e = scheme_coefficients(c, window, replace(nc4, kappa=kappa), g).energy
+        e = cell_coefficients(c, window, replace(nc4, kappa=kappa), g).energy
         assert e.bulk == pytest.approx(bulk, rel=1e-13)
         assert e.gradient == pytest.approx(grad, rel=1e-13)
         assert e.total == pytest.approx(bulk + grad, rel=1e-13)
 
     def test_gradient_scales_linearly_in_kappa(self, nc4, window, unit_grid, rng):
         c = rng.uniform(500.0, 9000.0, size=unit_grid.cell_shape())
-        g1, g2 = (scheme_coefficients(c, window, replace(nc4, kappa=kappa), unit_grid)
+        g1, g2 = (cell_coefficients(c, window, replace(nc4, kappa=kappa), unit_grid)
                   .energy.gradient for kappa in (1.0, 2.5))
         assert g2 == pytest.approx(2.5 * g1, rel=1e-13)
         assert g1 > 0
 
     def test_shape_mismatch(self, nc4, window, unit_grid):
+        # the pass takes the state as a pair in the board's layout, not a cell field
+        board = _Checkerboard(unit_grid)
+        fields = [np.zeros((2, board.size)) for _ in range(5)]
         with pytest.raises(ParameterError, match="shape"):
-            scheme_coefficients(np.full((2, 2), 1000.0), window, nc4, unit_grid)
+            scheme_coefficients(np.full(unit_grid.cell_shape(), 1000.0), window, nc4, unit_grid,
+                                fields=fields, board=board)
 
 
 class TestAdmissibleInterval:

@@ -15,9 +15,10 @@ from prphase import (
     scheme_coefficients,
 )
 from prphase.ef import _pointwise, require_in_window
+from prphase.grid import _Checkerboard
 
 import oracles
-from conftest import C_GAS, C_LIQ, kernel_bulk_bound, nu_s_r
+from conftest import C_GAS, C_LIQ, cell_coefficients, kernel_bulk_bound, nu_s_r
 from reference import (
     bulk_chemical_potential,
     bulk_free_energy,
@@ -160,7 +161,7 @@ class TestMuAttraction:
         c = np.full((3, 4), 1000.0)
         c[2, 1] = 1.0 / nc4.beta
         with pytest.raises(DomainError, match="packing limit"):
-            scheme_coefficients(c, window, nc4, grid_of(c))
+            cell_coefficients(c, window, nc4, grid_of(c))
 
 
 class TestSchemeCoefficients:
@@ -189,7 +190,7 @@ class TestSchemeCoefficients:
 
     def test_preserves_field_shape(self, nc4, window):
         c = np.full((4, 5), 1000.0)
-        coeffs = scheme_coefficients(c, window, nc4, grid_of(c))
+        coeffs = cell_coefficients(c, window, nc4, grid_of(c))
         assert coeffs.nu.shape == (4, 5)
         assert coeffs.s_r.shape == (4, 5)
 
@@ -233,7 +234,7 @@ class TestFusedPass:
         g = draw_grid(data)
         c = data.draw(hnp.arrays(np.float64, g.cell_shape(),
                                  elements=st.floats(window.c_m, window.c_M)), label="c")
-        coeffs = scheme_coefficients(c, window, nc4, g)
+        coeffs = cell_coefficients(c, window, nc4, g)
         for cell, got_nu, got_sr in zip(c.ravel(), coeffs.nu.ravel(), coeffs.s_r.ravel()):
             assert rel(got_nu, float(oracles.nu(cell, window.lam))) < 1e-12
             assert rel(got_sr, float(oracles.s_r(cell, window.lam))) < 1e-12
@@ -258,18 +259,22 @@ class TestFusedPass:
         cell = data.draw(st.integers(0, g.ncells - 1), label="cell")
         c.ravel()[cell] = data.draw(st.floats(max_value=0.0, allow_infinity=False), label="value")
         with pytest.raises(DomainError, match="positive"):
-            scheme_coefficients(c, window, nc4, g)
+            cell_coefficients(c, window, nc4, g)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_nonfinite_cell_raises_domain_error(self, nc4, window, bad):
         c = np.full((3, 4), 1000.0)
         c[1, 2] = bad
         with pytest.raises(DomainError, match="finite"):
-            scheme_coefficients(c, window, nc4, grid_of(c))
+            cell_coefficients(c, window, nc4, grid_of(c))
 
     def test_shape_mismatch(self, nc4, window):
+        g = Grid2D(nx=2, ny=3, h=1.0)
+        board = _Checkerboard(g)
+        fields = [np.zeros((2, board.size)) for _ in range(5)]
         with pytest.raises(ParameterError, match="shape"):
-            scheme_coefficients(np.full((2, 3), 1000.0), window, nc4, Grid2D(nx=2, ny=3, h=1.0))
+            scheme_coefficients(np.full((2, board.size + 1), 1000.0), window, nc4, g,
+                                fields=fields, board=board)
 
 
 class TestSemiImplicitPotentials:
