@@ -139,15 +139,19 @@ def _csv_rows(a: np.ndarray) -> Iterator[str]:
 
     Distinct values are told apart by their int64 bit patterns, so -0.0 and
     0.0, and each nan payload, keep their own text.  A field with no two
-    equal cells one or two apart in a row, or neighbours in a column (cell
-    noise), skips the sort and is formatted cell by cell.  Two apart, since
-    the solver's red and black cells can settle on a plateau of two
-    values, and then no two neighbours are equal.
+    equal neighbours in a row or a column (cell noise, or a marched field)
+    skips the sort and is formatted cell by cell.  With ``repr``, so does
+    a field with no two equal cells two apart in a row, since the solver's
+    red and black cells can settle on plateaus of two values, and then no
+    two neighbours are equal.  orjson's text costs about what looking a
+    value up in the sorted ones does, and a marched field's red-black
+    plateaus leave thousands of distinct values, so with orjson only
+    plateaus of neighbours (the initial field) pay for the sort.
     """
     fast = bool(a.min() >= 1e-4 and a.max() < 1e16)  # nan fails both
     bits = a.view(np.int64)
-    if not (np.any(bits[:, 1:] == bits[:, :-1]) or np.any(bits[:, 2:] == bits[:, :-2])
-            or np.any(bits[1:] == bits[:-1])):
+    if not (np.any(bits[:, 1:] == bits[:, :-1]) or np.any(bits[1:] == bits[:-1])
+            or not fast and np.any(bits[:, 2:] == bits[:, :-2])):
         for row in a:
             yield _csv_text(row, fast)
         return

@@ -425,31 +425,32 @@ class TestSnapshotIO:
 
     def test_checkerboard_plateau_formats_each_value_once(self, tmp_path, monkeypatch):
         # the solver's red and black cells can settle on two values, so no
-        # two neighbours are equal; cells two apart in a row are
+        # two neighbours are equal; cells two apart in a row are.  Negated,
+        # the values are outside orjson's range and each takes one repr;
+        # in its range, orjson formats every cell
         g = Grid2D(nx=9, ny=7, h=0.25, x0=-1.0, y0=2.0)
         i, j = np.indices(g.cell_shape())
-        values = np.where((i + j) % 2 == 0, 249.1123, 249.11230000000003)
-        calls = []
-
-        def counting_repr(v):
-            calls.append(v)
-            return repr(v)
-
-        formatted = []
+        plateau = np.where((i + j) % 2 == 0, 249.1123, 249.11230000000003)
         csv_text = experiment._csv_text
+        for values, n_formatted in ((-plateau, 2), (plateau, g.ncells)):
+            calls, formatted = [], []
 
-        def counting_csv_text(v, fast):
-            formatted.extend(v.tolist())
-            return csv_text(v, fast)
+            def counting_repr(v):
+                calls.append(v)
+                return repr(v)
 
-        monkeypatch.setattr(experiment, "repr", counting_repr, raising=False)
-        monkeypatch.setattr(experiment, "_csv_text", counting_csv_text)
-        write_snapshot(str(tmp_path / "board"), values, g, step=3, time=3e10,
-                       formats=("txt", "csv"))
-        monkeypatch.undo()
-        assert len(calls) <= 2 and len(formatted) == 2
-        assert (tmp_path / "board.txt").read_bytes() == old_txt_bytes(values, g, 3, 3e10)
-        assert (tmp_path / "board.csv").read_bytes() == old_csv_bytes(values)
+            def counting_csv_text(v, fast):
+                formatted.extend(v.tolist())
+                return csv_text(v, fast)
+
+            monkeypatch.setattr(experiment, "repr", counting_repr, raising=False)
+            monkeypatch.setattr(experiment, "_csv_text", counting_csv_text)
+            write_snapshot(str(tmp_path / "board"), values, g, step=3, time=3e10,
+                           formats=("txt", "csv"))
+            monkeypatch.undo()
+            assert len(calls) <= 2 and len(formatted) == n_formatted
+            assert (tmp_path / "board.txt").read_bytes() == old_txt_bytes(values, g, 3, 3e10)
+            assert (tmp_path / "board.csv").read_bytes() == old_csv_bytes(values)
 
     @settings(max_examples=80, deadline=None)
     @given(data=st.data(), plateau=st.booleans(), layout=st.sampled_from("CF"))
