@@ -138,15 +138,12 @@ def _csv_rows(a: np.ndarray) -> Iterator[str]:
     line per row (no ``repr`` holds a comma).
 
     Distinct values are told apart by their int64 bit patterns, so -0.0 and
-    0.0, and each nan payload, keep their own text.  A field with no two
-    equal neighbours in a row or a column (cell noise, or a marched field)
-    skips the sort and is formatted cell by cell.  With ``repr``, so does
-    a field with no two equal cells two apart in a row, since the solver's
-    red and black cells can settle on plateaus of two values, and then no
-    two neighbours are equal.  orjson's text costs about what looking a
-    value up in the sorted ones does, and a marched field's red-black
-    plateaus leave thousands of distinct values, so with orjson only
-    plateaus of neighbours (the initial field) pay for the sort.
+    0.0, and each nan payload, keep their own text.  Each is formatted once
+    when two neighbouring cells are equal (the initial field's plateaus),
+    else every cell is.  Values that need ``repr`` are also formatted once
+    when cells two apart in a row are equal: the red-black plateaus of a
+    marched field.  Those leave thousands of distinct values, and orjson
+    formats a cell for about what looking up its text costs.
     """
     fast = bool(a.min() >= 1e-4 and a.max() < 1e16)  # nan fails both
     bits = a.view(np.int64)

@@ -270,7 +270,7 @@ class _BlackSystem:
         grid or a transposition maps a cell's pairs onto its image's, so that
         sum keeps those symmetries of a field to the last bit, and so does
         the march: a symmetric droplet's snapshots repeat most values four
-        times, and ``experiment._csv_rows`` formats each once.
+        times.
         """
         shifted = self.shifted.get((src, colour))
         if shifted is None:
