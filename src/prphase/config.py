@@ -38,6 +38,7 @@ it against the window.
 
 from __future__ import annotations
 
+import functools
 import inspect
 import math
 import os
@@ -60,6 +61,10 @@ _INITIAL_KINDS = {"square_droplet": "half_side", "disk": "radius", "uniform": "v
 _FORMATS = ("txt", "csv")
 #: Default density window [factor0*c_gas, factor1*c_liq].
 DEFAULT_BOUNDS_FACTORS = (0.9, 1.1)
+#: The safe loader, with libyaml's parser where PyYAML was built with it.
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+#: A table class's field types, resolved from its string annotations once.
+_field_types = functools.cache(get_type_hints)
 
 
 @dataclass(frozen=True)
@@ -186,7 +191,7 @@ def _load_table(raw: dict, name: str, cls, provenance: List[str], **fixed):
     unknown = sorted(set(table) - {f.name for f in knobs})
     if unknown:
         raise ConfigError(f"{name}: unknown keys {unknown}")
-    hints = get_type_hints(cls)
+    hints = _field_types(cls)
     kwargs = dict(fixed)
     for f in knobs:
         if f.name in table:
@@ -262,7 +267,7 @@ def load_config(path: str) -> SimConfig:
     """Parse a YAML run file and build the run's model; errors name the bad key."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = yaml.safe_load(fh)
+            raw = yaml.load(fh, Loader=_YAML_LOADER)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
     except yaml.YAMLError as exc:

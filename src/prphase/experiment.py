@@ -32,11 +32,12 @@ artifacts.
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 import os
 from contextlib import ExitStack
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 import orjson
@@ -88,7 +89,7 @@ def build_initial(cfg: SimConfig) -> np.ndarray:
                 f"not match the configured spacing {g.h}"
             )
     else:
-        X, Y = g.cell_centers()
+        X, Y = g.cell_centers(sparse=True)
         cx = g.x0 + 0.5 * g.lx
         cy = g.y0 + 0.5 * g.ly
         if ic.kind == "square_droplet":
@@ -119,23 +120,26 @@ def write_snapshot(stem: str, c: np.ndarray, g: Grid2D, step: int, time: float,
     with ExitStack() as stack:
         txt = csv = None
         if "txt" in formats:
-            txt = stack.enter_context(open(stem + ".txt", "w", encoding="utf-8"))
+            txt = stack.enter_context(open(stem + ".txt", "wb"))
             txt.write(
                 f"# N {g.nx}\n# M {g.ny}\n# h {g.h!r}\n# x0 {g.x0!r}\n# y0 {g.y0!r}\n"
-                f"# step {step}\n# time {float(time)!r}\n"
+                f"# step {step}\n# time {float(time)!r}\n".encode()
             )
         if "csv" in formats:
-            csv = stack.enter_context(open(stem + ".csv", "w", encoding="utf-8"))
-        for line in _csv_rows(np.asarray(c, dtype=float)):
+            csv = stack.enter_context(open(stem + ".csv", "wb"))
+        line = column = None
+        for row in _csv_rows(np.asarray(c, dtype=float)):
             if txt is not None:
-                txt.write(line.replace(",", "\n") + "\n")
+                if row is not line:  # a repeated row comes back as the same object
+                    line, column = row, row.replace(b",", b"\n")
+                txt.write(column)
             if csv is not None:
-                csv.write(line + "\n")
+                csv.write(row)
 
 
-def _csv_rows(a: np.ndarray) -> Iterator[str]:
-    """The ``repr`` of every cell of the 2-D field ``a``, one comma-separated
-    line per row (no ``repr`` holds a comma).
+def _csv_rows(a: np.ndarray) -> Iterator[bytes]:
+    """The UTF-8 ``repr`` of every cell of the 2-D field ``a``, one comma-separated
+    line per row (no ``repr`` holds a comma), each ending in a newline.
 
     Distinct values are told apart by their int64 bit patterns, so -0.0 and
     0.0, and each nan payload, keep their own text.  Each is formatted once
@@ -143,27 +147,31 @@ def _csv_rows(a: np.ndarray) -> Iterator[str]:
     else every cell is.  Values that need ``repr`` are also formatted once
     when cells two apart in a row are equal: the red-black plateaus of a
     marched field.  Those leave thousands of distinct values, and orjson
-    formats a cell for about what looking up its text costs.
+    formats a cell for about what looking up its text costs.  On that path
+    a row whose bits equal the row above it yields the same line object.
     """
     fast = bool(a.min() >= 1e-4 and a.max() < 1e16)  # nan fails both
     bits = a.view(np.int64)
     if not (np.any(bits[:, 1:] == bits[:, :-1]) or np.any(bits[1:] == bits[:-1])
             or not fast and np.any(bits[:, 2:] == bits[:, :-2])):
         for row in a:
-            yield _csv_text(row, fast)
+            yield _csv_text(row, fast) + b"\n"
         return
     ordered = np.sort(bits, axis=None)
     first = np.empty(ordered.size, dtype=bool)
     first[0] = True
     np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
     distinct = ordered[first]
-    texts = np.array(_csv_text(distinct.view(np.float64), fast).split(","), dtype=object)
-    for row in bits:
-        yield ",".join(texts[np.searchsorted(distinct, row)].tolist())
+    texts = np.array(_csv_text(distinct.view(np.float64), fast).split(b","), dtype=object)
+    repeats = [False] + np.all(bits[1:] == bits[:-1], axis=1).tolist()
+    for row, repeat in zip(bits, repeats):
+        if not repeat:
+            line = b",".join(texts[np.searchsorted(distinct, row)].tolist()) + b"\n"
+        yield line
 
 
-def _csv_text(v: np.ndarray, fast: bool) -> str:
-    """The ``repr`` of each value of the 1-D float array ``v``, comma-separated.
+def _csv_text(v: np.ndarray, fast: bool) -> bytes:
+    """The UTF-8 ``repr`` of each value of the 1-D float array ``v``, comma-separated.
 
     ``fast`` says every value lies in [1e-4, 1e16).  There orjson writes the
     same shortest round-trip digits as ``repr``, byte for byte, in one C
@@ -171,28 +179,29 @@ def _csv_text(v: np.ndarray, fast: bool) -> str:
     for ``1e-05``, ``null`` for nan and inf).
     """
     if not fast:
-        return ",".join(map(repr, v.tolist()))
-    return orjson.dumps(np.ascontiguousarray(v), option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode()
+        return ",".join(map(repr, v.tolist())).encode()
+    return orjson.dumps(np.ascontiguousarray(v), option=orjson.OPT_SERIALIZE_NUMPY)[1:-1]
 
 
 def read_snapshot(path: str) -> Tuple[np.ndarray, Dict[str, float]]:
-    """Inverse of ``write_snapshot``'s txt form; returns (cell field, header dict)."""
+    """Inverse of ``write_snapshot``'s txt form, header lines first; returns (field, header)."""
     meta: Dict[str, float] = {}
-    values: List[float] = []
+    values = np.empty(0)
     try:
         with open(path, "r", encoding="utf-8") as fh:
             for raw in fh:
                 line = raw.strip()
                 if not line:
                     continue
-                if line.startswith("#"):
-                    parts = line[1:].split()
-                    if len(parts) != 2:
-                        raise ConfigError(f"{path}: malformed snapshot header line {raw!r}")
-                    key, value = parts
-                    meta[key] = float(value)
-                else:
-                    values.append(float(line))
+                if not line.startswith("#"):
+                    values = np.loadtxt(itertools.chain([line], fh), dtype=float, ndmin=1,
+                                        comments=None)
+                    break
+                parts = line[1:].split()
+                if len(parts) != 2:
+                    raise ConfigError(f"{path}: malformed snapshot header line {raw!r}")
+                key, value = parts
+                meta[key] = float(value)
     except FileNotFoundError as exc:
         raise ConfigError(f"snapshot file not found: {path}") from exc
     except ValueError as exc:
@@ -204,9 +213,11 @@ def read_snapshot(path: str) -> Tuple[np.ndarray, Dict[str, float]]:
             raise ConfigError(f"{path}: snapshot header {key} must be a positive integer, "
                               f"got {meta[key]!r}")
     nx, ny = int(meta["N"]), int(meta["M"])
+    if values.ndim != 1:
+        raise ConfigError(f"{path}: expected one value per line, found {values.shape[1]}")
     if len(values) != nx * ny:
         raise ConfigError(f"{path}: expected {nx * ny} values, found {len(values)}")
-    return np.array(values).reshape((ny, nx)), meta
+    return values.reshape((ny, nx)), meta
 
 
 def _series_row(report: StepReport, tau: float) -> str:

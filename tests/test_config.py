@@ -1,7 +1,10 @@
+import dataclasses
 import importlib.resources
+import math
 import os
 import tempfile
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,8 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prphase import ConfigError, Grid2D, minimal_lambda
-from prphase import experiment
-from prphase.config import load_config
+from prphase import config, experiment
+from prphase.config import InitialCondition, load_config
 from prphase.experiment import (
     build_initial,
     read_snapshot,
@@ -112,6 +115,26 @@ class TestLoadConfig:
         path.write_text("grid: {N: 100, M:\n  - oops\n  }\n")
         with pytest.raises(ConfigError, match="invalid YAML"):
             load_config(str(path))
+
+    def test_libyaml_and_python_loaders_agree(self, tmp_path, monkeypatch):
+        # the module parses with libyaml's safe loader where PyYAML has it;
+        # PyYAML's own SafeLoader is the fallback and must build the same runs
+        presets = sorted(str(path) for path in
+                         importlib.resources.files("prphase").joinpath("presets").iterdir()
+                         if path.name.endswith(".yaml"))
+        assert presets
+        bad = tmp_path / "bad.yaml"
+        bad.write_text("grid: {N: 100, M:\n  - oops\n  }\n")
+        default = config._YAML_LOADER
+        assert default is getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+        loaded = {}
+        for loader in (default, yaml.SafeLoader):
+            monkeypatch.setattr(config, "_YAML_LOADER", loader)
+            loaded[loader] = [load_config(path) for path in presets]
+            with pytest.raises(ConfigError, match=r"bad\.yaml: invalid YAML \(") as exc:
+                load_config(str(bad))
+            assert isinstance(exc.value.__cause__, yaml.YAMLError)
+        assert loaded[default] == loaded[yaml.SafeLoader]
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.yaml"
@@ -271,6 +294,34 @@ class TestBuildInitial:
         frac = n_liq / c.size
         assert frac == pytest.approx(np.pi * 0.25**2, rel=0.2)
 
+    @pytest.mark.parametrize("n", [15, 16])
+    @pytest.mark.parametrize("kind", ["square_droplet", "disk"])
+    def test_droplet_matches_full_meshgrid(self, tmp_path, kind, n):
+        # the size is set to a cell centre's distance from the domain
+        # centre, so some cells sit exactly on the boundary where <= ties
+        cfg = load_config(write_config(tmp_path, base_dict(grid={"N": n, "M": n,
+                                                                 "L_half": 1.0e-8})))
+        g = cfg.grid
+        x = g.x0 + (np.arange(g.nx) + 0.5) * g.h
+        y = g.y0 + (np.arange(g.ny) + 0.5) * g.h
+        X, Y = np.meshgrid(x, y)
+        dx = X - (g.x0 + 0.5 * g.lx)
+        dy = Y - (g.y0 + 0.5 * g.ly)
+        if kind == "square_droplet":
+            size = float(np.abs(dx[0, n // 2 - 2]))
+            mask = (np.abs(dx) <= size) & (np.abs(dy) <= size)
+            ties = np.abs(dx) == size
+        else:
+            d2 = dx**2 + dy**2
+            size = next(r for r in map(math.sqrt, np.unique(d2)[1:]) if np.any(d2 == r**2))
+            mask = d2 <= size**2
+            ties = d2 == size**2
+        assert np.any(ties & mask)
+        cfg = dataclasses.replace(cfg, initial=InitialCondition(kind=kind, **{
+            "square_droplet": {"half_side": size}, "disk": {"radius": size}}[kind]))
+        want = np.where(mask, cfg.c_liq, cfg.c_gas)
+        assert build_initial(cfg).tobytes() == want.tobytes()
+
     def test_from_file_roundtrip(self, tmp_path, rng):
         g = Grid2D(nx=16, ny=16, h=2.0e-8 / 16, x0=-1.0e-8, y0=-1.0e-8)
         field = rng.uniform(300.0, 9000.0, size=g.cell_shape())
@@ -392,6 +443,38 @@ class TestSnapshotIO:
         with pytest.raises(ConfigError, match="non-numeric"):
             read_snapshot(str(path))
 
+    def test_reader_takes_crlf_blank_lines_and_padding(self, tmp_path):
+        path = tmp_path / "snap.txt"
+        path.write_bytes(b"# N 2\r\n\r\n  # M 1 \r\n\r\n  1.5 \r\n\r\n\t-0.0\r\n  \r\n")
+        back, meta = read_snapshot(str(path))
+        assert meta == {"N": 2.0, "M": 1.0}
+        assert back.tobytes() == np.array([[1.5, -0.0]]).tobytes()
+
+    def test_header_only_file_has_no_values(self, tmp_path):
+        path = tmp_path / "snap.txt"
+        path.write_text("# N 1\n# M 1\n\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match="expected 1 values, found 0"):
+                read_snapshot(str(path))
+
+    @pytest.mark.parametrize("payload", ["1.0\n# step 3\n", "1.0 2.0\n3.0 4.0\n"],
+                             ids=["header_after_values", "two_columns"])
+    def test_values_are_one_number_a_line_after_the_header(self, tmp_path, payload):
+        # header lines come first: a later "#" line is not read into the header
+        path = tmp_path / "snap.txt"
+        path.write_text("# N 2\n# M 1\n" + payload)
+        with pytest.raises(ConfigError, match="non-numeric|one value per line"):
+            read_snapshot(str(path))
+
+    def test_large_noise_field_reads_back_bit_exact(self, tmp_path, rng):
+        g = Grid2D(nx=400, ny=400, h=1.0, x0=0.0, y0=0.0)
+        field = rng.uniform(200.0, 10000.0, size=g.cell_shape())
+        field[0, :3] = [0.0, -0.0, 5e-324]  # repr's text, outside orjson's range
+        write_snapshot(str(tmp_path / "big"), field, g, 0, 0.0, formats=("txt",))
+        back, _ = read_snapshot(str(tmp_path / "big.txt"))
+        assert back.tobytes() == field.tobytes()
+
     def test_matrix_csv_layout(self, tmp_path):
         g = Grid2D(nx=2, ny=2, h=1.0, x0=0.0, y0=0.0)
         write_snapshot(str(tmp_path / "m"), np.array([[1.5, 2.0], [3.25, 4.0]]), g, 0, 0.0,
@@ -451,6 +534,28 @@ class TestSnapshotIO:
             assert len(calls) <= 2 and len(formatted) == n_formatted
             assert (tmp_path / "board.txt").read_bytes() == old_txt_bytes(values, g, 3, 3e10)
             assert (tmp_path / "board.csv").read_bytes() == old_csv_bytes(values)
+
+    def test_repeated_rows_are_looked_up_once(self, tmp_path, monkeypatch):
+        # each row of TILED_FIELD three times over, then its first row again,
+        # then that row with one cell changed
+        changed = TILED_FIELD[:1].copy()
+        changed[0, -1] = 7.0
+        values = np.vstack([np.repeat(TILED_FIELD, 3, axis=0), TILED_FIELD[:1], changed])
+        ny, nx = values.shape
+        g = Grid2D(nx=nx, ny=ny, h=0.25, x0=-1.0, y0=2.0)
+        searchsorted, lookups = np.searchsorted, []
+
+        def counting_searchsorted(a, v, *args, **kwargs):
+            lookups.append(v)
+            return searchsorted(a, v, *args, **kwargs)
+
+        monkeypatch.setattr(experiment.np, "searchsorted", counting_searchsorted)
+        write_snapshot(str(tmp_path / "rows"), values, g, step=3, time=3e10,
+                       formats=("txt", "csv"))
+        monkeypatch.undo()
+        assert len(lookups) == len(TILED_FIELD) + 2
+        assert (tmp_path / "rows.txt").read_bytes() == old_txt_bytes(values, g, 3, 3e10)
+        assert (tmp_path / "rows.csv").read_bytes() == old_csv_bytes(values)
 
     @settings(max_examples=80, deadline=None)
     @given(data=st.data(), plateau=st.booleans(), layout=st.sampled_from("CF"))
