@@ -28,6 +28,9 @@ from .grid import Grid2D
 # zoom stop, relative to the window width, and densities per bracket and round
 _REL_TOL = 1e-10
 _ZOOM_POINTS = 65
+# cells per block of rows in shape_anisotropy's angular sum
+_BLOCK_CELLS = 8192
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -100,15 +103,40 @@ def shape_anisotropy(c: np.ndarray, g: Grid2D, threshold: float) -> float:
     if mask.all():
         return 0.0
 
-    X, Y = g.cell_centers()
-    xs = X[mask]
-    ys = Y[mask]
-    xbar = float(xs.mean())
-    ybar = float(ys.mean())
-    ixx = float(np.sum((xs - xbar) ** 2))
-    iyy = float(np.sum((ys - ybar) ** 2))
+    # The moments follow from the region's row and column counts, in cells
+    # about the centroid: dx along a row, dy down a column.  The indices'
+    # sums are exact, so a centroid on a cell centre gives that cell
+    # dx = dy = 0 exactly, wherever the grid lies and whatever its h.
+    cols = mask.sum(axis=0, dtype=float)
+    rows = mask.sum(axis=1, dtype=float)
+    area = float(rows.sum())
+    dx = np.arange(g.nx, dtype=float)
+    dx -= float(np.einsum("j,j->", cols, dx)) / area
+    dy = np.arange(g.ny, dtype=float)
+    dy -= float(np.einsum("i,i->", rows, dy)) / area
+    dx2, dy2 = dx * dx, dy * dy
+    ixx = float(np.einsum("j,j->", cols, dx2))
+    iyy = float(np.einsum("i,i->", rows, dy2))
     moment_term = abs(ixx - iyy) / (ixx + iyy) if (ixx + iyy) > 0 else 0.0
 
-    theta = np.arctan2(ys - ybar, xs - xbar)
-    angular_term = abs(float(np.mean(np.cos(4.0 * theta))))
+    # cos 4*theta = 1 - 8 dx^2 dy^2/r^4, summed over the region's bounding
+    # box in blocks of rows, so that the mask is the only field held.  A
+    # cell at the centroid has dx = dy = 0 and counts as 1, as theta = 0.
+    occupied = np.flatnonzero(cols)
+    box = slice(occupied[0], occupied[-1] + 1)
+    dx2 = dx2[box]
+    occupied = np.flatnonzero(rows)
+    stop = occupied[-1] + 1
+    step = max(1, _BLOCK_CELLS // dx2.size)
+    off_axis = 0.0
+    for i in range(occupied[0], stop, step):
+        block = slice(i, min(i + step, stop))
+        wy = dy2[block, np.newaxis]
+        num = np.multiply(wy, dx2)
+        den = np.add(wy, dx2)
+        den *= den
+        np.maximum(den, _TINY, out=den)  # zero only where num is zero too
+        num /= den
+        off_axis += float(num.sum(where=mask[block, box]))
+    angular_term = abs(1.0 - 8.0 * off_axis / area)
     return moment_term + angular_term

@@ -89,7 +89,7 @@ def build_initial(cfg: SimConfig) -> np.ndarray:
                 f"not match the configured spacing {g.h}"
             )
     else:
-        X, Y = g.cell_centers(sparse=True)
+        X, Y = g.cell_centers()
         cx = g.x0 + 0.5 * g.lx
         cy = g.y0 + 0.5 * g.ly
         if ic.kind == "square_droplet":

@@ -54,12 +54,12 @@ class Grid2D:
     def ncells(self) -> int:
         return self.nx * self.ny
 
-    def cell_centers(self, sparse=False):
-        """Coordinate arrays (X, Y), each of cell shape (ny, nx); when
-        ``sparse``, of shapes (1, nx) and (ny, 1), which broadcast to it."""
+    def cell_centers(self):
+        """Coordinates (X, Y) of the cell centres, of shapes (1, nx) and
+        (ny, 1), which broadcast to the cell shape (ny, nx)."""
         x = self.x0 + (np.arange(self.nx) + 0.5) * self.h
         y = self.y0 + (np.arange(self.ny) + 0.5) * self.h
-        return np.meshgrid(x, y, sparse=sparse)
+        return x[np.newaxis, :], y[:, np.newaxis]
 
     def cell_shape(self):
         return (self.ny, self.nx)

@@ -37,10 +37,11 @@ runs on them and returns nu and s_r in halves; the solve writes the next
 state into them; and one join a step gives the observer and the caller a
 cell field.  What is built once per march: the reduced system
 (``_BlackSystem``), its work rows, the views of their spans, pads and
-shifted half-stencil slices, and the part of A's diagonal that does not
-depend on the state.  Each solve folds nu into that diagonal (one scale
-and one add) and builds b = rhs/s, d = 1/e_R, w, the start and the
-preconditioner; nothing else is carried from one solve to the next.
+shifted half-stencil slices, and a table of A's diagonal on the domain's
+edge cells, where it depends on the cell as well as on the state.  Each
+solve folds nu into the diagonal (one scale, one scalar add per colour and
+the edge cells' table) and builds b = rhs/s, d = 1/e_R, w, the start and
+the preconditioner; nothing else is carried from one solve to the next.
 
 ``run`` starts step 1 from c_old.  Every later step starts from the point
 of c_old + span{D^1, ..., D^m} whose error has the smallest norm in the
@@ -211,9 +212,12 @@ class _BlackSystem:
     between solves is built here: the work rows, which hold the march's
     state (``state``) and nu's pair (``nu``), the views of their spans and
     pads, of each row's four shifted half-stencil slices (on first use),
-    and ``fixed``, A's diagonal over s less nu/s: 1/(tau_eff*s) plus the
-    number of a cell's in-domain neighbours, the Neumann condition, and
-    4 + 1/(tau_eff*s) at the pads.  A solve keeps nothing else from the
+    and what ``fold_diagonal`` adds to nu/s to make A's diagonal over s:
+    1/(tau_eff*s) plus the number of a cell's in-domain neighbours, the
+    Neumann condition.  That is the scalar ``diag`` = 4 + 1/(tau_eff*s)
+    over both spans, pads included, but on the edge cells, whose flat
+    indices in ``rows`` and own values are a table of O(nx + ny) entries
+    (``edges``, ``edge_values``).  A solve keeps nothing else from the
     last one: each half is filled before the solve first reads it, and
     every entry off its colour's cells is zero whenever it is read, or is
     multiplied by a zero of d or 1/diag(S).  The ends of every row stay
@@ -223,11 +227,14 @@ class _BlackSystem:
     a call have their rows evenly spaced.  ``load`` works on the pairs
     (t, x), (q, r) and (e_R, e_B), red then black; the iteration takes z.r,
     (w/diag(S)).r and r.r in one call on rows Z, IW and R;
-    ``galerkin_start`` builds the basis's neighbour sums in rows 3, 5 and
-    7, and takes w'V and r'V in one call on rows W and R.
+    ``galerkin_start`` builds the basis's neighbour sums U in the rows
+    ``U_ROWS``, and takes w'V and r'V in one call on rows W and R.
     """
 
     Z, W, INV_DS, P, IW, T, X, Q, R, D, E = range(_HALVES)
+    #: U's rows, P, T and Q, one per basis direction, evenly spaced for one
+    #: ``einsum``; the next so spaced is D, which holds d.
+    U_ROWS = slice(P, Q + 1, T - P)
 
     def __init__(self, g: Grid2D, kappa: float, cfg: SolverConfig):
         self.board = board = _Checkerboard(g)
@@ -241,13 +248,26 @@ class _BlackSystem:
          self.d, self.e_b) = rows
         self.state = rows[self.T:self.X + 1]
         self.nu = rows[self.D:self.E + 1]
+        self.u = rows[self.U_ROWS]
+        if START_DIRECTIONS > len(self.u):
+            raise ParameterError(
+                f"START_DIRECTIONS is {START_DIRECTIONS}, above the limit of "
+                f"{len(self.u)} directions that the reduced system has rows for"
+            )
         span = board.span
         self.spans = [row[span] for row in rows]
-        self.fixed = np.zeros((2, board.size))
-        self.fixed[:, span] = 4.0 + 1.0 / (cfg.tau_eff() * s)
-        for colour in (RED, BLACK):
+        self.flat = rows.reshape(-1)
+        self.diag = diag = 4.0 + 1.0 / (cfg.tau_eff() * s)
+        # each edge cell's diagonal less nu/s: diag less 1 per missing neighbour
+        edges: dict = {}
+        for colour, row in ((RED, self.D), (BLACK, self.E)):
+            first = row * board.size
             for edge in ({"i": 0}, {"i": g.ny - 1}, {"j": 0}, {"j": g.nx - 1}):
-                self.fixed[colour, board.line(colour, **edge)] -= 1.0
+                for k in range(first, first + board.size)[board.line(colour, **edge)]:
+                    edges[k] = edges.get(k, diag) - 1.0
+        self.edges = np.array(list(edges), dtype=np.intp)
+        self.edge_values = np.array(list(edges.values()))
+        self.edge_work = np.empty(len(edges))
         # by (row, colour), made on first use: the row's pads, and its four
         # shifted slices that give that colour's neighbours
         self.pad_views: dict = {}
@@ -281,6 +301,20 @@ class _BlackSystem:
         np.add(a, b, out=o)
         o += np.add(c, d, out=self.spans[scratch])
 
+    def fold_diagonal(self) -> None:
+        """Turn nu's pair into A's diagonal over s, e = nu/s + its fixed part.
+
+        ``diag`` goes onto both spans, pads included, and then each edge
+        cell gets nu/s plus its own value; the ends keep nu/s.
+        """
+        work = self.edge_work
+        self.nu *= 1.0 / self.s
+        np.take(self.flat, self.edges, out=work, mode="clip")  # "raise" would buffer
+        work += self.edge_values
+        self.spans[self.D] += self.diag
+        self.spans[self.E] += self.diag
+        self.flat[self.edges] = work
+
     def load(self, rhs: np.ndarray) -> float:
         """Fold nu into A's diagonal, and take b = rhs/s and part of x0's residual.
 
@@ -290,8 +324,7 @@ class _BlackSystem:
         """
         rows, spans, s = self.rows, self.spans, self.s
         qr, de = rows[self.Q:self.R + 1], self.nu
-        de *= 1.0 / s
-        de += self.fixed
+        self.fold_diagonal()
         np.multiply(rhs, 1.0 / s, out=qr)
         b_norm = math.sqrt(float(np.einsum("ij,ij->", qr, qr)))
         qr -= np.multiply(de, self.state, out=rows[2:4])
@@ -379,13 +412,13 @@ class _BlackSystem:
         """Move x to the point of x + span(V_B) whose error has the smallest M-norm.
 
         V_B are the first ``m`` black halves of ``basis``, whose pads are
-        zero, and e_B V_B and then U = N_R V_B are built in rows 3, 5, ....
+        zero, and e_B V_B and then U = N_R V_B are built in ``U_ROWS``.
         The coefficients c solve (V_B'M V_B) c = V_B'r, with V_B'M V_B =
         V_B'e_B V_B - U'd U + (V_B'w)(w'V_B)/a: three ``einsum`` calls, one
         of them for V_B'w and V_B'r.  x then moves by p = V_B c, and r by M p.
         """
         rows, span = self.rows, self.board.span
-        vb, u = basis[:m], rows[3:3 + 2 * m:2]
+        vb, u = basis[:m], self.u[:m]
         gram = np.einsum("ik,jk->ij", np.multiply(vb, self.e_b, out=u), vb)
         vw, vr = np.einsum("ik,jk->ij", rows[1:9:7], vb).tolist()
         self.board.neighbours(vb, u, RED)
@@ -589,12 +622,12 @@ def run(
     - the reduced system (``_BlackSystem``), built once: its eleven work
       halves, which hold the state, into which each solve writes the next
       one, nu's pair, where A's diagonal is built, and the pass's other
-      three pairs, and A's fixed diagonal;
+      three pairs;
     - s_r's pair, in which the right-hand side is built;
     - the START_DIRECTIONS differences of the last states and the last
       state, all black halves, which choose the solve's start.
 
-    That is about 10.9 fields at 128 x 128 cells, pads included.
+    That is about 10.0 fields at 128 x 128 cells, pads included.
 
     ``observer(c, report)`` sees the initial state as step 0
     (``nan`` multiplier and residual, zero iterations) and then every step;

@@ -136,10 +136,11 @@ def loaded_system(g, kappa, cfg, nu, x0):
 
 def apply_operator(c, coeffs, cfg, kappa, g):
     """A c = c/tau_eff - kappa*Lap(c) + nu*c through the solve's own halves:
-    its diagonal, nu/s plus ``_BlackSystem.fixed``, and its half-stencils."""
+    its diagonal (``_BlackSystem.fold_diagonal``) and its half-stencils."""
     system = loaded_system(g, kappa, cfg, coeffs.nu, c)
     s = system.s
-    e = system.nu * (1.0 / s) + system.fixed
+    system.fold_diagonal()
+    e = system.nu
     system.neighbours(system.X, system.Z, RED, system.P)
     system.neighbours(system.T, system.W, BLACK, system.P)
     out = e * system.state - system.rows[system.Z:system.W + 1]

@@ -7,8 +7,10 @@ check the factorization's per-term inequalities on.  They take scalars or
 arrays and make no domain checks: keeping 0 < c < 1/beta (and a shift
 that keeps G^2 positive) is the caller's job.  ``gradient_sq_norm`` is the
 gradient energy's face sum on a cell field, which the package takes on
-the march's red and black halves, and ``neumann_laplacian`` the matching
-five-point Laplacian as a dense matrix.
+the march's red and black halves, ``neumann_laplacian`` the matching
+five-point Laplacian as a dense matrix, and ``shape_anisotropy`` the
+droplet shape metric on full coordinate grids, which the package sums from
+the region's row and column counts.
 """
 
 from typing import NamedTuple
@@ -158,3 +160,21 @@ def neumann_laplacian(g: Grid2D) -> np.ndarray:
                     lap[k, ii * g.nx + jj] += 1.0
     lap *= 1.0 / (g.h * g.h)
     return lap
+
+
+def shape_anisotropy(c, g: Grid2D, threshold: float) -> float:
+    """The droplet shape metric on full coordinate grids: the moment
+    imbalance |Ixx - Iyy|/(Ixx + Iyy) of the region {c > threshold} plus
+    |mean of cos 4*theta| over its cells, theta from ``arctan2`` about the
+    centroid (0 at the centroid itself).  The region must be nonempty."""
+    X, Y = np.broadcast_arrays(*g.cell_centers())
+    mask = np.asarray(c, dtype=float) > threshold
+    xs = X[mask]
+    ys = Y[mask]
+    xbar = float(xs.mean())
+    ybar = float(ys.mean())
+    ixx = float(np.sum((xs - xbar) ** 2))
+    iyy = float(np.sum((ys - ybar) ** 2))
+    moment_term = abs(ixx - iyy) / (ixx + iyy) if (ixx + iyy) > 0 else 0.0
+    theta = np.arctan2(ys - ybar, xs - xbar)
+    return moment_term + abs(float(np.mean(np.cos(4.0 * theta))))

@@ -43,9 +43,10 @@ class TestGrid2D:
         assert g.lx == 2.0 and g.ly == 1.5
         assert g.ncells == 12
         X, Y = g.cell_centers()
-        assert X.shape == g.cell_shape() == (3, 4)
+        assert (X.shape, Y.shape) == ((1, 4), (3, 1))
+        assert np.broadcast_shapes(X.shape, Y.shape) == g.cell_shape() == (3, 4)
         assert X[0, 0] == -0.75 and Y[0, 0] == 2.25
-        assert X[2, 3] == 0.75 and Y[2, 3] == 3.25
+        assert X[0, 3] == 0.75 and Y[2, 0] == 3.25
 
     @pytest.mark.parametrize("kwargs", [
         dict(nx=0, ny=3, h=1.0),

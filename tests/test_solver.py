@@ -132,6 +132,27 @@ class TestOperator:
             want = 1.0 / cfg.tau_eff() + nu + kappa / (g.h * g.h) * count
             assert np.max(np.abs(e - want) / want) <= 1e-15
 
+    @pytest.mark.parametrize("ny,nx", [(1, 1), (1, 5), (5, 1), (2, 2), (6, 8), (5, 7), (37, 13)])
+    def test_diagonal_is_that_of_a_stored_fixed_pair(self, ny, nx):
+        # The diagonal as it was built from a stored pair, A's diagonal over
+        # s less nu/s: 4 + 1/(tau_eff*s) over both spans, less 1 per edge
+        # that a cell lies on, added to nu/s.  fold_diagonal keeps no pair,
+        # and must give the same bits, in every entry of nu's pair.
+        g = Grid2D(nx=nx, ny=ny, h=0.5)
+        cfg, kappa = SolverConfig(tau=0.7), 0.2
+        system = _BlackSystem(g, kappa, cfg)
+        board, s = system.board, system.s
+        fixed = np.zeros((2, board.size))
+        fixed[:, board.span] = 4.0 + 1.0 / (cfg.tau_eff() * s)
+        for colour in (RED, BLACK):
+            for edge in ({"i": 0}, {"i": g.ny - 1}, {"j": 0}, {"j": g.nx - 1}):
+                fixed[colour, board.line(colour, **edge)] -= 1.0
+        nu = np.random.default_rng(11).uniform(1.0, 2.0, size=(2, board.size))
+        want = nu * (1.0 / s) + fixed
+        system.nu[...] = nu
+        system.fold_diagonal()
+        assert np.array_equal(system.nu.view(np.int64), want.view(np.int64))
+
     @pytest.mark.parametrize("ny,nx", [(1, 1), (1, 5), (5, 1), (37, 13)])
     def test_fused_stencil_matches_staggered_operators(self, ny, nx):
         g = Grid2D(nx=nx, ny=ny, h=0.5)
@@ -518,11 +539,12 @@ def test_march_peak_memory_in_fields():
     # run allocates its memory once, ahead of the step-0 report: the cell
     # field it joins the state into, the reduced system's eleven halves
     # (the state, nu's pair and the solve's work, which holds the pass's
-    # other three pairs) and A's fixed diagonal, s_r's pair, and four
-    # black halves, the three differences and the last state.  Traced from
-    # the step-0 report on, so the set-up's allocations are left out: 10.92
-    # fields here, the halves' pads and the reduced system's views
-    # included; 11.85 when each step split and joined full fields.
+    # other three pairs), s_r's pair, and four black halves, the three
+    # differences and the last state.  Traced from the step-0 report on, so
+    # the set-up's allocations are left out: 10.03 fields here, the halves'
+    # pads and the reduced system's views included; 10.95 with a stored
+    # pair of A's fixed diagonal, 11.85 when each step also split and
+    # joined full fields.
     cfg, g, c0 = preset_square()
 
     def reset_at_step_0(c, report):
@@ -535,7 +557,7 @@ def test_march_peak_memory_in_fields():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / c0.nbytes <= 11.6
+    assert peak / c0.nbytes <= 10.7
 
 
 def test_step_allocates_no_field():
@@ -781,6 +803,18 @@ def marched(nc4, window, droplet_setup):
 
 
 class TestRun:
+    def test_start_directions_beyond_the_work_rows_rejected(self, nc4, window, droplet_setup,
+                                                           monkeypatch):
+        # U is built in three work rows (P, T, Q); a fourth direction would
+        # overwrite d, which made the droplet run's first Galerkin step lose
+        # positive definiteness.  The march must refuse before any step.
+        g, c0, cfg = droplet_setup
+        monkeypatch.setattr(solver_module, "START_DIRECTIONS", 4)
+        seen = []
+        with pytest.raises(ParameterError, match="START_DIRECTIONS is 4, above the limit of 3"):
+            run(c0, 5, window, nc4, cfg, g, observer=lambda c, rep: seen.append(rep.step_index))
+        assert seen == []
+
     def test_march_builds_one_reduced_system(self, nc4, window, droplet_setup, monkeypatch):
         g, c0, cfg = droplet_setup
         built = []
