@@ -25,8 +25,10 @@ from .eos import EosParams
 from .errors import ParameterError
 from .grid import Grid2D
 
-# zoom stop, relative to the window width, and densities per bracket and round
+# zoom stop, relative to the window width; densities in the first scan, and
+# per bracket and round after it
 _REL_TOL = 1e-10
+_SCAN_POINTS = 20000
 _ZOOM_POINTS = 65
 # cells per block of rows in shape_anisotropy's angular sum
 _BLOCK_CELLS = 8192
@@ -48,25 +50,23 @@ class AdmissibleInterval:
         return self.mu_lower <= mu <= self.mu_upper
 
 
-def admissible_interval(ef: EfParams, p: EosParams, n_samples: int = 20000) -> AdmissibleInterval:
+def admissible_interval(ef: EfParams, p: EosParams) -> AdmissibleInterval:
     """Envelope extrema of c_m*nu - s_r (lower) and c_M*nu - s_r (upper).
 
-    A scan of ``n_samples`` evenly spaced densities brackets each extremum
+    A scan of ``_SCAN_POINTS`` evenly spaced densities brackets each extremum
     by the cells around its sampled argmax; each zoom round then samples
     both brackets in one kernel call and keeps the cells around the new
     argmax, until every bracket is narrower than ``_REL_TOL`` of the window
     (or a few ulps of c_M).  The interval may come back empty for exotic
     windows; the caller decides whether that is fatal.
     """
-    if n_samples < 2:
-        raise ParameterError(f"n_samples must be >= 2, got {n_samples}")
     # row 0 maximizes c_m*nu - s_r, row 1 maximizes -(c_M*nu - s_r)
     ends = np.array([[ef.c_m], [ef.c_M]])
     signs = np.array([[1.0], [-1.0]])
     # a bracket cannot shrink below an ulp or two; without the floor a
     # window narrower than a few millionths of c_M would never stop zooming
     x_tol = max(_REL_TOL * (ef.c_M - ef.c_m), 8.0 * np.finfo(float).eps * ef.c_M)
-    cs = np.linspace(ef.c_m, ef.c_M, n_samples)[np.newaxis, :]
+    cs = np.linspace(ef.c_m, ef.c_M, _SCAN_POINTS)[np.newaxis, :]
     best = np.full((2, 1), -np.inf)
     while True:
         _, nu_vals, sr_vals, _ = _pointwise(cs, p, ef.lam, "admissible_interval")

@@ -198,15 +198,14 @@ class SchemeCoefficients:
     """Frozen per-step coefficient fields evaluated at the previous state.
 
     ``energy`` is that state's discrete energy and ``c_min``/``c_max`` its
-    extreme densities; ``scheme_coefficients`` always fills them,
-    coefficients built by hand may leave them out.
+    extreme densities.
     """
 
     nu: np.ndarray
     s_r: np.ndarray
-    energy: Optional[EnergyBreakdown] = None
-    c_min: Optional[float] = None
-    c_max: Optional[float] = None
+    energy: EnergyBreakdown
+    c_min: float
+    c_max: float
 
 
 def require_in_window(c: np.ndarray, ef: EfParams, bounds_slack: float, what: str) -> None:

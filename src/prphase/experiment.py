@@ -17,11 +17,9 @@ Artifacts (all plain text, written under the configured output directory):
                       ``repr``'s text, produced by orjson where the two
                       agree, so a read-back is bit-exact.
   snapshot_XXXXXX.csv optional matrix form (one row of cells per line).
-                      Both forms format each distinct value once when two
-                      neighbouring cells hold the same bits (the bulk
-                      plateaus of a diffuse-interface state), else each
-                      cell; each row's text is built once and written to
-                      each file.
+                      Each row is formatted once for both forms, and a row
+                      that holds the same bits as the row above reuses its
+                      text (the bulk plateaus of a square droplet).
   summary.json        run-level verdicts: invariant counters, the multiplier
                       interval, mass drift, and the droplet shape metric at
                       steps 0, 1 and the end.
@@ -37,7 +35,7 @@ import json
 import logging
 import os
 from contextlib import ExitStack
-from typing import Dict, Iterator, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 import orjson
@@ -111,12 +109,16 @@ def write_snapshot(stem: str, c: np.ndarray, g: Grid2D, step: int, time: float,
     The txt form is the ``# key value`` header, then one value per line,
     row-major; the csv form is one row of cells per line.  Values are
     ``repr``'s text, produced by orjson where the two agree (a field whose
-    values all lie in [1e-4, 1e16)), so a read-back is bit-exact: once per
-    distinct value when two neighbouring cells hold the same bits, else
-    once per cell.  The field is walked one row at a time and each row's
-    text is written to every open file, so no more than one row of text is
-    held at a time.
+    values all lie in [1e-4, 1e16)), so a read-back is bit-exact.  The
+    field is walked one row at a time: a row whose bits equal the row above
+    it reuses that row's text, any other row is formatted cell by cell, and
+    each row's text is written to every open file, so no more than one row
+    of text is held at a time.
     """
+    a = np.asarray(c, dtype=float)
+    fast = bool(a.min() >= 1e-4 and a.max() < 1e16)  # nan fails both
+    bits = a.view(np.int64)  # so -0.0 and 0.0, and each nan payload, keep their own text
+    repeats = [False] + np.all(bits[1:] == bits[:-1], axis=1).tolist()
     with ExitStack() as stack:
         txt = csv = None
         if "txt" in formats:
@@ -127,47 +129,15 @@ def write_snapshot(stem: str, c: np.ndarray, g: Grid2D, step: int, time: float,
             )
         if "csv" in formats:
             csv = stack.enter_context(open(stem + ".csv", "wb"))
-        line = column = None
-        for row in _csv_rows(np.asarray(c, dtype=float)):
+        for row, repeat in zip(a, repeats):
+            if not repeat:
+                line = _csv_text(row, fast) + b"\n"
+                # no repr holds a comma, so the txt form is one value a line
+                column = line.replace(b",", b"\n") if txt is not None else None
             if txt is not None:
-                if row is not line:  # a repeated row comes back as the same object
-                    line, column = row, row.replace(b",", b"\n")
                 txt.write(column)
             if csv is not None:
-                csv.write(row)
-
-
-def _csv_rows(a: np.ndarray) -> Iterator[bytes]:
-    """The UTF-8 ``repr`` of every cell of the 2-D field ``a``, one comma-separated
-    line per row (no ``repr`` holds a comma), each ending in a newline.
-
-    Distinct values are told apart by their int64 bit patterns, so -0.0 and
-    0.0, and each nan payload, keep their own text.  Each is formatted once
-    when two neighbouring cells are equal (the initial field's plateaus),
-    else every cell is.  Values that need ``repr`` are also formatted once
-    when cells two apart in a row are equal: the red-black plateaus of a
-    marched field.  Those leave thousands of distinct values, and orjson
-    formats a cell for about what looking up its text costs.  On that path
-    a row whose bits equal the row above it yields the same line object.
-    """
-    fast = bool(a.min() >= 1e-4 and a.max() < 1e16)  # nan fails both
-    bits = a.view(np.int64)
-    if not (np.any(bits[:, 1:] == bits[:, :-1]) or np.any(bits[1:] == bits[:-1])
-            or not fast and np.any(bits[:, 2:] == bits[:, :-2])):
-        for row in a:
-            yield _csv_text(row, fast) + b"\n"
-        return
-    ordered = np.sort(bits, axis=None)
-    first = np.empty(ordered.size, dtype=bool)
-    first[0] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-    distinct = ordered[first]
-    texts = np.array(_csv_text(distinct.view(np.float64), fast).split(b","), dtype=object)
-    repeats = [False] + np.all(bits[1:] == bits[:-1], axis=1).tolist()
-    for row, repeat in zip(bits, repeats):
-        if not repeat:
-            line = b",".join(texts[np.searchsorted(distinct, row)].tolist()) + b"\n"
-        yield line
+                csv.write(line)
 
 
 def _csv_text(v: np.ndarray, fast: bool) -> bytes:

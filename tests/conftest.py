@@ -9,7 +9,6 @@ import prphase
 from prphase import (
     EfParams,
     Grid2D,
-    SchemeCoefficients,
     SolverConfig,
     derive_eos_params,
     get_substance,
@@ -134,10 +133,10 @@ def loaded_system(g, kappa, cfg, nu, x0):
     return system
 
 
-def apply_operator(c, coeffs, cfg, kappa, g):
+def apply_operator(c, nu, cfg, kappa, g):
     """A c = c/tau_eff - kappa*Lap(c) + nu*c through the solve's own halves:
     its diagonal (``_BlackSystem.fold_diagonal``) and its half-stencils."""
-    system = loaded_system(g, kappa, cfg, coeffs.nu, c)
+    system = loaded_system(g, kappa, cfg, nu, c)
     s = system.s
     system.fold_diagonal()
     e = system.nu
@@ -147,13 +146,13 @@ def apply_operator(c, coeffs, cfg, kappa, g):
     return s * system.board.join(out, np.empty(g.cell_shape()))
 
 
-def solve_step(rhs, coeffs, cfg, kappa, g, x0, basis=()):
+def solve_step(rhs, nu, cfg, kappa, g, x0, basis=()):
     """One step's solve (``solver._BlackSystem.solve``) in a fresh system on
     ``g``, started from the cell field ``x0`` moved by the cell fields of
     ``basis``.  The fields are split into the system's halves, and x is
     joined back into ``x0``, also when the solve raises.  Returns (x, mu_e,
     iterations, residual); x is ``x0``."""
-    system = loaded_system(g, kappa, cfg, coeffs.nu, x0)
+    system = loaded_system(g, kappa, cfg, nu, x0)
     board = system.board
     pair = board.split(np.asarray(rhs, dtype=float), np.zeros((2, board.size)))
     try:
@@ -167,8 +166,7 @@ def solve_step(rhs, coeffs, cfg, kappa, g, x0, basis=()):
 def minus_laplacian(c, g):
     """-Lap_h(c) through the operator the solver runs: A c at kappa = 1,
     nu = 0 and tau = 1, less c."""
-    coeffs = SchemeCoefficients(nu=np.zeros(g.cell_shape()), s_r=np.zeros(g.cell_shape()))
-    return apply_operator(c, coeffs, SolverConfig(tau=1.0), 1.0, g) - c
+    return apply_operator(c, np.zeros(g.cell_shape()), SolverConfig(tau=1.0), 1.0, g) - c
 
 
 def prepend_path(env, key, directory):

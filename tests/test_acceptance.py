@@ -17,7 +17,6 @@ import yaml
 from prphase import (
     EfParams,
     Grid2D,
-    SchemeCoefficients,
     SolverConfig,
     derive_eos_params,
     get_substance,
@@ -261,20 +260,20 @@ def test_criterion_6_discrete_operators(capsys):
     # The projected solve against a dense solve of the saddle-point system
     # [[A, -1], [h^2 1', 0]] [x; mu_e] = [rhs; mass of the start].
     g3 = Grid2D(nx=3, ny=3, h=0.5)
-    coeffs = SchemeCoefficients(nu=r.uniform(1.0, 2.0, size=(3, 3)), s_r=np.zeros((3, 3)))
+    nu = r.uniform(1.0, 2.0, size=(3, 3))
     cfg = SolverConfig(tau=0.7, cg_rel_tol=1e-13)
     kkt = np.zeros((10, 10))
     for k in range(9):
         e = np.zeros(9)
         e[k] = 1.0
-        kkt[:9, k] = apply_operator(e.reshape(3, 3), coeffs, cfg, 0.2, g3).ravel()
+        kkt[:9, k] = apply_operator(e.reshape(3, 3), nu, cfg, 0.2, g3).ravel()
     kkt[:9, 9] = -1.0
     kkt[9, :9] = g3.h * g3.h
     rhs = r.standard_normal((3, 3))
     x0 = r.uniform(1.0, 2.0, size=(3, 3))
     direct = np.linalg.solve(kkt, np.append(rhs.ravel(), inner(x0, np.ones((3, 3)), g3)))
     x_direct, mu_direct = direct[:9].reshape(3, 3), direct[9]
-    x_cg, mu_cg, _, _ = solve_step(rhs, coeffs, cfg, 0.2, g3, x0=x0)
+    x_cg, mu_cg, _, _ = solve_step(rhs, nu, cfg, 0.2, g3, x0=x0)
     check(failures, np.max(np.abs(x_cg - x_direct)) <= 1e-8 * np.max(np.abs(x_direct)),
           "conjugate-gradient solve disagrees with the dense solve")
     check(failures, abs(mu_cg - mu_direct) <= 1e-8 * abs(mu_direct),

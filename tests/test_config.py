@@ -352,10 +352,15 @@ ODD_FIELD = np.array([
 ])
 
 #: ODD_FIELD with a row of nan, +-inf and both zeros, each column doubled
-#: so that every value has an equal neighbour: the writer's distinct-value
-#: path, where -0.0 sits next to 0.0 and must keep its own text.
+#: so that every value has an equal neighbour, and -0.0 sits next to 0.0
+#: and must keep its own text.
 TILED_FIELD = np.repeat(
     np.vstack([ODD_FIELD, [np.nan, np.inf, -np.inf, -0.0, 0.0]]), 2, axis=1)
+
+#: The square droplet ``large400`` starts from: 400x400 cells, liquid over
+#: the middle half of each axis, so its rows come in three runs of equal rows.
+DROPLET_400 = np.full((400, 400), C_GAS)
+DROPLET_400[100:300, 100:300] = C_LIQ
 
 #: Values every field of the writer's orjson branch holds: both ends of its
 #: range [1e-4, 1e16), and values whose repr has one digit after the point.
@@ -371,8 +376,7 @@ def fast_field(data, plateau):
     """A field of floats in [1e-4, 1e16) that holds every FAST_EDGES value.
 
     A plateau field repeats each column, so every cell has an equal
-    neighbour (the writer's distinct-value path); otherwise no two cells
-    are equal (the per-cell path).
+    neighbour; otherwise no two cells are equal.
     """
     nx = data.draw(st.integers(3, 6), label="nx")
     ny = data.draw(st.integers(2, 4), label="ny")
@@ -386,6 +390,20 @@ def fast_field(data, plateau):
     cells = data.draw(st.permutations(FAST_EDGES + rest), label="cells")
     field = np.array(cells).reshape(ny, nx)
     return np.repeat(field, 2, axis=1) if plateau else field
+
+
+def formatted_rows(stem, values, g, monkeypatch):
+    """Write ``values`` in both forms and return the rows the writer formatted."""
+    csv_text, rows = experiment._csv_text, []
+
+    def counting_csv_text(v, fast):
+        rows.append(v.tolist())
+        return csv_text(v, fast)
+
+    monkeypatch.setattr(experiment, "_csv_text", counting_csv_text)
+    write_snapshot(str(stem), values, g, step=3, time=3e10, formats=("txt", "csv"))
+    monkeypatch.undo()
+    return rows
 
 
 def repr_calls_writing(directory, values, layout="C"):
@@ -487,8 +505,7 @@ class TestSnapshotIO:
                              ids=["txt", "csv", "txt+csv"])
     @pytest.mark.parametrize("layout", ["C", "F", "lists"])
     def test_writer_keeps_old_bytes(self, tmp_path, formats, layout):
-        # ODD_FIELD has no two equal neighbours and takes the per-cell path;
-        # TILED_FIELD takes the distinct-value path
+        # ODD_FIELD has no two equal neighbours; every cell of TILED_FIELD has one
         for name, values in (("odd", ODD_FIELD), ("tiled", TILED_FIELD)):
             ny, nx = values.shape
             g = Grid2D(nx=nx, ny=ny, h=0.25, x0=-1.0, y0=2.0)
@@ -506,32 +523,16 @@ class TestSnapshotIO:
                 back, _ = read_snapshot(str(tmp_path / f"{name}.txt"))
                 assert back.tobytes() == values.tobytes()  # bit-exact, -0.0 included
 
-    def test_checkerboard_plateau_formats_each_value_once(self, tmp_path, monkeypatch):
+    def test_checkerboard_plateau_is_formatted_cell_by_cell(self, tmp_path, monkeypatch):
         # the solver's red and black cells can settle on two values, so no
-        # two neighbours are equal; cells two apart in a row are.  Negated,
-        # the values are outside orjson's range and each takes one repr;
-        # in its range, orjson formats every cell
+        # two neighbouring cells or rows are equal and every cell is
+        # formatted: by repr when negated, outside orjson's range, else by orjson
         g = Grid2D(nx=9, ny=7, h=0.25, x0=-1.0, y0=2.0)
         i, j = np.indices(g.cell_shape())
         plateau = np.where((i + j) % 2 == 0, 249.1123, 249.11230000000003)
-        csv_text = experiment._csv_text
-        for values, n_formatted in ((-plateau, 2), (plateau, g.ncells)):
-            calls, formatted = [], []
-
-            def counting_repr(v):
-                calls.append(v)
-                return repr(v)
-
-            def counting_csv_text(v, fast):
-                formatted.extend(v.tolist())
-                return csv_text(v, fast)
-
-            monkeypatch.setattr(experiment, "repr", counting_repr, raising=False)
-            monkeypatch.setattr(experiment, "_csv_text", counting_csv_text)
-            write_snapshot(str(tmp_path / "board"), values, g, step=3, time=3e10,
-                           formats=("txt", "csv"))
-            monkeypatch.undo()
-            assert len(calls) <= 2 and len(formatted) == n_formatted
+        for values in (-plateau, plateau):
+            rows = formatted_rows(tmp_path / "board", values, g, monkeypatch)
+            assert sum(map(len, rows)) == g.ncells
             assert (tmp_path / "board.txt").read_bytes() == old_txt_bytes(values, g, 3, 3e10)
             assert (tmp_path / "board.csv").read_bytes() == old_csv_bytes(values)
 
@@ -543,25 +544,24 @@ class TestSnapshotIO:
         values = np.vstack([np.repeat(TILED_FIELD, 3, axis=0), TILED_FIELD[:1], changed])
         ny, nx = values.shape
         g = Grid2D(nx=nx, ny=ny, h=0.25, x0=-1.0, y0=2.0)
-        searchsorted, lookups = np.searchsorted, []
-
-        def counting_searchsorted(a, v, *args, **kwargs):
-            lookups.append(v)
-            return searchsorted(a, v, *args, **kwargs)
-
-        monkeypatch.setattr(experiment.np, "searchsorted", counting_searchsorted)
-        write_snapshot(str(tmp_path / "rows"), values, g, step=3, time=3e10,
-                       formats=("txt", "csv"))
-        monkeypatch.undo()
-        assert len(lookups) == len(TILED_FIELD) + 2
+        rows = formatted_rows(tmp_path / "rows", values, g, monkeypatch)
+        assert len(rows) == len(TILED_FIELD) + 2
         assert (tmp_path / "rows.txt").read_bytes() == old_txt_bytes(values, g, 3, 3e10)
         assert (tmp_path / "rows.csv").read_bytes() == old_csv_bytes(values)
+
+    def test_square_droplet_formats_each_run_of_equal_rows_once(self, tmp_path, monkeypatch):
+        # large400's first snapshot: gas rows, droplet rows, gas rows
+        g = Grid2D(nx=400, ny=400, h=3e-10, x0=-6e-8, y0=-6e-8)
+        rows = formatted_rows(tmp_path / "drop", DROPLET_400, g, monkeypatch)
+        assert len(rows) == 3
+        assert (tmp_path / "drop.txt").read_bytes() == old_txt_bytes(DROPLET_400, g, 3, 3e10)
+        assert (tmp_path / "drop.csv").read_bytes() == old_csv_bytes(DROPLET_400)
 
     @settings(max_examples=80, deadline=None)
     @given(data=st.data(), plateau=st.booleans(), layout=st.sampled_from("CF"))
     def test_in_range_field_takes_orjson_with_repr_bytes(self, data, plateau, layout):
         # orjson's text is repr's only in [1e-4, 1e16): this pins the
-        # installed orjson's format there, on both of the writer's paths
+        # installed orjson's format there, with and without plateaus
         values = fast_field(data, plateau)
         with tempfile.TemporaryDirectory() as directory:
             assert repr_calls_writing(directory, values, layout) == 0
@@ -576,15 +576,15 @@ class TestSnapshotIO:
         assert repr_calls_writing(str(tmp_path), values) > 0
 
     def test_writer_streams_rows(self, tmp_path, rng):
-        # one row of text at a time: formatting the whole field first would
-        # hold many times the field's own bytes
+        # one row of text at a time, noise or plateaus: formatting the whole
+        # field first, or copying it, would hold the field's own bytes or more
         g = Grid2D(nx=400, ny=400, h=1.0, x0=0.0, y0=0.0)
-        field = rng.uniform(200.0, 10000.0, size=g.cell_shape())
-        tracemalloc.start()
-        try:
-            write_snapshot(str(tmp_path / "big"), field, g, 0, 0.0, formats=("txt", "csv"))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 0.25 * field.nbytes
-        assert (tmp_path / "big.csv").read_bytes() == old_csv_bytes(field)
+        for field in (rng.uniform(200.0, 10000.0, size=g.cell_shape()), DROPLET_400):
+            tracemalloc.start()
+            try:
+                write_snapshot(str(tmp_path / "big"), field, g, 0, 0.0, formats=("txt", "csv"))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= 0.25 * field.nbytes
+            assert (tmp_path / "big.csv").read_bytes() == old_csv_bytes(field)

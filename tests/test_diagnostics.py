@@ -131,9 +131,11 @@ class TestAdmissibleInterval:
         admissible_interval(EfParams.for_window(fm * C_GAS, fM * C_LIQ, nc4), nc4)
         assert 1 <= len(calls) <= 8
 
-    def test_sampling_density_converged(self, nc4, window):
-        a = admissible_interval(window, nc4, n_samples=20000)
-        b = admissible_interval(window, nc4, n_samples=40000)
+    def test_sampling_density_converged(self, nc4, window, monkeypatch):
+        monkeypatch.setattr(diagnostics, "_SCAN_POINTS", 20000)
+        a = admissible_interval(window, nc4)
+        monkeypatch.setattr(diagnostics, "_SCAN_POINTS", 40000)
+        b = admissible_interval(window, nc4)
         assert abs(a.mu_lower - b.mu_lower) <= 1e-8 * abs(b.mu_lower)
         assert abs(a.mu_upper - b.mu_upper) <= 1e-8 * abs(b.mu_upper)
 
@@ -164,10 +166,6 @@ class TestAdmissibleInterval:
         for small, big in zip(ivs, ivs[1:]):
             assert big.mu_lower <= small.mu_lower
             assert big.mu_upper >= small.mu_upper
-
-    def test_sample_count_validated(self, nc4, window):
-        with pytest.raises(ParameterError, match="n_samples"):
-            admissible_interval(window, nc4, n_samples=1)
 
 
 def indicator_grid(n=64):

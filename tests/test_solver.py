@@ -12,7 +12,6 @@ from prphase import (
     ConvergenceError,
     Grid2D,
     ParameterError,
-    SchemeCoefficients,
     SolverConfig,
     run,
     scheme_coefficients,
@@ -32,28 +31,25 @@ def toy():
     """Small synthetic SPD system: O(1) coefficients, visible kappa term."""
     g = Grid2D(nx=8, ny=6, h=0.5)
     r = np.random.default_rng(7)
-    coeffs = SchemeCoefficients(
-        nu=r.uniform(1.0, 2.0, size=g.cell_shape()),
-        s_r=np.zeros(g.cell_shape()),
-    )
+    nu = r.uniform(1.0, 2.0, size=g.cell_shape())
     cfg = SolverConfig(tau=0.7, cg_rel_tol=1e-12)
-    return g, coeffs, cfg, 0.2, r
+    return g, nu, cfg, 0.2, r
 
 
-def dense_operator(g, coeffs, cfg, kappa):
+def dense_operator(g, nu, cfg, kappa):
     """A = I/tau_eff - kappa*Lap_h + diag(nu) as a dense matrix, from the
     Laplacian written out cell by cell."""
     mat = neumann_laplacian(g)
     mat *= -kappa
-    mat[np.diag_indices(g.ncells)] += 1.0 / cfg.tau_eff() + coeffs.nu.ravel()
+    mat[np.diag_indices(g.ncells)] += 1.0 / cfg.tau_eff() + nu.ravel()
     return mat
 
 
-def dense_kkt_solve(g, coeffs, cfg, kappa, rhs, mass):
+def dense_kkt_solve(g, nu, cfg, kappa, rhs, mass):
     """(x, mu_e) of A x - mu_e*1 = rhs, h^2 <x, 1> = mass, by a dense solve."""
     n = g.ncells
     kkt = np.zeros((n + 1, n + 1))
-    kkt[:n, :n] = dense_operator(g, coeffs, cfg, kappa)
+    kkt[:n, :n] = dense_operator(g, nu, cfg, kappa)
     kkt[:n, n] = -1.0
     kkt[n, :n] = g.h * g.h
     sol = np.linalg.solve(kkt, np.append(rhs.ravel(), mass))
@@ -74,10 +70,10 @@ def red_cells(g):
     return ((i + j) % 2 == 0).ravel()
 
 
-def galerkin_start(g, coeffs, cfg, kappa, rhs, c_n, basis):
+def galerkin_start(g, nu, cfg, kappa, rhs, c_n, basis):
     """The point a solve from ``c_n`` starts its iteration at: the black cells
     moved by the Galerkin start, the reds eliminated at c_n's mass."""
-    system = loaded_system(g, kappa, cfg, coeffs.nu, c_n)
+    system = loaded_system(g, kappa, cfg, nu, c_n)
     board = system.board
     pair = board.split(rhs, np.zeros((2, board.size)))
     mass = float(system.state.sum())
@@ -100,19 +96,19 @@ def staggered_laplacian(c, g):
 
 class TestOperator:
     def test_symmetry(self, toy):
-        g, coeffs, cfg, kappa, r = toy
+        g, nu, cfg, kappa, r = toy
         c1 = r.standard_normal(g.cell_shape())
         c2 = r.standard_normal(g.cell_shape())
-        a = inner(apply_operator(c1, coeffs, cfg, kappa, g), c2, g)
-        b = inner(c1, apply_operator(c2, coeffs, cfg, kappa, g), g)
+        a = inner(apply_operator(c1, nu, cfg, kappa, g), c2, g)
+        b = inner(c1, apply_operator(c2, nu, cfg, kappa, g), g)
         assert a == pytest.approx(b, rel=1e-13)
 
     def test_positive_definite_lower_bound(self, toy):
-        g, coeffs, cfg, kappa, r = toy
-        lower = 1.0 / cfg.tau_eff() + float(np.min(coeffs.nu))
+        g, nu, cfg, kappa, r = toy
+        lower = 1.0 / cfg.tau_eff() + float(np.min(nu))
         for _ in range(20):
             c = r.standard_normal(g.cell_shape())
-            quad = inner(apply_operator(c, coeffs, cfg, kappa, g), c, g)
+            quad = inner(apply_operator(c, nu, cfg, kappa, g), c, g)
             assert quad >= lower * inner(c, c, g) * (1 - 1e-12)
 
     def test_diagonal_matches_dense_matrix(self, toy):
@@ -157,13 +153,12 @@ class TestOperator:
     def test_fused_stencil_matches_staggered_operators(self, ny, nx):
         g = Grid2D(nx=nx, ny=ny, h=0.5)
         r = np.random.default_rng(3)
-        coeffs = SchemeCoefficients(nu=r.uniform(1.0, 2.0, size=(ny, nx)),
-                                    s_r=np.zeros((ny, nx)))
+        nu = r.uniform(1.0, 2.0, size=(ny, nx))
         cfg, kappa = SolverConfig(tau=0.7), 0.2
         for _ in range(2):
             c = r.standard_normal((ny, nx))
-            got = apply_operator(c, coeffs, cfg, kappa, g)
-            ref = c / cfg.tau_eff() - kappa * staggered_laplacian(c, g) + coeffs.nu * c
+            got = apply_operator(c, nu, cfg, kappa, g)
+            ref = c / cfg.tau_eff() - kappa * staggered_laplacian(c, g) + nu * c
             assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
@@ -254,33 +249,33 @@ class TestSolveSpd:
     """The solve of A x = rhs + mu_e*1 at the mass of the warm start."""
 
     def test_manufactured_solution(self, toy):
-        g, coeffs, cfg, kappa, r = toy
+        g, nu, cfg, kappa, r = toy
         x_true = r.standard_normal(g.cell_shape())
         mu_true = 0.37
-        rhs = apply_operator(x_true, coeffs, cfg, kappa, g) - mu_true
+        rhs = apply_operator(x_true, nu, cfg, kappa, g) - mu_true
         x0 = np.full(g.cell_shape(), np.mean(x_true))
-        x, mu_e, iters, res = solve_step(rhs, coeffs, cfg, kappa, g, x0=x0)
+        x, mu_e, iters, res = solve_step(rhs, nu, cfg, kappa, g, x0=x0)
         assert res <= cfg.cg_rel_tol
         assert iters > 0
         assert norm(x - x_true, g) <= 1e-8 * norm(x_true, g)
         assert abs(mu_e - mu_true) <= 1e-8 * abs(mu_true)
 
     def test_matches_dense_solve(self, toy):
-        g8, coeffs8, cfg8, kappa, r = toy
+        g8, nu8, cfg8, kappa, r = toy
         g3 = Grid2D(nx=3, ny=3, h=0.5)
-        coeffs3 = SchemeCoefficients(nu=r.uniform(1.0, 2.0, size=(3, 3)), s_r=np.zeros((3, 3)))
+        nu3 = r.uniform(1.0, 2.0, size=(3, 3))
         cfg3 = SolverConfig(tau=0.7, cg_rel_tol=1e-13)
-        for g, coeffs, cfg in ((g3, coeffs3, cfg3), (g8, coeffs8, cfg8)):
+        for g, nu, cfg in ((g3, nu3, cfg3), (g8, nu8, cfg8)):
             rhs = r.standard_normal(g.cell_shape())
             x0 = r.uniform(1.0, 2.0, size=g.cell_shape())
-            x_direct, mu_direct = dense_kkt_solve(g, coeffs, cfg, kappa, rhs, mass(x0, g))
-            x_cg, mu_cg, _, _ = solve_step(rhs, coeffs, cfg, kappa, g, x0=x0)
+            x_direct, mu_direct = dense_kkt_solve(g, nu, cfg, kappa, rhs, mass(x0, g))
+            x_cg, mu_cg, _, _ = solve_step(rhs, nu, cfg, kappa, g, x0=x0)
             assert np.max(np.abs(x_cg - x_direct)) <= 1e-8 * np.max(np.abs(x_direct))
             assert abs(mu_cg - mu_direct) <= 1e-8 * abs(mu_direct)
 
     def test_zero_rhs_short_circuits(self, toy):
-        g, coeffs, cfg, kappa, _ = toy
-        x, mu_e, iters, res = solve_step(np.zeros(g.cell_shape()), coeffs, cfg, kappa, g,
+        g, nu, cfg, kappa, _ = toy
+        x, mu_e, iters, res = solve_step(np.zeros(g.cell_shape()), nu, cfg, kappa, g,
                                          x0=np.zeros(g.cell_shape()))
         assert np.all(x == 0) and mu_e == 0.0 and iters == 0 and res == 0.0
 
@@ -290,14 +285,13 @@ class TestSolveSpd:
         # reported residual are relative to the start's own residual
         g = Grid2D(nx=nx, ny=ny, h=0.5)
         r = np.random.default_rng(ny * 100 + nx)
-        coeffs = SchemeCoefficients(nu=r.uniform(1.0, 2.0, size=(ny, nx)),
-                                    s_r=np.zeros((ny, nx)))
+        nu = r.uniform(1.0, 2.0, size=(ny, nx))
         cfg = SolverConfig(tau=0.7, cg_rel_tol=1e-12)
         rhs = np.zeros((ny, nx))
         x0 = r.uniform(1.0, 2.0, size=(ny, nx))
         m0 = mass(x0, g)
-        x_direct, mu_direct = dense_kkt_solve(g, coeffs, cfg, 0.2, rhs, m0)
-        x, mu_e, iters, res = solve_step(rhs, coeffs, cfg, 0.2, g, x0=x0)
+        x_direct, mu_direct = dense_kkt_solve(g, nu, cfg, 0.2, rhs, m0)
+        x, mu_e, iters, res = solve_step(rhs, nu, cfg, 0.2, g, x0=x0)
         assert iters > 0 and 0.0 < res <= cfg.cg_rel_tol
         assert np.max(np.abs(x - x_direct)) <= 1e-8 * np.max(np.abs(x_direct))
         assert abs(mu_e - mu_direct) <= 1e-8 * abs(mu_direct)
@@ -306,21 +300,21 @@ class TestSolveSpd:
     def test_fortran_ordered_inputs(self, toy):
         # the stencil writes through flat views, so its buffers must not
         # inherit the inputs' memory order
-        g, coeffs, cfg, kappa, r = toy
+        g, nu, cfg, kappa, r = toy
         x_true = r.standard_normal(g.cell_shape())
-        rhs = np.asfortranarray(apply_operator(x_true, coeffs, cfg, kappa, g) - 0.37)
+        rhs = np.asfortranarray(apply_operator(x_true, nu, cfg, kappa, g) - 0.37)
         x0 = np.asfortranarray(np.full(g.cell_shape(), np.mean(x_true)))
-        x, mu_e, _, res = solve_step(rhs, coeffs, cfg, kappa, g, x0=x0)
+        x, mu_e, _, res = solve_step(rhs, nu, cfg, kappa, g, x0=x0)
         assert res <= cfg.cg_rel_tol
         assert norm(x - x_true, g) <= 1e-8 * norm(x_true, g)
         assert abs(mu_e - 0.37) <= 1e-8 * 0.37
 
     def test_warm_start_at_solution_returns_immediately(self, toy):
-        g, coeffs, cfg, kappa, r = toy
+        g, nu, cfg, kappa, r = toy
         x_true = r.standard_normal(g.cell_shape())
-        rhs = apply_operator(x_true, coeffs, cfg, kappa, g) - 0.37
+        rhs = apply_operator(x_true, nu, cfg, kappa, g) - 0.37
         x0 = x_true.copy()
-        x, mu_e, iters, _ = solve_step(rhs, coeffs, cfg, kappa, g, x0=x0)
+        x, mu_e, iters, _ = solve_step(rhs, nu, cfg, kappa, g, x0=x0)
         assert x is x0  # the iteration runs in the warm start
         assert iters == 0
         assert np.array_equal(x, x_true)
@@ -332,13 +326,12 @@ class TestSolveSpd:
         # two neighbours
         g = Grid2D(nx=nx, ny=ny, h=0.5)
         r = np.random.default_rng(ny * 10 + nx)
-        coeffs = SchemeCoefficients(nu=r.uniform(1.0, 2.0, size=(ny, nx)),
-                                    s_r=np.zeros((ny, nx)))
+        nu = r.uniform(1.0, 2.0, size=(ny, nx))
         cfg = SolverConfig(tau=0.7, cg_rel_tol=1e-13)
         rhs = r.standard_normal((ny, nx))
         x0 = r.uniform(1.0, 2.0, size=(ny, nx))
-        x_direct, mu_direct = dense_kkt_solve(g, coeffs, cfg, 0.2, rhs, mass(x0, g))
-        x, mu_e, _, res = solve_step(rhs, coeffs, cfg, 0.2, g, x0=x0)
+        x_direct, mu_direct = dense_kkt_solve(g, nu, cfg, 0.2, rhs, mass(x0, g))
+        x, mu_e, _, res = solve_step(rhs, nu, cfg, 0.2, g, x0=x0)
         assert res <= cfg.cg_rel_tol
         assert np.max(np.abs(x - x_direct)) <= 1e-8 * np.max(np.abs(x_direct))
         assert abs(mu_e - mu_direct) <= 1e-8 * abs(mu_direct)
@@ -347,34 +340,33 @@ class TestSolveSpd:
     def test_reported_residual_is_the_full_residual(self, ny, nx):
         g = Grid2D(nx=nx, ny=ny, h=0.5)
         r = np.random.default_rng(9)
-        coeffs = SchemeCoefficients(nu=r.uniform(1.0, 2.0, size=(ny, nx)),
-                                    s_r=np.zeros((ny, nx)))
+        nu = r.uniform(1.0, 2.0, size=(ny, nx))
         cfg = SolverConfig(tau=0.7, cg_rel_tol=1e-8)
         rhs = r.standard_normal((ny, nx))
-        x, mu_e, iters, res = solve_step(rhs, coeffs, cfg, 0.2, g,
+        x, mu_e, iters, res = solve_step(rhs, nu, cfg, 0.2, g,
                                          x0=r.uniform(1.0, 2.0, size=(ny, nx)))
-        full = norm(rhs + mu_e - apply_operator(x, coeffs, cfg, 0.2, g), g) / norm(rhs, g)
+        full = norm(rhs + mu_e - apply_operator(x, nu, cfg, 0.2, g), g) / norm(rhs, g)
         assert iters > 0
         # the updated residual drifts from the recomputed one by round-off,
         # about 1e-15 of ||rhs||; a strip's two black cells are solved exactly
         assert res == pytest.approx(full, rel=1e-5, abs=1e-14)
 
     def test_iteration_cap_raises_with_history(self, toy):
-        g, coeffs, _, kappa, r = toy
+        g, nu, _, kappa, r = toy
         cfg = SolverConfig(tau=0.7, cg_rel_tol=1e-14, cg_max_iter=1)
         rhs = r.standard_normal(g.cell_shape())
         with pytest.raises(ConvergenceError, match="within 1 iterations") as exc:
-            solve_step(rhs, coeffs, cfg, kappa, g, x0=np.zeros(g.cell_shape()))
+            solve_step(rhs, nu, cfg, kappa, g, x0=np.zeros(g.cell_shape()))
         assert len(exc.value.residual_history) == 2
         assert exc.value.residual_history[0] > 0
 
     def test_iteration_cap_history_starts_at_projected_residual(self, toy):
-        g, coeffs, _, kappa, r = toy
+        g, nu, _, kappa, r = toy
         cfg = SolverConfig(tau=0.7, cg_rel_tol=1e-14, cg_max_iter=1)
         rhs = r.standard_normal(g.cell_shape())
-        mat = dense_operator(g, coeffs, cfg, kappa)
+        mat = dense_operator(g, nu, cfg, kappa)
         with pytest.raises(ConvergenceError) as exc:
-            solve_step(rhs, coeffs, cfg, kappa, g, x0=np.zeros(g.cell_shape()))
+            solve_step(rhs, nu, cfg, kappa, g, x0=np.zeros(g.cell_shape()))
         history = exc.value.residual_history
         assert len(history) == 2
         # From x0 = 0 the first residual is that of the black rows at x_B = 0,
@@ -393,13 +385,13 @@ class TestProjectedSolve:
 
     @pytest.mark.parametrize("cap", [1, 2, 3, 4, 5])
     def test_mass_kept_after_every_iteration(self, toy, cap):
-        g, coeffs, _, kappa, r = toy
+        g, nu, _, kappa, r = toy
         cfg = SolverConfig(tau=0.7, cg_rel_tol=1e-14, cg_max_iter=cap)
         x0 = r.uniform(1.0, 2.0, size=g.cell_shape())
         m0 = mass(x0, g)
         start = x0.copy()
         with pytest.raises(ConvergenceError) as exc:
-            solve_step(r.standard_normal(g.cell_shape()), coeffs, cfg, kappa, g, x0=x0)
+            solve_step(r.standard_normal(g.cell_shape()), nu, cfg, kappa, g, x0=x0)
         assert len(exc.value.residual_history) == cap + 1
         assert not np.array_equal(x0, start)  # the capped solve left its iterate in x0
         assert abs(mass(x0, g) - m0) <= 1e-12 * abs(m0)
@@ -408,23 +400,22 @@ class TestProjectedSolve:
         # The first residual is then about -mu_e*1.  The solve puts the mass
         # back by x0's own sum after restoring the reds; without that last
         # correction this fails.
-        g, coeffs, cfg, kappa, r = toy
+        g, nu, cfg, kappa, r = toy
         for _ in range(5):
             x_true = r.uniform(1.0, 2.0, size=g.cell_shape())
-            rhs = apply_operator(x_true, coeffs, cfg, kappa, g) - 1e6
+            rhs = apply_operator(x_true, nu, cfg, kappa, g) - 1e6
             x0 = np.full(g.cell_shape(), np.mean(x_true))
             m0 = mass(x0, g)
-            x, mu_e, _, _ = solve_step(rhs, coeffs, cfg, kappa, g, x0=x0)
+            x, mu_e, _, _ = solve_step(rhs, nu, cfg, kappa, g, x0=x0)
             assert abs(mu_e - 1e6) <= 1e-12 * 1e6
             assert abs(mass(x, g) - m0) <= 1e-14 * abs(m0)
 
     def test_indefinite_operator_raises(self, toy):
         g, _, cfg, kappa, r = toy
-        coeffs = SchemeCoefficients(nu=np.full(g.cell_shape(), -10.0),
-                                    s_r=np.zeros(g.cell_shape()))
+        nu = np.full(g.cell_shape(), -10.0)
         rhs = r.standard_normal(g.cell_shape())
         with pytest.raises(ConvergenceError, match="positive definiteness") as exc:
-            solve_step(rhs, coeffs, cfg, kappa, g, x0=np.ones(g.cell_shape()))
+            solve_step(rhs, nu, cfg, kappa, g, x0=np.ones(g.cell_shape()))
         assert len(exc.value.residual_history) == 1
 
 
@@ -466,14 +457,13 @@ class TestGalerkinStart:
         cfg, kappa = SolverConfig(tau=0.7), 0.2
         for seed in range(4):
             r = np.random.default_rng(seed)
-            coeffs = SchemeCoefficients(nu=r.uniform(1.0, 2.0, size=(ny, nx)),
-                                        s_r=np.zeros((ny, nx)))
+            nu = r.uniform(1.0, 2.0, size=(ny, nx))
             states, basis = self.history(g, r)
             assert len(basis) == START_DIRECTIONS
             c_n, c_prev = states[-1], states[-2]
             rhs = r.standard_normal(g.cell_shape())
-            x_star, _ = dense_kkt_solve(g, coeffs, cfg, kappa, rhs, mass(c_n, g))
-            mat = dense_operator(g, coeffs, cfg, kappa)
+            x_star, _ = dense_kkt_solve(g, nu, cfg, kappa, rhs, mass(c_n, g))
+            mat = dense_operator(g, nu, cfg, kappa)
 
             def a_norm_error(x):
                 e = (x - x_star).ravel()
@@ -481,7 +471,7 @@ class TestGalerkinStart:
 
             # the states have one mass, so the differences have zero sum
             extrapolated = 2.0 * c_n - c_prev
-            start = galerkin_start(g, coeffs, cfg, kappa, rhs, c_n, basis)
+            start = galerkin_start(g, nu, cfg, kappa, rhs, c_n, basis)
             assert a_norm_error(start) <= a_norm_error(extrapolated) * (1 + 1e-12)
             # the optimality condition: the error, whose reds are eliminated, is
             # A-orthogonal to the basis
@@ -493,13 +483,13 @@ class TestGalerkinStart:
             assert abs(mass(start, g) - mass(c_n, g)) <= 1e-14 * abs(mass(c_n, g))
 
     def test_solve_from_a_basis_matches_dense_solve_and_keeps_inputs(self, toy):
-        g, coeffs, cfg, kappa, r = toy
+        g, nu, cfg, kappa, r = toy
         states, basis = self.history(g, r)
         rhs = r.standard_normal(g.cell_shape())
-        inputs = [rhs, coeffs.nu, coeffs.s_r] + list(basis)
+        inputs = [rhs, nu] + list(basis)
         kept = [a.copy() for a in inputs]
-        x_direct, mu_direct = dense_kkt_solve(g, coeffs, cfg, kappa, rhs, mass(states[-1], g))
-        x, mu_e, _, res = solve_step(rhs, coeffs, cfg, kappa, g, x0=states[-1].copy(),
+        x_direct, mu_direct = dense_kkt_solve(g, nu, cfg, kappa, rhs, mass(states[-1], g))
+        x, mu_e, _, res = solve_step(rhs, nu, cfg, kappa, g, x0=states[-1].copy(),
                                      basis=basis)
         assert res <= cfg.cg_rel_tol
         assert np.max(np.abs(x - x_direct)) <= 1e-8 * np.max(np.abs(x_direct))
@@ -508,18 +498,18 @@ class TestGalerkinStart:
 
     def test_zero_differences_are_dropped(self, toy):
         # a zero difference gives a zero row and column in the Gram matrix
-        g, coeffs, cfg, kappa, r = toy
+        g, nu, cfg, kappa, r = toy
         x_true = r.standard_normal(g.cell_shape())
-        rhs = apply_operator(x_true, coeffs, cfg, kappa, g) - 0.37
+        rhs = apply_operator(x_true, nu, cfg, kappa, g) - 0.37
         zero = np.zeros(g.cell_shape())
         delta = r.standard_normal(g.cell_shape())
         delta -= np.mean(delta)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            x, _, _, _ = solve_step(rhs, coeffs, cfg, kappa, g, x0=x_true.copy(),
+            x, _, _, _ = solve_step(rhs, nu, cfg, kappa, g, x0=x_true.copy(),
                                     basis=np.array([zero, zero, zero]))
             assert np.array_equal(x, x_true)
-            x, _, _, res = solve_step(rhs, coeffs, cfg, kappa, g,
+            x, _, _, res = solve_step(rhs, nu, cfg, kappa, g,
                                       x0=np.full(g.cell_shape(), np.mean(x_true)),
                                       basis=np.array([delta, zero, 2.0 * delta]))
         assert res <= cfg.cg_rel_tol
@@ -616,17 +606,16 @@ class TestWorkFields:
         system = _BlackSystem(g, kappa, cfg)
         board = system.board
         for n_basis in (START_DIRECTIONS, 2, 0):
-            coeffs = SchemeCoefficients(nu=r.uniform(1.0, 2.0, size=g.cell_shape()),
-                                        s_r=np.zeros(g.cell_shape()))
+            nu = r.uniform(1.0, 2.0, size=g.cell_shape())
             states, basis = TestGalerkinStart.history(g, r)
             basis = np.ascontiguousarray(basis[:n_basis])
             rhs = r.standard_normal(g.cell_shape())
             x = states[-1].copy()
-            want = solve_step(rhs, coeffs, cfg, kappa, g, x0=x, basis=basis)
+            want = solve_step(rhs, nu, cfg, kappa, g, x0=x, basis=basis)
             system.rows[:, board.span] = np.nan
             board.fill_pads(system.state, 0.0)
             board.fill_pads(system.nu, 7.0)
-            board.split(coeffs.nu, system.nu)
+            board.split(nu, system.nu)
             board.split(states[-1], system.state)
             pair = board.split(rhs, np.zeros((2, board.size)))
             got = system.solve(pair, black_halves(board, basis), n_basis,
