@@ -270,6 +270,8 @@ def load_config(path: str) -> SimConfig:
             raw = yaml.load(fh, Loader=_YAML_LOADER)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: cannot read config file ({exc})") from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: invalid YAML ({exc})") from exc
     if raw is None:

@@ -30,7 +30,9 @@ with mu_a = d f_attraction / d c the attraction potential,
               - alpha*c / (1 + 2*b - b^2),       b = beta*c.
 
 nu and s_r satisfy nu(c)*c - s_r(c) = mu_b(c) identically, so spatially
-uniform states are exact fixed points of the scheme, and for any two
+uniform states are fixed points of the scheme in exact arithmetic (in
+floating point a uniform 100 x 100 state at 3 000 mol/m^3 drifts by
+2.7e-12 mol/m^3 over 5 steps, at zero iterations a step), and for any two
 densities in the window they bound the bulk energy's increment,
 
     f_b(c_new) - f_b(c_old) <= (nu(c_old)*c_new - s_r(c_old))*(c_new - c_old),

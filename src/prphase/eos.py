@@ -112,16 +112,20 @@ def load_substance(path: str) -> Substance:
     The file holds one ``key = value`` pair per line with the keys of
     ``substance_from_table``; blank lines and ``#`` comments are ignored.
     """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParameterError(f"{path}: cannot read substance file ({exc})") from exc
     fields = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ParameterError(f"{path}:{lineno}: expected 'key = value', got {raw.rstrip()!r}")
-            key, _, value = line.partition("=")
-            fields[key.strip()] = value.strip()
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ParameterError(f"{path}:{lineno}: expected 'key = value', got {raw.rstrip()!r}")
+        key, _, value = line.partition("=")
+        fields[key.strip()] = value.strip()
     return substance_from_table(fields, path)
 
 

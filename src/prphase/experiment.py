@@ -174,6 +174,8 @@ def read_snapshot(path: str) -> Tuple[np.ndarray, Dict[str, float]]:
                 meta[key] = float(value)
     except FileNotFoundError as exc:
         raise ConfigError(f"snapshot file not found: {path}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: cannot read snapshot file ({exc})") from exc
     except ValueError as exc:
         raise ConfigError(f"{path}: non-numeric snapshot data ({exc})") from exc
     for key in ("N", "M"):

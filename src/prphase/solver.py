@@ -97,8 +97,8 @@ class SolverConfig:
 
     tau : time-step size in s.
     cg_rel_tol : stop conjugate gradients once the step's residual has
-        ||r|| <= cg_rel_tol*||rhs||, rhs = c_old/tau_eff + s_r (relative to
-        the start's own residual when rhs is zero; ``_BlackSystem.solve``).
+        ||r|| <= cg_rel_tol*||rhs||, rhs = c_old/tau_eff + s_r; a zero rhs
+        is refused (``_BlackSystem.solve``).
     cg_max_iter : iteration cap; ``None`` means 10 * (number of cells).
     preconditioner : "diagonal", the only value: the diagonal of the
         black-cell system (``_BlackSystem``) plus its rank-one mass term.
@@ -241,8 +241,6 @@ class _BlackSystem:
         self.s = s = kappa / (g.h * g.h)
         self.rel_tol = cfg.cg_rel_tol
         self.max_iter = cfg.resolved_max_iter(g)
-        self.ncells = g.ncells
-        self.n_red = (g.ncells + 1) // 2
         self.rows = rows = np.zeros((_HALVES, board.size))
         (self.z, self.w, self.inv_ds, self.p, self.iw, self.t, self.x, self.q, self.r,
          self.d, self.e_b) = rows
@@ -332,36 +330,6 @@ class _BlackSystem:
         spans[self.Q] += spans[self.Z]
         self.zero_pads(self.Q, RED)
         return b_norm
-
-    def red_spread(self) -> Tuple[float, float]:
-        """(||q - mean(q)||, |sum(q)|) over the red cells.
-
-        No mu makes x0's full residual smaller than that spread, so x0's
-        own residual is needed only when the spread is within round-off of
-        the tolerance; ``full_residual`` takes it then.
-        """
-        q, tmp = self.spans[self.Q], self.spans[self.IW]
-        total = float(q.sum())
-        np.subtract(q, total / self.n_red, out=tmp)
-        self.zero_pads(self.IW, RED)
-        return math.sqrt(_dot(tmp, tmp)), abs(total)
-
-    def full_residual(self) -> Tuple[float, float]:
-        """(||b + mu - A x0||, mu) with the mu that makes it smallest.
-
-        Its black cells are built in row Z and its shifted red ones in IW;
-        q and r are kept for ``reduce``.
-        """
-        spans, z, red = self.spans, self.spans[self.Z], self.spans[self.IW]
-        self.neighbours(self.T, self.Z, BLACK, self.P)
-        z += spans[self.R]
-        self.zero_pads(self.Z, BLACK)
-        mu = -(float(spans[self.Q].sum()) + float(z.sum())) / self.ncells
-        np.add(spans[self.Q], mu, out=red)
-        z += mu
-        self.zero_pads(self.IW, RED)
-        self.zero_pads(self.Z, BLACK)
-        return math.sqrt(_dot(red, red) + _dot(z, z)), mu
 
     def reduce(self) -> None:
         """Build d and w, and turn r into the residual of M at x0_B.
@@ -465,28 +433,22 @@ class _BlackSystem:
         ||r||/||rhs||), r = rhs + mu_e*1 - A x, the start counting as
         iteration 0.
 
-        A start whose own residual, with the mu_e that makes it smallest, has
-        ||r|| <= cg_rel_tol*||rhs|| is kept untouched after zero iterations,
-        which ``run`` meets on a uniform state.  A zero rhs still has a
-        solution, x0's mass times A^-1 1/<1, A^-1 1>; then x0's own residual
-        takes the place of ||rhs|| in both tests and in the returned
-        residual.  Exceeding the iteration cap raises ``ConvergenceError``
-        with the residual history attached, after writing the last iterate,
-        at x0's mass, into ``state``; a nonpositive p'Mp raises it with the
-        state's red half clobbered.
+        Every solve takes one path: ``load``, ``reduce``, the start
+        (``galerkin_start``) when m > 0, ``build_preconditioner``,
+        conjugate gradients until ||r|| <= cg_rel_tol*||rhs||, and ``lift``.
+        A start that already meets the tolerance takes zero iterations, and
+        ``lift`` still rewrites its reds, by round-off.  A right-hand side
+        whose norm is not positive (zero or nan) raises ``ParameterError``:
+        the tolerance is relative to it.  Exceeding the iteration cap raises
+        ``ConvergenceError`` with the residual history attached, after
+        writing the last iterate, at x0's mass, into ``state``; a
+        nonpositive p'Mp raises it with the state's red half clobbered.
         """
         s = self.s
         scale = self.load(rhs)
+        if not scale > 0.0:
+            raise ParameterError(f"the right-hand side's norm must be positive, got {s * scale}")
         tol = self.rel_tol * scale
-        spread, total = self.red_spread()
-        # The spread's round-off is far below 1e-12 of the red residual's
-        # mean part; within that of tol, only x0's own residual can tell.
-        if not (scale > 0.0 and spread > tol + 1e-12 * total / math.sqrt(self.n_red)):
-            res, mu = self.full_residual()
-            if not scale > 0.0:  # a zero b: the tolerance is relative to x0's residual
-                scale, tol = res, self.rel_tol * res
-            if res <= tol:
-                return s * mu, 0, res / scale if scale > 0.0 else 0.0
         self.reduce()
         if m:
             self.galerkin_start(basis, m)

@@ -149,6 +149,23 @@ def envelope_extrema(c_m, c_M, lam, n_scan=400):
     return lower, upper
 
 
+def coexistence():
+    """(c_gas, c_liq, mu_0, p_0) of the planar gas-liquid equilibrium at T:
+    the two densities of one chemical potential and one pressure, found by
+    ``mp.findroot`` from the preset's pair."""
+    c_gas, c_liq = mp.findroot(lambda a, b: (mu_b(a) - mu_b(b), pressure(a) - pressure(b)),
+                               (C_GAS, C_LIQ))
+    return c_gas, c_liq, mu_b(c_gas), pressure(c_gas)
+
+
+def surface_tension():
+    """sigma = int sqrt(2 kappa (f_b - mu_0 c + p_0)) dc from c_gas to c_liq,
+    the planar interface's tension in gradient theory (``mp.quad``)."""
+    c_gas, c_liq, mu_0, p_0 = coexistence()
+    kappa = kappa_value()
+    return mp.quad(lambda c: mp.sqrt(2 * kappa * (f_total(c) - mu_0 * c + p_0)), [c_gas, c_liq])
+
+
 # Reference values produced by this module (floats hold them exactly).
 FROZEN = {
     "m": 0.6708606380799998,
@@ -181,4 +198,10 @@ FROZEN = {
     # one inside the window near c = 10358
     "mu_lower_window": 16916.842168273462,
     "mu_upper_window": 19034.011078877018,
+    # coexistence() and surface_tension() at T
+    "coexistence_c_gas": 249.1122893959725,
+    "coexistence_c_liq": 9526.84218208894,
+    "coexistence_mu": 17132.95634851867,
+    "coexistence_p": 590986.2789686036,
+    "surface_tension": 0.008614390611213479,
 }

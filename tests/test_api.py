@@ -31,6 +31,36 @@ def used_names():
     return names
 
 
+def read_names():
+    """Names read anywhere in the package outside ``__init__.py``, bare or
+    as an attribute of any object (``self.reduce``, ``cfg.tau_eff``)."""
+    names = set()
+    for path, tree in parsed_modules():
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                names.add(node.attr)
+    return names
+
+
+def private_functions_and_methods():
+    """(qualified name, name) of every private module-level function and of
+    every method of a module-level class, dunders left out."""
+    found = []
+    for path, tree in parsed_modules():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("_"):
+                found.append((f"{path.stem}.{node.name}", node.name))
+            elif isinstance(node, ast.ClassDef):
+                found += [(f"{path.stem}.{node.name}.{item.name}", item.name)
+                          for item in node.body if isinstance(item, ast.FunctionDef)]
+    return [(qualified, name) for qualified, name in found
+            if not (name.startswith("__") and name.endswith("__"))]
+
+
 def public_definitions():
     """(module, name) of every public module-level function and class."""
     return [(path.stem, node.name) for path, tree in parsed_modules() for node in tree.body
@@ -48,6 +78,13 @@ def test_every_public_definition_is_used_in_the_package():
     unused = [f"{module}.{name}" for module, name in public_definitions()
               if name not in used]
     assert not unused, f"public functions and classes that nothing in src/prphase reads: {unused}"
+
+
+def test_every_private_function_and_method_is_read_in_the_package():
+    # code that only tests read is dead code for the package
+    read = read_names()
+    unread = [qualified for qualified, name in private_functions_and_methods() if name not in read]
+    assert not unread, f"private functions and methods that nothing in src/prphase reads: {unread}"
 
 
 def test_every_import_is_read_in_its_module():

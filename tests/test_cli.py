@@ -395,6 +395,27 @@ class TestProps:
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 
+# A directory, or a file that is not UTF-8, at each path the CLI reads.
+@pytest.mark.parametrize("command,unreadable", [
+    (["run", "{dir}"], "{dir}"),
+    (["check", "{bytes}.yaml"], "{bytes}.yaml"),
+    (["props", "{dir}", "--T", "330"], "{dir}"),
+    (["props", "{bytes}.substance", "--T", "330"], "{bytes}.substance"),
+    (["check", "{from_dir}"], "{dir}"),
+], ids=["run_directory", "check_non_utf8", "props_directory", "props_non_utf8",
+        "check_snapshot_directory"])
+def test_unreadable_input_exits_2_naming_the_path(tmp_path, capsys, command, unreadable):
+    paths = {"dir": str(tmp_path / "dir"), "bytes": str(tmp_path / "latin1"),
+             "from_dir": str(tmp_path / "from_dir.yaml")}
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "latin1.yaml").write_bytes("T: 330.0  # 330 \xb0K\n".encode("latin-1"))
+    (tmp_path / "latin1.substance").write_bytes("name = \xe9\n".encode("latin-1"))
+    write_config(tmp_path, tiny_dict(initial_condition={"from_file": {"path": "dir"}}),
+                 name="from_dir.yaml")
+    assert main([arg.format(**paths) for arg in command]) == 2
+    assert unreadable.format(**paths) in capsys.readouterr().err
+
+
 def write_console_script(bin_dir, name):
     """Write the wrapper an installer generates for the `[project.scripts]`
     entry `name` of this checkout's pyproject.toml."""

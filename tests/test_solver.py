@@ -273,29 +273,13 @@ class TestSolveSpd:
             assert np.max(np.abs(x_cg - x_direct)) <= 1e-8 * np.max(np.abs(x_direct))
             assert abs(mu_cg - mu_direct) <= 1e-8 * abs(mu_direct)
 
-    def test_zero_rhs_short_circuits(self, toy):
-        g, nu, cfg, kappa, _ = toy
-        x, mu_e, iters, res = solve_step(np.zeros(g.cell_shape()), nu, cfg, kappa, g,
-                                         x0=np.zeros(g.cell_shape()))
-        assert np.all(x == 0) and mu_e == 0.0 and iters == 0 and res == 0.0
-
-    @pytest.mark.parametrize("ny,nx", [(20, 20), (37, 13), (64, 64), (5, 7)])
-    def test_zero_rhs_from_a_nonzero_start(self, ny, nx):
-        # x = m A^-1 1 / <1, A^-1 1>: with rhs = 0 the tolerance and the
-        # reported residual are relative to the start's own residual
-        g = Grid2D(nx=nx, ny=ny, h=0.5)
-        r = np.random.default_rng(ny * 100 + nx)
-        nu = r.uniform(1.0, 2.0, size=(ny, nx))
-        cfg = SolverConfig(tau=0.7, cg_rel_tol=1e-12)
-        rhs = np.zeros((ny, nx))
-        x0 = r.uniform(1.0, 2.0, size=(ny, nx))
-        m0 = mass(x0, g)
-        x_direct, mu_direct = dense_kkt_solve(g, nu, cfg, 0.2, rhs, m0)
-        x, mu_e, iters, res = solve_step(rhs, nu, cfg, 0.2, g, x0=x0)
-        assert iters > 0 and 0.0 < res <= cfg.cg_rel_tol
-        assert np.max(np.abs(x - x_direct)) <= 1e-8 * np.max(np.abs(x_direct))
-        assert abs(mu_e - mu_direct) <= 1e-8 * abs(mu_direct)
-        assert abs(mass(x, g) - m0) <= 1e-14 * abs(m0)
+    @pytest.mark.parametrize("fill", [0.0, np.nan], ids=["zero", "nan"])
+    def test_rhs_without_a_positive_norm_is_refused(self, toy, fill):
+        # the tolerance is relative to ||rhs||, so it must not be 0 or nan
+        g, nu, cfg, kappa, r = toy
+        rhs = np.full(g.cell_shape(), fill)
+        with pytest.raises(ParameterError, match="right-hand side"):
+            solve_step(rhs, nu, cfg, kappa, g, x0=r.uniform(1.0, 2.0, size=g.cell_shape()))
 
     def test_fortran_ordered_inputs(self, toy):
         # the stencil writes through flat views, so its buffers must not
@@ -317,7 +301,8 @@ class TestSolveSpd:
         x, mu_e, iters, _ = solve_step(rhs, nu, cfg, kappa, g, x0=x0)
         assert x is x0  # the iteration runs in the warm start
         assert iters == 0
-        assert np.array_equal(x, x_true)
+        # lift rewrites the reds by round-off: 1.2e-16 of ||x|| measured
+        assert norm(x - x_true, g) <= 1e-14 * norm(x_true, g)
         assert abs(mu_e - 0.37) <= 1e-12
 
     @pytest.mark.parametrize("ny,nx", [(1, 1), (1, 2), (2, 1), (2, 2), (1, 5), (5, 1)])
@@ -508,7 +493,8 @@ class TestGalerkinStart:
             warnings.simplefilter("error")
             x, _, _, _ = solve_step(rhs, nu, cfg, kappa, g, x0=x_true.copy(),
                                     basis=np.array([zero, zero, zero]))
-            assert np.array_equal(x, x_true)
+            # lift rewrites the reds by round-off, as in the warm start above
+            assert norm(x - x_true, g) <= 1e-14 * norm(x_true, g)
             x, _, _, res = solve_step(rhs, nu, cfg, kappa, g,
                                       x0=np.full(g.cell_shape(), np.mean(x_true)),
                                       basis=np.array([delta, zero, 2.0 * delta]))
