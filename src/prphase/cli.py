@@ -27,9 +27,10 @@ from dataclasses import fields
 from importlib import resources
 
 from . import diagnostics
-from .config import DEFAULT_BOUNDS_FACTORS, SimConfig, density_window, load_config
+from .config import (DEFAULT_BOUNDS_FACTORS, SimConfig, _resolve_substance, density_window,
+                     load_config)
 from .ef import minimal_lambda
-from .eos import derive_eos_params, get_substance, load_substance
+from .eos import derive_eos_params
 from .errors import (
     BoundsViolationError,
     ConfigError,
@@ -60,12 +61,6 @@ def _resolve_config_arg(arg: str) -> str:
     if candidate.is_file():
         return str(candidate)
     raise ConfigError(f"no config file or preset named {arg!r}")
-
-
-def _resolve_substance_arg(arg: str):
-    if os.path.exists(arg):
-        return load_substance(arg)
-    return get_substance(arg)
 
 
 def _cmd_run(args) -> int:
@@ -105,7 +100,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_props(args) -> int:
-    substance = _resolve_substance_arg(args.substance)
+    substance = _resolve_substance(args.substance, os.getcwd(), [])
     p = derive_eos_params(substance, args.T, vartheta0=args.vartheta0)
     print(f"{substance.name} at T = {args.T} K")
     print(f"  m        {p.m!r}")

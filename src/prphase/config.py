@@ -13,12 +13,9 @@ A run file looks like::
       square_droplet: {half_side: 7.5e-9}
     # everything below is optional
     vartheta0: 0.0
-    R: 8.31446261815324
     bounds_factors: [0.9, 1.1]   # window [0.9*c_gas, 1.1*c_liq]
     lambda: null                 # null -> minimal admissible shift
-    solver: {cg_rel_tol: 1.0e-10, cg_max_iter: null, preconditioner: diagonal,
-             mobility: 1.0, on_violation: continue,
-             energy_slack_rel: 1.0e-8, bounds_slack_rel: 1.0e-10}
+    solver: {cg_rel_tol: 1.0e-10, on_violation: continue}
     output: {directory: out, snapshot_every: 50, formats: [txt]}
 
 ``load_config`` builds the run's model from its own types: the constants
@@ -26,14 +23,14 @@ A run file looks like::
 the mesh of the square [-L_half, L_half]^2 (``grid.Grid2D``), one
 ``solver.SolverConfig`` from ``tau`` and the ``solver`` table, and one
 ``OutputOptions``; the fields and defaults of the last two define their
-tables.  Each type owns its rules.  The loader coerces YAML types, rejects
-unknown and missing keys, checks what concerns the file itself (N == M;
-``density_window``, which ``prphase props`` shares, checks c_gas < c_liq and
-a window holding both) and reports a ``ParameterError`` as a ``ConfigError``
-naming the key.  Every applied default is recorded in
-``SimConfig.provenance`` so ``prphase check`` can show exactly what a run
-will use.  ``experiment.build_initial`` builds the initial field and checks
-it against the window.
+tables, and ``prphase check`` prints them.  Each type owns its rules.  The
+loader coerces YAML types, rejects unknown and missing keys, checks what
+concerns the file itself (N == M; ``density_window``, which ``prphase props``
+shares, checks c_gas < c_liq and a window holding both) and reports a
+``ParameterError`` as a ``ConfigError`` naming the key.  Every applied
+default is recorded in ``SimConfig.provenance`` so ``prphase check`` can
+show exactly what a run will use.  ``experiment.build_initial`` builds the
+initial field and checks it against the window.
 """
 
 from __future__ import annotations
@@ -106,7 +103,6 @@ class SimConfig:
     n_steps: int
     c_gas: float
     c_liq: float
-    bounds_factors: Tuple[float, float]
     window: EfParams
     initial: InitialCondition
     solver: SolverConfig
@@ -203,6 +199,8 @@ def _load_table(raw: dict, name: str, cls, provenance: List[str], **fixed):
 
 
 def _resolve_substance(raw, base_dir: str, provenance: List[str]) -> Substance:
+    """The substance of a file path (relative to ``base_dir``), else of a
+    preset name, or of an inline table; ``prphase props`` shares the rule."""
     if raw is None:
         provenance.append("substance: default preset nC4")
         return get_substance("nC4")
@@ -212,7 +210,7 @@ def _resolve_substance(raw, base_dir: str, provenance: List[str]) -> Substance:
             return load_substance(candidate)
         try:
             return get_substance(raw)
-        except Exception as exc:
+        except ParameterError as exc:
             raise ConfigError(f"substance: {raw!r} is neither a preset nor a readable file ({exc})") from exc
     if isinstance(raw, dict):
         with _config_error():
@@ -283,7 +281,7 @@ def load_config(path: str) -> SimConfig:
     base_dir = os.path.dirname(os.path.abspath(path))
 
     known = {
-        "substance", "T", "vartheta0", "R", "grid", "tau", "n_steps",
+        "substance", "T", "vartheta0", "grid", "tau", "n_steps",
         "c_gas", "c_liq", "bounds_factors", "lambda", "initial_condition",
         "solver", "output",
     }
@@ -293,15 +291,13 @@ def load_config(path: str) -> SimConfig:
 
     substance = _resolve_substance(raw.get("substance"), base_dir, provenance)
     T = _as_float(_require(raw, "T", ""), "T")
-    eos_defaults = inspect.signature(derive_eos_params).parameters
-    eos_kwargs = {}
-    for key in ("vartheta0", "R"):
-        if key in raw:
-            eos_kwargs[key] = _as_float(raw[key], key)
-        else:
-            provenance.append(f"{key}: default {eos_defaults[key].default!r}")
+    if "vartheta0" in raw:
+        vartheta0 = _as_float(raw["vartheta0"], "vartheta0")
+    else:
+        vartheta0 = inspect.signature(derive_eos_params).parameters["vartheta0"].default
+        provenance.append(f"vartheta0: default {vartheta0!r}")
     with _config_error():
-        eos = derive_eos_params(substance, T, **eos_kwargs)
+        eos = derive_eos_params(substance, T, vartheta0)
 
     grid_raw = _require(raw, "grid", "")
     if not isinstance(grid_raw, dict):
@@ -344,7 +340,7 @@ def load_config(path: str) -> SimConfig:
 
     return SimConfig(
         substance=substance, eos=eos, grid=grid, n_steps=n_steps,
-        c_gas=c_gas, c_liq=c_liq, bounds_factors=bf, window=window, initial=initial,
+        c_gas=c_gas, c_liq=c_liq, window=window, initial=initial,
         solver=solver, output=output,
         source_path=os.path.abspath(path), provenance=tuple(provenance),
     )

@@ -44,7 +44,9 @@ and the bulk energy density f_b: ``scheme_coefficients`` and
 ``diagnostics.admissible_interval`` call it.  It takes the sum of
 logarithms that is f_b/c once, builds mu_b from it, and gets s_r as
 nu*c - mu_b.  ``scheme_coefficients``, the per-state pass, adds the state's
-discrete energy and extreme densities; the time stepper judges the window.
+discrete energy and extreme densities.  ``EfParams.contains`` is the one
+rule of the window with its round-off slack: the time stepper judges each
+state's extremes by it, and ``require_in_window`` a field's cells.
 """
 
 from __future__ import annotations
@@ -62,6 +64,8 @@ from .grid import RED, Grid2D, _Checkerboard
 ArrayLike = Union[float, np.ndarray]
 
 _SQRT2 = math.sqrt(2.0)
+#: The window check's round-off allowance, as a fraction of max(|c_m|, |c_M|).
+WINDOW_SLACK_REL = 1e-10
 
 
 def minimal_lambda(epsilon_0: float) -> float:
@@ -115,6 +119,17 @@ class EfParams:
             raise ParameterError(f"lam = {lam} is below the minimal admissible shift {lam_min}; "
                                  "override upward only", key="lam")
         return cls(lam=float(lam), c_m=float(c_m), c_M=float(c_M), epsilon_0=epsilon_0)
+
+    @property
+    def slack(self) -> float:
+        """The window check's allowance in mol/m^3 for round-off excursions."""
+        return WINDOW_SLACK_REL * max(abs(self.c_m), abs(self.c_M))
+
+    def contains(self, c: ArrayLike) -> ArrayLike:
+        """Whether ``c`` lies in [c_m - slack, c_M + slack], elementwise for
+        an array; ``nan`` does not."""
+        slack = self.slack
+        return (c >= self.c_m - slack) & (c <= self.c_M + slack)
 
 
 def _pointwise(c: ArrayLike, p: EosParams, lam: float, what: str,
@@ -210,22 +225,21 @@ class SchemeCoefficients:
     c_max: float
 
 
-def require_in_window(c: np.ndarray, ef: EfParams, bounds_slack: float, what: str) -> None:
-    """Raise ``BoundsViolationError`` unless ``c`` lies in [c_m, c_M].
+def require_in_window(c: np.ndarray, ef: EfParams, what: str) -> None:
+    """Raise ``BoundsViolationError`` unless every cell of ``c`` passes
+    ``ef.contains``, the window with its round-off slack.
 
-    ``bounds_slack`` is an absolute allowance (mol/m^3) for round-off
-    excursions just outside the window; the error names ``what`` and carries
-    the first offending flat cell index and its value.  A cell passes only
-    if it is inside the window, so ``nan`` fails.
+    The error names ``what`` and carries the first offending flat cell
+    index and its value; ``nan`` fails.
     """
     c = np.asarray(c, dtype=float)
-    inside = (c >= ef.c_m - bounds_slack) & (c <= ef.c_M + bounds_slack)
+    inside = ef.contains(c)
     if not np.all(inside):
         idx = int(np.flatnonzero(~inside.ravel())[0])
         val = float(c.ravel()[idx])
         raise BoundsViolationError(
             f"{what}: cell {idx}: density {val} outside the window "
-            f"[{ef.c_m}, {ef.c_M}] (slack {bounds_slack})",
+            f"[{ef.c_m}, {ef.c_M}] (slack {ef.slack})",
             cell_index=idx,
             value=val,
         )

@@ -197,13 +197,13 @@ def derive_eos_params(
     substance: Substance,
     T: float,
     vartheta0: float = 0.0,
-    R: float = R_DEFAULT,
 ) -> EosParams:
-    """Evaluate all temperature-dependent model constants.
+    """Evaluate all temperature-dependent model constants, with the gas
+    constant ``R_DEFAULT``.
 
     Warns (without failing) when T >= T_c, where the model has no
-    two-phase region.  ``EosParams`` checks R and vartheta0; T is checked
-    here because it enters sqrt(T/T_c).
+    two-phase region.  ``EosParams`` checks vartheta0; T is checked here
+    because it enters sqrt(T/T_c).
     """
     if not (isinstance(T, (int, float)) and math.isfinite(T) and T > 0):
         raise ParameterError(f"T: must be finite and positive, got {T!r}", key="T")
@@ -217,6 +217,7 @@ def derive_eos_params(
     omega = substance.omega
     m = acentric_polynomial(omega)
     T_r = T / substance.T_c
+    R = R_DEFAULT
     alpha = (
         0.45724 * R**2 * substance.T_c**2 / substance.P_c
         * (1.0 + m * (1.0 - math.sqrt(T_r))) ** 2
@@ -227,7 +228,7 @@ def derive_eos_params(
     a1 = 1.0e-16 / (0.9051 + 1.5410 * omega)
     kappa = alpha * beta ** (2.0 / 3.0) * (a0 * (1.0 - T_r) + a1)
 
-    return EosParams(T=float(T), R=float(R), vartheta0=float(vartheta0),
+    return EosParams(T=float(T), R=R, vartheta0=float(vartheta0),
                      m=m, alpha=alpha, beta=beta, kappa=kappa)
 
 

@@ -98,7 +98,7 @@ def build_initial(cfg: SimConfig) -> np.ndarray:
             raise ConfigError(f"initial_condition: unknown kind {ic.kind!r}")
         c = np.full(g.cell_shape(), cfg.c_gas)
         c[mask] = cfg.c_liq
-    require_in_window(c, cfg.window, cfg.solver.bounds_slack(cfg.window), "initial_condition")
+    require_in_window(c, cfg.window, "initial_condition")
     return c
 
 

@@ -2,11 +2,11 @@
 
 One step solves, for the new cell field c and a scalar mu_e,
 
-    c/tau_eff - kappa*Lap(c) + nu(c_old)*c = c_old/tau_eff + s_r(c_old) + mu_e
+    c/tau - kappa*Lap(c) + nu(c_old)*c = c_old/tau + s_r(c_old) + mu_e
     <c, 1> = c_t                                       (total moles fixed)
 
-where tau_eff = mobility*tau and Lap is the Neumann five-point Laplacian.
-The operator A = I/tau_eff - kappa*Lap + nu is symmetric positive definite.
+where Lap is the Neumann five-point Laplacian.  The operator
+A = I/tau - kappa*Lap + nu is symmetric positive definite.
 
 Colour the cells like a checkerboard.  The five-point stencil couples a red
 cell only to black ones, so A's red block is diagonal and the red unknowns
@@ -27,7 +27,7 @@ Each colour is held as one flat half of a grid whose rows are padded to an
 odd width, so a cell's colour is the parity of its padded flat index and a
 half-stencil is four shifted slices of one flat run
 (``grid._Checkerboard``).  Over s = kappa/h^2, A = e - N, e = nu/s + the
-number of in-domain neighbours + 1/(tau_eff*s).  The sums run through
+number of in-domain neighbours + 1/(tau*s).  The sums run through
 ``np.einsum`` and ndarray ``sum``, not BLAS, so a run gives the same bits
 whatever the number of BLAS threads.
 
@@ -97,28 +97,23 @@ class SolverConfig:
 
     tau : time-step size in s.
     cg_rel_tol : stop conjugate gradients once the step's residual has
-        ||r|| <= cg_rel_tol*||rhs||, rhs = c_old/tau_eff + s_r; a zero rhs
+        ||r|| <= cg_rel_tol*||rhs||, rhs = c_old/tau + s_r; a zero rhs
         is refused (``_BlackSystem.solve``).
     cg_max_iter : iteration cap; ``None`` means 10 * (number of cells).
     preconditioner : "diagonal", the only value: the diagonal of the
         black-cell system (``_BlackSystem``) plus its rank-one mass term.
-    mobility : constant mobility folded into the effective step tau*mobility.
     on_violation : "continue" records failed invariant checks in the step
         report; "abort" raises instead.
     energy_slack_rel : dissipation checks allow an increase of this fraction
         of the reference energy (absorbs finite solver residuals only).
-    bounds_slack_rel : window checks allow excursions of this fraction of
-        max(|c_m|, |c_M|).
     """
 
     tau: float
     cg_rel_tol: float = 1e-10
     cg_max_iter: Optional[int] = None
     preconditioner: str = "diagonal"
-    mobility: float = 1.0
     on_violation: str = "continue"
     energy_slack_rel: float = 1e-8
-    bounds_slack_rel: float = 1e-10
 
     def __post_init__(self):
         # ParameterError.key names the field; the config loader maps it to a YAML key.
@@ -128,26 +123,16 @@ class SolverConfig:
             ("cg_max_iter", self.cg_max_iter is None or self.cg_max_iter >= 1, "must be >= 1"),
             ("preconditioner", self.preconditioner in _PRECONDITIONERS,
              f"must be one of {_PRECONDITIONERS}"),
-            ("mobility", math.isfinite(self.mobility) and self.mobility > 0,
-             "must be finite and positive"),
             ("on_violation", self.on_violation in _VIOLATION_MODES,
              f"must be one of {_VIOLATION_MODES}"),
             ("energy_slack_rel", self.energy_slack_rel >= 0, "must be nonnegative"),
-            ("bounds_slack_rel", self.bounds_slack_rel >= 0, "must be nonnegative"),
         )
         for key, ok, rule in rules:
             if not ok:
                 raise ParameterError(f"{key}: {rule}, got {getattr(self, key)!r}", key=key)
 
-    def tau_eff(self) -> float:
-        return self.tau * self.mobility
-
     def resolved_max_iter(self, g: Grid2D) -> int:
         return self.cg_max_iter if self.cg_max_iter is not None else 10 * g.ncells
-
-    def bounds_slack(self, ef: EfParams) -> float:
-        """Absolute window allowance in mol/m^3 for the window of ``ef``."""
-        return self.bounds_slack_rel * max(abs(ef.c_m), abs(ef.c_M))
 
 
 @dataclass(frozen=True)
@@ -213,8 +198,8 @@ class _BlackSystem:
     state (``state``) and nu's pair (``nu``), the views of their spans and
     pads, of each row's four shifted half-stencil slices (on first use),
     and what ``fold_diagonal`` adds to nu/s to make A's diagonal over s:
-    1/(tau_eff*s) plus the number of a cell's in-domain neighbours, the
-    Neumann condition.  That is the scalar ``diag`` = 4 + 1/(tau_eff*s)
+    1/(tau*s) plus the number of a cell's in-domain neighbours, the
+    Neumann condition.  That is the scalar ``diag`` = 4 + 1/(tau*s)
     over both spans, pads included, but on the edge cells, whose flat
     indices in ``rows`` and own values are a table of O(nx + ny) entries
     (``edges``, ``edge_values``).  A solve keeps nothing else from the
@@ -255,7 +240,7 @@ class _BlackSystem:
         span = board.span
         self.spans = [row[span] for row in rows]
         self.flat = rows.reshape(-1)
-        self.diag = diag = 4.0 + 1.0 / (cfg.tau_eff() * s)
+        self.diag = diag = 4.0 + 1.0 / (cfg.tau * s)
         # each edge cell's diagonal less nu/s: diag less 1 per missing neighbour
         edges: dict = {}
         for colour, row in ((RED, self.D), (BLACK, self.E)):
@@ -609,7 +594,6 @@ def run(
             f"[{interval.mu_lower}, {interval.mu_upper}]"
         )
 
-    slack = cfg.bounds_slack(ef)
     system = _BlackSystem(g, p.kappa, cfg)
     board, state, rows = system.board, system.state, system.rows
     board.split(c, state)
@@ -629,15 +613,15 @@ def run(
                     # Names the offending cell.  Only the initial state gets
                     # here, which c still holds: a later one aborts with its
                     # own report.
-                    require_in_window(c, ef, slack, f"step {n}")
+                    require_in_window(c, ef, f"step {n}")
                 warnings.warn(
                     f"step {n}: previous state leaves the density window "
                     f"[{ef.c_m}, {ef.c_M}]; continuing as configured",
                     stacklevel=2,
                 )
-            # The right-hand side c/tau_eff + s_r is built in s_r's pair.
+            # The right-hand side c/tau + s_r is built in s_r's pair.
             b = coeffs.s_r
-            b += np.divide(state, cfg.tau_eff(), out=fields[2])
+            b += np.divide(state, cfg.tau, out=fields[2])
             np.copyto(old, state[BLACK])
             mu_e, iters, res = system.solve(b, basis, m, total)
             m = _push_differences(basis, m, state[BLACK], old)
@@ -654,7 +638,7 @@ def run(
             cg_iters=iters, residual=res,
             # the initial state has no multiplier and nothing to dissipate
             admissibility_ok=not n or interval.contains(mu_e),
-            bounds_ok=bool(coeffs.c_min >= ef.c_m - slack and coeffs.c_max <= ef.c_M + slack),
+            bounds_ok=bool(ef.contains(coeffs.c_min) and ef.contains(coeffs.c_max)),
             energy_decreased=not n or bool(coeffs.energy.total <= report.energy + energy_slack),
         )
         if n and cfg.on_violation == "abort" and not report.all_ok:

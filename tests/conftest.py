@@ -134,7 +134,7 @@ def loaded_system(g, kappa, cfg, nu, x0):
 
 
 def apply_operator(c, nu, cfg, kappa, g):
-    """A c = c/tau_eff - kappa*Lap(c) + nu*c through the solve's own halves:
+    """A c = c/tau - kappa*Lap(c) + nu*c through the solve's own halves:
     its diagonal (``_BlackSystem.fold_diagonal``) and its half-stencils."""
     system = loaded_system(g, kappa, cfg, nu, c)
     s = system.s

@@ -33,7 +33,7 @@ def used_names():
 
 def read_names():
     """Names read anywhere in the package outside ``__init__.py``, bare or
-    as an attribute of any object (``self.reduce``, ``cfg.tau_eff``)."""
+    as an attribute of any object (``self.reduce``, ``cfg.resolved_max_iter``)."""
     names = set()
     for path, tree in parsed_modules():
         if path.name == "__init__.py":

@@ -68,6 +68,11 @@ class TestCheck:
         assert main(["check", write_config(tmp_path, d)]) == 2
         assert "T: missing" in capsys.readouterr().err
 
+    def test_removed_setting_is_refused(self, tmp_path, capsys):
+        path = write_config(tmp_path, tiny_dict(solver={"mobility": 2.0}))
+        assert main(["check", path]) == 2
+        assert "solver: unknown keys ['mobility']" in capsys.readouterr().err
+
     # Each config passes the loader's own YAML checks but breaks a condition
     # of the model: the window's packing limit, the minimal shift, an initial
     # field outside the window, a snapshot of the wrong grid, a snapshot with

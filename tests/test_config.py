@@ -56,7 +56,6 @@ class TestPreset:
         assert cfg.n_steps == 200
         assert cfg.c_gas == 249.1123
         assert cfg.c_liq == 9526.8428
-        assert cfg.bounds_factors == (0.9, 1.1)
         assert cfg.window.lam == minimal_lambda(cfg.window.epsilon_0)
         assert cfg.initial.kind == "square_droplet"
         assert cfg.initial.half_side == 7.5e-9
@@ -69,12 +68,11 @@ class TestPreset:
         assert cfg.window.c_M == pytest.approx(1.1 * cfg.c_liq, rel=1e-15)
 
     def test_defaults_are_recorded(self):
-        # the preset leaves R and some solver knobs to their defaults; each
-        # applied default shows up as one provenance line
+        # the preset leaves some solver knobs to their defaults; each applied
+        # default shows up as one provenance line
         cfg = load_config(PRESET)
-        assert any(line.startswith("R:") for line in cfg.provenance)
-        assert any("solver.mobility" in line for line in cfg.provenance)
         assert any("solver.cg_max_iter" in line for line in cfg.provenance)
+        assert any("solver.energy_slack_rel" in line for line in cfg.provenance)
         assert not any("vartheta0" in line for line in cfg.provenance)  # set explicitly
 
 
@@ -103,8 +101,10 @@ class TestLoadConfig:
             load_config(write_config(tmp_path, d))
 
     def test_unknown_key_rejected(self, tmp_path):
-        with pytest.raises(ConfigError, match="temperture"):
-            load_config(write_config(tmp_path, base_dict(temperture=300.0)))
+        # R is the gas constant R_DEFAULT, not a run setting
+        for key, value in (("temperture", 300.0), ("R", 8.314)):
+            with pytest.raises(ConfigError, match=rf"unknown config keys: \['{key}'\]"):
+                load_config(write_config(tmp_path, base_dict(**{key: value})))
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
@@ -157,7 +157,7 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="bounds_factors"):
             load_config(write_config(tmp_path, base_dict(bounds_factors=bf)))
 
-    @pytest.mark.parametrize("key,value", [("T", -1.0), ("R", 0.0)])
+    @pytest.mark.parametrize("key,value", [("T", -1.0)])
     def test_model_constant_validation(self, tmp_path, key, value):
         with pytest.raises(ConfigError, match=f"^{key}: "):
             load_config(write_config(tmp_path, base_dict(**{key: value})))
@@ -197,6 +197,9 @@ class TestLoadConfig:
         ({"petsc": True}, "unknown keys"),
         ({"cg_rel_tol": 2.0}, "solver.cg_rel_tol"),
         ({"preconditioner": "none"}, "preconditioner"),
+        # tau alone sets the step, and the window's slack is the model's
+        ({"mobility": 2.0}, r"solver: unknown keys \['mobility'\]"),
+        ({"bounds_slack_rel": 0.0}, r"solver: unknown keys \['bounds_slack_rel'\]"),
     ])
     def test_solver_validation(self, tmp_path, solver, msg):
         with pytest.raises(ConfigError, match=msg):

@@ -200,7 +200,7 @@ class TestRequireInWindow:
         c = np.full((4, 5), 1000.0)
         c[2, 3] = window.c_M * 1.5
         with pytest.raises(BoundsViolationError) as exc:
-            require_in_window(c, window, 0.0, "test")
+            require_in_window(c, window, "test")
         assert exc.value.cell_index == 2 * 5 + 3
         assert exc.value.value == pytest.approx(window.c_M * 1.5)
 
@@ -208,15 +208,16 @@ class TestRequireInWindow:
         c = np.full((1, 6), window.c_m)
         c[0, 4] = 0.5 * window.c_m
         with pytest.raises(BoundsViolationError) as exc:
-            require_in_window(c, window, 0.0, "test")
+            require_in_window(c, window, "test")
         assert exc.value.cell_index == 4
 
     def test_bounds_slack_absorbs_roundoff(self, window):
         slack = 1e-10 * window.c_M
+        assert window.slack == slack
         c = np.full((1, 3), window.c_M + 0.5 * slack)
-        require_in_window(c, window, slack, "test")
+        require_in_window(c, window, "test")
         with pytest.raises(BoundsViolationError):
-            require_in_window(c + slack, window, slack, "test")
+            require_in_window(c + slack, window, "test")
 
 
 def draw_grid(data):

@@ -1,7 +1,7 @@
 """``run`` step by step against a dense reference march.
 
 A reference step takes nu and s_r at the old state from ``reference.py``'s
-formulas, assembles A = I/tau_eff - kappa*Lap_h + diag(nu) from the Neumann
+formulas, assembles A = I/tau - kappa*Lap_h + diag(nu) from the Neumann
 five-point Laplacian written out cell by cell, and solves the (n+1) x (n+1)
 system of A, the multiplier and the mass constraint with
 ``numpy.linalg.solve``.  It shares no code with ``prphase.solver``, so a
@@ -10,10 +10,10 @@ here even when the march's invariants hold.
 
 Each reference step starts from the state ``run`` reached, so the bound is
 that of one solve.  ``run`` stops conjugate gradients at ||r|| <= tol*||b||,
-b = c/tau_eff + s_r, with the mass exact.  The error e of the new state then
+b = c/tau + s_r, with the mass exact.  The error e of the new state then
 has <e, 1> = 0 and A e = dmu*1 - r, so ||e|| <= ||r||/lambda_min(A) and
 |dmu| <= (lambda_max/lambda_min)*||r||/sqrt(n), with lambda_min >=
-1/tau_eff + min(nu) and lambda_max <= 1/tau_eff + max(nu) + 8*kappa/h^2.
+1/tau + min(nu) and lambda_max <= 1/tau + max(nu) + 8*kappa/h^2.
 """
 
 import math
@@ -35,18 +35,18 @@ TOL = 1e-13
 ROUNDOFF = 1e-14
 
 
-def reference_step(c, lam, p, tau_eff, lap):
+def reference_step(c, lam, p, tau, lap):
     """(new state, mu_e, ||b||, lambda_min bound, lambda_max bound) of one step from ``c``."""
     n = c.size
     nu, s_r = scheme_coefficients(c.ravel(), lam, p)
-    b = c.ravel() / tau_eff + s_r
+    b = c.ravel() / tau + s_r
     kkt = np.zeros((n + 1, n + 1))
-    kkt[:n, :n] = np.diag(1.0 / tau_eff + nu) - p.kappa * lap
+    kkt[:n, :n] = np.diag(1.0 / tau + nu) - p.kappa * lap
     kkt[:n, n] = -1.0
     kkt[n, :n] = 1.0
     sol = np.linalg.solve(kkt, np.append(b, np.sum(c)))
-    lam_lo = 1.0 / tau_eff + float(np.min(nu))
-    lam_hi = 1.0 / tau_eff + float(np.max(nu)) - 8.0 * p.kappa * float(np.min(np.diag(lap)) / 4.0)
+    lam_lo = 1.0 / tau + float(np.min(nu))
+    lam_hi = 1.0 / tau + float(np.max(nu)) - 8.0 * p.kappa * float(np.min(np.diag(lap)) / 4.0)
     return sol[:n].reshape(c.shape), float(sol[n]), float(np.linalg.norm(b)), lam_lo, lam_hi
 
 
@@ -100,7 +100,7 @@ def march_errors(g, tau, c0, n_steps, window, nc4):
         if not n:
             continue
         x, mu, b_norm, lam_lo, lam_hi = reference_step(states[n - 1], window.lam, nc4,
-                                                        cfg.tau_eff(), lap)
+                                                        cfg.tau, lap)
         r_norm = TOL * b_norm
         state_bound = r_norm / lam_lo + ROUNDOFF * float(np.max(np.abs(x)))
         mu_bound = lam_hi / lam_lo * r_norm / math.sqrt(g.ncells) + ROUNDOFF * abs(mu)

@@ -18,6 +18,7 @@ from prphase import (
 )
 from prphase import solver as solver_module
 from prphase.config import load_config
+from prphase.ef import require_in_window
 from prphase.grid import BLACK, RED
 from prphase.solver import START_DIRECTIONS, _BlackSystem, _push_differences
 
@@ -37,11 +38,11 @@ def toy():
 
 
 def dense_operator(g, nu, cfg, kappa):
-    """A = I/tau_eff - kappa*Lap_h + diag(nu) as a dense matrix, from the
+    """A = I/tau - kappa*Lap_h + diag(nu) as a dense matrix, from the
     Laplacian written out cell by cell."""
     mat = neumann_laplacian(g)
     mat *= -kappa
-    mat[np.diag_indices(g.ncells)] += 1.0 / cfg.tau_eff() + nu.ravel()
+    mat[np.diag_indices(g.ncells)] += 1.0 / cfg.tau + nu.ravel()
     return mat
 
 
@@ -105,14 +106,14 @@ class TestOperator:
 
     def test_positive_definite_lower_bound(self, toy):
         g, nu, cfg, kappa, r = toy
-        lower = 1.0 / cfg.tau_eff() + float(np.min(nu))
+        lower = 1.0 / cfg.tau + float(np.min(nu))
         for _ in range(20):
             c = r.standard_normal(g.cell_shape())
             quad = inner(apply_operator(c, nu, cfg, kappa, g), c, g)
             assert quad >= lower * inner(c, c, g) * (1 - 1e-12)
 
     def test_diagonal_matches_dense_matrix(self, toy):
-        # the diagonal a solve builds in nu's pair, 1/tau_eff + nu + kappa/h^2
+        # the diagonal a solve builds in nu's pair, 1/tau + nu + kappa/h^2
         # per in-domain neighbour, on strips too, where a boundary cell lacks
         # neighbours on both sides
         _, _, cfg, kappa, r = toy
@@ -125,13 +126,13 @@ class TestOperator:
             e = system.s * system.board.join(system.nu, np.empty(g.cell_shape()))
             ones = np.pad(np.ones(g.cell_shape()), 1)
             count = ones[:-2, 1:-1] + ones[2:, 1:-1] + ones[1:-1, :-2] + ones[1:-1, 2:]
-            want = 1.0 / cfg.tau_eff() + nu + kappa / (g.h * g.h) * count
+            want = 1.0 / cfg.tau + nu + kappa / (g.h * g.h) * count
             assert np.max(np.abs(e - want) / want) <= 1e-15
 
     @pytest.mark.parametrize("ny,nx", [(1, 1), (1, 5), (5, 1), (2, 2), (6, 8), (5, 7), (37, 13)])
     def test_diagonal_is_that_of_a_stored_fixed_pair(self, ny, nx):
         # The diagonal as it was built from a stored pair, A's diagonal over
-        # s less nu/s: 4 + 1/(tau_eff*s) over both spans, less 1 per edge
+        # s less nu/s: 4 + 1/(tau*s) over both spans, less 1 per edge
         # that a cell lies on, added to nu/s.  fold_diagonal keeps no pair,
         # and must give the same bits, in every entry of nu's pair.
         g = Grid2D(nx=nx, ny=ny, h=0.5)
@@ -139,7 +140,7 @@ class TestOperator:
         system = _BlackSystem(g, kappa, cfg)
         board, s = system.board, system.s
         fixed = np.zeros((2, board.size))
-        fixed[:, board.span] = 4.0 + 1.0 / (cfg.tau_eff() * s)
+        fixed[:, board.span] = 4.0 + 1.0 / (cfg.tau * s)
         for colour in (RED, BLACK):
             for edge in ({"i": 0}, {"i": g.ny - 1}, {"j": 0}, {"j": g.nx - 1}):
                 fixed[colour, board.line(colour, **edge)] -= 1.0
@@ -158,7 +159,7 @@ class TestOperator:
         for _ in range(2):
             c = r.standard_normal((ny, nx))
             got = apply_operator(c, nu, cfg, kappa, g)
-            ref = c / cfg.tau_eff() - kappa * staggered_laplacian(c, g) + nu * c
+            ref = c / cfg.tau - kappa * staggered_laplacian(c, g) + nu * c
             assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
@@ -680,7 +681,6 @@ class TestSolverConfig:
         dict(tau=1.0, cg_rel_tol=1.5),
         dict(tau=1.0, cg_max_iter=0),
         dict(tau=1.0, preconditioner="ilu"),
-        dict(tau=1.0, mobility=0.0),
         dict(tau=1.0, on_violation="ignore"),
         dict(tau=1.0, energy_slack_rel=-1e-3),
         dict(tau=1.0, preconditioner="none"),
@@ -688,9 +688,6 @@ class TestSolverConfig:
     def test_validation(self, kwargs):
         with pytest.raises(ParameterError):
             SolverConfig(**kwargs)
-
-    def test_effective_step(self):
-        assert SolverConfig(tau=2.0, mobility=3.0).tau_eff() == 6.0
 
     def test_iteration_cap_default_scales_with_cells(self):
         g = Grid2D(nx=5, ny=4, h=1.0)
@@ -740,11 +737,21 @@ class TestStep:
         assert report.energy_decreased
         assert window.c_m <= report.c_min <= report.c_max <= window.c_M
 
-    def test_mobility_is_a_time_rescaling(self, nc4, window, droplet_setup):
-        g, c0, _ = droplet_setup
-        a, _ = run(c0, 1, window, nc4, SolverConfig(tau=2e9, mobility=5.0), g)
-        b, _ = run(c0, 1, window, nc4, SolverConfig(tau=1e10, mobility=1.0), g)
-        assert np.array_equal(a, b)
+    @pytest.mark.parametrize("excess,inside", [(0.5, True), (1.5, False)])
+    def test_window_slack_on_both_checks(self, nc4, window, droplet_setup, excess, inside):
+        # a uniform state above c_M by a part of the window's round-off
+        # slack: the initial field's check and the step-0 report agree
+        g, _, cfg = droplet_setup
+        c0 = np.full(g.cell_shape(), window.c_M + excess * window.slack)
+        assert c0[0, 0] > window.c_M
+        seen = []
+        run(c0, 0, window, nc4, cfg, g, observer=lambda c, report: seen.append(report))
+        assert [report.bounds_ok for report in seen] == [inside]
+        if inside:
+            require_in_window(c0, window, "test")
+        else:
+            with pytest.raises(BoundsViolationError, match="outside the window"):
+                require_in_window(c0, window, "test")
 
     def test_shape_mismatch(self, nc4, window, droplet_setup):
         g, _, cfg = droplet_setup
