@@ -27,7 +27,7 @@ from dataclasses import fields
 from importlib import resources
 
 from . import diagnostics
-from .config import (DEFAULT_BOUNDS_FACTORS, SimConfig, _resolve_substance, density_window,
+from .config import (DEFAULT_BOUNDS_FACTORS, SimConfig, _substance_at, density_window,
                      load_config)
 from .ef import minimal_lambda
 from .eos import derive_eos_params
@@ -100,7 +100,10 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_props(args) -> int:
-    substance = _resolve_substance(args.substance, os.getcwd(), [])
+    try:
+        substance = _substance_at(args.substance, os.getcwd())
+    except ParameterError as exc:
+        raise ParameterError(f"props: substance argument {exc}") from None
     p = derive_eos_params(substance, args.T, vartheta0=args.vartheta0)
     print(f"{substance.name} at T = {args.T} K")
     print(f"  m        {p.m!r}")

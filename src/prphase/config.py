@@ -198,20 +198,28 @@ def _load_table(raw: dict, name: str, cls, provenance: List[str], **fixed):
         return cls(**kwargs)
 
 
+def _substance_at(raw: str, base_dir: str) -> Substance:
+    """The substance of the file path ``raw`` (relative to ``base_dir``), else
+    of the preset named ``raw``; ``prphase props`` shares the rule.  Raises
+    ``ParameterError``, without naming where ``raw`` came from."""
+    candidate = raw if os.path.isabs(raw) else os.path.join(base_dir, raw)
+    if os.path.exists(candidate):
+        return load_substance(candidate)
+    try:
+        return get_substance(raw)
+    except ParameterError as exc:
+        raise ParameterError(f"{raw!r} is neither a preset nor a readable file ({exc})") from exc
+
+
 def _resolve_substance(raw, base_dir: str, provenance: List[str]) -> Substance:
-    """The substance of a file path (relative to ``base_dir``), else of a
-    preset name, or of an inline table; ``prphase props`` shares the rule."""
+    """The substance of the run file's ``substance`` value: a file path or a
+    preset name (``_substance_at``), or an inline table."""
     if raw is None:
         provenance.append("substance: default preset nC4")
         return get_substance("nC4")
     if isinstance(raw, str):
-        candidate = raw if os.path.isabs(raw) else os.path.join(base_dir, raw)
-        if os.path.exists(candidate):
-            return load_substance(candidate)
-        try:
-            return get_substance(raw)
-        except ParameterError as exc:
-            raise ConfigError(f"substance: {raw!r} is neither a preset nor a readable file ({exc})") from exc
+        with _config_error("substance: "):
+            return _substance_at(raw, base_dir)
     if isinstance(raw, dict):
         with _config_error():
             return substance_from_table(raw, "substance")

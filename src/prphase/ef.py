@@ -57,7 +57,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .eos import EosParams, _require_admissible
+from .eos import R_DEFAULT, EosParams, _require_admissible
 from .errors import BoundsViolationError, DomainError, ParameterError
 from .grid import RED, Grid2D, _Checkerboard
 
@@ -156,7 +156,7 @@ def _pointwise(c: ArrayLike, p: EosParams, lam: float, what: str,
     """
     c = np.asarray(c, dtype=float)
     extremes = _require_admissible(c, p, what)
-    RT = p.R * p.T
+    RT = R_DEFAULT * p.T
     ln1m, u, f, bc, w = fields if fields is not None else [np.empty_like(c) for _ in range(5)]
     np.multiply(p.beta, c, out=bc)
     np.subtract(1.0, bc, out=u)

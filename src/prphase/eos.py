@@ -131,14 +131,13 @@ def load_substance(path: str) -> Substance:
 
 @dataclass(frozen=True)
 class EosParams:
-    """Derived model constants for one substance at one temperature.
+    """Derived model constants for one substance at one temperature; the
+    gas constant is ``R_DEFAULT``.
 
     Attributes
     ----------
     T : float
         Temperature in K.
-    R : float
-        Molar gas constant in J/(mol K).
     vartheta0 : float
         Reference chemical potential offset in J/mol (shifts mu_b by a
         constant and f_ideal by vartheta0*c; no effect on phase behaviour).
@@ -154,7 +153,6 @@ class EosParams:
     """
 
     T: float
-    R: float
     vartheta0: float
     m: float
     alpha: float
@@ -163,11 +161,11 @@ class EosParams:
 
     def __post_init__(self):
         # ParameterError.key names the field; the config loader maps it to a YAML key.
-        for key in ("T", "R", "vartheta0", "m", "alpha", "beta", "kappa"):
+        for key in ("T", "vartheta0", "m", "alpha", "beta", "kappa"):
             v = getattr(self, key)
             if not (isinstance(v, (int, float)) and math.isfinite(v)):
                 raise ParameterError(f"{key}: must be finite, got {v!r}", key=key)
-        for key, ok, rule in (("T", self.T > 0, "positive"), ("R", self.R > 0, "positive"),
+        for key, ok, rule in (("T", self.T > 0, "positive"),
                               ("alpha", self.alpha >= 0, "nonnegative"),
                               ("beta", self.beta > 0, "positive")):
             if not ok:
@@ -228,7 +226,7 @@ def derive_eos_params(
     a1 = 1.0e-16 / (0.9051 + 1.5410 * omega)
     kappa = alpha * beta ** (2.0 / 3.0) * (a0 * (1.0 - T_r) + a1)
 
-    return EosParams(T=float(T), R=R, vartheta0=float(vartheta0),
+    return EosParams(T=float(T), vartheta0=float(vartheta0),
                      m=m, alpha=alpha, beta=beta, kappa=kappa)
 
 

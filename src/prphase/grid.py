@@ -16,6 +16,7 @@ stencil the solver applies (``solver._BlackSystem``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -91,9 +92,18 @@ class _Checkerboard:
     them (``pads``); the entries outside it are the half's ends.  A field
     in this layout is a pair, one C-contiguous (2, size) array of its red
     half and then its black one, so that both spans lie in one flat
-    ``run`` of it, with only the ends between them (``gap``) besides.  Each colour's cells are two strided blocks of the full
-    field, those in even rows and those in odd ones, and two strided blocks
-    of the half (``views``), through which ``split`` and ``join`` copy.
+    ``run`` of it, with only the ends between them (``gap``) besides.  Each
+    colour's cells are two strided blocks of the full field, those in even
+    rows and those in odd ones, and two strided blocks of the half
+    (``views``), through which ``split`` and ``join`` copy.
+
+    Every index above is moved by ``offset`` leading ends, fewer than 8,
+    which put ``span``'s start on a multiple of 8 entries, and ``size`` is
+    rounded up to a multiple of 8.  So in halves allocated on a 64-byte
+    line (``zeros``) every half, span and pair's run starts on one.  With
+    AVX-512 loops, ``np.add(a, b, out=o)`` takes two to three times as long
+    when ``o`` starts off a cache line, and the march is long runs of such
+    calls over these slices.
 
     What a pad holds: the ends of every half the march holds are zero from
     its allocation on, and nothing writes them.  Where the stencil reads a
@@ -109,8 +119,11 @@ class _Checkerboard:
         wid = nx + 1 if nx % 2 == 0 else nx + 2
         h = wid // 2
         self.wid = wid
-        self.size = (ny + 2) * wid // 2 + 1
-        lo, hi = h + 1, self.size - h - 1
+        # the leading ends that put span's start on a multiple of 8 entries
+        self.offset = o = -(h + 1) % 8
+        cells = (ny + 2) * wid // 2 + 1  # the half from its first pad on
+        self.size = -(-(o + cells) // 8) * 8
+        lo, hi = o + h + 1, o + cells - h - 1
         self.span = slice(lo, hi)
         # of a pair's flat view: the run from the red span to the end of the
         # black one, and in it the red half's upper end and the black one's lower
@@ -124,17 +137,17 @@ class _Checkerboard:
         even, odd = slice(0, None, 2), slice(1, None, 2)
         # (block of the full field, first index in the half, rows, columns)
         self.blocks = (
-            (((even, even), h + 1, top, left), ((odd, odd), wid + 1, bottom, right)),
-            (((even, odd), h + 1, top, right), ((odd, even), wid, bottom, left)),
+            (((even, even), lo, top, left), ((odd, odd), o + wid + 1, bottom, right)),
+            (((even, odd), lo, top, right), ((odd, even), o + wid, bottom, left)),
         )
         # Pad column 0, and wid - 1 when it is not a cell, in every padded
         # row: the indices in span of each colour, wid apart.
         self.pads: Tuple[List[slice], List[slice]] = ([], [])
         for col in (0,) if wid == nx + 1 else (0, wid - 1):
             for row in (0, 1):
-                first = (row * wid + col) // 2
+                first = o + (row * wid + col) // 2
                 first += wid * max(0, -((first - lo) // wid))
-                stop = min(((ny + 1) * wid + col) // 2 + 1, hi)
+                stop = min(o + ((ny + 1) * wid + col) // 2 + 1, hi)
                 if first < stop:
                     self.pads[(row + col) % 2].append(slice(first, stop, wid))
         # By black shift (right, left, down, up): the entries of span that
@@ -142,6 +155,14 @@ class _Checkerboard:
         # edge that the shift crosses.
         self.cuts = [self.pads[BLACK] + [self.line(BLACK, **edge)]
                      for edge in ({"j": nx - 1}, {"j": 0}, {"i": ny - 1}, {"i": 0})]
+
+    def zeros(self, *lead: int) -> np.ndarray:
+        """Zeroed halves of shape ``lead + (size,)`` whose first entry, and so
+        every half's and every span's, sits on a 64-byte boundary."""
+        count = math.prod(lead) * self.size
+        buf = np.zeros(count + 7)
+        skip = -buf.__array_interface__["data"][0] // 8 % 8
+        return buf[skip:skip + count].reshape(lead + (self.size,))
 
     def line(self, colour: int, i: Optional[int] = None, j: Optional[int] = None) -> slice:
         """The cells of ``colour`` in row ``i``, or in column ``j``, as a
@@ -153,7 +174,7 @@ class _Checkerboard:
         else:
             first = (colour - j) % 2
             count, start, step = len(range(first, self.ny, 2)), (first + 1) * self.wid + j + 1, self.wid
-        start //= 2
+        start = self.offset + start // 2
         return slice(start, start + (count - 1) * step + 1, step) if count else slice(0, 0)
 
     def views(self, halves: np.ndarray, colour: int):

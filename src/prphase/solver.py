@@ -26,10 +26,13 @@ takes 823 iterations where the projected Jacobi iteration it replaced took
 Each colour is held as one flat half of a grid whose rows are padded to an
 odd width, so a cell's colour is the parity of its padded flat index and a
 half-stencil is four shifted slices of one flat run
-(``grid._Checkerboard``).  Over s = kappa/h^2, A = e - N, e = nu/s + the
-number of in-domain neighbours + 1/(tau*s).  The sums run through
-``np.einsum`` and ndarray ``sum``, not BLAS, so a run gives the same bits
-whatever the number of BLAS threads.
+(``grid._Checkerboard``).  Every half the march works in comes from the
+layout's ``zeros``, which puts each half, its span of cells and each
+pair's run on a 64-byte line: numpy's vector loops take two to three
+times as long to write an output that starts off one.  Over s = kappa/h^2,
+A = e - N, e = nu/s + the number of in-domain neighbours + 1/(tau*s).
+The sums run through ``np.einsum`` and ndarray ``sum``, not BLAS, so a run
+gives the same bits whatever the number of BLAS threads.
 
 The march stays in that layout.  ``run`` splits c0 into the state's red
 and black halves once; the per-state pass (``ef.scheme_coefficients``)
@@ -226,7 +229,7 @@ class _BlackSystem:
         self.s = s = kappa / (g.h * g.h)
         self.rel_tol = cfg.cg_rel_tol
         self.max_iter = cfg.resolved_max_iter(g)
-        self.rows = rows = np.zeros((_HALVES, board.size))
+        self.rows = rows = board.zeros(_HALVES)
         (self.z, self.w, self.inv_ds, self.p, self.iw, self.t, self.x, self.q, self.r,
          self.d, self.e_b) = rows
         self.state = rows[self.T:self.X + 1]
@@ -574,7 +577,9 @@ def run(
     - the START_DIRECTIONS differences of the last states and the last
       state, all black halves, which choose the solve's start.
 
-    That is about 10.0 fields at 128 x 128 cells, pads included.
+    All but the cell field are halves from ``_Checkerboard.zeros``, on
+    64-byte lines.  That is about 10.04 fields at 128 x 128 cells, pads and
+    ends included.
 
     ``observer(c, report)`` sees the initial state as step 0
     (``nan`` multiplier and residual, zero iterations) and then every step;
@@ -597,10 +602,10 @@ def run(
     system = _BlackSystem(g, p.kappa, cfg)
     board, state, rows = system.board, system.state, system.rows
     board.split(c, state)
-    s_r = np.zeros((2, board.size))
-    basis = np.zeros((START_DIRECTIONS, board.size))  # the last states' differences
+    s_r = board.zeros(2)
+    basis = board.zeros(START_DIRECTIONS)  # the last states' differences
     m = 0  # how many of them basis holds, by order
-    old = np.zeros(board.size)  # the last state's black half
+    old = board.zeros()  # the last state's black half
     # The pass returns nu in the solve's pair for it and s_r in its own; f
     # and the other two go to rows that the solve fills before it reads them.
     fields = [system.nu, s_r, rows[0:2], rows[2:4], rows[7:9]]

@@ -17,6 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from prphase.eos import R_DEFAULT
 from prphase.grid import Grid2D
 
 SQRT2 = np.sqrt(2.0)
@@ -40,7 +41,7 @@ class FreeEnergyBreakdown(NamedTuple):
 def bulk_free_energy(c, p):
     """f_b(c) and its ideal, repulsion and attraction parts."""
     c = np.asarray(c, dtype=float)
-    RT = p.R * p.T
+    RT = R_DEFAULT * p.T
     ideal = c * p.vartheta0 + c * RT * np.log(c)
     repulsion = -c * RT * np.log1p(-p.beta * c)
     attraction = p.alpha * c / (2.0 * SQRT2 * p.beta) * _attraction_log(c, p)
@@ -59,7 +60,7 @@ def mu_attraction(c, p):
 def bulk_chemical_potential(c, p):
     """mu_b(c) = d f_b / d c, in J/mol."""
     c = np.asarray(c, dtype=float)
-    RT = p.R * p.T
+    RT = R_DEFAULT * p.T
     bc = p.beta * c
     mu_ideal = p.vartheta0 + RT * (np.log(c) + 1.0)
     mu_rep = -RT * np.log1p(-bc) + RT * bc / (1.0 - bc)
@@ -70,7 +71,7 @@ def pressure(c, p):
     """P(c) = c R T / (1 - beta c) - alpha c^2 / (1 + 2 beta c - (beta c)^2), in Pa."""
     c = np.asarray(c, dtype=float)
     bc = p.beta * c
-    return c * p.R * p.T / (1.0 - bc) - p.alpha * c * c / (1.0 + 2.0 * bc - bc * bc)
+    return c * R_DEFAULT * p.T / (1.0 - bc) - p.alpha * c * c / (1.0 + 2.0 * bc - bc * bc)
 
 
 def g_and_gprime(c, lam, p):
@@ -101,7 +102,7 @@ def semi_implicit_potentials(c_old, c_new, ef, p):
     """
     c_old = np.asarray(c_old, dtype=float)
     c_new = np.asarray(c_new, dtype=float)
-    RT = p.R * p.T
+    RT = R_DEFAULT * p.T
     g, gp = g_and_gprime(c_old, ef.lam, p)
     mu_ideal = p.vartheta0 + RT * np.log(c_old) + RT * c_new / c_old
     mu_rep = RT * gp * (2.0 * g + gp * (c_new - c_old)) - ef.lam * RT
@@ -115,7 +116,7 @@ def scheme_coefficients(c, lam, p):
         s_r(c) = -vartheta0 - R*T*ln(c) + R*T*(G'(c)^2*c - 2*G(c)*G'(c) + lam) - mu_a(c)
     """
     c = np.asarray(c, dtype=float)
-    RT = p.R * p.T
+    RT = R_DEFAULT * p.T
     g, gp = g_and_gprime(c, lam, p)
     nu = RT * (1.0 / c + gp * gp)
     s_r = (-p.vartheta0 - RT * np.log(c) + RT * (gp * gp * c - 2.0 * g * gp + lam)

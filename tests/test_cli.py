@@ -371,8 +371,11 @@ class TestProps:
         assert "x at T = 300" in capsys.readouterr().out
 
     def test_unknown_substance(self, capsys):
+        # the error names the command's own argument, not a run file's key
         assert main(["props", "vibranium", "--T", "300"]) == 2
-        assert "unknown substance" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "unknown substance" in err
+        assert err.startswith("parameter error: props: substance argument 'vibranium' is neither")
 
     def test_custom_window(self, capsys):
         code = main([

@@ -11,6 +11,7 @@ from prphase import (
     EfParams,
     Grid2D,
     ParameterError,
+    R_DEFAULT,
     minimal_lambda,
     scheme_coefficients,
 )
@@ -280,7 +281,7 @@ class TestFusedPass:
 
 class TestSemiImplicitPotentials:
     def test_fixed_point_recovers_exact_potentials(self, nc4, window, rng):
-        RT = nc4.R * nc4.T
+        RT = R_DEFAULT * nc4.T
         cs = rng.uniform(window.c_m, window.c_M, size=1000)
         pots = semi_implicit_potentials(cs, cs, window, nc4)
         mu_ideal_exact = nc4.vartheta0 + RT * (np.log(cs) + 1.0)

@@ -7,6 +7,7 @@ from prphase import (
     DomainError,
     EosParams,
     ParameterError,
+    R_DEFAULT,
     Substance,
     derive_eos_params,
     get_substance,
@@ -72,7 +73,7 @@ class TestDeriveParams:
         assert p.beta > 0
 
     def test_params_are_plain_finite_numbers(self, nc4):
-        for key in ("T", "R", "vartheta0", "m", "alpha", "beta", "kappa"):
+        for key in ("T", "vartheta0", "m", "alpha", "beta", "kappa"):
             assert math.isfinite(getattr(nc4, key))
         assert nc4.alpha > 0 and nc4.beta > 0 and nc4.kappa > 0
 
@@ -173,7 +174,7 @@ class TestChemicalPotential:
     def test_ideal_plus_repulsion_closed_form(self, nc4, rng):
         # mu_b minus the attraction derivative must equal the hand
         # differentiation of the ideal + repulsion terms
-        RT = nc4.R * nc4.T
+        RT = R_DEFAULT * nc4.T
         cs = rng.uniform(10.0, 1e4, size=100)
         bc = nc4.beta * cs
         expected = RT * (np.log(cs) + 1.0) - RT * np.log(1.0 - bc) + RT * bc / (1.0 - bc)
@@ -209,7 +210,7 @@ class TestPressure:
     def test_ideal_gas_limit(self, nc4):
         c = 1e-5 / nc4.beta
         P = float(pressure(c, nc4))
-        assert rel(P, c * nc4.R * nc4.T) < 1e-3
+        assert rel(P, c * R_DEFAULT * nc4.T) < 1e-3
 
     def test_oracle_values(self, nc4):
         assert rel(float(pressure(C_GAS, nc4)), FROZEN["pressure_gas"]) < 1e-12
@@ -236,13 +237,13 @@ class TestPressure:
 
 def test_eos_params_validation():
     with pytest.raises(ParameterError):
-        EosParams(T=-1.0, R=8.314, vartheta0=0.0, m=0.5, alpha=1.0, beta=1e-4, kappa=1e-19)
+        EosParams(T=-1.0, vartheta0=0.0, m=0.5, alpha=1.0, beta=1e-4, kappa=1e-19)
     with pytest.raises(ParameterError):
-        EosParams(T=300.0, R=8.314, vartheta0=0.0, m=0.5, alpha=-1.0, beta=1e-4, kappa=1e-19)
+        EosParams(T=300.0, vartheta0=0.0, m=0.5, alpha=-1.0, beta=1e-4, kappa=1e-19)
     with pytest.raises(ParameterError):
-        EosParams(T=300.0, R=8.314, vartheta0=0.0, m=0.5, alpha=1.0, beta=0.0, kappa=1e-19)
+        EosParams(T=300.0, vartheta0=0.0, m=0.5, alpha=1.0, beta=0.0, kappa=1e-19)
     with pytest.raises(ParameterError, match="kappa: must be positive"):
-        EosParams(T=300.0, R=8.314, vartheta0=0.0, m=0.5, alpha=1.0, beta=1e-4, kappa=0.0)
+        EosParams(T=300.0, vartheta0=0.0, m=0.5, alpha=1.0, beta=1e-4, kappa=0.0)
 
 
 @pytest.mark.parametrize("omega,positive", [(-0.585, True), (-0.59, False)])

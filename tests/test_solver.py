@@ -19,7 +19,7 @@ from prphase import (
 from prphase import solver as solver_module
 from prphase.config import load_config
 from prphase.ef import require_in_window
-from prphase.grid import BLACK, RED
+from prphase.grid import BLACK, RED, _Checkerboard
 from prphase.solver import START_DIRECTIONS, _BlackSystem, _push_differences
 
 from conftest import (C_GAS, C_LIQ, apply_operator, black_halves, cell_coefficients, child_env,
@@ -244,6 +244,38 @@ class TestHalfStencils:
         assert np.array_equal(seen[0], c0)
         assert all(np.array_equal(a, b) for a, b in zip(seen[1:], states))
         assert np.array_equal(c, states[-1])
+
+    @pytest.mark.parametrize("ny,nx", [(1, 1), (1, 5), (5, 1), (2, 2), (6, 8), (5, 7), (37, 13),
+                                       (100, 100)])
+    def test_march_halves_on_cache_lines(self, ny, nx, monkeypatch, nc4, window):
+        # every half the march allocates starts on a 64-byte line, and so do
+        # its span and each pair's run; the ends stay zero through a march
+        g = Grid2D(nx=nx, ny=ny, h=0.5)
+        board = _Checkerboard(g)
+        assert board.size % 8 == 0 and board.span.start % 8 == 0
+        p = np.random.default_rng(2).uniform(1.0, 2.0, (ny, nx))
+        pair = board.split(p, board.zeros(2))
+        assert np.count_nonzero(pair) == p.size
+        assert np.array_equal(board.join(pair, np.full((ny, nx), np.nan)), p)
+
+        allocated = []
+        zeros = _Checkerboard.zeros
+
+        def kept(self, *lead):
+            allocated.append(zeros(self, *lead))
+            return allocated[-1]
+
+        monkeypatch.setattr(_Checkerboard, "zeros", kept)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "step .* leaves the density window")
+            run(np.where(p > 1.5, C_LIQ, C_GAS), 2, window, nc4, SolverConfig(tau=1e10), g)
+        assert len(allocated) == 4  # the solve's rows, s_r, the differences, the last state
+        for halves in allocated:
+            rows = halves.reshape(-1, board.size)
+            views = [*rows, *(row[board.span] for row in rows),
+                     *(halves.reshape(-1)[k * board.size:][board.run] for k in range(len(rows) - 1))]
+            assert all(view.__array_interface__["data"][0] % 64 == 0 for view in views)
+            assert not np.any(rows[:, :board.span.start]) and not np.any(rows[:, board.span.stop:])
 
 
 class TestSolveSpd:
@@ -518,8 +550,8 @@ def test_march_peak_memory_in_fields():
     # (the state, nu's pair and the solve's work, which holds the pass's
     # other three pairs), s_r's pair, and four black halves, the three
     # differences and the last state.  Traced from the step-0 report on, so
-    # the set-up's allocations are left out: 10.03 fields here, the halves'
-    # pads and the reduced system's views included; 10.95 with a stored
+    # the set-up's allocations are left out: 10.04 fields here, the halves'
+    # pads, ends and the reduced system's views included; 10.95 with a stored
     # pair of A's fixed diagonal, 11.85 when each step also split and
     # joined full fields.
     cfg, g, c0 = preset_square()
@@ -707,21 +739,27 @@ def droplet_setup(nc4, window):
 
 class TestStep:
     def test_uniform_state_is_fixed_point(self, nc4, window, droplet_setup):
-        g, _, cfg = droplet_setup
+        _, _, cfg = droplet_setup
         c_bar = 2000.0
-        c0 = np.full(g.cell_shape(), c_bar)
         mu_exact = float(bulk_chemical_potential(c_bar, nc4))
-        # Enough steps to reach the start from the full basis, whose
-        # differences are all zero here.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            c, reports = run(c0, START_DIRECTIONS + 2, window, nc4, cfg, g)
-        assert len(reports) == START_DIRECTIONS + 2
-        for report in reports:
-            assert report.cg_iters == 0
-            assert abs(report.mu_e - mu_exact) <= 1e-10 * abs(mu_exact)
-            assert report.all_ok
-        assert np.array_equal(c, c0)
+        for n in (16, 32):
+            g = Grid2D(nx=n, ny=n, h=3.0e-8 / 16)
+            c0 = np.full(g.cell_shape(), c_bar)
+            # Enough steps to reach the start from the full basis, whose
+            # differences are all zero here.
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                c, reports = run(c0, START_DIRECTIONS + 2, window, nc4, cfg, g)
+            assert len(reports) == START_DIRECTIONS + 2
+            for report in reports:
+                assert report.cg_iters == 0
+                assert abs(report.mu_e - mu_exact) <= 1e-10 * abs(mu_exact)
+                assert report.all_ok
+            # A fixed point in exact arithmetic only: the eliminated reds and
+            # the multiplier come back by round-off.  Over these 5 steps the
+            # state moved by at most 4 ulps of c_bar on 16 x 16 and 32 x 32
+            # (6 on 100 x 100), so twice that is allowed.
+            assert np.max(np.abs(c - c0)) <= 8 * np.spacing(c_bar)
 
     def test_mass_pinned_to_target(self, nc4, window, droplet_setup):
         g, c0, cfg = droplet_setup
