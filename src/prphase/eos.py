@@ -71,11 +71,10 @@ class Substance:
             raise ParameterError(f"substance {self.name!r}: P_c must be positive, got {self.P_c}")
 
 
+_N_BUTANE = Substance(name="nC4", T_c=425.2, P_c=38.0e5, omega=0.199)
+
 #: Built-in species presets, keyed by lower-case name.
-PRESETS = {
-    "nc4": Substance(name="nC4", T_c=425.2, P_c=38.0e5, omega=0.199),
-    "n-butane": Substance(name="nC4", T_c=425.2, P_c=38.0e5, omega=0.199),
-}
+PRESETS = {"nc4": _N_BUTANE, "n-butane": _N_BUTANE}
 
 
 def get_substance(name: str) -> Substance:

@@ -22,7 +22,9 @@ Artifacts (all plain text, written under the configured output directory):
                       text (the bulk plateaus of a square droplet).
   summary.json        run-level verdicts: invariant counters, the multiplier
                       interval, mass drift, and the droplet shape metric at
-                      steps 0, 1 and the end.
+                      steps 0, 1 and the end (``null`` where no cell is
+                      denser than the midpoint of c_gas and c_liq).  It is
+                      strict JSON: no ``NaN`` or ``Infinity``.
 
 Runs are deterministic: same config, same platform => byte-identical
 artifacts.
@@ -203,11 +205,12 @@ def _series_row(report: StepReport, tau: float) -> str:
     return ",".join(repr(float(v)) for v in values) + "\n"
 
 
-def _safe_anisotropy(c: np.ndarray, g: Grid2D, threshold: float) -> float:
+def _safe_anisotropy(c: np.ndarray, g: Grid2D, threshold: float) -> Optional[float]:
+    """The shape metric, or ``None`` (``null`` in summary.json) with no droplet."""
     try:
         return diagnostics.shape_anisotropy(c, g, threshold)
     except ParameterError:
-        return float("nan")
+        return None
 
 
 def run_experiment(cfg: SimConfig, output_dir: Optional[str] = None) -> int:
@@ -231,7 +234,10 @@ def run_experiment(cfg: SimConfig, output_dir: Optional[str] = None) -> int:
     # initial state is a setup mistake: it fails here, before any output.
     c0 = build_initial(cfg)
     out_dir = output_dir or os.environ.get(OUTPUT_DIR_ENV) or cfg.output.directory
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create the output directory {out_dir!r} ({exc})") from exc
     threshold = 0.5 * (cfg.c_gas + cfg.c_liq)
 
     def emit_snapshot(c: np.ndarray, step: int) -> None:
@@ -303,7 +309,7 @@ def run_experiment(cfg: SimConfig, output_dir: Optional[str] = None) -> int:
         "exit_code": exit_code,
     }
     with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
+        json.dump(summary, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     log.info(
         "finished %d steps: F from %.6e to %.6e J, %d violations, exit %d",

@@ -48,14 +48,15 @@ the preconditioner; nothing else is carried from one solve to the next.
 
 ``run`` starts step 1 from c_old.  Every later step starts from the point
 of c_old + span{D^1, ..., D^m} whose error has the smallest norm in the
-reduced operator, the D^j being the Newton backward differences of the
-last m + 1 states (m up to ``START_DIRECTIONS``): the projection of
-successive right-hand sides of Fischer (Comput. Methods Appl. Mech.
-Engrg. 163, 1998).  Only their black cells count, and only those are
-kept; with the reds eliminated, that start is never worse in A-norm than
-c_old + D^1, the linear extrapolation of the last change.  On the droplet
-run it takes 823 iterations against 2 338 from c_old, the same 823 as
-with each difference less its mean: the multiplier fixes the mass.  The
+reduced operator, the D^j being the last m changes of the state (m up to
+``START_DIRECTIONS``): the projection of successive right-hand sides of
+Fischer (Comput. Methods Appl. Mech. Engrg. 163, 1998).  The start
+depends on the span alone, so the changes are kept as they are, in a
+ring: step n's replaces that of step n - ``START_DIRECTIONS``.  Only their
+black cells count, and only those are kept; with the reds eliminated,
+that start is never worse in A-norm than c_old + D^1, the linear
+extrapolation of the last change.  On the droplet run it takes 823
+iterations against 2 338 from c_old; the multiplier fixes the mass.  The
 half-stencils sum each cell's x pair and y pair first, so a symmetric
 droplet stays symmetric to the last bit.
 
@@ -88,9 +89,10 @@ log = logging.getLogger(__name__)
 
 _PRECONDITIONERS = ("diagonal",)
 _VIOLATION_MODES = ("continue", "abort")
-#: Number of state differences ``run`` keeps to choose each solve's start.
-#: A fourth cut the droplet run's iterations by a further quarter, but not
-#: its wall time, and it costs one more field.
+#: Number of state changes ``run`` keeps to choose each solve's start, at
+#: most the rows of ``_BlackSystem.U_ROWS``.  A fourth cut the droplet
+#: run's iterations by a further quarter, but not its wall time, and it
+#: costs one more field and one more work row.
 START_DIRECTIONS = 3
 
 
@@ -235,11 +237,6 @@ class _BlackSystem:
         self.state = rows[self.T:self.X + 1]
         self.nu = rows[self.D:self.E + 1]
         self.u = rows[self.U_ROWS]
-        if START_DIRECTIONS > len(self.u):
-            raise ParameterError(
-                f"START_DIRECTIONS is {START_DIRECTIONS}, above the limit of "
-                f"{len(self.u)} directions that the reduced system has rows for"
-            )
         span = board.span
         self.spans = [row[span] for row in rows]
         self.flat = rows.reshape(-1)
@@ -529,26 +526,6 @@ def _cholesky_solve(gram: List[List[float]], rhs: List[float]) -> List[float]:
     return a
 
 
-def _push_differences(basis: np.ndarray, m: int, new: np.ndarray, old: np.ndarray) -> int:
-    """Advance the Newton differences in ``basis[:m]`` from state ``old`` to ``new``.
-
-    All are black halves, the cells the start reads, and ``basis[j]``
-    holds the difference of order j + 1.  At ``new``, order q + 1 is
-    new - old less orders 1..q at ``old``, and order j is order j at
-    ``old`` plus order j + 1 at ``new``.  So the top order is built first,
-    in the next half or the dropped order's, and the lower ones follow in
-    place; their pads and ends stay zero, as those of the states do.
-    Returns the number of orders held.
-    """
-    top = min(m, len(basis) - 1)
-    d = np.subtract(new, old, out=basis[top])
-    for prev in basis[:top]:
-        d -= prev
-    for j in range(top - 1, -1, -1):
-        basis[j] += basis[j + 1]
-    return top + 1
-
-
 def run(
     c0: np.ndarray,
     n_steps: int,
@@ -574,8 +551,8 @@ def run(
       one, nu's pair, where A's diagonal is built, and the pass's other
       three pairs;
     - s_r's pair, in which the right-hand side is built;
-    - the START_DIRECTIONS differences of the last states and the last
-      state, all black halves, which choose the solve's start.
+    - the last START_DIRECTIONS changes of the state, in a ring, and the
+      last state, all black halves, which choose the solve's start.
 
     All but the cell field are halves from ``_Checkerboard.zeros``, on
     64-byte lines.  That is about 10.04 fields at 128 x 128 cells, pads and
@@ -603,8 +580,7 @@ def run(
     board, state, rows = system.board, system.state, system.rows
     board.split(c, state)
     s_r = board.zeros(2)
-    basis = board.zeros(START_DIRECTIONS)  # the last states' differences
-    m = 0  # how many of them basis holds, by order
+    basis = board.zeros(START_DIRECTIONS)  # step n's change in row (n - 1) % START_DIRECTIONS
     old = board.zeros()  # the last state's black half
     # The pass returns nu in the solve's pair for it and s_r in its own; f
     # and the other two go to rows that the solve fills before it reads them.
@@ -628,8 +604,9 @@ def run(
             b = coeffs.s_r
             b += np.divide(state, cfg.tau, out=fields[2])
             np.copyto(old, state[BLACK])
-            mu_e, iters, res = system.solve(b, basis, m, total)
-            m = _push_differences(basis, m, state[BLACK], old)
+            mu_e, iters, res = system.solve(b, basis, min(n - 1, START_DIRECTIONS), total)
+            # zero at the pads and ends, as the state is, which the start needs
+            np.subtract(state[BLACK], old, out=basis[(n - 1) % START_DIRECTIONS])
 
         # One pass gives this state's energy and extremes and the next step's coefficients.
         coeffs = scheme_coefficients(state, ef, p, g, fields=fields, board=board)

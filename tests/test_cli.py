@@ -252,13 +252,40 @@ class TestRun:
         assert (flag_dir / "summary.json").exists()
         assert not (tmp_path / "from_env").exists()
 
+    @pytest.mark.parametrize("below_a_file", [False, True])
+    def test_output_dir_that_cannot_be_made_exits_2(self, tmp_path, capsys, below_a_file):
+        # an existing file, or a path below one, is a configuration error that
+        # names the directory, not a traceback
+        taken = tmp_path / "taken"
+        taken.write_text("a file\n")
+        out = taken / "out" if below_a_file else taken
+        cfg = write_config(tmp_path, tiny_dict())
+        assert main(["run", cfg, "--output-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: cannot create the output directory {str(out)!r}" in err
+        assert taken.read_text() == "a file\n"
+
+    def test_summary_is_strict_json_without_a_droplet(self, tmp_path):
+        # no cell is denser than the midpoint of c_gas and c_liq, so there is
+        # no shape to measure: null, as NaN is not JSON
+        d = tiny_dict(grid={"N": 8, "M": 8, "L_half": 7.5e-9}, n_steps=2,
+                      initial_condition={"uniform": {"value": 300.0}})
+        out = tmp_path / "out"
+        assert main(["run", write_config(tmp_path, d), "--output-dir", str(out)]) == 0
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        summary = json.loads((out / "summary.json").read_text(), parse_constant=refuse)
+        assert summary["shape_anisotropy"] == {"step_0": None, "step_1": None, "final": None}
+
     def test_initial_state_outside_window_is_domain_error(self, tmp_path, capsys):
         d = tiny_dict(initial_condition={"uniform": {"value": 50.0}})
         cfg = write_config(tmp_path, d)
         assert main(["run", cfg, "--output-dir", str(tmp_path / "out")]) == 3
         assert "bounds violation" in capsys.readouterr().err
 
-    # ROADMAP item 4: at h = 3e-10 m a droplet at half the width of a 32x32
+    # ROADMAP item 5: at h = 3e-10 m a droplet at half the width of a 32x32
     # box curves too sharply for the default window [0.9 c_gas, 1.1 c_liq].
     # The multiplier leaves its interval at step 1 and the window is
     # breached; the run reports both and still writes every artifact.

@@ -1,4 +1,5 @@
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -82,6 +83,13 @@ class TestSubstanceLoading:
     def test_preset_lookup_case_insensitive(self):
         assert get_substance("NC4").T_c == 425.2
         assert get_substance("n-butane").P_c == 38.0e5
+
+    def test_shipped_substance_file_is_the_preset(self):
+        # presets/nc4.substance is an example of the file format; it must not
+        # drift from the built-in preset it copies
+        path = resources.files("prphase").joinpath("presets", "nc4.substance")
+        assert load_substance(str(path)) == get_substance("nC4")
+        assert get_substance("n-butane") is get_substance("nC4")
 
     def test_unknown_preset(self):
         with pytest.raises(ParameterError, match="unknown substance"):

@@ -20,7 +20,7 @@ from prphase import solver as solver_module
 from prphase.config import load_config
 from prphase.ef import require_in_window
 from prphase.grid import BLACK, RED, _Checkerboard
-from prphase.solver import START_DIRECTIONS, _BlackSystem, _push_differences
+from prphase.solver import _HALVES, START_DIRECTIONS, _BlackSystem
 
 from conftest import (C_GAS, C_LIQ, apply_operator, black_halves, cell_coefficients, child_env,
                       inner, loaded_system, solve_step, stencil)
@@ -438,36 +438,41 @@ class TestProjectedSolve:
 
 
 class TestGalerkinStart:
-    """The start drawn from the differences of the last states."""
+    """The start drawn from the last changes of the state."""
 
     @staticmethod
     def history(g, r, times=(-3.0, -2.0, -1.0, 0.0)):
         """States of a smooth synthetic march at one mass, oldest first, and
-        the Newton differences of the newest, by order."""
+        the last ``START_DIRECTIONS`` changes between them, oldest first."""
         c_n = r.uniform(1.0, 2.0, size=g.cell_shape())
         u, v, w = (r.standard_normal(g.cell_shape()) for _ in range(3))
         states = []
         for t in times:
             s = c_n + t * u + 0.1 * t * t * v + 0.01 * t ** 3 * w
             states.append(s - np.mean(s) + np.mean(c_n))
-        basis = np.empty((START_DIRECTIONS,) + g.cell_shape())
-        m = 0
-        for old, new in zip(states, states[1:]):
-            m = _push_differences(basis, m, new, old)
-        return states, basis[:m]
+        changes = [new - old for old, new in zip(states, states[1:])]
+        return states, np.array(changes[-START_DIRECTIONS:])
 
-    @pytest.mark.parametrize("n_states", [2, 3, 4, 6])
-    def test_differences_are_the_newton_differences(self, n_states):
-        # built from the highest order down, in place, also once the oldest
-        # order drops out
-        g = Grid2D(nx=7, ny=5, h=0.5)
-        times = tuple(float(t) for t in range(1 - n_states, 1))
-        states, basis = self.history(g, np.random.default_rng(11), times)
-        assert len(basis) == min(n_states - 1, START_DIRECTIONS)
-        lower = list(states)
-        for got in basis:
-            lower = [b - a for a, b in zip(lower, lower[1:])]
-            assert np.max(np.abs(got - lower[-1])) <= 1e-12 * np.max(np.abs(lower[-1]))
+    @pytest.mark.parametrize("ny,nx", [(3, 3), (6, 8), (5, 7)])
+    def test_newton_differences_give_the_same_start(self, ny, nx):
+        # the Newton backward differences of the last four states span what
+        # their three changes span, so the start moves by round-off only: at
+        # most 5.5e-13 of the state on 3 x 3, whose four black cells make the
+        # Gram matrix the worst conditioned, and 2.7e-14 on the others
+        g = Grid2D(nx=nx, ny=ny, h=0.5)
+        cfg, kappa = SolverConfig(tau=0.7), 0.2
+        for seed in range(4):
+            r = np.random.default_rng(seed)
+            nu = r.uniform(1.0, 2.0, size=(ny, nx))
+            states, changes = self.history(g, r)
+            rhs = r.standard_normal(g.cell_shape())
+            lower, newton = list(states), []
+            for _ in range(START_DIRECTIONS):
+                lower = [b - a for a, b in zip(lower, lower[1:])]
+                newton.append(lower[-1])
+            raw = galerkin_start(g, nu, cfg, kappa, rhs, states[-1], changes)
+            by_order = galerkin_start(g, nu, cfg, kappa, rhs, states[-1], np.array(newton))
+            assert np.max(np.abs(raw - by_order)) <= 1e-11 * np.max(np.abs(raw))
 
     @pytest.mark.parametrize("ny,nx", [(3, 3), (6, 8), (5, 7)])
     def test_never_worse_in_a_norm_than_the_extrapolation(self, ny, nx):
@@ -815,6 +820,61 @@ class TestStep:
         assert exc.value.cell_index == 5
 
 
+class TestDissipationCheck:
+    """The check E_n <= E_(n-1) + energy_slack_rel*|E_0|, seen on both sides.
+
+    A uniform state in the window is a fixed point: the solve takes no
+    iteration and keeps the energy.  A mass-free bump added after the real
+    solve, +delta at one black cell and -delta at another, raises the
+    energy by a known amount, quadratic in delta.
+    """
+
+    CELLS = ((2, 3), (5, 2))  # black, i + j odd, and not neighbours
+
+    def bump(self, g, delta):
+        field = np.zeros(g.cell_shape())
+        (i, j), (k, l) = self.CELLS
+        field[i, j], field[k, l] = delta, -delta
+        return field
+
+    def step(self, nc4, window, monkeypatch, rise):
+        """One step from a uniform state bumped to raise its energy by about
+        ``rise`` times the slack; returns (report, the energy's rise over the slack)."""
+        g = Grid2D(nx=8, ny=8, h=3.0e-8 / 16)
+        c0 = np.full(g.cell_shape(), C_GAS)
+        cfg = SolverConfig(tau=1e10)
+        e0 = cell_coefficients(c0, window, nc4, g).energy.total
+        slack = cfg.energy_slack_rel * abs(e0)
+        trial = 1e-3 * C_GAS
+        gain = cell_coefficients(c0 + self.bump(g, trial), window, nc4, g).energy.total - e0
+        assert gain > 0
+        bump = self.bump(g, trial * np.sqrt(rise * slack / gain))
+        real_solve = _BlackSystem.solve
+
+        def bumped_solve(system, *args):
+            result = real_solve(system, *args)
+            assert result[1] == 0  # the fixed point
+            system.state += system.board.split(bump, np.zeros(system.state.shape))
+            return result
+
+        monkeypatch.setattr(_BlackSystem, "solve", bumped_solve)
+        _, (report,) = run(c0, 1, window, nc4, cfg, g)
+        assert report.admissibility_ok and report.bounds_ok
+        return report, (report.energy - e0) / slack
+
+    def test_a_rise_above_the_slack_fails(self, nc4, window, monkeypatch):
+        report, rise = self.step(nc4, window, monkeypatch, 100.0)
+        assert 50.0 < rise < 200.0
+        assert not report.energy_decreased
+        assert not report.all_ok
+
+    def test_a_rise_below_the_slack_passes(self, nc4, window, monkeypatch):
+        report, rise = self.step(nc4, window, monkeypatch, 0.01)
+        assert 0.005 < rise < 0.02
+        assert report.energy_decreased
+        assert report.all_ok
+
+
 @pytest.fixture(scope="module")
 def marched(nc4, window, droplet_setup):
     g, c0, cfg = droplet_setup
@@ -823,17 +883,38 @@ def marched(nc4, window, droplet_setup):
 
 
 class TestRun:
-    def test_start_directions_beyond_the_work_rows_rejected(self, nc4, window, droplet_setup,
-                                                           monkeypatch):
-        # U is built in three work rows (P, T, Q); a fourth direction would
-        # overwrite d, which made the droplet run's first Galerkin step lose
-        # positive definiteness.  The march must refuse before any step.
+    def test_start_directions_fit_the_work_rows(self):
+        # U is built in the rows U_ROWS (P, T, Q), one per direction; a fourth
+        # direction would overwrite d, which made the droplet run's first
+        # Galerkin step lose positive definiteness
+        u_rows = range(_HALVES)[_BlackSystem.U_ROWS]
+        assert len(u_rows) >= START_DIRECTIONS
+        assert _BlackSystem.D not in u_rows[:START_DIRECTIONS]
+
+    def test_start_basis_holds_the_last_changes(self, nc4, window, droplet_setup, monkeypatch):
+        # the solve of step n gets the black halves of the changes of steps
+        # n - 1, n - 2, ..., at most START_DIRECTIONS of them, as they are:
+        # step k's change in row (k - 1) % START_DIRECTIONS
         g, c0, cfg = droplet_setup
-        monkeypatch.setattr(solver_module, "START_DIRECTIONS", 4)
-        seen = []
-        with pytest.raises(ParameterError, match="START_DIRECTIONS is 4, above the limit of 3"):
-            run(c0, 5, window, nc4, cfg, g, observer=lambda c, rep: seen.append(rep.step_index))
-        assert seen == []
+        real_solve = _BlackSystem.solve
+        received, before, after = [], [], []
+
+        def recorded_solve(self, rhs, basis, m, mass):
+            received.append(basis[:m].copy())
+            before.append(self.state[BLACK].copy())
+            result = real_solve(self, rhs, basis, m, mass)
+            after.append(self.state[BLACK].copy())
+            return result
+
+        monkeypatch.setattr(_BlackSystem, "solve", recorded_solve)
+        n_steps = 2 * START_DIRECTIONS + 1
+        run(c0, n_steps, window, nc4, cfg, g)
+        assert len(received) == n_steps
+        changes = [None] + [new - old for old, new in zip(before, after)]
+        for n, basis in enumerate(received, start=1):
+            assert len(basis) == min(n - 1, START_DIRECTIONS)
+            for k in range(max(1, n - START_DIRECTIONS), n):
+                assert np.array_equal(basis[(k - 1) % START_DIRECTIONS], changes[k])
 
     def test_march_builds_one_reduced_system(self, nc4, window, droplet_setup, monkeypatch):
         g, c0, cfg = droplet_setup
