@@ -35,13 +35,12 @@ initial field and checks it against the window.
 
 from __future__ import annotations
 
-import functools
 import inspect
 import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
-from typing import List, Optional, Tuple, get_type_hints
+from typing import List, Optional, Tuple
 
 import yaml
 
@@ -60,8 +59,6 @@ _FORMATS = ("txt", "csv")
 DEFAULT_BOUNDS_FACTORS = (0.9, 1.1)
 #: The safe loader, with libyaml's parser where PyYAML was built with it.
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-#: A table class's field types, resolved from its string annotations once.
-_field_types = functools.cache(get_type_hints)
 
 
 @dataclass(frozen=True)
@@ -149,17 +146,19 @@ def _as_int(value, key: str) -> int:
     return value
 
 
-def _coerce(value, hint, key: str):
-    """Convert a YAML value to a dataclass field's type; ranges are the type's business."""
-    if hint is float:
+def _coerce(value, hint: str, key: str):
+    """Convert a YAML value to a dataclass field's type, given as the text of
+    its annotation (every module defers annotations, so a field's ``type`` is
+    that text, and reading it compiles nothing); ranges are the type's business."""
+    if hint == "float":
         return _as_float(value, key)
-    if hint is int or (hint == Optional[int] and value is not None):
+    if hint == "int" or (hint == "Optional[int]" and value is not None):
         return _as_int(value, key)
-    if hint is str:
+    if hint == "str":
         if not isinstance(value, str):
             raise ConfigError(f"{key}: expected a string, got {value!r}")
         return value
-    if hint == Tuple[str, ...]:
+    if hint == "Tuple[str, ...]":
         if not isinstance(value, (list, tuple)):
             raise ConfigError(f"{key}: expected a list, got {value!r}")
         return tuple(value)
@@ -187,11 +186,10 @@ def _load_table(raw: dict, name: str, cls, provenance: List[str], **fixed):
     unknown = sorted(set(table) - {f.name for f in knobs})
     if unknown:
         raise ConfigError(f"{name}: unknown keys {unknown}")
-    hints = _field_types(cls)
     kwargs = dict(fixed)
     for f in knobs:
         if f.name in table:
-            kwargs[f.name] = _coerce(table[f.name], hints[f.name], f"{name}.{f.name}")
+            kwargs[f.name] = _coerce(table[f.name], f.type, f"{name}.{f.name}")
         else:
             provenance.append(f"{name}.{f.name}: default {f.default!r}")
     with _config_error({f.name: f"{name}." for f in knobs}):

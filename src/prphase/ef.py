@@ -230,19 +230,20 @@ def require_in_window(c: np.ndarray, ef: EfParams, what: str) -> None:
     ``ef.contains``, the window with its round-off slack.
 
     The error names ``what`` and carries the first offending flat cell
-    index and its value; ``nan`` fails.
+    index and its value; ``nan`` fails.  The field's extremes decide; only
+    a field that fails is scanned cell by cell, to name the offender.
     """
     c = np.asarray(c, dtype=float)
-    inside = ef.contains(c)
-    if not np.all(inside):
-        idx = int(np.flatnonzero(~inside.ravel())[0])
-        val = float(c.ravel()[idx])
-        raise BoundsViolationError(
-            f"{what}: cell {idx}: density {val} outside the window "
-            f"[{ef.c_m}, {ef.c_M}] (slack {ef.slack})",
-            cell_index=idx,
-            value=val,
-        )
+    if not c.size or (ef.contains(c.min()) and ef.contains(c.max())):
+        return
+    idx = int(np.flatnonzero(~ef.contains(c.ravel()))[0])
+    val = float(c.ravel()[idx])
+    raise BoundsViolationError(
+        f"{what}: cell {idx}: density {val} outside the window "
+        f"[{ef.c_m}, {ef.c_M}] (slack {ef.slack})",
+        cell_index=idx,
+        value=val,
+    )
 
 
 def scheme_coefficients(

@@ -6,6 +6,7 @@ error, not a silent pass.
 
     python tests/faults.py --check     # every fault still matches once
     python tests/faults.py             # Tier-1 against each fault in turn
+    python tests/faults.py NAME...     # either mode, the named faults only
 
 Both modes read the tree committed at HEAD.  The default mode exports it
 with ``git archive`` into a temporary directory once per fault, applies the
@@ -38,6 +39,7 @@ class Fault:
 
 
 EF, SOLVER = "src/prphase/ef.py", "src/prphase/solver.py"
+DIAGNOSTICS = "src/prphase/diagnostics.py"
 
 FAULTS = (
     Fault("nu x 1.04 in _pointwise", EF,
@@ -60,6 +62,15 @@ FAULTS = (
           "system.solve(b, basis, 0, total)"),
     Fault("start ring writes slot 0 only", SOLVER,
           "out=basis[(n - 1) % START_DIRECTIONS])", "out=basis[0])"),
+    Fault("admissible_interval without its zoom", DIAGNOSTICS,
+          "if all(b - a <= x_tol for a, b in brackets):", "if True:"),
+    Fault("require_in_window reads c.max() twice", EF,
+          "ef.contains(c.min()) and", "ef.contains(c.max()) and"),
+    Fault("bounds_ok judges the window on c_min only", SOLVER,
+          "bounds_ok=bool(ef.contains(coeffs.c_min) and ef.contains(coeffs.c_max)),",
+          "bounds_ok=bool(ef.contains(coeffs.c_min)),"),
+    Fault("lift without its final mass step", SOLVER,
+          "step = (m - float(self.state.sum())) / self.a", "step = 0.0"),
 )
 
 
@@ -99,13 +110,21 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--check", action="store_true",
                         help="only check that every fault's text matches once")
-    if parser.parse_args(argv).check:
-        for fault in FAULTS:
+    parser.add_argument("names", nargs="*", metavar="NAME",
+                        help="take only these faults, by their full names (default: all)")
+    args = parser.parse_args(argv)
+    by_name = {fault.name: fault for fault in FAULTS}
+    unknown = [name for name in args.names if name not in by_name]
+    if unknown:
+        parser.error(f"unknown faults {unknown}; the catalogue holds {list(by_name)}")
+    faults = [by_name[name] for name in args.names] or list(FAULTS)
+    if args.check:
+        for fault in faults:
             seeded(fault, git("show", f"HEAD:{fault.path}").decode("utf-8"))
-        print(f"{len(FAULTS)} faults, each matches once")
+        print(f"{len(faults)} faults, each matches once")
         return 0
     rows = []
-    for fault in FAULTS:
+    for fault in faults:
         failed = failed_tests(fault)
         print(f"{fault.name}: {len(failed)} tests fail", flush=True)
         for test in failed:

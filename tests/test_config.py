@@ -219,6 +219,20 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=msg):
             load_config(write_config(tmp_path, base_dict(output=output)))
 
+    @pytest.mark.parametrize("table,key,value,msg", [
+        ("solver", "cg_rel_tol", "tight", "expected a number"),
+        ("solver", "cg_max_iter", 1.5, "expected an integer"),
+        ("solver", "on_violation", 3, "expected a string"),
+        ("output", "snapshot_every", True, "expected an integer"),
+        ("output", "formats", "txt", "expected a list"),
+    ])
+    def test_table_values_are_coerced_by_their_annotation(self, tmp_path, table, key, value,
+                                                          msg):
+        # _coerce reads each field's annotation text; a field whose text it
+        # did not know would reach the dataclass unconverted
+        with pytest.raises(ConfigError, match=f"{table}.{key}: {msg}"):
+            load_config(write_config(tmp_path, base_dict(**{table: {key: value}})))
+
     def test_boolean_is_not_a_count(self, tmp_path):
         with pytest.raises(ConfigError, match="n_steps"):
             load_config(write_config(tmp_path, base_dict(n_steps=True)))

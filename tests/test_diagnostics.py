@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prphase import (
     AdmissibleInterval,
@@ -10,7 +12,9 @@ from prphase import (
     Grid2D,
     ParameterError,
     admissible_interval,
+    derive_eos_params,
     diagnostics,
+    get_substance,
     scheme_coefficients,
     shape_anisotropy,
 )
@@ -138,6 +142,27 @@ class TestAdmissibleInterval:
         b = admissible_interval(window, nc4)
         assert abs(a.mu_lower - b.mu_lower) <= 1e-8 * abs(b.mu_lower)
         assert abs(a.mu_upper - b.mu_upper) <= 1e-8 * abs(b.mu_upper)
+
+    # above nC4's critical temperature there is no coexistence, but the
+    # envelope is still defined
+    @pytest.mark.filterwarnings("ignore:T = .* critical temperature:UserWarning")
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_coarse_scan_finds_the_dense_scans_ends(self, data):
+        p = derive_eos_params(get_substance("nC4"), data.draw(st.floats(150.0, 600.0), label="T"))
+        top = 0.999 / p.beta
+        c_m = data.draw(st.floats(10.0, top, exclude_max=True), label="c_m")
+        c_M = data.draw(st.floats(c_m, top, exclude_min=True), label="c_M")
+        ef = EfParams.for_window(c_m, c_M, p)
+        iv = admissible_interval(ef, p)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(diagnostics, "_SCAN_POINTS", 20000)
+            dense = admissible_interval(ef, p)
+        # relative to the larger end, since either end may cross zero; the
+        # worst of 3 000 such draws read 2.1e-13
+        scale = max(abs(dense.mu_lower), abs(dense.mu_upper))
+        assert abs(iv.mu_lower - dense.mu_lower) <= 1e-12 * scale
+        assert abs(iv.mu_upper - dense.mu_upper) <= 1e-12 * scale
 
     @pytest.mark.parametrize("width", [1e-6, 1e-12])
     def test_degenerate_window_limits(self, nc4, width):

@@ -212,6 +212,20 @@ class TestRequireInWindow:
             require_in_window(c, window, "test")
         assert exc.value.cell_index == 4
 
+    def test_empty_field_passes(self, window):
+        require_in_window(np.empty((0, 3)), window, "test")
+
+    def test_offenders_only_below_name_the_first(self, window):
+        # the maximum sits on c_M, so only the minimum fails the extremes
+        # check, and the scan names the first offender, not the minimum
+        c = np.full((3, 4), window.c_M)
+        c[1, 1] = 0.9 * window.c_m
+        c[2, 3] = 0.5 * window.c_m
+        with pytest.raises(BoundsViolationError) as exc:
+            require_in_window(c, window, "test")
+        assert exc.value.cell_index == 1 * 4 + 1
+        assert exc.value.value == 0.9 * window.c_m
+
     def test_bounds_slack_absorbs_roundoff(self, window):
         slack = 1e-10 * window.c_M
         assert window.slack == slack
