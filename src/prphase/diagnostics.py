@@ -26,9 +26,10 @@ from .eos import EosParams
 from .errors import ParameterError
 from .grid import Grid2D
 
-# zoom stop, relative to the window width; densities in the first scan, and
-# per bracket and round after it, at these fractions of the bracket
+# zoom stop, relative to the window width
 _REL_TOL = 1e-10
+# densities in the first scan, and per bracket and round after it, at these
+# fractions of the bracket
 _SCAN_POINTS = 257
 _ZOOM_POINTS = 65
 _UNIT = np.linspace(0.0, 1.0, _ZOOM_POINTS)
@@ -63,9 +64,8 @@ def admissible_interval(ef: EfParams, p: EosParams) -> AdmissibleInterval:
     kernel calls, on the preset window.  Over 3 000 random nC4 temperatures
     in [150, 600] K and windows with 10 mol/m^3 <= c_m < c_M <= 0.999/beta,
     the ends agreed with a 20 000-point scan's to within 1.1e-13 relative,
-    as they did at 129 and 65 points: the coarse scan finds the same peaks
-    for an eightieth of the first call's kernel work.  The interval may come
-    back empty for exotic windows; the caller decides whether that is fatal.
+    as they did at 129 and 65 points.  The interval may come back empty for
+    exotic windows; the caller decides whether that is fatal.
     """
     # row 0 maximizes c_m*nu - s_r, row 1 maximizes -(c_M*nu - s_r)
     ends = np.array([[ef.c_m], [ef.c_M]])
