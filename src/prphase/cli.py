@@ -3,7 +3,7 @@
     prphase run <config.yaml|preset> [--output-dir DIR] [-v]
     prphase check <config.yaml|preset>
     prphase props <substance> --T <K> [--c-gas X --c-liq Y]
-                   [--bounds-factors A B] [--vartheta0 V]
+                   [--bounds-factors A B]
 
 ``props`` takes its default bulk densities from the ``nc4_droplet`` preset.
 
@@ -19,7 +19,6 @@ shipped preset (see ``prphase.presets``).  The output directory resolves as
 from __future__ import annotations
 
 import argparse
-import inspect
 import logging
 import os
 import sys
@@ -104,7 +103,7 @@ def _cmd_props(args) -> int:
         substance = _substance_at(args.substance, os.getcwd())
     except ParameterError as exc:
         raise ParameterError(f"props: substance argument {exc}") from None
-    p = derive_eos_params(substance, args.T, vartheta0=args.vartheta0)
+    p = derive_eos_params(substance, args.T)
     print(f"{substance.name} at T = {args.T} K")
     print(f"  m        {p.m!r}")
     print(f"  alpha    {p.alpha!r} Pa m^6/mol^2")
@@ -150,9 +149,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_props = sub.add_parser("props", help="print derived model constants for a substance")
     p_props.add_argument("substance", help="preset name (e.g. nC4) or substance file path")
     p_props.add_argument("--T", type=float, required=True, help="temperature in K")
-    p_props.add_argument("--vartheta0", type=float,
-                         default=inspect.signature(derive_eos_params).parameters["vartheta0"].default,
-                         help="reference chemical potential offset in J/mol")
     p_props.add_argument("--c-gas", type=float, default=None,
                          help="bulk vapour density in mol/m^3 (default: that of the "
                               f"{DENSITY_PRESET} preset, n-butane coexistence at 330 K)")

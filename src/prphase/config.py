@@ -12,7 +12,6 @@ A run file looks like::
     initial_condition:
       square_droplet: {half_side: 7.5e-9}
     # everything below is optional
-    vartheta0: 0.0
     bounds_factors: [0.9, 1.1]   # window [0.9*c_gas, 1.1*c_liq]
     lambda: null                 # null -> minimal admissible shift
     solver: {cg_rel_tol: 1.0e-10, on_violation: continue}
@@ -27,15 +26,16 @@ tables, and ``prphase check`` prints them.  Each type owns its rules.  The
 loader coerces YAML types, rejects unknown and missing keys, checks what
 concerns the file itself (N == M; ``density_window``, which ``prphase props``
 shares, checks c_gas < c_liq and a window holding both) and reports a
-``ParameterError`` as a ``ConfigError`` naming the key.  Every applied
-default is recorded in ``SimConfig.provenance`` so ``prphase check`` can
-show exactly what a run will use.  ``experiment.build_initial`` builds the
+``ParameterError`` as a ``ConfigError`` naming the key.  Two retired keys,
+``vartheta0`` and ``solver.preconditioner``, set nothing: each is accepted
+at its one old value and refused, with the reason, at any other.  Every
+applied default is recorded in ``SimConfig.provenance`` so ``prphase
+check`` can show exactly what a run will use.  ``experiment.build_initial`` builds the
 initial field and checks it against the window.
 """
 
 from __future__ import annotations
 
-import inspect
 import math
 import os
 from contextlib import contextmanager
@@ -57,6 +57,12 @@ _INITIAL_KINDS = {"square_droplet": "half_side", "disk": "radius", "uniform": "v
 _FORMATS = ("txt", "csv")
 #: Default density window [factor0*c_gas, factor1*c_liq].
 DEFAULT_BOUNDS_FACTORS = (0.9, 1.1)
+#: Keys that set nothing, by path: each one's only accepted value, and why it went.
+_RETIRED_KEYS = {
+    "vartheta0": (0.0, "the reference chemical potential is a gauge; add vartheta0 to mu_e "
+                       "and vartheta0 * moles to each energy afterwards"),
+    "solver.preconditioner": ("diagonal", "there is only one solver"),
+}
 #: The safe loader, with libyaml's parser where PyYAML was built with it.
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
@@ -196,6 +202,22 @@ def _load_table(raw: dict, name: str, cls, provenance: List[str], **fixed):
         return cls(**kwargs)
 
 
+def _drop_retired(raw: dict) -> dict:
+    """``raw`` less the keys of ``_RETIRED_KEYS``, each at its one accepted value."""
+    raw = dict(raw)
+    for path, (value, why) in _RETIRED_KEYS.items():
+        name, _, key = path.rpartition(".")
+        table = raw.get(name) if name else raw
+        if isinstance(table, dict) and key in table:
+            if _coerce(table[key], type(value).__name__, path) != value:
+                raise ConfigError(f"{path}: retired, only {value!r} is accepted, "
+                                  f"got {table[key]!r} ({why})")
+            if name:
+                table = raw[name] = dict(table)
+            del table[key]
+    return raw
+
+
 def _substance_at(raw: str, base_dir: str) -> Substance:
     """The substance of the file path ``raw`` (relative to ``base_dir``), else
     of the preset named ``raw``; ``prphase props`` shares the rule.  Raises
@@ -286,8 +308,9 @@ def load_config(path: str) -> SimConfig:
     provenance: List[str] = []
     base_dir = os.path.dirname(os.path.abspath(path))
 
+    raw = _drop_retired(raw)
     known = {
-        "substance", "T", "vartheta0", "grid", "tau", "n_steps",
+        "substance", "T", "grid", "tau", "n_steps",
         "c_gas", "c_liq", "bounds_factors", "lambda", "initial_condition",
         "solver", "output",
     }
@@ -297,13 +320,8 @@ def load_config(path: str) -> SimConfig:
 
     substance = _resolve_substance(raw.get("substance"), base_dir, provenance)
     T = _as_float(_require(raw, "T", ""), "T")
-    if "vartheta0" in raw:
-        vartheta0 = _as_float(raw["vartheta0"], "vartheta0")
-    else:
-        vartheta0 = inspect.signature(derive_eos_params).parameters["vartheta0"].default
-        provenance.append(f"vartheta0: default {vartheta0!r}")
     with _config_error():
-        eos = derive_eos_params(substance, T, vartheta0)
+        eos = derive_eos_params(substance, T)
 
     grid_raw = _require(raw, "grid", "")
     if not isinstance(grid_raw, dict):

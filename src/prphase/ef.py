@@ -21,8 +21,7 @@ an upper bound for G(c_new), which is what yields unconditional energy
 stability of the time stepper.  The per-step linear operator uses
 
     nu(c)  = R*T*(1/c + G'(c)^2)                      [positive, decreasing]
-    s_r(c) = -vartheta0 - R*T*ln(c)
-             + R*T*(G'(c)^2 * c - 2*G(c)*G'(c) + lam) - mu_a(c)
+    s_r(c) = -R*T*ln(c) + R*T*(G'(c)^2 * c - 2*G(c)*G'(c) + lam) - mu_a(c)
 
 with mu_a = d f_attraction / d c the attraction potential,
 
@@ -141,7 +140,7 @@ def _pointwise(c: ArrayLike, p: EosParams, lam: float, what: str,
     L = ln(1 - b), t = b/(1 - b), M = lam - L and N = M + t (so G^2 = c*M,
     2*G*G' = N and c*G'^2 = N^2/(4*M)):
 
-        f_b/c = vartheta0 + R*T*(ln c - L) + alpha/(2*sqrt2*beta)*ln(a)
+        f_b/c = R*T*(ln c - L) + alpha/(2*sqrt2*beta)*ln(a)
         mu_b  = f_b/c + R*T*(1 + t) - alpha*c/(1 + 2*b - b^2)
         nu    = R*T*(1 + N^2/(4*M))/c
         s_r   = nu*c - mu_b = R*T*(N^2/(4*M) - t) - f_b/c + alpha*c/(1 + 2*b - b^2)
@@ -170,7 +169,6 @@ def _pointwise(c: ArrayLike, p: EosParams, lam: float, what: str,
     np.log1p(w, out=w)
     w *= p.alpha / (2.0 * _SQRT2 * p.beta * RT)
     f += w
-    f += p.vartheta0 / RT
     f *= RT
     t = np.divide(bc, u, out=w)
     np.multiply(u, u, out=u)

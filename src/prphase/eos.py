@@ -3,7 +3,7 @@
 Helmholtz free-energy density of the homogeneous fluid, split into three
 parts (all in J/m^3, with c the molar density in mol/m^3):
 
-    f_ideal(c)      = c * vartheta0 + c*R*T*ln(c)
+    f_ideal(c)      = c*R*T*ln(c)
     f_repulsion(c)  = -c*R*T * ln(1 - beta*c)
     f_attraction(c) = alpha*c / (2*sqrt(2)*beta)
                         * ln[ (1 + (1 - sqrt 2) beta c) / (1 + (1 + sqrt 2) beta c) ]
@@ -137,9 +137,6 @@ class EosParams:
     ----------
     T : float
         Temperature in K.
-    vartheta0 : float
-        Reference chemical potential offset in J/mol (shifts mu_b by a
-        constant and f_ideal by vartheta0*c; no effect on phase behaviour).
     m : float
         Acentric-factor polynomial value (dimensionless).
     alpha : float
@@ -152,7 +149,6 @@ class EosParams:
     """
 
     T: float
-    vartheta0: float
     m: float
     alpha: float
     beta: float
@@ -160,7 +156,7 @@ class EosParams:
 
     def __post_init__(self):
         # ParameterError.key names the field; the config loader maps it to a YAML key.
-        for key in ("T", "vartheta0", "m", "alpha", "beta", "kappa"):
+        for key in ("T", "m", "alpha", "beta", "kappa"):
             v = getattr(self, key)
             if not (isinstance(v, (int, float)) and math.isfinite(v)):
                 raise ParameterError(f"{key}: must be finite, got {v!r}", key=key)
@@ -190,17 +186,12 @@ def acentric_polynomial(omega: float) -> float:
     return 0.379642 + 1.485030 * omega - 0.164423 * omega**2 + 0.016666 * omega**3
 
 
-def derive_eos_params(
-    substance: Substance,
-    T: float,
-    vartheta0: float = 0.0,
-) -> EosParams:
+def derive_eos_params(substance: Substance, T: float) -> EosParams:
     """Evaluate all temperature-dependent model constants, with the gas
     constant ``R_DEFAULT``.
 
     Warns (without failing) when T >= T_c, where the model has no
-    two-phase region.  ``EosParams`` checks vartheta0; T is checked here
-    because it enters sqrt(T/T_c).
+    two-phase region.  T is checked here because it enters sqrt(T/T_c).
     """
     if not (isinstance(T, (int, float)) and math.isfinite(T) and T > 0):
         raise ParameterError(f"T: must be finite and positive, got {T!r}", key="T")
@@ -225,8 +216,7 @@ def derive_eos_params(
     a1 = 1.0e-16 / (0.9051 + 1.5410 * omega)
     kappa = alpha * beta ** (2.0 / 3.0) * (a0 * (1.0 - T_r) + a1)
 
-    return EosParams(T=float(T), vartheta0=float(vartheta0),
-                     m=m, alpha=alpha, beta=beta, kappa=kappa)
+    return EosParams(T=float(T), m=m, alpha=alpha, beta=beta, kappa=kappa)
 
 
 def _require_admissible(c: np.ndarray, p: EosParams, what: str) -> Tuple[float, float]:

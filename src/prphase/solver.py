@@ -87,7 +87,6 @@ from .grid import BLACK, RED, Grid2D, _Checkerboard
 
 log = logging.getLogger(__name__)
 
-_PRECONDITIONERS = ("diagonal",)
 _VIOLATION_MODES = ("continue", "abort")
 #: Number of state changes ``run`` keeps to choose each solve's start, at
 #: most the rows of ``_BlackSystem.U_ROWS``.  A fourth cut the droplet
@@ -105,8 +104,6 @@ class SolverConfig:
         ||r|| <= cg_rel_tol*||rhs||, rhs = c_old/tau + s_r; a zero rhs
         is refused (``_BlackSystem.solve``).
     cg_max_iter : iteration cap; ``None`` means 10 * (number of cells).
-    preconditioner : "diagonal", the only value: the diagonal of the
-        black-cell system (``_BlackSystem``) plus its rank-one mass term.
     on_violation : "continue" records failed invariant checks in the step
         report; "abort" raises instead.
     energy_slack_rel : dissipation checks allow an increase of this fraction
@@ -116,7 +113,6 @@ class SolverConfig:
     tau: float
     cg_rel_tol: float = 1e-10
     cg_max_iter: Optional[int] = None
-    preconditioner: str = "diagonal"
     on_violation: str = "continue"
     energy_slack_rel: float = 1e-8
 
@@ -126,8 +122,6 @@ class SolverConfig:
             ("tau", math.isfinite(self.tau) and self.tau > 0, "must be finite and positive"),
             ("cg_rel_tol", 0.0 < self.cg_rel_tol < 1.0, "must be positive and below 1"),
             ("cg_max_iter", self.cg_max_iter is None or self.cg_max_iter >= 1, "must be >= 1"),
-            ("preconditioner", self.preconditioner in _PRECONDITIONERS,
-             f"must be one of {_PRECONDITIONERS}"),
             ("on_violation", self.on_violation in _VIOLATION_MODES,
              f"must be one of {_VIOLATION_MODES}"),
             ("energy_slack_rel", self.energy_slack_rel >= 0, "must be nonnegative"),

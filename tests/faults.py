@@ -71,6 +71,14 @@ FAULTS = (
           "bounds_ok=bool(ef.contains(coeffs.c_min)),"),
     Fault("lift without its final mass step", SOLVER,
           "step = (m - float(self.state.sum())) / self.a", "step = 0.0"),
+    # red cell k and black cell k neighbour each other; dropping that one
+    # pair from both colours' sums keeps the operator symmetric, so CG ends
+    Fault("the operator's stencil drops one neighbour of each cell", SOLVER,
+          "np.add(a, b, out=o)", "np.copyto(o, b if colour == RED else a)"),
+    Fault("1/tau dropped from the operator's diagonal, kept in the right-hand side", SOLVER,
+          "self.diag = diag = 4.0 + 1.0 / (cfg.tau * s)", "self.diag = diag = 4.0"),
+    Fault("kappa halved in the operator only", SOLVER,
+          "self.s = s = kappa / (g.h * g.h)", "self.s = s = 0.5 * kappa / (g.h * g.h)"),
 )
 
 

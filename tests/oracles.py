@@ -50,25 +50,25 @@ _ALPHA, _BETA = alpha_beta()
 SQRT2 = mp.sqrt(2)
 
 
-def f_terms(c, vartheta0=mp.mpf(0)):
+def f_terms(c):
     """(ideal, repulsion, attraction) free-energy densities."""
     c = mp.mpf(c)
     bc = _BETA * c
-    ideal = c * vartheta0 + c * R * T * mp.log(c)
+    ideal = c * R * T * mp.log(c)
     repulsion = -c * R * T * mp.log(1 - bc)
     attraction = (_ALPHA * c / (2 * SQRT2 * _BETA)
                   * mp.log((1 + (1 - SQRT2) * bc) / (1 + (1 + SQRT2) * bc)))
     return ideal, repulsion, attraction
 
 
-def f_total(c, vartheta0=mp.mpf(0)):
-    return mp.fsum(f_terms(c, vartheta0))
+def f_total(c):
+    return mp.fsum(f_terms(c))
 
 
-def mu_b(c, vartheta0=mp.mpf(0)):
+def mu_b(c):
     c = mp.mpf(c)
     bc = _BETA * c
-    mu_ideal = vartheta0 + R * T * (mp.log(c) + 1)
+    mu_ideal = R * T * (mp.log(c) + 1)
     mu_rep = -R * T * mp.log(1 - bc) + R * T * bc / (1 - bc)
     mu_att = (_ALPHA / (2 * SQRT2 * _BETA)
               * mp.log((1 + (1 - SQRT2) * bc) / (1 + (1 + SQRT2) * bc))
@@ -111,10 +111,10 @@ def nu(c, lam):
     return R * T * (1 / mp.mpf(c) + g_prime(c, lam) ** 2)
 
 
-def s_r(c, lam, vartheta0=mp.mpf(0)):
+def s_r(c, lam):
     c = mp.mpf(c)
     gp = g_prime(c, lam)
-    return (-vartheta0 - R * T * mp.log(c)
+    return (-R * T * mp.log(c)
             + R * T * (gp**2 * c - 2 * g_value(c, lam) * gp + lam)
             - mu_attraction(c))
 

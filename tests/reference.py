@@ -42,7 +42,7 @@ def bulk_free_energy(c, p):
     """f_b(c) and its ideal, repulsion and attraction parts."""
     c = np.asarray(c, dtype=float)
     RT = R_DEFAULT * p.T
-    ideal = c * p.vartheta0 + c * RT * np.log(c)
+    ideal = c * RT * np.log(c)
     repulsion = -c * RT * np.log1p(-p.beta * c)
     attraction = p.alpha * c / (2.0 * SQRT2 * p.beta) * _attraction_log(c, p)
     return FreeEnergyBreakdown(ideal=ideal, repulsion=repulsion, attraction=attraction,
@@ -62,7 +62,7 @@ def bulk_chemical_potential(c, p):
     c = np.asarray(c, dtype=float)
     RT = R_DEFAULT * p.T
     bc = p.beta * c
-    mu_ideal = p.vartheta0 + RT * (np.log(c) + 1.0)
+    mu_ideal = RT * (np.log(c) + 1.0)
     mu_rep = -RT * np.log1p(-bc) + RT * bc / (1.0 - bc)
     return mu_ideal + mu_rep + mu_attraction(c, p)
 
@@ -94,7 +94,7 @@ class SemiImplicitPotentials(NamedTuple):
 def semi_implicit_potentials(c_old, c_new, ef, p):
     """Linearized ideal and repulsion potentials of one time step:
 
-        mu_ideal     = vartheta0 + R*T*ln(c_old) + R*T*c_new/c_old
+        mu_ideal     = R*T*ln(c_old) + R*T*c_new/c_old
         mu_repulsion = R*T*G'(c_old)*(2*G(c_old) + G'(c_old)*(c_new - c_old))
                        - lam*R*T
 
@@ -104,7 +104,7 @@ def semi_implicit_potentials(c_old, c_new, ef, p):
     c_new = np.asarray(c_new, dtype=float)
     RT = R_DEFAULT * p.T
     g, gp = g_and_gprime(c_old, ef.lam, p)
-    mu_ideal = p.vartheta0 + RT * np.log(c_old) + RT * c_new / c_old
+    mu_ideal = RT * np.log(c_old) + RT * c_new / c_old
     mu_rep = RT * gp * (2.0 * g + gp * (c_new - c_old)) - ef.lam * RT
     return SemiImplicitPotentials(mu_ideal=mu_ideal, mu_repulsion=mu_rep)
 
@@ -113,13 +113,13 @@ def scheme_coefficients(c, lam, p):
     """The scheme's frozen coefficients as the paper writes them:
 
         nu(c)  = R*T*(1/c + G'(c)^2)
-        s_r(c) = -vartheta0 - R*T*ln(c) + R*T*(G'(c)^2*c - 2*G(c)*G'(c) + lam) - mu_a(c)
+        s_r(c) = -R*T*ln(c) + R*T*(G'(c)^2*c - 2*G(c)*G'(c) + lam) - mu_a(c)
     """
     c = np.asarray(c, dtype=float)
     RT = R_DEFAULT * p.T
     g, gp = g_and_gprime(c, lam, p)
     nu = RT * (1.0 / c + gp * gp)
-    s_r = (-p.vartheta0 - RT * np.log(c) + RT * (gp * gp * c - 2.0 * g * gp + lam)
+    s_r = (-RT * np.log(c) + RT * (gp * gp * c - 2.0 * g * gp + lam)
            - mu_attraction(c, p))
     return nu, s_r
 

@@ -52,6 +52,7 @@ class TestCheck:
         assert "density window" in out
         assert "defaults applied" in out
         assert "cg_rel_tol=1e-10" in out
+        assert "preconditioner" not in out and "vartheta0" not in out
 
     def test_file_path(self, tmp_path, capsys):
         path = write_config(tmp_path, tiny_dict())
@@ -72,6 +73,17 @@ class TestCheck:
         path = write_config(tmp_path, tiny_dict(solver={"mobility": 2.0}))
         assert main(["check", path]) == 2
         assert "solver: unknown keys ['mobility']" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("overrides,code,key", [
+        ({"vartheta0": 0.0, "solver": {"preconditioner": "diagonal"}}, 0, None),
+        ({"vartheta0": 5.0}, 2, "vartheta0: retired"),
+        ({"solver": {"preconditioner": "ilu"}}, 2, "solver.preconditioner: retired"),
+    ])
+    def test_retired_keys(self, tmp_path, capsys, overrides, code, key):
+        path = write_config(tmp_path, tiny_dict(**overrides))
+        assert main(["check", path]) == code
+        if key is not None:
+            assert key in capsys.readouterr().err
 
     # Each config passes the loader's own YAML checks but breaks a condition
     # of the model: the window's packing limit, the minimal shift, an initial

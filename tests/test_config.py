@@ -60,7 +60,6 @@ class TestPreset:
         assert cfg.initial.kind == "square_droplet"
         assert cfg.initial.half_side == 7.5e-9
         assert cfg.substance.name == "nC4"
-        assert cfg.eos.vartheta0 == 0.0
 
     def test_window_properties(self):
         cfg = load_config(PRESET)
@@ -73,7 +72,6 @@ class TestPreset:
         cfg = load_config(PRESET)
         assert any("solver.cg_max_iter" in line for line in cfg.provenance)
         assert any("solver.energy_slack_rel" in line for line in cfg.provenance)
-        assert not any("vartheta0" in line for line in cfg.provenance)  # set explicitly
 
 
 class TestLoadConfig:
@@ -204,6 +202,22 @@ class TestLoadConfig:
     def test_solver_validation(self, tmp_path, solver, msg):
         with pytest.raises(ConfigError, match=msg):
             load_config(write_config(tmp_path, base_dict(solver=solver)))
+
+    def test_retired_keys_load_at_their_one_value(self, tmp_path):
+        # a run file written for the old model keeps loading, to the same model
+        old = load_config(write_config(tmp_path, base_dict(
+            vartheta0=0.0, solver={"preconditioner": "diagonal"}), name="old.yaml"))
+        new = load_config(write_config(tmp_path, base_dict()))
+        assert (old.eos, old.solver, old.provenance) == (new.eos, new.solver, new.provenance)
+
+    @pytest.mark.parametrize("overrides,msg", [
+        ({"vartheta0": 5.0}, r"vartheta0: retired, only 0\.0 is accepted, got 5\.0 \(.*gauge"),
+        ({"vartheta0": "zero"}, "vartheta0: expected a number"),
+        ({"solver": {"preconditioner": "ilu"}}, r"solver\.preconditioner: retired.*only one solver"),
+    ])
+    def test_retired_key_at_another_value_is_refused(self, tmp_path, overrides, msg):
+        with pytest.raises(ConfigError, match=msg):
+            load_config(write_config(tmp_path, base_dict(**overrides)))
 
     def test_zero_energy_slack_loads(self, tmp_path):
         cfg = load_config(write_config(tmp_path, base_dict(solver={"energy_slack_rel": 0.0})))

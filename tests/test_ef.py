@@ -298,7 +298,7 @@ class TestSemiImplicitPotentials:
         RT = R_DEFAULT * nc4.T
         cs = rng.uniform(window.c_m, window.c_M, size=1000)
         pots = semi_implicit_potentials(cs, cs, window, nc4)
-        mu_ideal_exact = nc4.vartheta0 + RT * (np.log(cs) + 1.0)
+        mu_ideal_exact = RT * (np.log(cs) + 1.0)
         bc = nc4.beta * cs
         mu_rep_exact = -RT * np.log1p(-bc) + RT * bc / (1.0 - bc)
         assert np.all(np.abs(pots.mu_ideal - mu_ideal_exact) <= 1e-12 * np.abs(mu_ideal_exact))

@@ -18,7 +18,7 @@ from prphase import (
 )
 from prphase import solver as solver_module
 from prphase.config import load_config
-from prphase.ef import require_in_window
+from prphase.ef import EfParams, require_in_window
 from prphase.grid import BLACK, RED, _Checkerboard
 from prphase.solver import _HALVES, START_DIRECTIONS, _BlackSystem
 
@@ -717,10 +717,8 @@ class TestSolverConfig:
         dict(tau=1.0, cg_rel_tol=0.0),
         dict(tau=1.0, cg_rel_tol=1.5),
         dict(tau=1.0, cg_max_iter=0),
-        dict(tau=1.0, preconditioner="ilu"),
         dict(tau=1.0, on_violation="ignore"),
         dict(tau=1.0, energy_slack_rel=-1e-3),
-        dict(tau=1.0, preconditioner="none"),
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ParameterError):
@@ -820,22 +818,40 @@ class TestStep:
         assert exc.value.cell_index == 5
 
 
+#: Two black cells, i + j odd, that are not neighbours.
+BUMP_CELLS = ((2, 3), (5, 2))
+
+
+def mass_free_bump(g, delta):
+    """+delta at the first of ``BUMP_CELLS`` and -delta at the second."""
+    bump = np.zeros(g.cell_shape())
+    (i, j), (k, l) = BUMP_CELLS
+    bump[i, j], bump[k, l] = delta, -delta
+    return bump
+
+
+def bump_after_solve(monkeypatch, bump):
+    """Make each solve of ``run``, at a uniform fixed point, add the cell
+    field ``bump`` to the state after the real solve."""
+    real_solve = _BlackSystem.solve
+
+    def bumped_solve(system, *args):
+        result = real_solve(system, *args)
+        assert result[1] == 0  # the fixed point
+        system.state += system.board.split(bump, np.zeros(system.state.shape))
+        return result
+
+    monkeypatch.setattr(_BlackSystem, "solve", bumped_solve)
+
+
 class TestDissipationCheck:
     """The check E_n <= E_(n-1) + energy_slack_rel*|E_0|, seen on both sides.
 
     A uniform state in the window is a fixed point: the solve takes no
     iteration and keeps the energy.  A mass-free bump added after the real
-    solve, +delta at one black cell and -delta at another, raises the
-    energy by a known amount, quadratic in delta.
+    solve (``mass_free_bump``, ``bump_after_solve``) raises the energy by a
+    known amount, quadratic in delta.
     """
-
-    CELLS = ((2, 3), (5, 2))  # black, i + j odd, and not neighbours
-
-    def bump(self, g, delta):
-        field = np.zeros(g.cell_shape())
-        (i, j), (k, l) = self.CELLS
-        field[i, j], field[k, l] = delta, -delta
-        return field
 
     def step(self, nc4, window, monkeypatch, rise):
         """One step from a uniform state bumped to raise its energy by about
@@ -846,18 +862,9 @@ class TestDissipationCheck:
         e0 = cell_coefficients(c0, window, nc4, g).energy.total
         slack = cfg.energy_slack_rel * abs(e0)
         trial = 1e-3 * C_GAS
-        gain = cell_coefficients(c0 + self.bump(g, trial), window, nc4, g).energy.total - e0
+        gain = cell_coefficients(c0 + mass_free_bump(g, trial), window, nc4, g).energy.total - e0
         assert gain > 0
-        bump = self.bump(g, trial * np.sqrt(rise * slack / gain))
-        real_solve = _BlackSystem.solve
-
-        def bumped_solve(system, *args):
-            result = real_solve(system, *args)
-            assert result[1] == 0  # the fixed point
-            system.state += system.board.split(bump, np.zeros(system.state.shape))
-            return result
-
-        monkeypatch.setattr(_BlackSystem, "solve", bumped_solve)
+        bump_after_solve(monkeypatch, mass_free_bump(g, trial * np.sqrt(rise * slack / gain)))
         _, (report,) = run(c0, 1, window, nc4, cfg, g)
         assert report.admissibility_ok and report.bounds_ok
         return report, (report.energy - e0) / slack
@@ -872,6 +879,44 @@ class TestDissipationCheck:
         report, rise = self.step(nc4, window, monkeypatch, 0.01)
         assert 0.005 < rise < 0.02
         assert report.energy_decreased
+        assert report.all_ok
+
+
+class TestBoundsCheck:
+    """The window check on a step's largest density, seen on both sides.
+
+    A uniform state 0.01 mol/m^3 below the window's top c_M is a fixed
+    point.  At the window's minimal shift its multiplier, mu_b of the state,
+    lies above the admissible interval, whose top is 16 J/mol below
+    mu_b(c_M); at twice that shift the interval's top is mu_b(c_M), and the
+    multiplier is inside.  The mass-free bump added after the real solve
+    lifts one cell to ``excess`` window slacks above c_M and lowers another
+    by as much, which stays inside the window, so only the step's largest
+    density can fail the check.
+    """
+
+    def step(self, nc4, window, monkeypatch, excess):
+        """One step whose largest density ends about ``excess`` slacks above
+        c_M; returns (report, its excess in slacks)."""
+        g = Grid2D(nx=8, ny=8, h=3.0e-8 / 16)
+        top = EfParams.for_window(window.c_m, window.c_M, nc4, lam=2.0 * window.lam)
+        c0 = np.full(g.cell_shape(), top.c_M - 0.01)
+        bump_after_solve(monkeypatch, mass_free_bump(g, 0.01 + excess * top.slack))
+        _, (report,) = run(c0, 1, top, nc4, SolverConfig(tau=1e10), g)
+        assert top.c_m < report.c_min < top.c_M - 0.01
+        assert report.admissibility_ok and report.energy_decreased
+        return report, (report.c_max - top.c_M) / top.slack
+
+    def test_a_density_above_the_slack_fails(self, nc4, window, monkeypatch):
+        report, excess = self.step(nc4, window, monkeypatch, 2.0)
+        assert 1.9 < excess < 2.1
+        assert not report.bounds_ok
+        assert not report.all_ok
+
+    def test_a_density_within_the_slack_passes(self, nc4, window, monkeypatch):
+        report, excess = self.step(nc4, window, monkeypatch, 0.5)
+        assert 0.4 < excess < 0.6
+        assert report.bounds_ok
         assert report.all_ok
 
 
