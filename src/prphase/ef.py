@@ -58,7 +58,7 @@ import numpy as np
 
 from .eos import R_DEFAULT, EosParams, _require_admissible
 from .errors import BoundsViolationError, DomainError, ParameterError
-from .grid import RED, Grid2D, _Checkerboard
+from .grid import Grid2D, _Checkerboard
 
 ArrayLike = Union[float, np.ndarray]
 
@@ -132,11 +132,16 @@ class EfParams:
 
 
 def _pointwise(c: ArrayLike, p: EosParams, lam: float, what: str,
-               fields: Optional[Sequence[np.ndarray]] = None):
+               fields: Optional[Sequence[np.ndarray]] = None,
+               scale: float = 1.0, shift: float = 0.0, inv_tau: float = 0.0):
     """f_b/c, nu and s_r under the shift ``lam`` of densities of any shape.
 
     Returns float arrays (f_b/c, nu, s_r) of the shape of ``c`` and the
-    pair (min c, max c) that the domain check reads.  With b = beta*c,
+    pair (min c, max c) that the domain check reads.  Given a step's
+    ``scale``, ``shift`` and ``inv_tau`` = 1/tau, the second and third are
+    scale*nu + shift and scale*(s_r + c*inv_tau) instead: the time
+    stepper's diagonal and right-hand side (``solver._BlackSystem``).  The
+    defaults give nu and s_r to the bit.  With b = beta*c,
     L = ln(1 - b), t = b/(1 - b), M = lam - L and N = M + t (so G^2 = c*M,
     2*G*G' = N and c*G'^2 = N^2/(4*M)):
 
@@ -188,7 +193,8 @@ def _pointwise(c: ArrayLike, p: EosParams, lam: float, what: str,
     nu_f = m
     np.add(n4, 4.0, out=nu_f)
     nu_f /= c
-    nu_f *= 0.25 * RT
+    nu_f *= 0.25 * RT * scale
+    nu_f += shift
     sr = n4
     t *= 4.0
     sr -= t
@@ -196,6 +202,8 @@ def _pointwise(c: ArrayLike, p: EosParams, lam: float, what: str,
     sr -= f
     bc *= p.alpha / p.beta
     sr += bc
+    sr += np.multiply(c, inv_tau, out=t)
+    sr *= scale
     return f, nu_f, sr, extremes
 
 
@@ -213,7 +221,9 @@ class SchemeCoefficients:
     """Frozen per-step coefficient fields evaluated at the previous state.
 
     ``energy`` is that state's discrete energy and ``c_min``/``c_max`` its
-    extreme densities.
+    extreme densities.  ``nu`` and ``s_r`` are scaled and shifted as the
+    pass's layout says (``_PassLayout``): nu and s_r themselves by
+    default, the solve's diagonal and right-hand side in ``solver.run``.
     """
 
     nu: np.ndarray
@@ -244,54 +254,79 @@ def require_in_window(c: np.ndarray, ef: EfParams, what: str) -> None:
     )
 
 
-def scheme_coefficients(
-    c_old: np.ndarray, ef: EfParams, p: EosParams, g: Grid2D,
-    fields: Sequence[np.ndarray], board: _Checkerboard,
-) -> SchemeCoefficients:
-    """nu, s_r, the discrete energy and the extreme densities of ``c_old``.
+class _PassLayout:
+    """A march's state pair and the per-state pass's work, laid out once.
+
+    ``c_old`` is a pair in ``board``'s layout, the march's, whose pads and
+    ends are zero, and ``fields``, five writeable, C-contiguous float pairs
+    apart from it whose ends are zero, are the pass's work space.  They are
+    checked here, and the views the pass works through are built here: each
+    pair's flat ``run`` and ``gap``, the pads of the state and of the second
+    field, and the gradient's (``_Checkerboard.gradient_sq_norm_of``, in
+    the fourth field).  ``run`` builds one for its march, as it builds
+    ``_BlackSystem`` for its solves, with the step's ``scale``, ``shift``
+    and ``inv_tau`` (``_pointwise``); a pass on its own builds its own.
+    """
+
+    def __init__(self, c_old: np.ndarray, fields: Sequence[np.ndarray], board: _Checkerboard,
+                 scale: float = 1.0, shift: float = 0.0, inv_tau: float = 0.0):
+        pair = (2, board.size)
+        if not (len(fields) == 5 and all(
+                isinstance(a, np.ndarray) and a.shape == pair and a.dtype == float
+                and a.flags.writeable and a.flags.c_contiguous for a in (c_old, *fields))):
+            # the pass works in each pair's flat run, and the flat view of an
+            # array in any other order is a copy: the writes would be lost
+            raise ParameterError(f"scheme_coefficients: the state and 5 fields must be writeable, "
+                                 f"C-contiguous float pairs of shape {pair}")
+        self.state, self.fields = c_old, fields
+        self.scale, self.shift, self.inv_tau = scale, shift, inv_tau
+        flat = [a.reshape(-1) for a in (c_old, *fields)]
+        self.first = flat[0][board.span.start:board.span.start + 1]  # cell (0, 0)
+        self.runs = [a[board.run] for a in flat]
+        self.gaps = [a[board.gap] for a in flat]
+        self.state_pads = board.pad_views(c_old)
+        self.zeroed_pads = self.state_pads + board.pad_views(fields[1])
+        self.gradient_sq_norm = board.gradient_sq_norm_of(c_old, fields[3])
+
+
+def scheme_coefficients(work: _PassLayout, ef: EfParams, p: EosParams, g: Grid2D
+                        ) -> SchemeCoefficients:
+    """nu, s_r, the discrete energy and the extreme densities of the state.
 
     The energy, with gradient weight p.kappa, is
 
         F_h(c) = h^2*<c, f_b/c> + (kappa/2)*||grad_h c||^2,
 
     the squared gradient norm summed over interior faces
-    (``_Checkerboard.gradient_sq_norm``).  The fields come from
+    (``_Checkerboard.gradient_sq_norm_of``).  The fields come from
     ``_pointwise``; a density outside 0 < c < 1/beta raises
     ``DomainError``.  The window is the caller's to judge, from ``c_min``
     and ``c_max``.
 
-    The pass runs on the red and black halves of ``g``'s ``board``, the
-    march's layout.  ``c_old`` is a pair in it whose pads and ends are
-    zero, and ``fields``, five writeable, C-contiguous float pairs apart
-    from it whose ends are zero, are the pass's work space: nu and s_r come
-    back in the first two, so ``run`` splits no field, and the other three
-    are left clobbered.  The ends of all five are zero on return, the pads
-    of s_r too, and those of nu hold nu at the field's first cell.
+    The pass runs on the red and black halves of the state and the work
+    pairs of ``work`` (``_PassLayout``), in the march's layout on ``g``.
+    nu and s_r come back in the first two work pairs, so ``run`` splits no
+    field, scaled and shifted as the layout says (``_pointwise``), and the
+    other three are left clobbered.  The ends of all five are zero on
+    return, the pads of s_r too, and those of nu hold nu at the field's
+    first cell.
 
     ``_pointwise`` runs on the pairs' flat ``run``s, with the first cell's
     density at the state's pads and ``gap``; then the gaps are zeroed, and
     the pads of the state and of s_r.
     """
-    pair = (2, board.size)
-    if not (len(fields) == 5 and all(
-            isinstance(a, np.ndarray) and a.shape == pair and a.dtype == float
-            and a.flags.writeable and a.flags.c_contiguous for a in (c_old, *fields))):
-        # the pass works in each pair's flat run, and the flat view of an
-        # array in any other order is a copy: the writes would be lost
-        raise ParameterError(f"scheme_coefficients: the state and 5 fields must be writeable, "
-                             f"C-contiguous float pairs of shape {pair}")
-    flat = [a.reshape(-1) for a in (c_old, *fields)]
-    first = c_old[RED, board.span.start]  # cell (0, 0)
-    board.fill_pads(c_old, first)
-    flat[0][board.gap] = first
-    *_, (c_min, c_max) = _pointwise(flat[0][board.run], p, ef.lam, "scheme_coefficients",
-                                    [a[board.run] for a in flat[1:]])
-    for a in flat:
-        a[board.gap] = 0.0
-    board.fill_pads(c_old, 0.0)
-    board.fill_pads(fields[1], 0.0)
+    first = work.first[0]
+    for pads in work.state_pads:
+        pads.fill(first)
+    work.gaps[0].fill(first)
+    *_, (c_min, c_max) = _pointwise(work.runs[0], p, ef.lam, "scheme_coefficients", work.runs[1:],
+                                    work.scale, work.shift, work.inv_tau)
+    for gap in work.gaps:
+        gap.fill(0.0)
+    for pads in work.zeroed_pads:
+        pads.fill(0.0)
     # the pads of c_old are zero, whatever f holds there
-    bulk = float(g.h * g.h * np.einsum("ij,ij->", c_old, fields[2]))
-    gradient = 0.5 * p.kappa * board.gradient_sq_norm(c_old, fields[3][0])
-    return SchemeCoefficients(nu=fields[0], s_r=fields[1], energy=EnergyBreakdown(
+    bulk = float(g.h * g.h * np.einsum("ij,ij->", work.state, work.fields[2]))
+    gradient = 0.5 * p.kappa * work.gradient_sq_norm()
+    return SchemeCoefficients(nu=work.fields[0], s_r=work.fields[1], energy=EnergyBreakdown(
         bulk=bulk, gradient=gradient, total=float(bulk + gradient)), c_min=c_min, c_max=c_max)

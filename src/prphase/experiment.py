@@ -37,7 +37,7 @@ import json
 import logging
 import os
 from contextlib import ExitStack
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 import orjson
@@ -264,7 +264,7 @@ def run_experiment(cfg: SimConfig, output_dir: Optional[str] = None) -> int:
     # ``initial`` holds the step-0 report: target mass, interval, energy.
     state = {"violations": 0, "max_mass_drift": 0.0, "initial": None}
 
-    def observer(c: np.ndarray, report: StepReport) -> None:
+    def observer(field: Callable[[], np.ndarray], report: StepReport) -> None:
         series.write(_series_row(report, cfg.tau))
         if report.step_index == 0:
             state["initial"] = report
@@ -279,10 +279,11 @@ def run_experiment(cfg: SimConfig, output_dir: Optional[str] = None) -> int:
         c_t = state["initial"].mass
         drift = abs(report.mass - c_t) / abs(c_t)
         state["max_mass_drift"] = max(state["max_mass_drift"], drift)
+        # the state is joined into a cell field only on the steps that read it
         if report.step_index == 1:
-            aniso["step_1"] = _safe_anisotropy(c, g, threshold)
+            aniso["step_1"] = _safe_anisotropy(field(), g, threshold)
         if report.step_index % cfg.output.snapshot_every == 0:
-            emit_snapshot(c, report.step_index)
+            emit_snapshot(field(), report.step_index)
 
     try:
         c_final, reports = solver.run(c0, cfg.n_steps, ef, p, cfg.solver, g, observer=observer)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -152,9 +152,13 @@ class _Checkerboard:
                     self.pads[(row + col) % 2].append(slice(first, stop, wid))
         # By black shift (right, left, down, up): the entries of span that
         # hold no interior face, the black pads and the black cells on the
-        # edge that the shift crosses.
-        self.cuts = [self.pads[BLACK] + [self.line(BLACK, **edge)]
-                     for edge in ({"j": nx - 1}, {"j": 0}, {"i": ny - 1}, {"i": 0})]
+        # edge that the shift crosses; as flat indices in a pair, the x
+        # pair's in its two halves and then the y pair's.
+        cuts = [self.pads[BLACK] + [self.line(BLACK, **edge)]
+                for edge in ({"j": nx - 1}, {"j": 0}, {"i": ny - 1}, {"i": 0})]
+        self.cuts = [np.concatenate([np.arange(cut.start, cut.stop, cut.step) + half * self.size
+                                     for half in (0, 1) for cut in cuts[first + half]])
+                     for first in (0, 2)]
 
     def zeros(self, *lead: int) -> np.ndarray:
         """Zeroed halves of shape ``lead + (size,)`` whose first entry, and so
@@ -200,10 +204,9 @@ class _Checkerboard:
                 np.copyto(full[cells], view)
         return full
 
-    def fill_pads(self, pair: np.ndarray, value: float) -> None:
-        for colour, pads in enumerate(self.pads):
-            for cut in pads:
-                pair[colour, cut] = value
+    def pad_views(self, pair: np.ndarray) -> List[np.ndarray]:
+        """Views of the pads of both halves of ``pair``."""
+        return [pair[colour, cut] for colour, pads in enumerate(self.pads) for cut in pads]
 
     def neighbours(self, src: np.ndarray, out: np.ndarray, colour: int) -> None:
         """Sum of the neighbours in ``src``, halves of the other colour or
@@ -216,22 +219,34 @@ class _Checkerboard:
         o += src[..., c]
         o += src[..., d]
 
-    def gradient_sq_norm(self, pair: np.ndarray, scratch: np.ndarray) -> float:
-        """Squared norm of the discrete gradient of the field whose halves,
-        pads zero, are ``pair``: h^2 times the sum of ((c_j - c_i)/h)^2 over
-        neighbouring cell pairs, that is the sum of (c_j - c_i)^2.
+    def gradient_sq_norm_of(self, pair: np.ndarray, scratch: np.ndarray) -> Callable[[], float]:
+        """A function that returns the squared norm of the discrete gradient
+        of the field whose halves, pads zero, ``pair`` holds when it is
+        called: h^2 times the sum of ((c_j - c_i)/h)^2 over neighbouring cell
+        pairs, that is the sum of (c_j - c_i)^2.
 
         Every interior face joins a red cell and a black one, so each is
-        one black cell's difference to a red neighbour: four shifted runs,
-        each summed by ``einsum`` once the entries that hold no face are
-        zeroed (``cuts``).  ``scratch``, a half, is clobbered.
+        one black cell's difference to a red neighbour: four shifted runs.
+        The x pair's go into the spans of ``scratch``, a C-contiguous pair
+        whose entries off ``span`` are zero, the entries that hold no face
+        are zeroed (``cuts``) and one ``einsum`` sums the pair; then the same
+        for the y pair.  The views are built here, once; a call clobbers the
+        spans of ``scratch``.
         """
-        red, black = pair
-        d = scratch[self.span]
-        total = 0.0
-        for shift, cuts in zip(self.shifts[BLACK], self.cuts):
-            np.subtract(black[self.span], red[shift], out=d)
-            for cut in cuts:
-                scratch[cut] = 0.0
-            total += float(np.einsum("i,i->", d, d))
-        return total
+        span = self.span
+        red, black = pair[RED], pair[BLACK, span]
+        out = [half[span] for half in scratch]
+        flat = scratch.reshape(-1)
+        shifts = self.shifts[BLACK]
+        runs = [(red[shifts[first]], red[shifts[first + 1]]) for first in (0, 2)]
+
+        def norm() -> float:
+            total = 0.0
+            for (a, b), cuts in zip(runs, self.cuts):
+                np.subtract(black, a, out=out[0])
+                np.subtract(black, b, out=out[1])
+                flat[cuts] = 0.0
+                total += float(np.einsum("ij,ij->", scratch, scratch))
+            return total
+
+        return norm

@@ -36,15 +36,17 @@ gives the same bits whatever the number of BLAS threads.
 
 The march stays in that layout.  ``run`` splits c0 into the state's red
 and black halves once; the per-state pass (``ef.scheme_coefficients``)
-runs on them and returns nu and s_r in halves; the solve writes the next
-state into them; and one join a step gives the observer and the caller a
-cell field.  What is built once per march: the reduced system
-(``_BlackSystem``), its work rows, the views of their spans, pads and
-shifted half-stencil slices, and a table of A's diagonal on the domain's
-edge cells, where it depends on the cell as well as on the state.  Each
-solve folds nu into the diagonal (one scale, one scalar add per colour and
-the edge cells' table) and builds b = rhs/s, d = 1/e_R, w, the start and
-the preconditioner; nothing else is carried from one solve to the next.
+runs on them and writes the solve's inputs in halves, nu/s + 4 + 1/(tau*s)
+and b = (c/tau + s_r)/s; the solve writes the next state into them; and
+the state is joined into a cell field only when the observer asks for it,
+at most once a step, and once at the end for the caller.  What is built
+once per march: the reduced system (``_BlackSystem``), its work rows, the
+views of their spans, pads and shifted half-stencil slices, a table of A's
+diagonal on the domain's edge cells, where it depends on the cell as well
+as on the state, and the pass's checked fields and views
+(``ef._PassLayout``).  Each solve folds the edge cells' table into the
+diagonal and builds d = 1/e_R, w, the start and the preconditioner;
+nothing else is carried from one solve to the next.
 
 ``run`` starts step 1 from c_old.  Every later step starts from the point
 of c_old + span{D^1, ..., D^m} whose error has the smallest norm in the
@@ -62,7 +64,8 @@ droplet stays symmetric to the last bit.
 
 ``run`` evaluates and measures every state once, with
 ``ef.scheme_coefficients``: the pass gives the state's energy and extreme
-densities for its report and the next step's nu and s_r.  ``run`` alone
+densities for its report and the next step's diagonal and right-hand side
+from nu and s_r.  ``run`` alone
 judges the state: one report per state, the initial one as step 0, holds
 the window, multiplier and dissipation checks.  It allocates the march's
 memory once (``run``), so no step allocates a field, and no step pays to
@@ -80,7 +83,7 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from . import diagnostics
-from .ef import EfParams, EnergyBreakdown, require_in_window, scheme_coefficients
+from .ef import EfParams, EnergyBreakdown, _PassLayout, require_in_window, scheme_coefficients
 from .eos import EosParams
 from .errors import ConvergenceError, InvariantViolation, ParameterError
 from .grid import BLACK, RED, Grid2D, _Checkerboard
@@ -196,12 +199,13 @@ class _BlackSystem:
     between solves is built here: the work rows, which hold the march's
     state (``state``) and nu's pair (``nu``), the views of their spans and
     pads, of each row's four shifted half-stencil slices (on first use),
-    and what ``fold_diagonal`` adds to nu/s to make A's diagonal over s:
-    1/(tau*s) plus the number of a cell's in-domain neighbours, the
-    Neumann condition.  That is the scalar ``diag`` = 4 + 1/(tau*s)
-    over both spans, pads included, but on the edge cells, whose flat
-    indices in ``rows`` and own values are a table of O(nx + ny) entries
-    (``edges``, ``edge_values``).  A solve keeps nothing else from the
+    and what A's diagonal over s adds to nu/s: 1/(tau*s) plus the number
+    of a cell's in-domain neighbours, the Neumann condition.  That is the
+    scalar ``diag`` = 4 + 1/(tau*s), which the per-state pass adds over
+    both spans, pads included, less 1 per missing neighbour on the edge
+    cells, which ``fold_diagonal`` subtracts from a table of their flat
+    indices in ``rows`` and those counts, O(nx + ny) entries (``edges``,
+    ``edge_values``).  A solve keeps nothing else from the
     last one: each half is filled before the solve first reads it, and
     every entry off its colour's cells is zero whenever it is read, or is
     multiplied by a zero of d or 1/diag(S).  The ends of every row stay
@@ -234,14 +238,14 @@ class _BlackSystem:
         span = board.span
         self.spans = [row[span] for row in rows]
         self.flat = rows.reshape(-1)
-        self.diag = diag = 4.0 + 1.0 / (cfg.tau * s)
-        # each edge cell's diagonal less nu/s: diag less 1 per missing neighbour
+        self.diag = 4.0 + 1.0 / (cfg.tau * s)
+        # each edge cell's diagonal less diag and nu/s: -1 per missing neighbour
         edges: dict = {}
         for colour, row in ((RED, self.D), (BLACK, self.E)):
             first = row * board.size
             for edge in ({"i": 0}, {"i": g.ny - 1}, {"j": 0}, {"j": g.nx - 1}):
                 for k in range(first, first + board.size)[board.line(colour, **edge)]:
-                    edges[k] = edges.get(k, diag) - 1.0
+                    edges[k] = edges.get(k, 0.0) - 1.0
         self.edges = np.array(list(edges), dtype=np.intp)
         self.edge_values = np.array(list(edges.values()))
         self.edge_work = np.empty(len(edges))
@@ -279,32 +283,28 @@ class _BlackSystem:
         o += np.add(c, d, out=self.spans[scratch])
 
     def fold_diagonal(self) -> None:
-        """Turn nu's pair into A's diagonal over s, e = nu/s + its fixed part.
+        """Turn nu/s + ``diag`` in nu's pair into A's diagonal over s, e.
 
-        ``diag`` goes onto both spans, pads included, and then each edge
-        cell gets nu/s plus its own value; the ends keep nu/s.
+        The pass writes nu/s + ``diag`` (``ef._PassLayout``); each edge cell
+        then loses 1 per missing neighbour.
         """
         work = self.edge_work
-        self.nu *= 1.0 / self.s
         np.take(self.flat, self.edges, out=work, mode="clip")  # "raise" would buffer
         work += self.edge_values
-        self.spans[self.D] += self.diag
-        self.spans[self.E] += self.diag
         self.flat[self.edges] = work
 
-    def load(self, rhs: np.ndarray) -> float:
-        """Fold nu into A's diagonal, and take b = rhs/s and part of x0's residual.
+    def load(self, b: np.ndarray) -> float:
+        """Fold the edges into A's diagonal, and take part of x0's residual.
 
         Returns ||b||, and leaves e in nu's pair and in q the red cells of
         x0's residual at mu = 0, b_R - e_R x0_R + N_R x0_B, and in r the
         black ones less their neighbours, b_B - e_B x0_B.
         """
-        rows, spans, s = self.rows, self.spans, self.s
-        qr, de = rows[self.Q:self.R + 1], self.nu
+        rows, spans = self.rows, self.spans
+        qr = rows[self.Q:self.R + 1]
         self.fold_diagonal()
-        np.multiply(rhs, 1.0 / s, out=qr)
-        b_norm = math.sqrt(float(np.einsum("ij,ij->", qr, qr)))
-        qr -= np.multiply(de, self.state, out=rows[2:4])
+        b_norm = math.sqrt(float(np.einsum("ij,ij->", b, b)))
+        np.subtract(b, np.multiply(self.nu, self.state, out=qr), out=qr)
         self.neighbours(self.X, self.Z, RED, self.P)
         spans[self.Q] += spans[self.Z]
         self.zero_pads(self.Q, RED)
@@ -364,12 +364,13 @@ class _BlackSystem:
         V_B'e_B V_B - U'd U + (V_B'w)(w'V_B)/a: three ``einsum`` calls, one
         of them for V_B'w and V_B'r.  x then moves by p = V_B c, and r by M p.
         """
-        rows, span = self.rows, self.board.span
+        rows = self.rows
         vb, u = basis[:m], self.u[:m]
         gram = np.einsum("ik,jk->ij", np.multiply(vb, self.e_b, out=u), vb)
         vw, vr = np.einsum("ik,jk->ij", rows[1:9:7], vb).tolist()
         self.board.neighbours(vb, u, RED)
-        gram -= np.einsum("ik,k,jk->ij", u[:, span], self.d[span], u[:, span])
+        # d U in Z, INV_DS and IW, which are free until build_preconditioner
+        gram -= np.einsum("ik,jk->ij", np.multiply(u, self.d, out=rows[0:5:2][:m]), u)
         scale = [v / self.a for v in vw]
         gram = [[gij + vi * sj for gij, sj in zip(gi, scale)] for gi, vi in zip(gram.tolist(), vw)]
         coef = _cholesky_solve(gram, vr)
@@ -378,7 +379,7 @@ class _BlackSystem:
         self.apply(sum(c * v for c, v in zip(coef, vw)))
         self.r -= self.q
 
-    def lift(self, rhs: np.ndarray, m: float) -> float:
+    def lift(self, b: np.ndarray, m: float) -> float:
         """Write x's eliminated red cells, at the mass m, into t; returns mu.
 
         The red cells at mu = 0 are t = d (b_R + N_R x_B).  mu then gives the
@@ -389,10 +390,9 @@ class _BlackSystem:
         alone leave 1.2e-11 of the mass, and the step 2e-16.
         """
         x, t, z, d = self.x, self.t, self.z, self.d
-        # z is finite everywhere, and d zero off the red cells
-        np.multiply(rhs[RED], 1.0 / self.s, out=z)
-        self.neighbours(self.X, self.P, RED, self.Q)
-        self.spans[self.Z] += self.spans[self.P]
+        # z is finite everywhere, its ends zero, and d zero off the red cells
+        self.neighbours(self.X, self.Z, RED, self.Q)
+        self.spans[self.Z] += b[RED, self.board.span]
         np.multiply(z, d, out=t)
         mu = (m - float(x.sum()) - float(t.sum())) / self.a
         t += np.multiply(d, mu, out=z)
@@ -400,17 +400,18 @@ class _BlackSystem:
         t += np.multiply(d, step, out=z)
         return mu + step
 
-    def solve(self, rhs: np.ndarray, basis: np.ndarray, m: int,
+    def solve(self, b: np.ndarray, basis: np.ndarray, m: int,
               mass: float) -> Tuple[float, int, float]:
         """Solve A x = rhs + mu_e*1 for x and mu_e, x's mass fixed at x0's.
 
-        x0 is ``state``, in which the solve leaves x, and A's diagonal is
-        built in nu's pair (``nu``), which the solve consumes.  ``rhs`` is
-        a pair with zero pads, ``mass`` x0's own sum, ``float(state.sum())``,
-        and the start is moved by the first ``m`` black halves of ``basis``
-        (``galerkin_start``); both are kept.  Returns (mu_e, iterations,
-        ||r||/||rhs||), r = rhs + mu_e*1 - A x, the start counting as
-        iteration 0.
+        x0 is ``state``, in which the solve leaves x.  nu's pair (``nu``)
+        holds nu/s + ``diag``, which the solve turns into A's diagonal over
+        s and consumes, and ``b`` = rhs/s, a pair with zero pads; the pass
+        writes both (``ef._PassLayout``).  ``mass`` is x0's own sum,
+        ``float(state.sum())``, and the start is moved by the first ``m``
+        black halves of ``basis`` (``galerkin_start``); both are kept.
+        Returns (mu_e, iterations, ||r||/||rhs||), r = rhs + mu_e*1 - A x,
+        the start counting as iteration 0.
 
         Every solve takes one path: ``load``, ``reduce``, the start
         (``galerkin_start``) when m > 0, ``build_preconditioner``,
@@ -424,7 +425,7 @@ class _BlackSystem:
         nonpositive p'Mp raises it with the state's red half clobbered.
         """
         s = self.s
-        scale = self.load(rhs)
+        scale = self.load(b)
         if not scale > 0.0:
             raise ParameterError(f"the right-hand side's norm must be positive, got {s * scale}")
         tol = self.rel_tol * scale
@@ -446,7 +447,7 @@ class _BlackSystem:
             if res <= tol:
                 break
             if it == self.max_iter:
-                self.lift(rhs, mass)
+                self.lift(b, mass)
                 raise ConvergenceError(
                     f"conjugate gradients did not reach ||r|| <= {s * tol:.3e} within "
                     f"{self.max_iter} iterations (last residual {s * res:.3e})",
@@ -477,7 +478,7 @@ class _BlackSystem:
             x += np.multiply(p, alpha, out=z)
             r -= np.multiply(q, alpha, out=z)
             it += 1
-        mu = self.lift(rhs, mass)
+        mu = self.lift(b, mass)
         return s * mu, it, res / scale
 
 
@@ -527,7 +528,7 @@ def run(
     p: EosParams,
     cfg: SolverConfig,
     g: Grid2D,
-    observer: Optional[Callable[[np.ndarray, StepReport], None]] = None,
+    observer: Optional[Callable[[Callable[[], np.ndarray], StepReport], None]] = None,
 ) -> Tuple[np.ndarray, List[StepReport]]:
     """March ``n_steps`` steps from ``c0``; returns (final field, reports 1..n).
 
@@ -535,29 +536,32 @@ def run(
     once from ``c0``; the dissipation check allows energy_slack_rel times
     the initial energy of increase.  The march holds its fields in the
     solve's red and black halves (``grid._Checkerboard``): it splits ``c0``
-    once, and joins the state into one cell field after a step only for
-    the observer and the returned field.  It allocates all its memory once,
-    and no step allocates a field:
+    once, and joins the state into one cell field only for an observer
+    that asks for it and for the returned field.  It allocates all its
+    memory once, and no step allocates a field:
 
     - that cell field;
     - the reduced system (``_BlackSystem``), built once: its eleven work
       halves, which hold the state, into which each solve writes the next
-      one, nu's pair, where A's diagonal is built, and the pass's other
-      three pairs;
-    - s_r's pair, in which the right-hand side is built;
+      one, nu's pair, where the pass writes A's diagonal over s but for
+      the edge cells' part, and the pass's other three pairs;
+    - b's pair, in which the pass writes the right-hand side over s;
     - the last START_DIRECTIONS changes of the state, in a ring, and the
       last state, all black halves, which choose the solve's start.
 
     All but the cell field are halves from ``_Checkerboard.zeros``, on
-    64-byte lines.  That is about 10.04 fields at 128 x 128 cells, pads and
+    64-byte lines.  That is about 10.06 fields at 128 x 128 cells, pads and
     ends included.
 
-    ``observer(c, report)`` sees the initial state as step 0
-    (``nan`` multiplier and residual, zero iterations) and then every step;
-    ``c`` is overwritten by a later step, so an observer that keeps a state
-    must copy it.  A step from a state outside the window warns under
-    "continue"; under "abort" it raises ``BoundsViolationError`` naming the
-    cell, which only the initial state can reach.
+    ``observer(field, report)`` sees the initial state as step 0
+    (``nan`` multiplier and residual, zero iterations) and then every step.
+    ``field()`` returns the state as a cell field, joined on its first call
+    in a step, so an observer that reads the state on some steps only pays
+    for no join on the others (one takes 13 to 20 us at 100 x 100 cells).
+    The field is overwritten by a later step, so an observer that keeps a
+    state must copy it.  A step from a state outside the window warns
+    under "continue"; under "abort" it raises ``BoundsViolationError``
+    naming the cell, which only the initial state can reach.
     """
     if n_steps < 0:
         raise ParameterError(f"n_steps must be nonnegative, got {n_steps}")
@@ -573,14 +577,26 @@ def run(
     system = _BlackSystem(g, p.kappa, cfg)
     board, state, rows = system.board, system.state, system.rows
     board.split(c, state)
-    s_r = board.zeros(2)
+    b = board.zeros(2)
     basis = board.zeros(START_DIRECTIONS)  # step n's change in row (n - 1) % START_DIRECTIONS
     old = board.zeros()  # the last state's black half
-    # The pass returns nu in the solve's pair for it and s_r in its own; f
-    # and the other two go to rows that the solve fills before it reads them.
-    fields = [system.nu, s_r, rows[0:2], rows[2:4], rows[7:9]]
+    # The pass writes nu/s + diag into nu's pair and the right-hand side
+    # over s, b, into its own; f and the other two go to rows that the
+    # solve fills before it reads them.
+    work = _PassLayout(state, [system.nu, b, rows[0:2], rows[2:4], rows[7:9]], board,
+                       scale=1.0 / system.s, shift=system.diag, inv_tau=1.0 / cfg.tau)
     reports: List[StepReport] = []
     mu_e, iters, res = float("nan"), 0, float("nan")  # step 0 has no solve
+    joined = 0  # the step whose state c holds
+
+    def field() -> np.ndarray:
+        """The state as a cell field, c, joined at most once a step."""
+        nonlocal joined
+        if joined != n:
+            board.join(state, c)
+            joined = n
+        return c
+
     for n in range(n_steps + 1):
         if n:
             if not report.bounds_ok:
@@ -594,16 +610,13 @@ def run(
                     f"[{ef.c_m}, {ef.c_M}]; continuing as configured",
                     stacklevel=2,
                 )
-            # The right-hand side c/tau + s_r is built in s_r's pair.
-            b = coeffs.s_r
-            b += np.divide(state, cfg.tau, out=fields[2])
             np.copyto(old, state[BLACK])
             mu_e, iters, res = system.solve(b, basis, min(n - 1, START_DIRECTIONS), total)
             # zero at the pads and ends, as the state is, which the start needs
             np.subtract(state[BLACK], old, out=basis[(n - 1) % START_DIRECTIONS])
 
         # One pass gives this state's energy and extremes and the next step's coefficients.
-        coeffs = scheme_coefficients(state, ef, p, g, fields=fields, board=board)
+        coeffs = scheme_coefficients(work, ef, p, g)
         # The mass is h^2 <c, 1>, without a field of ones; the next solve keeps <c, 1>.
         total = float(np.sum(state))
         if not n:
@@ -624,8 +637,6 @@ def run(
                 f"dissipation={report.energy_decreased})"
             )
         reports.append(report)
-        if n and (observer is not None or n == n_steps):
-            board.join(state, c)
         if observer is not None:
-            observer(c, report)
-    return c, reports[1:]
+            observer(field, report)
+    return field(), reports[1:]

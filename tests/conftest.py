@@ -14,7 +14,7 @@ from prphase import (
     get_substance,
     scheme_coefficients,
 )
-from prphase.ef import _pointwise
+from prphase.ef import _PassLayout, _pointwise
 from prphase.grid import BLACK, RED, _Checkerboard
 from prphase.solver import _BlackSystem
 
@@ -66,8 +66,8 @@ def cell_coefficients(c, ef, p, g):
     g.check_cells(c, "cell_coefficients")
     board = _Checkerboard(g)
     pairs = np.zeros((6, 2, board.size))
-    coeffs = scheme_coefficients(board.split(c, pairs[0]), ef, p, g, fields=list(pairs[1:]),
-                                 board=board)
+    coeffs = scheme_coefficients(_PassLayout(board.split(c, pairs[0]), list(pairs[1:]), board),
+                                 ef, p, g)
     return replace(coeffs, nu=board.join(coeffs.nu, np.empty(c.shape)),
                    s_r=board.join(coeffs.s_r, np.empty(c.shape)))
 
@@ -124,13 +124,29 @@ def black_halves(board, fields):
     return halves
 
 
+def fill_pads(board, pair, value):
+    """Set the pads of both halves of ``pair`` to ``value``."""
+    for pads in board.pad_views(pair):
+        pads[...] = value
+
+
 def loaded_system(g, kappa, cfg, nu, x0):
-    """A fresh reduced system on ``g`` with the cell fields ``nu`` and ``x0``
-    split into its pairs for them."""
+    """A fresh reduced system on ``g`` with its pairs as the per-state pass
+    leaves them for a solve: nu/s + ``diag`` from the cell field ``nu`` in
+    nu's pair, ``diag`` at its pads, and the cell field ``x0`` in the
+    state's."""
     system = _BlackSystem(g, kappa, cfg)
-    system.board.split(np.asarray(nu, dtype=float), system.nu)
+    fill_pads(system.board, system.nu, system.diag)
+    system.board.split(np.asarray(nu, dtype=float) / system.s + system.diag, system.nu)
     system.board.split(np.asarray(x0, dtype=float), system.state)
     return system
+
+
+def rhs_pair(system, rhs):
+    """b = rhs/s, of the cell field ``rhs``, in a new pair of ``system``'s
+    layout with zero pads: the right-hand side its solve takes."""
+    board = system.board
+    return board.split(np.asarray(rhs, dtype=float) / system.s, np.zeros((2, board.size)))
 
 
 def apply_operator(c, nu, cfg, kappa, g):
@@ -154,7 +170,7 @@ def solve_step(rhs, nu, cfg, kappa, g, x0, basis=()):
     iterations, residual); x is ``x0``."""
     system = loaded_system(g, kappa, cfg, nu, x0)
     board = system.board
-    pair = board.split(np.asarray(rhs, dtype=float), np.zeros((2, board.size)))
+    pair = rhs_pair(system, rhs)
     try:
         mu_e, iters, res = system.solve(pair, black_halves(board, basis), len(basis),
                                         float(system.state.sum()))
@@ -171,6 +187,12 @@ def minus_laplacian(c, g):
 
 def prepend_path(env, key, directory):
     env[key] = os.pathsep.join([str(directory)] + ([env[key]] if env.get(key) else []))
+
+
+#: Seconds a Tier-1 child process may take.  A solve that never converges
+#: runs to ``cg_max_iter``, minutes at 400 x 400; with the timeout its test
+#: fails (``subprocess.TimeoutExpired``) instead of holding the run.
+CHILD_TIMEOUT_S = 300
 
 
 def child_env():

@@ -39,11 +39,12 @@ class Fault:
 
 
 EF, SOLVER = "src/prphase/ef.py", "src/prphase/solver.py"
-DIAGNOSTICS = "src/prphase/diagnostics.py"
+DIAGNOSTICS, GRID = "src/prphase/diagnostics.py", "src/prphase/grid.py"
+EXPERIMENT = "src/prphase/experiment.py"
 
 FAULTS = (
     Fault("nu x 1.04 in _pointwise", EF,
-          "    nu_f *= 0.25 * RT\n", "    nu_f *= 0.26 * RT\n"),
+          "    nu_f *= 0.25 * RT * scale\n", "    nu_f *= 0.26 * RT * scale\n"),
     Fault("kappa halved in the energy of scheme_coefficients", EF,
           "gradient = 0.5 * p.kappa *", "gradient = 0.25 * p.kappa *"),
     Fault("CG stops at 30x its tolerance", SOLVER,
@@ -76,9 +77,31 @@ FAULTS = (
     Fault("the operator's stencil drops one neighbour of each cell", SOLVER,
           "np.add(a, b, out=o)", "np.copyto(o, b if colour == RED else a)"),
     Fault("1/tau dropped from the operator's diagonal, kept in the right-hand side", SOLVER,
-          "self.diag = diag = 4.0 + 1.0 / (cfg.tau * s)", "self.diag = diag = 4.0"),
+          "self.diag = 4.0 + 1.0 / (cfg.tau * s)", "self.diag = 4.0"),
     Fault("kappa halved in the operator only", SOLVER,
           "self.s = s = kappa / (g.h * g.h)", "self.s = s = 0.5 * kappa / (g.h * g.h)"),
+    Fault("the gradient's cut entries left unzeroed", GRID,
+          "                flat[cuts] = 0.0\n", ""),
+    Fault("the pass's right-hand side without c/tau", EF,
+          "    sr += np.multiply(c, inv_tau, out=t)\n", ""),
+    Fault("the observer reads a field that was not rejoined", SOLVER,
+          "            observer(field, report)\n", "            observer(lambda: c, report)\n"),
+    # each verdict of summary.json, and the counter and exit code behind them
+    Fault("summary's energy_monotone always true", EXPERIMENT,
+          '"energy_monotone": all(r.energy_decreased for r in reports),',
+          '"energy_monotone": True,'),
+    Fault("summary's all_steps_admissible always true", EXPERIMENT,
+          '"all_steps_admissible": all(r.admissibility_ok for r in reports),',
+          '"all_steps_admissible": True,'),
+    Fault("summary's all_steps_in_bounds always true", EXPERIMENT,
+          '"all_steps_in_bounds": all(r.bounds_ok for r in reports),',
+          '"all_steps_in_bounds": True,'),
+    Fault("summary's mass_conserved always true", EXPERIMENT,
+          '"mass_conserved": mass_ok,', '"mass_conserved": True,'),
+    Fault("run_experiment's exit code always 0", EXPERIMENT,
+          'exit_code = 0 if (state["violations"] == 0 and mass_ok) else 5', "exit_code = 0"),
+    Fault("run_experiment's violation counter never incremented", EXPERIMENT,
+          'state["violations"] += 1', 'state["violations"] += 0'),
 )
 
 

@@ -2,6 +2,7 @@ import csv
 import json
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 try:
@@ -18,7 +19,7 @@ from prphase.cli import main
 from prphase.config import load_config
 from prphase.experiment import run_experiment, write_snapshot
 
-from conftest import C_GAS, C_LIQ, child_env, prepend_path
+from conftest import CHILD_TIMEOUT_S, C_GAS, C_LIQ, child_env, prepend_path
 
 
 def tiny_dict(**overrides):
@@ -215,9 +216,9 @@ class TestRun:
         original_run = prphase.solver.run
 
         def traced_run(*args, observer, **kwargs):
-            def traced_observer(c, report):
+            def traced_observer(field, report):
                 events.append(f"observer {report.step_index}")
-                observer(c, report)
+                observer(field, report)
 
             events.append("run")
             result = original_run(*args, observer=traced_observer, **kwargs)
@@ -326,6 +327,46 @@ class TestRun:
         assert float(step1["mu_e"]) > float(step1["mu_upper"])
         assert (out / "snapshot_000000.txt").exists()
         assert (out / "snapshot_000005.txt").exists()
+
+    @staticmethod
+    def run_with_step_3_changed(tmp_path, monkeypatch, change):
+        """run_experiment's exit code and summary on the tiny run, with
+        ``change`` applied to step 3's report, as the observer sees it and
+        as ``run`` returns it."""
+        original_run = prphase.solver.run
+
+        def changed_run(*args, observer, **kwargs):
+            def changed(report):
+                return change(report) if report.step_index == 3 else report
+
+            c, reports = original_run(
+                *args, observer=lambda field, report: observer(field, changed(report)), **kwargs)
+            return c, [changed(report) for report in reports]
+
+        monkeypatch.setattr(prphase.solver, "run", changed_run)
+        out = tmp_path / "out"
+        code = run_experiment(load_config(write_config(tmp_path, tiny_dict())), str(out))
+        return code, json.loads((out / "summary.json").read_text())
+
+    def test_a_step_that_gains_energy_fails_the_run(self, tmp_path, monkeypatch):
+        code, summary = self.run_with_step_3_changed(
+            tmp_path, monkeypatch, lambda report: replace(report, energy_decreased=False))
+        assert code == summary["exit_code"] == 5
+        assert summary["invariant_violations"] == 1
+        assert summary["energy_monotone"] is False
+        assert summary["all_steps_admissible"] is True
+        assert summary["all_steps_in_bounds"] is True
+        assert summary["mass_conserved"] is True
+
+    def test_a_step_that_loses_mass_fails_the_run(self, tmp_path, monkeypatch):
+        # a drift above the 1e-8 budget breaks no step's checks, only the run's
+        code, summary = self.run_with_step_3_changed(
+            tmp_path, monkeypatch, lambda report: replace(report, mass=report.mass * (1 - 1e-6)))
+        assert code == summary["exit_code"] == 5
+        assert summary["invariant_violations"] == 0
+        assert summary["max_mass_drift_rel"] == pytest.approx(1e-6, rel=1e-6)
+        assert summary["mass_conserved"] is False
+        assert summary["energy_monotone"] is True
 
     def test_wider_window_admits_the_same_droplet(self, tmp_path):
         d = tiny_dict(bounds_factors=[0.9, 1.15], **self.NARROW_WINDOW)
@@ -485,7 +526,7 @@ class TestEntryPoints:
     def test_module_invocation(self):
         proc = subprocess.run(
             [sys.executable, "-m", "prphase", "check", "nc4_droplet"],
-            capture_output=True, text=True, env=child_env(),
+            capture_output=True, text=True, env=child_env(), timeout=CHILD_TIMEOUT_S,
         )
         assert proc.returncode == 0, proc.stderr
         assert "config OK" in proc.stdout, proc.stderr
@@ -498,7 +539,7 @@ class TestEntryPoints:
 
         proc = subprocess.run(
             ["prphase", "props", "nC4", "--T", "330"],
-            capture_output=True, text=True, env=env,
+            capture_output=True, text=True, env=env, timeout=CHILD_TIMEOUT_S,
         )
         assert proc.returncode == 0, proc.stderr
         assert "packing limit" in proc.stdout, proc.stderr
@@ -506,6 +547,6 @@ class TestEntryPoints:
         # the exit code of main() must reach the shell, not only success
         proc = subprocess.run(
             ["prphase", "props", "nope", "--T", "330"],
-            capture_output=True, text=True, env=env,
+            capture_output=True, text=True, env=env, timeout=CHILD_TIMEOUT_S,
         )
         assert proc.returncode == 2, proc.stderr

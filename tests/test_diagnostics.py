@@ -15,10 +15,9 @@ from prphase import (
     derive_eos_params,
     diagnostics,
     get_substance,
-    scheme_coefficients,
     shape_anisotropy,
 )
-from prphase.ef import _pointwise
+from prphase.ef import _PassLayout, _pointwise
 from prphase.grid import _Checkerboard
 
 import oracles
@@ -77,8 +76,7 @@ class TestDiscreteEnergy:
         board = _Checkerboard(unit_grid)
         fields = [np.zeros((2, board.size)) for _ in range(5)]
         with pytest.raises(ParameterError, match="shape"):
-            scheme_coefficients(np.full(unit_grid.cell_shape(), 1000.0), window, nc4, unit_grid,
-                                fields=fields, board=board)
+            _PassLayout(np.full(unit_grid.cell_shape(), 1000.0), fields, board)
 
 
 class TestAdmissibleInterval:

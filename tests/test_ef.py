@@ -13,9 +13,8 @@ from prphase import (
     ParameterError,
     R_DEFAULT,
     minimal_lambda,
-    scheme_coefficients,
 )
-from prphase.ef import _pointwise, require_in_window
+from prphase.ef import _PassLayout, _pointwise, require_in_window
 from prphase.grid import _Checkerboard
 
 import oracles
@@ -289,8 +288,7 @@ class TestFusedPass:
         board = _Checkerboard(g)
         fields = [np.zeros((2, board.size)) for _ in range(5)]
         with pytest.raises(ParameterError, match="shape"):
-            scheme_coefficients(np.full((2, board.size + 1), 1000.0), window, nc4, g,
-                                fields=fields, board=board)
+            _PassLayout(np.full((2, board.size + 1), 1000.0), fields, board)
 
 
 class TestSemiImplicitPotentials:

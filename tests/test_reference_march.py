@@ -83,8 +83,8 @@ def march_errors(g, tau, c0, n_steps, window, nc4):
     reference to its bound: state, multiplier, energy."""
     states, reports = [], []
 
-    def keep(c, report):
-        states.append(c.copy())
+    def keep(field, report):
+        states.append(field().copy())
         reports.append(report)
 
     cfg = SolverConfig(tau=tau, cg_rel_tol=TOL)

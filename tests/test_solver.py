@@ -18,12 +18,13 @@ from prphase import (
 )
 from prphase import solver as solver_module
 from prphase.config import load_config
-from prphase.ef import EfParams, require_in_window
+from prphase.ef import EfParams, _PassLayout, require_in_window
 from prphase.grid import BLACK, RED, _Checkerboard
 from prphase.solver import _HALVES, START_DIRECTIONS, _BlackSystem
 
-from conftest import (C_GAS, C_LIQ, apply_operator, black_halves, cell_coefficients, child_env,
-                      inner, loaded_system, solve_step, stencil)
+from conftest import (CHILD_TIMEOUT_S, C_GAS, C_LIQ, apply_operator, black_halves,
+                      cell_coefficients, child_env, fill_pads, inner, loaded_system, rhs_pair,
+                      solve_step, stencil)
 from reference import bulk_chemical_potential, neumann_laplacian
 
 
@@ -76,7 +77,7 @@ def galerkin_start(g, nu, cfg, kappa, rhs, c_n, basis):
     moved by the Galerkin start, the reds eliminated at c_n's mass."""
     system = loaded_system(g, kappa, cfg, nu, c_n)
     board = system.board
-    pair = board.split(rhs, np.zeros((2, board.size)))
+    pair = rhs_pair(system, rhs)
     mass = float(system.state.sum())
     system.load(pair)
     system.reduce()
@@ -133,20 +134,21 @@ class TestOperator:
     def test_diagonal_is_that_of_a_stored_fixed_pair(self, ny, nx):
         # The diagonal as it was built from a stored pair, A's diagonal over
         # s less nu/s: 4 + 1/(tau*s) over both spans, less 1 per edge
-        # that a cell lies on, added to nu/s.  fold_diagonal keeps no pair,
-        # and must give the same bits, in every entry of nu's pair.
+        # that a cell lies on.  The pass adds the scalar to nu/s, and
+        # fold_diagonal, which keeps no pair, the edges' part: the same bits
+        # as adding that pair less the scalar, in every entry of nu's pair.
         g = Grid2D(nx=nx, ny=ny, h=0.5)
         cfg, kappa = SolverConfig(tau=0.7), 0.2
         system = _BlackSystem(g, kappa, cfg)
-        board, s = system.board, system.s
-        fixed = np.zeros((2, board.size))
-        fixed[:, board.span] = 4.0 + 1.0 / (cfg.tau * s)
+        board = system.board
+        assert system.diag == 4.0 + 1.0 / (cfg.tau * system.s)
+        edges = np.zeros((2, board.size))
         for colour in (RED, BLACK):
             for edge in ({"i": 0}, {"i": g.ny - 1}, {"j": 0}, {"j": g.nx - 1}):
-                fixed[colour, board.line(colour, **edge)] -= 1.0
-        nu = np.random.default_rng(11).uniform(1.0, 2.0, size=(2, board.size))
-        want = nu * (1.0 / s) + fixed
-        system.nu[...] = nu
+                edges[colour, board.line(colour, **edge)] -= 1.0
+        e = np.random.default_rng(11).uniform(1.0, 2.0, size=(2, board.size)) + system.diag
+        want = e + edges
+        system.nu[...] = e
         system.fold_diagonal()
         assert np.array_equal(system.nu.view(np.int64), want.view(np.int64))
 
@@ -240,7 +242,7 @@ class TestHalfStencils:
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "step .* leaves the density window")
             c, _ = run(c0, 2, window, nc4, SolverConfig(tau=1e10), g,
-                       observer=lambda c, rep: seen.append(c.copy()))
+                       observer=lambda field, rep: seen.append(field().copy()))
         assert np.array_equal(seen[0], c0)
         assert all(np.array_equal(a, b) for a, b in zip(seen[1:], states))
         assert np.array_equal(c, states[-1])
@@ -553,15 +555,15 @@ def test_march_peak_memory_in_fields():
     # run allocates its memory once, ahead of the step-0 report: the cell
     # field it joins the state into, the reduced system's eleven halves
     # (the state, nu's pair and the solve's work, which holds the pass's
-    # other three pairs), s_r's pair, and four black halves, the three
+    # other three pairs), b's pair, and four black halves, the three
     # differences and the last state.  Traced from the step-0 report on, so
-    # the set-up's allocations are left out: 10.04 fields here, the halves'
+    # the set-up's allocations are left out: 10.06 fields here, the halves'
     # pads, ends and the reduced system's views included; 10.95 with a stored
     # pair of A's fixed diagonal, 11.85 when each step also split and
     # joined full fields.
     cfg, g, c0 = preset_square()
 
-    def reset_at_step_0(c, report):
+    def reset_at_step_0(field, report):
         if report.step_index == 0:
             tracemalloc.reset_peak()
 
@@ -576,12 +578,12 @@ def test_march_peak_memory_in_fields():
 
 def test_step_allocates_no_field():
     # What a step allocates above what was held when the last step ended,
-    # from step 2 on, in fields: 0.04 here, and 5.7 when the solve
+    # from step 2 on, in fields: 0.02 here, and 5.7 when the solve
     # allocates its own work.
     cfg, g, c0 = preset_square()
     held, growth = [], []
 
-    def observe(c, report):
+    def observe(field, report):
         current, peak = tracemalloc.get_traced_memory()
         if report.step_index >= 2:
             growth.append((peak - held[-1]) / c0.nbytes)
@@ -619,7 +621,7 @@ class TestWorkFields:
         for fields in self.bad_fields(state.shape):
             with pytest.raises(ParameterError, match="scheme_coefficients: the state and 5 fields "
                                                      "must be writeable, C-contiguous float pairs"):
-                scheme_coefficients(state, window, nc4, g, fields=fields, board=board)
+                _PassLayout(state, fields, board)
 
     def test_reused_system_keeps_no_state(self, toy):
         # run solves every step in one system: each solve must give the bits
@@ -637,11 +639,11 @@ class TestWorkFields:
             x = states[-1].copy()
             want = solve_step(rhs, nu, cfg, kappa, g, x0=x, basis=basis)
             system.rows[:, board.span] = np.nan
-            board.fill_pads(system.state, 0.0)
-            board.fill_pads(system.nu, 7.0)
-            board.split(nu, system.nu)
+            fill_pads(board, system.state, 0.0)
+            fill_pads(board, system.nu, 7.0)
+            board.split(nu / system.s + system.diag, system.nu)
             board.split(states[-1], system.state)
-            pair = board.split(rhs, np.zeros((2, board.size)))
+            pair = rhs_pair(system, rhs)
             got = system.solve(pair, black_halves(board, basis), n_basis,
                                float(system.state.sum()))
             assert want[2] > 0
@@ -660,7 +662,7 @@ class TestWorkFields:
         for field in fields:
             field[:, board.span] = np.nan
         own = cell_coefficients(c, window, nc4, g)
-        given = scheme_coefficients(state, window, nc4, g, fields=fields, board=board)
+        given = scheme_coefficients(_PassLayout(state, fields, board), window, nc4, g)
         assert given.nu is fields[0] and given.s_r is fields[1]
         for pair, cells in ((given.nu, own.nu), (given.s_r, own.s_r)):
             assert np.array_equal(board.join(pair, np.empty(g.cell_shape())), cells)
@@ -670,7 +672,7 @@ class TestWorkFields:
         off = np.ones(state.shape, dtype=bool)
         off[:, board.span] = False
         assert not np.any(np.array([field[off] for field in fields]))
-        board.fill_pads(off, True)
+        fill_pads(board, off, True)
         assert not np.any(given.s_r[off])
 
 
@@ -703,7 +705,7 @@ def test_step_does_not_depend_on_blas_threads():
         env = child_env()
         env["OPENBLAS_NUM_THREADS"] = threads
         proc = subprocess.run([sys.executable, "-c", _STEP_400],
-                              capture_output=True, text=True, env=env)
+                              capture_output=True, text=True, env=env, timeout=CHILD_TIMEOUT_S)
         assert proc.returncode == 0, proc.stderr
         digests.append(proc.stdout)
     assert digests[0] == digests[1]
@@ -786,7 +788,7 @@ class TestStep:
         c0 = np.full(g.cell_shape(), window.c_M + excess * window.slack)
         assert c0[0, 0] > window.c_M
         seen = []
-        run(c0, 0, window, nc4, cfg, g, observer=lambda c, report: seen.append(report))
+        run(c0, 0, window, nc4, cfg, g, observer=lambda field, report: seen.append(report))
         assert [report.bounds_ok for report in seen] == [inside]
         if inside:
             require_in_window(c0, window, "test")
@@ -1030,7 +1032,7 @@ class TestRun:
     def test_observer_sees_every_step(self, nc4, window, droplet_setup):
         g, c0, cfg = droplet_setup
         seen = []
-        run(c0, 5, window, nc4, cfg, g, observer=lambda c, rep: seen.append(rep.step_index))
+        run(c0, 5, window, nc4, cfg, g, observer=lambda field, rep: seen.append(rep.step_index))
         assert seen == [0, 1, 2, 3, 4, 5]
 
     def test_deterministic_reruns(self, nc4, window, droplet_setup, marched):
